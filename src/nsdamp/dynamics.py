@@ -17,11 +17,19 @@ and only the nonlinearity is discretized. The two dissipation integrals
 (2 nu int ||grad u||^2 and 2 alpha int int |u|^(beta+1)) ride along as
 augmented scalar unknowns integrated by the same RK4 stage combination,
 which keeps the discrete energy ledger accurate to the scheme's own order.
+
+The stepper holds the state as a flat vector of the ball's coefficients in
+the rfft half-spectrum layout (shape (3, n_ball), see _Ball) and moves to
+physical space with real-to-complex transforms; everything spectral works
+on those vectors only. Public arrays, snapshots, hooks and checkpoints stay
+full (3, N, N, N) coefficient arrays: run() expands the state only at the
+output cadence, and the expansion is Hermitian by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,27 +98,114 @@ class SolverState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping knobs: step size dt, scheme name, CFL safety factor."""
+    """Time-stepping knobs for the integrating-factor RK4 stepper: step size dt, CFL safety factor."""
 
     dt: float
-    scheme: str = "ifrk4"
     safety: float = 0.9
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.scheme != "ifrk4":
-            raise ValueError(f"unknown scheme {self.scheme!r} (only 'ifrk4' is implemented)")
         if not 0.0 < self.safety <= 1.0:
             raise ValueError(f"safety must lie in (0, 1], got {self.safety!r}")
 
 
-class _NLTerms(NamedTuple):
-    """One nonlinear right-hand-side evaluation, split for the Duhamel ledger."""
+# ---------------------------------------------------------------------------
+# the ball in rfft layout
 
-    total: np.ndarray  # -(advection + damping) contribution, in-space
-    adv: np.ndarray  # -advection part
-    damp: np.ndarray  # -damping part (mean removed)
+
+class _Ball:
+    """The cutoff ball of one grid as flat indices into its rfft half spectrum.
+
+    Entry j of a ball vector (shape (3, n_ball)) is the coefficient at flat
+    position index[j] of a (3, N, N, N/2+1) rfft array: every ball mode with
+    m3 > 0, and in the m3 = 0 plane one mode of each conjugate pair (m1 > 0,
+    or m1 = 0 and m2 >= 0, so m = 0 is entry 0). The other half of the
+    spectrum is the complex conjugate, written out by scatter() and
+    expand(), so every array built from a ball vector is Hermitian by
+    construction. The cutoff keeps |m3| <= N/3, so the Nyquist plane
+    m3 = N/2 holds no entry. Parseval weights are 2 for every entry (it
+    stands for itself and its conjugate) and 1 for m = 0.
+
+    All arrays are read-only; nothing here is scratch space, so threads may
+    share one instance.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n_modes
+        half = n // 2 + 1
+        self.grid = grid
+        self.rfft_shape = (3, n, n, half)
+        m = grid.mode_numbers
+        mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
+        kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
+        self.index = np.flatnonzero(kept)
+        ix, iy, iz = np.unravel_index(self.index, (n, n, half))
+        self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
+        conj = ((-ix) % n, (-iy) % n, (-iz) % n)
+        self.conj_full_index = np.ravel_multi_index(conj, (n, n, n))[1:]
+        plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
+        self.plane = plane
+        self.conj_plane_index = np.ravel_multi_index(
+            (conj[0][plane], conj[1][plane], np.zeros_like(plane)), (n, n, half)
+        )
+        self.k = grid.wavenumbers[:, ix, iy, iz]
+        self.k_sq = grid.k_sq[ix, iy, iz]
+        self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
+        self.weight = np.full(self.index.size, 2.0)
+        self.weight[0] = 1.0
+        for arr in (self.index, self.full_index, self.conj_full_index, self.plane,
+                    self.conj_plane_index, self.k, self.k_sq, self.k_sq_safe, self.weight):
+            arr.flags.writeable = False
+
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """Ball vector of a full (3, N, N, N) coefficient array (restriction to the ball)."""
+        return np.take(coeffs.reshape(3, -1), self.full_index, axis=1)
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Full (3, N, N, N) coefficients of a ball vector, zero outside the ball."""
+        n = self.grid.n_modes
+        out = np.zeros((3, n**3), dtype=np.complex128)
+        out[:, self.full_index] = v
+        out[:, self.conj_full_index] = np.conj(v[:, 1:])
+        return out.reshape(self.grid.shape)
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """rfft half spectrum (3, N, N, N/2+1) of a ball vector, ready for irfftn."""
+        out = np.zeros((3, int(np.prod(self.rfft_shape[1:]))), dtype=np.complex128)
+        out[:, self.index] = v
+        out[:, self.conj_plane_index] = np.conj(v[:, self.plane])
+        return out.reshape(self.rfft_shape)
+
+    def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
+        """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""
+        weight = self.weight if multiplier is None else self.weight * multiplier
+        power = (v.real**2 + v.imag**2).sum(axis=0)
+        return float(np.dot(weight, power))
+
+    def project(self, v: np.ndarray) -> None:
+        """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""
+        k = self.k
+        dot = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+        dot /= self.k_sq_safe
+        v -= k * dot[np.newaxis]
+
+
+@lru_cache(maxsize=16)
+def _ball(grid: GridSpec) -> _Ball:
+    return _Ball(grid)
+
+
+# ---------------------------------------------------------------------------
+# the nonlinear kernel
+
+
+class _NLTerms(NamedTuple):
+    """One nonlinear right-hand-side evaluation on ball vectors."""
+
+    total: np.ndarray  # -(advection + damping), projected, mean removed
+    adv: np.ndarray | None  # -advection part, when the split was asked for
+    damp: np.ndarray | None  # -damping part, when the split was asked for
     visc_rate: float  # 2 nu ||grad u||^2 at this state
     damp_rate: float  # 2 alpha sum |u_j|^(beta+1) dV at this state
     linf: float  # max pointwise |u| on the grid
@@ -120,62 +215,67 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PAIR_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
 
 
-def _project_in_place(coeffs: np.ndarray, grid: GridSpec) -> None:
-    k = grid.wavenumbers
-    dot = k[0] * coeffs[0] + k[1] * coeffs[1] + k[2] * coeffs[2]
-    dot /= grid._k_sq_safe
-    coeffs -= k * dot[np.newaxis]
+def _nonlinear(
+    ball: _Ball,
+    v: np.ndarray,
+    params: PhysParams,
+    *,
+    split: bool = False,
+    advect: bool = True,
+) -> _NLTerms:
+    """Evaluate -P J div(u x u) - alpha P J |u|^(beta-1) u on a ball vector, plus ledger rates.
 
-
-def _nonlinear_terms(coeffs: np.ndarray, grid: GridSpec, params: PhysParams) -> _NLTerms:
-    """Evaluate -P J div(u x u) and -alpha P J |u|^(beta-1) u plus ledger rates."""
-    u = _fft.ifftn(coeffs, axes=(1, 2, 3), norm="forward").real
+    One inverse real-to-complex transform of the state, the products on the
+    full physical grid, one forward transform of all product blocks, then
+    the divergence, projection and mean removal on the ball entries.
+    advect=False skips the advection term (total is then the damping part
+    alone); split=True also returns the two parts separately.
+    """
+    grid = ball.grid
+    n = grid.n_modes
+    u = _fft.irfftn(ball.scatter(v), s=(n, n, n), axes=(1, 2, 3), norm="forward")
     mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
     linf = float(np.sqrt(float(mag_sq.max())))
 
-    blocks = [u[i] * u[j] for i, j in _PAIRS]
-    n_quad = len(blocks)
+    damped = params.alpha > 0.0
+    pairs = _PAIRS if advect else ()
+    blocks = np.empty((len(pairs) + 3 * damped, n, n, n))
+    for b, (i, j) in enumerate(pairs):
+        np.multiply(u[i], u[j], out=blocks[b])
     damp_rate = 0.0
-    if params.alpha > 0.0:
+    if damped:
         # |u|^(beta-1) u pointwise; 0^(beta-1) = 0 since beta > 1.
         weight = mag_sq ** ((params.beta - 1.0) / 2.0)
-        blocks.extend(params.alpha * weight * u[i] for i in range(3))
-        damp_rate = (
-            2.0 * params.alpha * float((weight * mag_sq).sum()) * grid.cell_volume
-        )
+        damp_rate = 2.0 * params.alpha * float((weight * mag_sq).sum()) * grid.cell_volume
+        weight *= params.alpha
+        for i in range(3):
+            np.multiply(weight, u[i], out=blocks[len(pairs) + i])
 
-    hats = _fft.fftn(np.stack(blocks), axes=(1, 2, 3), norm="forward")
-    k = grid.wavenumbers
-    mask = grid.ball_mask
+    hats = _fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
+    hats = np.take(hats.reshape(len(blocks), -1), ball.index, axis=1)
+    k = ball.k
+    total = np.zeros_like(v)
+    adv = dmp = np.zeros_like(v) if split else None
+    if advect:
+        adv = np.empty_like(v)
+        for comp in range(3):
+            acc = k[0] * hats[_PAIR_INDEX[tuple(sorted((comp, 0)))]]
+            acc = acc + k[1] * hats[_PAIR_INDEX[tuple(sorted((comp, 1)))]]
+            acc = acc + k[2] * hats[_PAIR_INDEX[tuple(sorted((comp, 2)))]]
+            adv[comp] = 1j * acc
+        ball.project(adv)
+        # divergence form vanishes at m = 0 already; projection leaves that alone.
+        total -= adv
+    if damped:
+        dmp = hats[len(pairs):]
+        ball.project(dmp)
+        dmp[:, 0] = 0.0  # comoving frame: drop the mean force
+        total -= dmp
 
-    adv = np.empty_like(coeffs)
-    for comp in range(3):
-        acc = k[0] * hats[_PAIR_INDEX[tuple(sorted((comp, 0)))]]
-        acc = acc + k[1] * hats[_PAIR_INDEX[tuple(sorted((comp, 1)))]]
-        acc = acc + k[2] * hats[_PAIR_INDEX[tuple(sorted((comp, 2)))]]
-        adv[comp] = 1j * acc
-    adv *= mask
-    _project_in_place(adv, grid)
-    # divergence form vanishes at m = 0 already; projection leaves that alone.
-
-    if params.alpha > 0.0:
-        dmp = hats[n_quad : n_quad + 3].copy()
-        dmp *= mask
-        _project_in_place(dmp, grid)
-        dmp[:, 0, 0, 0] = 0.0  # comoving frame: drop the mean force
-        total = -(adv + dmp)
-        neg_damp = -dmp
-    else:
-        total = -adv
-        neg_damp = np.zeros_like(adv)
-
-    visc_rate = 2.0 * params.nu * _grad_sq_raw(coeffs, grid)
-    return _NLTerms(total, -adv, neg_damp, visc_rate, damp_rate, linf)
-
-
-def _grad_sq_raw(coeffs: np.ndarray, grid: GridSpec) -> float:
-    power = (np.abs(coeffs) ** 2).sum(axis=0)
-    return float(grid.volume * float((grid.k_sq * power).sum()))
+    visc_rate = 2.0 * params.nu * grid.volume * ball.norm_sq(v, ball.k_sq)
+    if not split:
+        return _NLTerms(total, None, None, visc_rate, damp_rate, linf)
+    return _NLTerms(total, -adv, -dmp, visc_rate, damp_rate, linf)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +285,28 @@ def _grad_sq_raw(coeffs: np.ndarray, grid: GridSpec) -> float:
 def advection(u: SpectralField) -> SpectralField:
     """Truncated, projected advection term P J div(u x u).
 
-    The tensor u x u is formed pointwise on the collocation grid, transformed,
-    differentiated in coefficient space, sharply truncated, and projected. For
-    solenoidal u this equals P J (u . grad u).
+    The input is first restricted to the ball (its Hermitian part on the
+    retained modes, as the stepper holds it), a no-op for fields of the
+    state space. The tensor u x u is formed pointwise on the collocation
+    grid, transformed, differentiated in coefficient space, sharply
+    truncated, and projected. For solenoidal u this equals P J (u . grad u).
     """
+    ball = _ball(u.grid)
     params = PhysParams(nu=1.0, alpha=0.0, beta=2.0)  # alpha=0: damping skipped
-    terms = _nonlinear_terms(u.coeffs, u.grid, params)
-    return SpectralField(u.grid, -terms.adv, solenoidal=True)
+    terms = _nonlinear(ball, ball.gather(u.coeffs), params)
+    return SpectralField(u.grid, ball.expand(-terms.total), solenoidal=True)
 
 
 def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
-    """Truncated, projected damping force alpha |u|^(beta-1) u.
+    """Truncated, projected damping force alpha |u|^(beta-1) u, mean mode removed.
 
-    Evaluated pointwise in physical space, then truncated and projected. Its
-    inner product with u equals alpha times the collocation quadrature of
-    |u|^(beta+1), hence is nonnegative: the term only dissipates.
+    The input is first restricted to the ball (its Hermitian part on the
+    retained modes, as the stepper holds it), a no-op for fields of the
+    state space. The force is evaluated pointwise in physical space, then
+    truncated and projected, and its m = 0 coefficient is dropped (the
+    stepper's frame choice). Its inner product with a zero-mean u equals
+    alpha times the collocation quadrature of |u|^(beta+1), hence is
+    nonnegative: the term only dissipates.
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
@@ -207,25 +314,27 @@ def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
         raise ValueError(f"beta must exceed 1, got {beta!r}")
     if alpha == 0.0:
         return SpectralField(u.grid, np.zeros_like(u.coeffs), solenoidal=True)
-    phys = _fft.ifftn(u.coeffs, axes=(1, 2, 3), norm="forward").real
-    mag_sq = phys[0] ** 2 + phys[1] ** 2 + phys[2] ** 2
-    force = alpha * mag_sq ** ((beta - 1.0) / 2.0) * phys
-    hat = _fft.fftn(force, axes=(1, 2, 3), norm="forward")
-    hat *= u.grid.ball_mask
-    _project_in_place(hat, u.grid)
-    return SpectralField(u.grid, hat, solenoidal=True)
+    ball = _ball(u.grid)
+    params = PhysParams(nu=1.0, alpha=alpha, beta=beta)
+    terms = _nonlinear(ball, ball.gather(u.coeffs), params, advect=False)
+    return SpectralField(u.grid, ball.expand(-terms.total), solenoidal=True)
 
 
 def tendency(state: SolverState) -> SpectralField:
     """Full right-hand side -advection - damping - nu |xi|^2 u.
 
-    The damping force enters with its mean mode removed (frame choice). The
-    stepper never uses this assembled form: it treats the viscous part exactly
-    through the integrating factor and discretizes only the rest.
+    The field is first restricted to the ball (its Hermitian part on the
+    retained modes, as the stepper holds it), a no-op for fields of the
+    state space. The damping force enters with its mean mode removed (frame
+    choice). The stepper never uses this assembled form: it treats the
+    viscous part exactly through the integrating factor and discretizes
+    only the rest.
     """
-    terms = _nonlinear_terms(state.u.coeffs, state.grid, state.params)
-    out = terms.total - state.params.nu * state.grid.k_sq * state.u.coeffs
-    return SpectralField(state.grid, out, solenoidal=True)
+    ball = _ball(state.grid)
+    v = ball.gather(state.u.coeffs)
+    terms = _nonlinear(ball, v, state.params)
+    out = terms.total - state.params.nu * ball.k_sq * v
+    return SpectralField(state.grid, ball.expand(out), solenoidal=True)
 
 
 def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
@@ -272,14 +381,17 @@ class DuhamelTracker:
     heat is the exact viscous semigroup applied to the initial field; f and g
     accumulate the advection and damping contributions with the same
     integrating-factor RK4 stage combination the solution itself uses, so
-    heat + f + g rebuilds the state to roundoff at every step.
+    heat + f + g rebuilds the state to roundoff at every step. All three are
+    ball vectors in the stepper's rfft layout; the initial field is first
+    restricted to the ball.
     """
 
     def __init__(self, initial: SpectralField):
         self.grid = initial.grid
-        self.heat = initial.coeffs.copy()
-        self.f = np.zeros_like(initial.coeffs)
-        self.g = np.zeros_like(initial.coeffs)
+        self._ball = _ball(initial.grid)
+        self.heat = self._ball.gather(initial.coeffs)
+        self.f = np.zeros_like(self.heat)
+        self.g = np.zeros_like(self.heat)
 
     def advance(
         self,
@@ -301,29 +413,24 @@ class DuhamelTracker:
 
     def norms(self) -> tuple[float, float, float]:
         """(||heat||_L2, ||f||_{H^-2}, ||g||_{H^-2})."""
-        heat_l2 = float(
-            np.sqrt(self.grid.volume * float((np.abs(self.heat) ** 2).sum()))
-        )
-        weight = (1.0 + self.grid.k_sq) ** -2
-        f_h = float(
-            np.sqrt(self.grid.volume * float((weight * (np.abs(self.f) ** 2).sum(axis=0)).sum()))
-        )
-        g_h = float(
-            np.sqrt(self.grid.volume * float((weight * (np.abs(self.g) ** 2).sum(axis=0)).sum()))
-        )
+        ball, volume = self._ball, self.grid.volume
+        weight = (1.0 + ball.k_sq) ** -2
+        heat_l2 = float(np.sqrt(volume * ball.norm_sq(self.heat)))
+        f_h = float(np.sqrt(volume * ball.norm_sq(self.f, weight)))
+        g_h = float(np.sqrt(volume * ball.norm_sq(self.g, weight)))
         return heat_l2, f_h, g_h
 
     def reconstruction_error(self, u: SpectralField) -> float:
-        """Relative L2 gap between heat + f + g and the actual state."""
-        diff = self.heat + self.f + self.g - u.coeffs
-        denom = float(np.sqrt((np.abs(u.coeffs) ** 2).sum()))
-        if denom == 0.0:
-            return float(np.sqrt((np.abs(diff) ** 2).sum()))
-        return float(np.sqrt((np.abs(diff) ** 2).sum()) / denom)
+        """Relative L2 gap between heat + f + g and the actual state (restricted to the ball)."""
+        ball = self._ball
+        target = ball.gather(u.coeffs)
+        gap = float(np.sqrt(ball.norm_sq(self.heat + self.f + self.g - target)))
+        denom = float(np.sqrt(ball.norm_sq(target)))
+        return gap if denom == 0.0 else gap / denom
 
 
 class _Stepper:
-    """Caches the integrating factors for one (grid, params, dt) combination."""
+    """Integrating-factor RK4 on ball vectors for one (grid, params, dt) combination."""
 
     def __init__(
         self,
@@ -333,12 +440,12 @@ class _Stepper:
         forcing: Callable[[float], np.ndarray] | None = None,
     ):
         self.grid = grid
+        self.ball = _ball(grid)
         self.params = params
         self.cfg = cfg
         self.forcing = forcing
-        self.e_half = np.exp(-params.nu * grid.k_sq * (cfg.dt / 2.0))
+        self.e_half = np.exp(-params.nu * self.ball.k_sq * (cfg.dt / 2.0))
         self.e_full = self.e_half**2
-        self.mask = grid.ball_mask
 
     def check_cfl(self, linf: float, dt: float) -> None:
         if not np.isfinite(linf):
@@ -353,70 +460,74 @@ class _Stepper:
                 f"alpha |u|_inf^(beta-1) = {p.alpha * linf ** (p.beta - 1.0):g})"
             )
 
-    def _rhs(self, coeffs: np.ndarray, t: float) -> _NLTerms:
-        terms = _nonlinear_terms(coeffs, self.grid, self.params)
+    def _rhs(self, v: np.ndarray, t: float, split: bool) -> _NLTerms:
+        terms = _nonlinear(self.ball, v, self.params, split=split)
         if self.forcing is not None:
-            total = terms.total + self.forcing(t)
-            terms = terms._replace(total=total)
+            terms = terms._replace(total=terms.total + self.ball.gather(self.forcing(t)))
         return terms
 
-    def advance(self, state: SolverState, tracker: DuhamelTracker | None = None) -> SolverState:
+    def advance(
+        self, v: np.ndarray, t: float, tracker: DuhamelTracker | None = None
+    ) -> tuple[np.ndarray, float, float]:
+        """One step from ball vector v at time t: (new v, visc increment, damp increment)."""
         dt = self.cfg.dt
-        u0 = state.u.coeffs
-        t = state.t
         eh, ef = self.e_half, self.e_full
+        split = tracker is not None
 
-        n1 = self._rhs(u0, t)
+        n1 = self._rhs(v, t, split)
         self.check_cfl(n1.linf, dt)
 
-        s2 = eh * (u0 + (dt / 2.0) * n1.total)
-        n2 = self._rhs(s2, t + dt / 2.0)
+        s2 = eh * (v + (dt / 2.0) * n1.total)
+        n2 = self._rhs(s2, t + dt / 2.0, split)
 
-        s3 = eh * u0 + (dt / 2.0) * n2.total
-        n3 = self._rhs(s3, t + dt / 2.0)
+        s3 = eh * v + (dt / 2.0) * n2.total
+        n3 = self._rhs(s3, t + dt / 2.0, split)
 
-        s4 = ef * u0 + dt * (eh * n3.total)
-        n4 = self._rhs(s4, t + dt)
+        s4 = ef * v + dt * (eh * n3.total)
+        n4 = self._rhs(s4, t + dt, split)
 
-        unew = ef * u0 + (dt / 6.0) * (
+        vnew = ef * v + (dt / 6.0) * (
             ef * n1.total + 2.0 * eh * (n2.total + n3.total) + n4.total
         )
-        unew *= self.mask
-        _project_in_place(unew, self.grid)
-        unew[:, 0, 0, 0] = 0.0
+        self.ball.project(vnew)
+        vnew[:, 0] = 0.0
 
-        # The stage evaluations already carry the dissipation rates at the
-        # stage states, so the augmented RK4 quadrature is free.
-        cum_visc = state.cum_visc + (dt / 6.0) * (
-            n1.visc_rate + 2.0 * (n2.visc_rate + n3.visc_rate) + n4.visc_rate
-        )
-        cum_damp = state.cum_damp + (dt / 6.0) * (
-            n1.damp_rate + 2.0 * (n2.damp_rate + n3.damp_rate) + n4.damp_rate
-        )
-
-        if tracker is not None and self.forcing is None:
+        if tracker is not None:
             tracker.advance(eh, ef, dt, (n1.adv, n2.adv, n3.adv, n4.adv),
                             (n1.damp, n2.damp, n3.damp, n4.damp))
 
-        return SolverState(
-            t=t + dt,
-            u=SpectralField(self.grid, unew, solenoidal=True),
-            params=self.params,
-            step_count=state.step_count + 1,
-            cum_visc=cum_visc,
-            cum_damp=cum_damp,
+        # The stage evaluations already carry the dissipation rates at the
+        # stage states, so the augmented RK4 quadrature is free.
+        d_visc = (dt / 6.0) * (
+            n1.visc_rate + 2.0 * (n2.visc_rate + n3.visc_rate) + n4.visc_rate
         )
+        d_damp = (dt / 6.0) * (
+            n1.damp_rate + 2.0 * (n2.damp_rate + n3.damp_rate) + n4.damp_rate
+        )
+        return vnew, d_visc, d_damp
 
 
 def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     """Advance one step of integrating-factor RK4.
 
-    The viscous factor is exact; truncation and projection are applied inside
-    every substage evaluation and once more to the combined output. Raises
+    The state is first restricted to the ball (its Hermitian part on the
+    retained modes), a no-op for fields of the state space. The viscous
+    factor is exact; truncation and projection are applied inside every
+    substage evaluation and once more to the combined output. Raises
     CFLError when dt exceeds safety / max(|u|_inf xi_max,
     alpha |u|_inf^(beta-1), 1e-30).
     """
-    return _Stepper(state.grid, state.params, cfg).advance(state)
+    stepper = _Stepper(state.grid, state.params, cfg)
+    ball = stepper.ball
+    v, d_visc, d_damp = stepper.advance(ball.gather(state.u.coeffs), state.t)
+    return SolverState(
+        t=state.t + cfg.dt,
+        u=SpectralField(state.grid, ball.expand(v), solenoidal=True),
+        params=state.params,
+        step_count=state.step_count + 1,
+        cum_visc=state.cum_visc + d_visc,
+        cum_damp=state.cum_damp + d_damp,
+    )
 
 
 def run(
@@ -438,6 +549,7 @@ def run(
     bitwise-identical times. Hooks are called at every snapshot with the
     state and the Duhamel tracker (None when forcing is active, which makes
     the heat/f/g split meaningless). The final state is always a snapshot.
+    Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
 
     Raises BlowupError on non-finite values and CFLError on a stability
     violation; both carry the last healthy time in their message.
@@ -459,39 +571,48 @@ def run(
                 f"output_every = {output_every!r} is not a positive multiple of dt = {cfg.dt!r}"
             )
 
-    u = initial.coeffs * initial.grid.ball_mask
-    field0 = SpectralField(initial.grid, u, solenoidal=True)
-    field0 = leray_project(field0)
+    grid = initial.grid
+    field0 = leray_project(SpectralField(grid, initial.coeffs * grid.ball_mask))
     field0.coeffs[:, 0, 0, 0] = 0.0
     field0.validate(tol=1e-10)
 
-    state = SolverState(t=t_start, u=field0, params=params)
+    stepper = _Stepper(grid, params, cfg, forcing=forcing)
+    ball = stepper.ball
+    v = ball.gather(field0.coeffs)
     tracker = None
     if track_duhamel and forcing is None:
         tracker = DuhamelTracker(field0)
+    cum_visc = cum_damp = 0.0
 
-    stepper = _Stepper(initial.grid, params, cfg, forcing=forcing)
-    snapshots = [state.copy()]
-    for hook in hooks:
-        hook(snapshots[-1], tracker)
+    def snapshot(i: int) -> SolverState:
+        snap = SolverState(
+            t=t_start + i * cfg.dt,  # exact grid time, no accumulation
+            u=SpectralField(grid, ball.expand(v), solenoidal=True),
+            params=params,
+            step_count=i,
+            cum_visc=cum_visc,
+            cum_damp=cum_damp,
+        )
+        if tracker is not None:
+            drift = tracker.reconstruction_error(snap.u)
+            if drift > _DUHAMEL_DRIFT_TOL:
+                raise BlowupError(
+                    f"Duhamel split drifted from the state ({drift:.3e} relative) "
+                    f"at t = {snap.t:g}"
+                )
+        for hook in hooks:
+            hook(snap, tracker)
+        return snap
 
+    snapshots = [snapshot(0)]
     for i in range(1, n_steps + 1):
-        state = stepper.advance(state, tracker)
-        state.t = t_start + i * cfg.dt  # exact grid time, no accumulation
-        if not (np.isfinite(state.cum_visc) and np.isfinite(state.cum_damp)):
-            raise BlowupError(f"non-finite values at t = {state.t:g} (step {i})")
+        v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, tracker)
+        cum_visc += d_visc
+        cum_damp += d_damp
+        if not (np.isfinite(cum_visc) and np.isfinite(cum_damp)):
+            raise BlowupError(f"non-finite values at t = {t_start + i * cfg.dt:g} (step {i})")
         if i % stride == 0 or i == n_steps:
-            snap = state.copy()
-            if tracker is not None:
-                drift = tracker.reconstruction_error(snap.u)
-                if drift > _DUHAMEL_DRIFT_TOL:
-                    raise BlowupError(
-                        f"Duhamel split drifted from the state ({drift:.3e} relative) "
-                        f"at t = {snap.t:g}"
-                    )
-            snapshots.append(snap)
-            for hook in hooks:
-                hook(snap, tracker)
+            snapshots.append(snapshot(i))
     return snapshots
 
 
@@ -524,9 +645,7 @@ class SeparableTarget:
         self.amplitude_rate = amplitude_rate
         self.params = params
         self._adv = advection(base).coeffs
-        dmp = damping(base, params.alpha, params.beta).coeffs
-        dmp[:, 0, 0, 0] = 0.0  # match the frame choice used by the stepper
-        self._damp = dmp
+        self._damp = damping(base, params.alpha, params.beta).coeffs
         self._visc = params.nu * base.grid.k_sq * base.coeffs
 
     def field(self, t: float) -> SpectralField:

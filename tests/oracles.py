@@ -1,9 +1,11 @@
 """Direct-summation reference implementations for the nonlinear terms.
 
-These compute the circular convolutions that pointwise collocation products
-are equivalent to, one coefficient pair at a time, with none of the FFT
-machinery. Quadratic cost in the mode count: only usable on tiny grids, which
-is the point — an independent oracle for the pseudo-spectral path.
+Most of these compute the circular convolutions that pointwise collocation
+products are equivalent to, one coefficient pair at a time, with none of the
+FFT machinery. ``linear_quadratic_convolution`` instead forms the exact
+(non-wrapping) product, so comparing against it detects aliasing. Quadratic
+cost in the mode count: only usable on tiny grids, which is the point — an
+independent oracle for the pseudo-spectral path.
 """
 
 import numpy as np
@@ -26,6 +28,32 @@ def quadratic_convolution(u):
             cb = c[:, b[0], b[1], b[2]]
             t = (a + b) % n
             conv[:, :, t[0], t[1], t[2]] += np.outer(ca, cb)
+    return conv
+
+
+def linear_quadratic_convolution(u):
+    """conv[i, j] = ball coefficients of the exact product u_i u_j.
+
+    Each pair of modes contributes at the signed sum of their mode numbers,
+    kept only when that sum lies in the closed cutoff ball; nothing wraps
+    around the grid, so no aliased image can enter.
+    """
+    grid = u.grid
+    n = grid.n_modes
+    m = grid.mode_numbers
+    c = u.coeffs
+    radius_sq = grid.cutoff_radius**2 * (1.0 + 1e-12)
+    conv = np.zeros((3, 3, n, n, n), dtype=np.complex128)
+    support = _support(c)
+    for a in support:
+        ca = c[:, a[0], a[1], a[2]]
+        for b in support:
+            t = m[a] + m[b]
+            xi = 2.0 * np.pi / grid.box_length * t
+            if xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2 > radius_sq:
+                continue
+            cb = c[:, b[0], b[1], b[2]]
+            conv[:, :, t[0] % n, t[1] % n, t[2] % n] += np.outer(ca, cb)
     return conv
 
 
@@ -76,6 +104,11 @@ def direct_advection(u):
     div = divergence_hat(quadratic_convolution(u), grid)
     div *= grid.ball_mask
     return project_hat(div, grid)
+
+
+def linear_advection(u):
+    """Reference for the truncated, projected advection term, alias-free by construction."""
+    return project_hat(divergence_hat(linear_quadratic_convolution(u), u.grid), u.grid)
 
 
 def direct_pressure(u, alpha):

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import direct_advection, direct_pressure
+from oracles import (
+    cubic_damping_hat,
+    direct_advection,
+    direct_pressure,
+    linear_advection,
+    project_hat,
+)
 from nsdamp.dynamics import (
     BlowupError,
     CFLError,
@@ -24,10 +30,15 @@ from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_gree
 from nsdamp.spectral import (
     PhysParams,
     SpectralField,
+    friedrichs_truncate,
+    hermitian_error,
     l2_inner,
     l2_norm,
+    leray_project,
     lp_norm_physical,
     make_grid,
+    remove_mean,
+    to_spectral,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -60,6 +71,85 @@ class TestBruteForce:
         want = direct_pressure(u, alpha=0.0)
         got = pressure_field(u, params)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def full_ball_field(grid, seed):
+    """Random solenoidal zero-mean field filling the whole cutoff ball, so
+    that products reach twice the cutoff and wrap around the grid."""
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    return remove_mean(leray_project(friedrichs_truncate(to_spectral(noise, grid))))
+
+
+class TestAliasing:
+    """Advection against the linear (non-wrapping) convolution, truncated to the ball.
+
+    N = 6 and 12 are multiples of 3, where wrapped images of ball products
+    can land on the boundary shell of the ball; N = 8 and 10 are not.
+    """
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_advection_is_alias_free(self, n):
+        grid = make_grid(n, TWO_PI)
+        u = full_ball_field(grid, seed=n)
+        want = linear_advection(u)
+        got = advection(u).coeffs
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestOracleStep:
+    """One IF-RK4 step of step() against one built from direct convolution sums."""
+
+    @staticmethod
+    def oracle_step(u, params, dt):
+        grid = u.grid
+        mask = grid.ball_mask
+        e_half = np.exp(-params.nu * grid.k_sq * (dt / 2.0))
+        e_full = e_half**2
+
+        def rhs(c):
+            field = SpectralField(grid, c)
+            dmp = project_hat(mask * cubic_damping_hat(field, params.alpha), grid)
+            dmp[:, 0, 0, 0] = 0.0
+            return -(direct_advection(field) + dmp)
+
+        c0 = u.coeffs
+        n1 = rhs(c0)
+        n2 = rhs(e_half * (c0 + (dt / 2.0) * n1))
+        n3 = rhs(e_half * c0 + (dt / 2.0) * n2)
+        n4 = rhs(e_full * c0 + dt * (e_half * n3))
+        out = e_full * c0 + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        out = project_hat(mask * out, grid)
+        out[:, 0, 0, 0] = 0.0
+        return out
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_step_matches_direct_sums(self, n):
+        grid = make_grid(n, TWO_PI)
+        params = PhysParams(nu=0.5, alpha=1.0, beta=3.0)
+        u = random_solenoidal(grid, seed=n, amplitude=2.0)
+        dt = 1e-2
+        want = self.oracle_step(u, params, dt)
+        got = step(SolverState(t=0.0, u=u, params=params), StepperConfig(dt=dt)).u.coeffs
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_snapshots_are_exact_state_space_fields(self):
+        grid = make_grid(10, TWO_PI)
+        u0 = full_ball_field(grid, seed=3)
+        seen = []
+        run(
+            u0,
+            PhysParams(nu=0.5, alpha=1.0, beta=4.0),
+            StepperConfig(dt=5e-3),
+            0.02,
+            output_every=5e-3,
+            hooks=(lambda snap, tracker: seen.append(snap),),
+        )
+        assert len(seen) == 5
+        for snap in seen:
+            c = snap.u.coeffs
+            assert hermitian_error(snap.u) == 0.0
+            assert np.all(c[:, ~grid.ball_mask] == 0.0)
+            assert np.all(c[:, 0, 0, 0] == 0.0)
 
 
 class TestDamping:
