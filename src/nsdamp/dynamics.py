@@ -144,10 +144,9 @@ class _Ball:
         self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
         conj = ((-ix) % n, (-iy) % n, (-iz) % n)
         self.conj_full_index = np.ravel_multi_index(conj, (n, n, n))[1:]
-        plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
-        self.plane = plane
+        self.plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
         self.conj_plane_index = np.ravel_multi_index(
-            (conj[0][plane], conj[1][plane], np.zeros_like(plane)), (n, n, half)
+            (conj[0][self.plane], conj[1][self.plane], 0), (n, n, half)
         )
         self.k = grid.wavenumbers[:, ix, iy, iz]
         self.k_sq = grid.k_sq[ix, iy, iz]
