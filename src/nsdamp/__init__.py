@@ -5,167 +5,27 @@ with a polynomial velocity damping term on a periodic box, truncated to a
 closed ball of Fourier modes, plus the bookkeeping needed to *certify* runs:
 an energy-budget ledger, analytic inequality oracles, and experiment drivers
 for stability, continuity, large-time decay, and refinement studies.
+
+The package namespace re-exports the public names (``__all__``) of every
+module except the command-line entry point ``nsdamp.cli``.
 """
 
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    canonical_text,
-    config_from_mapping,
-    load_config,
-    parse_config,
-    validate_for_experiment,
-)
-from .dynamics import (
-    BlowupError,
-    CFLError,
-    DuhamelTracker,
-    SeparableTarget,
-    SolverState,
-    StepperConfig,
-    advection,
-    damping,
-    manufactured_forcing,
-    pressure_field,
-    run,
-    step,
-    tendency,
-)
-from .experiments import (
-    ContinuityReport,
-    DecayReport,
-    RefinementReport,
-    RunResult,
-    TwinReport,
-    build_initial,
-    continuity_experiment,
-    decay_experiment,
-    inject_field,
-    refinement_experiment,
-    run_experiment,
-    twin_experiment,
-)
-from .inequalities import (
-    OracleRow,
-    gronwall_constant,
-    interpolation_gap,
-    monotonicity_gap,
-    product_law_ratio,
-    verify_suite,
-    young_gap,
-)
-from .initial_conditions import random_solenoidal, shear_mode, taylor_green
-from .ledger import (
-    CSV_COLUMNS,
-    DecayDiagnostics,
-    EnergyRecord,
-    SeriesRecorder,
-    check_energy_inequality,
-    decay_snapshot,
-    initial_energy_record,
-    lbeta_spacetime_report,
-    record_energy,
-    trapezoid_energy_records,
-    write_series_csv,
-)
-from .spectral import (
-    GridSpec,
-    PhysParams,
-    SpectralField,
-    divergence_error,
-    frequency_split,
-    friedrichs_truncate,
-    grad_norm_sq,
-    hermitian_error,
-    l2_inner,
-    l2_norm,
-    leray_project,
-    linf_norm,
-    lp_norm_physical,
-    make_grid,
-    remove_mean,
-    sobolev_norm,
-    to_physical,
-    to_spectral,
-    zeros_like,
-)
+from . import (checkpoint, config, dynamics, experiments, inequalities, initial_conditions,
+               ledger, spectral)
+from .checkpoint import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .inequalities import *  # noqa: F401,F403
+from .initial_conditions import *  # noqa: F401,F403
+from .ledger import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupError",
-    "CFLError",
-    "CSV_COLUMNS",
-    "CheckpointError",
-    "ConfigError",
-    "ContinuityReport",
-    "DecayDiagnostics",
-    "DecayReport",
-    "DuhamelTracker",
-    "EnergyRecord",
-    "ExperimentConfig",
-    "GridSpec",
-    "OracleRow",
-    "PhysParams",
-    "RefinementReport",
-    "RunResult",
-    "SeparableTarget",
-    "SeriesRecorder",
-    "SolverState",
-    "SpectralField",
-    "StepperConfig",
-    "TwinReport",
-    "advection",
-    "build_initial",
-    "canonical_text",
-    "check_energy_inequality",
-    "config_from_mapping",
-    "continuity_experiment",
-    "damping",
-    "decay_experiment",
-    "decay_snapshot",
-    "divergence_error",
-    "frequency_split",
-    "friedrichs_truncate",
-    "grad_norm_sq",
-    "gronwall_constant",
-    "hermitian_error",
-    "initial_energy_record",
-    "inject_field",
-    "interpolation_gap",
-    "l2_inner",
-    "l2_norm",
-    "lbeta_spacetime_report",
-    "leray_project",
-    "linf_norm",
-    "load_config",
-    "lp_norm_physical",
-    "make_grid",
-    "manufactured_forcing",
-    "monotonicity_gap",
-    "parse_config",
-    "pressure_field",
-    "product_law_ratio",
-    "random_solenoidal",
-    "read_checkpoint",
-    "record_energy",
-    "refinement_experiment",
-    "remove_mean",
-    "run",
-    "run_experiment",
-    "shear_mode",
-    "sobolev_norm",
-    "step",
-    "taylor_green",
-    "tendency",
-    "to_physical",
-    "to_spectral",
-    "trapezoid_energy_records",
-    "twin_experiment",
-    "validate_for_experiment",
-    "verify_suite",
-    "write_checkpoint",
-    "write_series_csv",
-    "zeros_like",
+    name
+    for module in (checkpoint, config, dynamics, experiments, inequalities, initial_conditions,
+                   ledger, spectral)
+    for name in module.__all__
 ]

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.fft as _fft
 
-from .spectral import GridSpec, PhysParams, SpectralField, leray_project
+from .spectral import GridSpec, PhysParams, SpectralField, _gradient_part, leray_project
 
 __all__ = [
     "SolverState",
@@ -55,6 +55,9 @@ __all__ = [
 
 #: floor inside the CFL denominator, guarding the zero field.
 _CFL_FLOOR = 1e-30
+
+#: fraction of the stability limit 1 / rate that a step may use.
+_CFL_SAFETY = 0.9
 
 #: relative tolerance for "this time lies on the dt grid" checks.
 _GRID_ALIGN_TOL = 1e-8
@@ -98,16 +101,16 @@ class SolverState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping knobs for the integrating-factor RK4 stepper: step size dt, CFL safety factor."""
+    """Time-stepping knobs for the integrating-factor RK4 stepper: the step size dt.
+
+    Every step checks dt against the CFL budget 0.9 / rate (see step()).
+    """
 
     dt: float
-    safety: float = 0.9
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError(f"safety must lie in (0, 1], got {self.safety!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +165,13 @@ class _Ball:
         return np.take(coeffs.reshape(3, -1), self.full_index, axis=1)
 
     def expand(self, v: np.ndarray) -> np.ndarray:
-        """Full (3, N, N, N) coefficients of a ball vector, zero outside the ball."""
+        """Full (..., N, N, N) coefficients of a ball vector (..., n_ball), zero outside the ball."""
         n = self.grid.n_modes
-        out = np.zeros((3, n**3), dtype=np.complex128)
-        out[:, self.full_index] = v
-        out[:, self.conj_full_index] = np.conj(v[:, 1:])
-        return out.reshape(self.grid.shape)
+        lead = v.shape[:-1]
+        out = np.zeros(lead + (n**3,), dtype=np.complex128)
+        out[..., self.full_index] = v
+        out[..., self.conj_full_index] = np.conj(v[..., 1:])
+        return out.reshape(lead + (n, n, n))
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
         """rfft half spectrum (3, N, N, N/2+1) of a ball vector, ready for irfftn."""
@@ -184,10 +188,7 @@ class _Ball:
 
     def project(self, v: np.ndarray) -> None:
         """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""
-        k = self.k
-        dot = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
-        dot /= self.k_sq_safe
-        v -= k * dot[np.newaxis]
+        v -= _gradient_part(v, self.k, self.k_sq_safe)
 
 
 @lru_cache(maxsize=16)
@@ -200,11 +201,10 @@ def _ball(grid: GridSpec) -> _Ball:
 
 
 class _NLTerms(NamedTuple):
-    """One nonlinear right-hand-side evaluation on ball vectors."""
+    """One evaluation of the nonlinear kernel: ball vectors truncated, not projected."""
 
-    total: np.ndarray  # -(advection + damping), projected, mean removed
-    adv: np.ndarray | None  # -advection part, when the split was asked for
-    damp: np.ndarray | None  # -damping part, when the split was asked for
+    adv: np.ndarray | None  # J div(u x u) = i xi . (u x u)-hat; None when advect=False
+    damp: np.ndarray | None  # alpha J |u|^(beta-1) u; None when alpha = 0
     visc_rate: float  # 2 nu ||grad u||^2 at this state
     damp_rate: float  # 2 alpha sum |u_j|^(beta+1) dV at this state
     linf: float  # max pointwise |u| on the grid
@@ -214,67 +214,78 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PAIR_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
 
 
-def _nonlinear(
-    ball: _Ball,
-    v: np.ndarray,
-    params: PhysParams,
-    *,
-    split: bool = False,
-    advect: bool = True,
-) -> _NLTerms:
-    """Evaluate -P J div(u x u) - alpha P J |u|^(beta-1) u on a ball vector, plus ledger rates.
+class _Kernel:
+    """J div(u x u) and alpha J |u|^(beta-1) u of ball vectors, plus ledger rates.
 
     One inverse real-to-complex transform of the state, the products on the
     full physical grid, one forward transform of all product blocks, then
-    the divergence, projection and mean removal on the ball entries.
-    advect=False skips the advection term (total is then the damping part
-    alone); split=True also returns the two parts separately.
+    the divergence on the ball entries. Nothing is projected: _project_terms
+    does that for the stepper and the operators, and pressure_field takes
+    the gradient part instead. advect=False skips the advection term.
+
+    The product blocks, the largest array of an evaluation, live in a buffer
+    that every call reuses. Allocated and freed at each stage instead, they
+    let the allocator trim the top of the heap and fault it back in at the
+    next stage (six times the minor page faults of an N = 32 run). The
+    buffer is scratch space: each thread needs its own instance.
     """
-    grid = ball.grid
-    n = grid.n_modes
-    u = _fft.irfftn(ball.scatter(v), s=(n, n, n), axes=(1, 2, 3), norm="forward")
-    mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-    linf = float(np.sqrt(float(mag_sq.max())))
 
-    damped = params.alpha > 0.0
-    pairs = _PAIRS if advect else ()
-    blocks = np.empty((len(pairs) + 3 * damped, n, n, n))
-    for b, (i, j) in enumerate(pairs):
-        np.multiply(u[i], u[j], out=blocks[b])
-    damp_rate = 0.0
-    if damped:
-        # |u|^(beta-1) u pointwise; 0^(beta-1) = 0 since beta > 1.
-        weight = mag_sq ** ((params.beta - 1.0) / 2.0)
-        damp_rate = 2.0 * params.alpha * float((weight * mag_sq).sum()) * grid.cell_volume
-        weight *= params.alpha
-        for i in range(3):
-            np.multiply(weight, u[i], out=blocks[len(pairs) + i])
+    def __init__(self, ball: _Ball, params: PhysParams, *, advect: bool = True):
+        n = ball.grid.n_modes
+        self.ball = ball
+        self.params = params
+        self.pairs = _PAIRS if advect else ()
+        self.damped = params.alpha > 0.0
+        self.blocks = np.empty((len(self.pairs) + 3 * self.damped, n, n, n))
 
-    hats = _fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
-    hats = np.take(hats.reshape(len(blocks), -1), ball.index, axis=1)
-    k = ball.k
-    total = np.zeros_like(v)
-    adv = dmp = np.zeros_like(v) if split else None
-    if advect:
-        adv = np.empty_like(v)
-        for comp in range(3):
-            acc = k[0] * hats[_PAIR_INDEX[tuple(sorted((comp, 0)))]]
-            acc = acc + k[1] * hats[_PAIR_INDEX[tuple(sorted((comp, 1)))]]
-            acc = acc + k[2] * hats[_PAIR_INDEX[tuple(sorted((comp, 2)))]]
-            adv[comp] = 1j * acc
-        ball.project(adv)
+    def __call__(self, v: np.ndarray) -> _NLTerms:
+        ball, params, pairs, blocks = self.ball, self.params, self.pairs, self.blocks
+        grid = ball.grid
+        n = grid.n_modes
+        u = _fft.irfftn(ball.scatter(v), s=(n, n, n), axes=(1, 2, 3), norm="forward")
+        mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+        linf = float(np.sqrt(float(mag_sq.max())))
+
+        for b, (i, j) in enumerate(pairs):
+            np.multiply(u[i], u[j], out=blocks[b])
+        damp_rate = 0.0
+        if self.damped:
+            # |u|^(beta-1) u pointwise; 0^(beta-1) = 0 since beta > 1.
+            weight = mag_sq ** ((params.beta - 1.0) / 2.0)
+            damp_rate = 2.0 * params.alpha * float((weight * mag_sq).sum()) * grid.cell_volume
+            weight *= params.alpha
+            for i in range(3):
+                np.multiply(weight, u[i], out=blocks[len(pairs) + i])
+
+        hats = _fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
+        hats = np.take(hats.reshape(len(blocks), -1), ball.index, axis=1)
+        adv = None
+        if pairs:
+            k = ball.k
+            adv = np.empty_like(v)
+            for comp in range(3):
+                acc = k[0] * hats[_PAIR_INDEX[tuple(sorted((comp, 0)))]]
+                acc = acc + k[1] * hats[_PAIR_INDEX[tuple(sorted((comp, 1)))]]
+                acc = acc + k[2] * hats[_PAIR_INDEX[tuple(sorted((comp, 2)))]]
+                adv[comp] = 1j * acc
+        # a copy, not a view: the stepper keeps each stage's terms to the end of the step
+        damp = hats[len(pairs):].copy() if self.damped else None
+        visc_rate = 2.0 * params.nu * grid.volume * ball.norm_sq(v, ball.k_sq)
+        return _NLTerms(adv, damp, visc_rate, damp_rate, linf)
+
+
+def _project_terms(ball: _Ball, terms: _NLTerms) -> np.ndarray:
+    """Project the kernel's terms in place (damping mean dropped); return -(adv + damp)."""
+    total = np.zeros(ball.k.shape, dtype=np.complex128)
+    if terms.adv is not None:
+        ball.project(terms.adv)
         # divergence form vanishes at m = 0 already; projection leaves that alone.
-        total -= adv
-    if damped:
-        dmp = hats[len(pairs):]
-        ball.project(dmp)
-        dmp[:, 0] = 0.0  # comoving frame: drop the mean force
-        total -= dmp
-
-    visc_rate = 2.0 * params.nu * grid.volume * ball.norm_sq(v, ball.k_sq)
-    if not split:
-        return _NLTerms(total, None, None, visc_rate, damp_rate, linf)
-    return _NLTerms(total, -adv, -dmp, visc_rate, damp_rate, linf)
+        total -= terms.adv
+    if terms.damp is not None:
+        ball.project(terms.damp)
+        terms.damp[:, 0] = 0.0  # comoving frame: drop the mean force
+        total -= terms.damp
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +303,9 @@ def advection(u: SpectralField) -> SpectralField:
     """
     ball = _ball(u.grid)
     params = PhysParams(nu=1.0, alpha=0.0, beta=2.0)  # alpha=0: damping skipped
-    terms = _nonlinear(ball, ball.gather(u.coeffs), params)
-    return SpectralField(u.grid, ball.expand(-terms.total), solenoidal=True)
+    terms = _Kernel(ball, params)(ball.gather(u.coeffs))
+    _project_terms(ball, terms)
+    return SpectralField(u.grid, ball.expand(terms.adv), solenoidal=True)
 
 
 def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
@@ -315,8 +327,9 @@ def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
         return SpectralField(u.grid, np.zeros_like(u.coeffs), solenoidal=True)
     ball = _ball(u.grid)
     params = PhysParams(nu=1.0, alpha=alpha, beta=beta)
-    terms = _nonlinear(ball, ball.gather(u.coeffs), params, advect=False)
-    return SpectralField(u.grid, ball.expand(-terms.total), solenoidal=True)
+    terms = _Kernel(ball, params, advect=False)(ball.gather(u.coeffs))
+    _project_terms(ball, terms)
+    return SpectralField(u.grid, ball.expand(terms.damp), solenoidal=True)
 
 
 def tendency(state: SolverState) -> SpectralField:
@@ -331,43 +344,27 @@ def tendency(state: SolverState) -> SpectralField:
     """
     ball = _ball(state.grid)
     v = ball.gather(state.u.coeffs)
-    terms = _nonlinear(ball, v, state.params)
-    out = terms.total - state.params.nu * ball.k_sq * v
+    out = _project_terms(ball, _Kernel(ball, state.params)(v))
+    out -= state.params.nu * ball.k_sq * v
     return SpectralField(state.grid, ball.expand(out), solenoidal=True)
 
 
 def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
-    """Pressure coefficients recovered from the truncated nonlinear terms.
+    """Pressure coefficients (N, N, N) recovered from the truncated nonlinear terms.
 
-    p = -(-Laplacian)^(-1) div(J div(u x u) + alpha J |u|^(beta-1) u), zero
-    mean. grad p is exactly the non-solenoidal part of the truncated terms,
-    so grad p + P(terms) = terms mode by mode.
+    The input is first restricted to the ball (its Hermitian part on the
+    retained modes), as advection and damping do, a no-op for fields of the
+    state space. Then p = -(-Laplacian)^(-1) div(J div(u x u) + alpha J
+    |u|^(beta-1) u), zero mean: grad p is exactly the non-solenoidal part of
+    the truncated terms, so grad p + P(terms) = terms mode by mode. The same
+    kernel evaluation feeds the stepper; here its terms are not projected.
     """
-    grid = u.grid
-    phys = _fft.ifftn(u.coeffs, axes=(1, 2, 3), norm="forward").real
-    mag_sq = phys[0] ** 2 + phys[1] ** 2 + phys[2] ** 2
-
-    blocks = [phys[i] * phys[j] for i, j in _PAIRS]
-    if params.alpha > 0.0:
-        weight = mag_sq ** ((params.beta - 1.0) / 2.0)
-        blocks.extend(params.alpha * weight * phys[i] for i in range(3))
-    hats = _fft.fftn(np.stack(blocks), axes=(1, 2, 3), norm="forward")
-
-    k = grid.wavenumbers
-    total = np.empty_like(u.coeffs)
-    for comp in range(3):
-        acc = k[0] * hats[_PAIR_INDEX[tuple(sorted((comp, 0)))]]
-        acc = acc + k[1] * hats[_PAIR_INDEX[tuple(sorted((comp, 1)))]]
-        acc = acc + k[2] * hats[_PAIR_INDEX[tuple(sorted((comp, 2)))]]
-        total[comp] = 1j * acc
-    if params.alpha > 0.0:
-        total += hats[len(_PAIRS) : len(_PAIRS) + 3]
-    total *= grid.ball_mask
-
-    div = 1j * (k[0] * total[0] + k[1] * total[1] + k[2] * total[2])
-    p_hat = -div / grid._k_sq_safe
-    p_hat[0, 0, 0] = 0.0
-    return p_hat
+    ball = _ball(u.grid)
+    terms = _Kernel(ball, params)(ball.gather(u.coeffs))
+    force = terms.adv if terms.damp is None else terms.adv + terms.damp
+    k = ball.k
+    p = -1j * (k[0] * force[0] + k[1] * force[1] + k[2] * force[2]) / ball.k_sq_safe
+    return ball.expand(p)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,9 @@ class DuhamelTracker:
     integrating-factor RK4 stage combination the solution itself uses, so
     heat + f + g rebuilds the state to roundoff at every step. All three are
     ball vectors in the stepper's rfft layout; the initial field is first
-    restricted to the ball.
+    restricted to the ball. advance() takes the projected forces P J div(u x u)
+    and P J alpha |u|^(beta-1) u of the four stages, which enter the state
+    with a minus sign; damp_stages holds None entries when alpha = 0.
     """
 
     def __init__(self, initial: SpectralField):
@@ -398,17 +397,18 @@ class DuhamelTracker:
         e_full: np.ndarray,
         dt: float,
         adv_stages: Sequence[np.ndarray],
-        damp_stages: Sequence[np.ndarray],
+        damp_stages: Sequence[np.ndarray | None],
     ) -> None:
         a1, a2, a3, a4 = adv_stages
         d1, d2, d3, d4 = damp_stages
         self.heat = e_full * self.heat
-        self.f = e_full * self.f + (dt / 6.0) * (
+        self.f = e_full * self.f - (dt / 6.0) * (
             e_full * a1 + 2.0 * e_half * (a2 + a3) + a4
         )
-        self.g = e_full * self.g + (dt / 6.0) * (
-            e_full * d1 + 2.0 * e_half * (d2 + d3) + d4
-        )
+        if d1 is not None:
+            self.g = e_full * self.g - (dt / 6.0) * (
+                e_full * d1 + 2.0 * e_half * (d2 + d3) + d4
+            )
 
     def norms(self) -> tuple[float, float, float]:
         """(||heat||_L2, ||f||_{H^-2}, ||g||_{H^-2})."""
@@ -440,6 +440,7 @@ class _Stepper:
     ):
         self.grid = grid
         self.ball = _ball(grid)
+        self.kernel = _Kernel(self.ball, params)
         self.params = params
         self.cfg = cfg
         self.forcing = forcing
@@ -451,19 +452,27 @@ class _Stepper:
             raise BlowupError(f"non-finite field (|u|_inf = {linf!r})")
         p = self.params
         rate = max(linf * self.grid.xi_max, p.alpha * linf ** (p.beta - 1.0), _CFL_FLOOR)
-        if not np.isfinite(rate) or dt > self.cfg.safety / rate:
+        if not np.isfinite(rate) or dt > _CFL_SAFETY / rate:
             raise CFLError(
                 f"dt = {dt:g} exceeds the stability budget safety/rate = "
-                f"{self.cfg.safety / rate if np.isfinite(rate) else 0.0:g} "
+                f"{_CFL_SAFETY / rate if np.isfinite(rate) else 0.0:g} "
                 f"(|u|_inf = {linf:g}, xi_max = {self.grid.xi_max:g}, "
                 f"alpha |u|_inf^(beta-1) = {p.alpha * linf ** (p.beta - 1.0):g})"
             )
 
-    def _rhs(self, v: np.ndarray, t: float, split: bool) -> _NLTerms:
-        terms = _nonlinear(self.ball, v, self.params, split=split)
+    def _rhs(self, v: np.ndarray, t: float, split: bool) -> tuple[np.ndarray, _NLTerms]:
+        """(nonlinear right-hand side at (v, t), the kernel's terms).
+
+        The terms keep their projected adv and damp parts only when split is
+        set, for the Duhamel tracker; otherwise those are dropped at once.
+        """
+        terms = self.kernel(v)
+        total = _project_terms(self.ball, terms)
+        if not split:
+            terms = terms._replace(adv=None, damp=None)
         if self.forcing is not None:
-            terms = terms._replace(total=terms.total + self.ball.gather(self.forcing(t)))
-        return terms
+            total = total + self.ball.gather(self.forcing(t))
+        return total, terms
 
     def advance(
         self, v: np.ndarray, t: float, tracker: DuhamelTracker | None = None
@@ -473,21 +482,19 @@ class _Stepper:
         eh, ef = self.e_half, self.e_full
         split = tracker is not None
 
-        n1 = self._rhs(v, t, split)
+        k1, n1 = self._rhs(v, t, split)
         self.check_cfl(n1.linf, dt)
 
-        s2 = eh * (v + (dt / 2.0) * n1.total)
-        n2 = self._rhs(s2, t + dt / 2.0, split)
+        s2 = eh * (v + (dt / 2.0) * k1)
+        k2, n2 = self._rhs(s2, t + dt / 2.0, split)
 
-        s3 = eh * v + (dt / 2.0) * n2.total
-        n3 = self._rhs(s3, t + dt / 2.0, split)
+        s3 = eh * v + (dt / 2.0) * k2
+        k3, n3 = self._rhs(s3, t + dt / 2.0, split)
 
-        s4 = ef * v + dt * (eh * n3.total)
-        n4 = self._rhs(s4, t + dt, split)
+        s4 = ef * v + dt * (eh * k3)
+        k4, n4 = self._rhs(s4, t + dt, split)
 
-        vnew = ef * v + (dt / 6.0) * (
-            ef * n1.total + 2.0 * eh * (n2.total + n3.total) + n4.total
-        )
+        vnew = ef * v + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
         self.ball.project(vnew)
         vnew[:, 0] = 0.0
 
@@ -513,7 +520,7 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     retained modes), a no-op for fields of the state space. The viscous
     factor is exact; truncation and projection are applied inside every
     substage evaluation and once more to the combined output. Raises
-    CFLError when dt exceeds safety / max(|u|_inf xi_max,
+    CFLError when dt exceeds 0.9 / max(|u|_inf xi_max,
     alpha |u|_inf^(beta-1), 1e-30).
     """
     stepper = _Stepper(state.grid, state.params, cfg)

@@ -288,9 +288,11 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     base, twin = _parallel([lambda: _one(u0), lambda: _one(u0_twin)])
 
     times = np.array([s.t for s in base])
-    w_fields = [b.u - tw.u for b, tw in zip(base, twin)]
-    w_l2 = np.array([l2_norm(w) for w in w_fields])
-    w_grad = np.array([grad_norm_sq(w) for w in w_fields])
+    w_l2 = np.empty(times.size)
+    w_grad = np.empty(times.size)
+    for i, (b, tw) in enumerate(zip(base, twin)):
+        w = b.u - tw.u  # one difference field at a time
+        w_l2[i], w_grad[i] = l2_norm(w), grad_norm_sq(w)
     cum_grad = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(times) * (w_grad[:-1] + w_grad[1:]))]
     )

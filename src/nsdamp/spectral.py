@@ -144,13 +144,15 @@ def make_grid(n_modes: int, box_length: float, cutoff_fraction: float = 2.0 / 3.
 
     cutoff_radius = cutoff_fraction * (2 pi / box_length) * (n_modes / 2).
     The fraction must lie in (0, 2/3]; 2/3 is the dealiasing limit for the
-    quadratic term.
+    quadratic term. GridSpec validates n_modes and box_length.
     """
     if not 0.0 < cutoff_fraction <= 2.0 / 3.0 + _BALL_TOL:
         raise ValueError(
             f"cutoff_fraction must lie in (0, 2/3], got {cutoff_fraction!r}"
         )
-    radius = cutoff_fraction * (2.0 * np.pi / box_length) * (n_modes / 2.0)
+    radius = 0.0
+    if box_length:  # a zero length must reach GridSpec's check, not divide by zero here
+        radius = cutoff_fraction * (2.0 * np.pi / box_length) * (n_modes / 2.0)
     return GridSpec(n_modes=int(n_modes), box_length=float(box_length), cutoff_radius=radius)
 
 
@@ -290,6 +292,18 @@ def to_spectral(samples: np.ndarray, grid: GridSpec, solenoidal: bool = False) -
 # Fourier-multiplier operators
 
 
+def _gradient_part(c: np.ndarray, k: np.ndarray, k_sq_safe: np.ndarray) -> np.ndarray:
+    """xi (xi . c) / |xi|^2 mode by mode, for c and k of shape (3, ...).
+
+    The Leray projection is c minus this. k_sq_safe is |xi|^2 with the zero
+    mode replaced by 1, where xi = 0 makes the part zero. Shared by
+    leray_project and the stepper's ball vectors.
+    """
+    dot = k[0] * c[0] + k[1] * c[1] + k[2] * c[2]
+    dot /= k_sq_safe
+    return k * dot[np.newaxis]
+
+
 def leray_project(f: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: multiply by I - xi xi^T / |xi|^2.
 
@@ -297,10 +311,7 @@ def leray_project(f: SpectralField) -> SpectralField:
     is the identity there). Idempotent, self-adjoint, and it commutes with
     any other Fourier multiplier, truncation included.
     """
-    k = f.grid.wavenumbers
-    dot = k[0] * f.coeffs[0] + k[1] * f.coeffs[1] + k[2] * f.coeffs[2]
-    dot /= f.grid._k_sq_safe
-    out = f.coeffs - k * dot[np.newaxis]
+    out = f.coeffs - _gradient_part(f.coeffs, f.grid.wavenumbers, f.grid._k_sq_safe)
     return SpectralField(f.grid, out, solenoidal=True)
 
 

@@ -105,6 +105,7 @@ class TestValidation:
             ({"time.output_every": 0.0}, "output_every must be positive"),
             ({"ic.kind": "vortex-sheet"}, "ic.kind"),
             ({"ic.amplitude": 0.0}, "amplitude must be positive"),
+            ({"grid.box_length": 0.0}, "grid.box_length must be positive"),
         ],
     )
     def test_invariant_violations_name_the_key(self, over, fragment):

@@ -44,8 +44,15 @@ from nsdamp.spectral import (
 TWO_PI = 2.0 * np.pi
 
 
+def full_ball_field(grid, seed):
+    """Random solenoidal zero-mean field filling the whole cutoff ball, so
+    that products reach twice the cutoff and wrap around the grid."""
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    return remove_mean(leray_project(friedrichs_truncate(to_spectral(noise, grid))))
+
+
 class TestBruteForce:
-    """Pseudo-spectral products vs direct convolution sums on an 8^3 grid."""
+    """Pseudo-spectral products vs direct convolution sums on small grids."""
 
     def test_advection_matches_direct_sum(self):
         grid = make_grid(8, TWO_PI)
@@ -55,29 +62,19 @@ class TestBruteForce:
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-10 * scale
 
-    def test_pressure_matches_direct_sum(self):
-        grid = make_grid(8, TWO_PI)
-        u = random_solenoidal(grid, seed=1)
-        params = PhysParams(nu=1.0, alpha=1.0, beta=3.0)
-        want = direct_pressure(u, alpha=1.0)
-        got = pressure_field(u, params)
-        scale = np.abs(want).max()
-        assert np.abs(got - want).max() <= 1e-10 * scale
-
-    def test_pressure_without_damping(self):
-        grid = make_grid(8, TWO_PI)
-        u = random_solenoidal(grid, seed=2)
-        params = PhysParams(nu=1.0, alpha=0.0, beta=3.0)
-        want = direct_pressure(u, alpha=0.0)
-        got = pressure_field(u, params)
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    @pytest.mark.parametrize(
+        "n,build",
+        [(8, random_solenoidal), (6, full_ball_field), (10, full_ball_field)],
+        ids=["half-ball-8", "full-ball-6", "full-ball-10"],
+    )
+    def test_pressure_matches_direct_sum(self, n, build, alpha):
+        # ball-filling fields have products reaching twice the cutoff, which wrap
+        grid = make_grid(n, TWO_PI)
+        u = build(grid, seed=n + 1)
+        want = direct_pressure(u, alpha=alpha)
+        got = pressure_field(u, PhysParams(nu=1.0, alpha=alpha, beta=3.0))
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-
-def full_ball_field(grid, seed):
-    """Random solenoidal zero-mean field filling the whole cutoff ball, so
-    that products reach twice the cutoff and wrap around the grid."""
-    noise = np.random.default_rng(seed).standard_normal(grid.shape)
-    return remove_mean(leray_project(friedrichs_truncate(to_spectral(noise, grid))))
 
 
 class TestAliasing:

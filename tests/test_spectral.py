@@ -67,6 +67,8 @@ class TestGridSpec:
             make_grid(7, TWO_PI)
         with pytest.raises(ValueError):
             make_grid(8, -1.0)
+        with pytest.raises(ValueError, match="box_length must be positive"):
+            make_grid(16, 0.0)
         with pytest.raises(ValueError):
             make_grid(8, TWO_PI, cutoff_fraction=0.8)
 
