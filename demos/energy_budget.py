@@ -46,8 +46,7 @@ def main():
     ckpt = os.path.join(os.path.dirname(out), "mid.ckpt")
     write_checkpoint(mid, ckpt)
     resumed = read_checkpoint(ckpt)
-    tail = run(resumed.u, resumed.params, cfg, 1.0, t_start=resumed.t,
-               output_every=0.05, track_duhamel=False)
+    tail = run(resumed.u, resumed.params, cfg, 1.0, t_start=resumed.t, output_every=0.05)
     drift = l2_norm(tail[-1].u - snaps[-1].u) / l2_norm(snaps[-1].u)
     print(f"restart at t = {mid.t:g}: relative drift at t = 1 is {drift:.3e}")
 

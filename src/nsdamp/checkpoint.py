@@ -17,6 +17,7 @@ is exactly the restarted-system reading of the verification harness.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -73,6 +74,8 @@ def read_checkpoint(path) -> SolverState:
         params = PhysParams(nu=nu, alpha=alpha, beta=beta)
     except ValueError as exc:
         raise CheckpointError(f"invalid header: {exc}") from None
+    if not math.isfinite(t):
+        raise CheckpointError(f"invalid header: t must be finite, got {t!r}")
 
     payload = blob[len(MAGIC) + _HEADER.size :]
     expected = 3 * n_modes**3 * 16

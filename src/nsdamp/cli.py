@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
@@ -36,26 +37,19 @@ from .inequalities import verify_suite
 __all__ = ["main"]
 
 
-def _floats(text: str) -> list[float]:
+def _comma_list(convert, noun: str, text: str) -> list:
+    """Parse comma-separated values with convert; bound with partial as an argparse type."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
 
 
-def _ints(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+_floats = partial(_comma_list, float, "reals")
+_ints = partial(_comma_list, int, "integers")
 
 
 def _build_parser() -> argparse.ArgumentParser:

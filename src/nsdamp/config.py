@@ -75,37 +75,22 @@ class ExperimentConfig:
 
 
 # key -> (attribute, parser, required, default)
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
-
-
 _KEYS: dict[str, tuple[str, Any, bool, Any]] = {
-    "grid.n_modes": ("n_modes", _parse_int, True, None),
-    "grid.box_length": ("box_length", _parse_float, True, None),
-    "grid.cutoff_fraction": ("cutoff_fraction", _parse_float, False, 2.0 / 3.0),
-    "phys.nu": ("nu", _parse_float, False, 1.0),
-    "phys.alpha": ("alpha", _parse_float, True, None),
-    "phys.beta": ("beta", _parse_float, True, None),
-    "time.dt": ("dt", _parse_float, True, None),
-    "time.t_end": ("t_end", _parse_float, True, None),
-    "time.output_every": ("output_every", _parse_float, False, None),
-    "ic.kind": ("ic_kind", _parse_str, True, None),
-    "ic.seed": ("ic_seed", _parse_int, False, 0),
-    "ic.amplitude": ("ic_amplitude", _parse_float, False, 1.0),
-    "ic.path": ("ic_path", _parse_str, False, None),
-    "output.directory": ("output_directory", _parse_str, False, "out"),
+    "grid.n_modes": ("n_modes", int, True, None),
+    "grid.box_length": ("box_length", float, True, None),
+    "grid.cutoff_fraction": ("cutoff_fraction", float, False, 2.0 / 3.0),
+    "phys.nu": ("nu", float, False, 1.0),
+    "phys.alpha": ("alpha", float, True, None),
+    "phys.beta": ("beta", float, True, None),
+    "time.dt": ("dt", float, True, None),
+    "time.t_end": ("t_end", float, True, None),
+    "time.output_every": ("output_every", float, False, None),
+    "ic.kind": ("ic_kind", str, True, None),
+    "ic.seed": ("ic_seed", int, False, 0),
+    "ic.amplitude": ("ic_amplitude", float, False, 1.0),
+    "ic.path": ("ic_path", str, False, None),
+    "output.directory": ("output_directory", str, False, "out"),
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _, _) in _KEYS.items()}
-
 
 def config_from_mapping(values: dict[str, Any]) -> ExperimentConfig:
     """Build and validate a config from dotted-key -> raw value pairs.
@@ -118,11 +103,17 @@ def config_from_mapping(values: dict[str, Any]) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}")
         attr, parse, _, _ = _KEYS[key]
         if isinstance(raw, str):
+            # the text format strips blanks, ends a value at '#' and holds one line
+            if raw != raw.strip() or "#" in raw or raw.splitlines() != [raw]:
+                raise ConfigError(
+                    f"{key}: expected a nonempty one-line value without '#' or "
+                    f"surrounding blanks, got {raw!r}"
+                )
             try:
                 raw = parse(raw)
             except ValueError:
                 raise ConfigError(
-                    f"{key}: expected {'an integer' if parse is _parse_int else 'a number'}, got {raw!r}"
+                    f"{key}: expected {'an integer' if parse is int else 'a number'}, got {raw!r}"
                 ) from None
         kwargs[attr] = raw
     for key, (attr, _, required, default) in _KEYS.items():
@@ -143,10 +134,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             build()
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
-    if not cfg.t_end > 0.0:
-        raise ConfigError(f"time.t_end must be positive, got {cfg.t_end!r}")
-    if cfg.output_every is not None and not cfg.output_every > 0.0:
-        raise ConfigError(f"time.output_every must be positive, got {cfg.output_every!r}")
+    for key, value in (
+        ("time.t_end", cfg.t_end),
+        ("time.output_every", cfg.output_every),
+        ("ic.amplitude", cfg.ic_amplitude),
+    ):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {value!r}")
     if cfg.ic_kind not in IC_KINDS:
         raise ConfigError(
             f"ic.kind must be one of {', '.join(IC_KINDS)}; got {cfg.ic_kind!r}"
@@ -155,8 +149,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("ic.path is required when ic.kind = checkpoint")
     if cfg.ic_kind != "checkpoint" and cfg.ic_path:
         raise ConfigError("ic.path only applies to ic.kind = checkpoint")
-    if cfg.ic_amplitude <= 0.0:
-        raise ConfigError(f"ic.amplitude must be positive, got {cfg.ic_amplitude!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -195,7 +187,7 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         if value is None:
             continue
         if isinstance(value, float):
-            text = repr(value)
+            text = repr(float(value))  # a NumPy float's repr names its type
         else:
             text = str(value)
         lines.append(f"{key} = {text}")

@@ -28,6 +28,7 @@ output cadence, and the expansion is Hermitian by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -35,7 +36,16 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.fft as _fft
 
-from .spectral import GridSpec, PhysParams, SpectralField, _gradient_part, leray_project
+from .spectral import (
+    GridSpec,
+    PhysParams,
+    SpectralField,
+    _gradient_part,
+    _power,
+    _sobolev_weight,
+    _weighted_sum,
+    leray_project,
+)
 
 __all__ = [
     "SolverState",
@@ -109,8 +119,8 @@ class StepperConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +193,7 @@ class _Ball:
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
         """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""
         weight = self.weight if multiplier is None else self.weight * multiplier
-        power = (v.real**2 + v.imag**2).sum(axis=0)
-        return float(np.dot(weight, power))
+        return _weighted_sum(_power(v), weight)
 
     def project(self, v: np.ndarray) -> None:
         """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""
@@ -413,7 +422,7 @@ class DuhamelTracker:
     def norms(self) -> tuple[float, float, float]:
         """(||heat||_L2, ||f||_{H^-2}, ||g||_{H^-2})."""
         ball, volume = self._ball, self.grid.volume
-        weight = (1.0 + ball.k_sq) ** -2
+        weight = _sobolev_weight(ball.k_sq, -2.0, homogeneous=False)
         heat_l2 = float(np.sqrt(volume * ball.norm_sq(self.heat)))
         f_h = float(np.sqrt(volume * ball.norm_sq(self.f, weight)))
         g_h = float(np.sqrt(volume * ball.norm_sq(self.g, weight)))
@@ -546,7 +555,6 @@ def run(
     output_every: float | None = None,
     hooks: Sequence[Callable[[SolverState, DuhamelTracker | None], None]] = (),
     forcing: Callable[[float], np.ndarray] | None = None,
-    track_duhamel: bool = True,
 ) -> list[SolverState]:
     """Integrate from t_start to t_end, returning snapshots at the output cadence.
 
@@ -557,8 +565,9 @@ def run(
     the heat/f/g split meaningless). The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
 
-    Raises BlowupError on non-finite values and CFLError on a stability
-    violation; both carry the last healthy time in their message.
+    Raises BlowupError on non-finite values or when the tracker's
+    heat + f + g drifts from the state, and CFLError on a stability
+    violation; each carries a time in its message.
     """
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end!r} precedes t_start = {t_start!r}")
@@ -585,9 +594,7 @@ def run(
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
     ball = stepper.ball
     v = ball.gather(field0.coeffs)
-    tracker = None
-    if track_duhamel and forcing is None:
-        tracker = DuhamelTracker(field0)
+    tracker = DuhamelTracker(field0) if forcing is None else None
     cum_visc = cum_damp = 0.0
 
     def snapshot(i: int) -> SolverState:

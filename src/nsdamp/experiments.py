@@ -282,7 +282,6 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
             cfg.t_end,
             t_start=t_start,
             output_every=cfg.output_every,
-            track_duhamel=False,
         )
 
     base, twin = _parallel([lambda: _one(u0), lambda: _one(u0_twin)])
@@ -305,23 +304,15 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
         bitwise = all(
             np.array_equal(b.u.coeffs, tw.u.coeffs) for b, tw in zip(base, twin)
         )
-        return TwinReport(
-            delta=delta,
-            constant=constant,
-            w0_l2=w0,
-            times=times,
-            lhs=lhs,
-            rhs=rhs,
-            ratio_max=0.0,
-            margin_max=0.0,
-            bitwise_zero=bitwise,
-            first_violation=None,
-            passed=bitwise,
-        )
-
-    violations = lhs > rhs
-    first = float(times[np.argmax(violations)]) if bool(violations.any()) else None
-    ratio = w_l2 / (w0 * np.exp(constant * tau))
+        ratio_max = margin_max = 0.0
+        first, passed = None, bitwise
+    else:
+        bitwise = False
+        violations = lhs > rhs
+        ratio_max = float((w_l2 / (w0 * np.exp(constant * tau))).max())
+        margin_max = float((lhs / rhs).max())
+        first = float(times[np.argmax(violations)]) if bool(violations.any()) else None
+        passed = not bool(violations.any())
     return TwinReport(
         delta=delta,
         constant=constant,
@@ -329,11 +320,11 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
         times=times,
         lhs=lhs,
         rhs=rhs,
-        ratio_max=float(ratio.max()),
-        margin_max=float((lhs / rhs).max()),
-        bitwise_zero=False,
+        ratio_max=ratio_max,
+        margin_max=margin_max,
+        bitwise_zero=bitwise,
         first_violation=first,
-        passed=not bool(violations.any()),
+        passed=passed,
     )
 
 
@@ -414,7 +405,6 @@ def continuity_experiment(
         horizon,
         t_start=t_start,
         output_every=stride * dt,
-        track_duhamel=False,
     )
     by_index = {int(round((s.t - t_start) / dt)): s for s in snapshots}
 
@@ -652,7 +642,6 @@ def _temporal_order_study() -> tuple[list[float], list[float], list[float]]:
             horizon,
             forcing=forcing,
             output_every=horizon,
-            track_duhamel=False,
         )
         exact = target.field(horizon)
         return l2_norm(snaps[-1].u - exact) / l2_norm(exact)
@@ -691,7 +680,6 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
             stepper,
             cfg.t_end,
             output_every=cfg.t_end,
-            track_duhamel=False,
         )
         return snaps[-1].u
 

@@ -21,6 +21,9 @@ from .initial_conditions import random_solenoidal
 from .spectral import (
     GridSpec,
     SpectralField,
+    _power,
+    _sobolev_weight,
+    _weighted_sum,
     friedrichs_truncate,
     make_grid,
     remove_mean,
@@ -172,11 +175,8 @@ def product_law_ratio(f: SpectralField, g: SpectralField) -> float:
     gp = to_physical(g)
     prods = fp[:, None, :, :, :] * gp[None, :, :, :, :]
     c = _fft.fftn(prods.reshape(9, *f.grid.shape[1:]), axes=(-3, -2, -1), norm="forward")
-    k_sq = f.grid.k_sq
-    nz = k_sq > 0.0
-    weight = np.zeros_like(k_sq)
-    weight[nz] = k_sq[nz] ** -0.5
-    num_sq = f.grid.volume * float((weight * (np.abs(c) ** 2).sum(axis=0)).sum())
+    weight = _sobolev_weight(f.grid.k_sq, -0.5, homogeneous=True)
+    num_sq = f.grid.volume * _weighted_sum(_power(c), weight)
     return float(np.sqrt(max(num_sq, 0.0)) / den)
 
 

@@ -20,12 +20,13 @@ from .dynamics import DuhamelTracker, SolverState
 from .spectral import (
     PhysParams,
     SpectralField,
-    frequency_split,
+    _power,
+    _sobolev_weight,
+    _speed_sq,
+    _weighted_sum,
     grad_norm_sq,
     l2_norm,
     lp_norm_physical,
-    sobolev_norm,
-    to_physical,
 )
 
 __all__ = [
@@ -210,8 +211,7 @@ class DecayDiagnostics:
 
 def _pointwise_rates(u: SpectralField, beta: float) -> tuple[float, float, float, float]:
     """(rate over |u|<=1, rate over |u|>1, sup |u|, integral of |u|^(10/3))."""
-    samples = to_physical(u)
-    mag = np.sqrt((samples * samples).sum(axis=0))
+    mag = np.sqrt(_speed_sq(u))
     dv = u.grid.cell_volume
     small = mag <= 1.0
     powered = mag**beta
@@ -233,11 +233,16 @@ def decay_snapshot(
     otherwise, keeping the CSV shape fixed.
     """
     u = state.u
-    beta = state.params.beta
-    rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(u, beta)
+    grid = u.grid
+    rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(u, state.params.beta)
 
-    l2 = l2_norm(u)
-    gsq = grad_norm_sq(u)
+    power = _power(u.coeffs)
+
+    def norm_sq(weight: np.ndarray | None = None) -> float:
+        return grid.volume * _weighted_sum(power, weight)
+
+    l2 = math.sqrt(norm_sq())
+    gsq = norm_sq(grid.k_sq)
     denom = l2 ** (4.0 / 3.0) * gsq
     embed_ratio = embed_mass / denom if denom > 1e-300 else 0.0
 
@@ -252,7 +257,6 @@ def decay_snapshot(
         lbeta_e1 = accum.lbeta_E1 + half_dt * (accum.rate_e1 + rate_e1)
         lbeta_e2 = accum.lbeta_E2 + half_dt * (accum.rate_e2 + rate_e2)
 
-    w1, w2 = frequency_split(u)
     if duhamel is not None:
         heat_l2, f_h, g_h = duhamel.norms()
     else:
@@ -260,9 +264,9 @@ def decay_snapshot(
 
     return DecayDiagnostics(
         t=state.t,
-        hminus2=sobolev_norm(u, -2.0, homogeneous=False),
-        w1_l2=l2_norm(w1),
-        w2_l2=l2_norm(w2),
+        hminus2=math.sqrt(norm_sq(_sobolev_weight(grid.k_sq, -2.0, homogeneous=False))),
+        w1_l2=math.sqrt(norm_sq(grid.low_shell_mask)),
+        w2_l2=math.sqrt(norm_sq(~grid.low_shell_mask)),
         lbeta_E1=lbeta_e1,
         lbeta_E2=lbeta_e2,
         heat_l2=heat_l2,

@@ -19,6 +19,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +39,6 @@ __all__ = [
     "sobolev_norm",
     "lp_norm_physical",
     "linf_norm",
-    "frequency_split",
     "l2_norm",
     "l2_inner",
     "grad_norm_sq",
@@ -71,10 +71,10 @@ class GridSpec:
         n, length, radius = self.n_modes, self.box_length, self.cutoff_radius
         if not isinstance(n, (int, np.integer)) or n < 4 or n % 2:
             raise ValueError(f"n_modes must be an even integer >= 4, got {n!r}")
-        if not length > 0.0:
-            raise ValueError(f"box_length must be positive, got {length!r}")
-        if not radius > 0.0:
-            raise ValueError(f"cutoff_radius must be positive, got {radius!r}")
+        if not 0.0 < length < math.inf:
+            raise ValueError(f"box_length must be positive and finite, got {length!r}")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"cutoff_radius must be positive and finite, got {radius!r}")
         bound = (2.0 / 3.0) * (2.0 * np.pi / length) * (n / 2.0)
         if radius > bound * (1.0 + _BALL_TOL):
             raise ValueError(
@@ -171,12 +171,12 @@ class PhysParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu!r}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must exceed 1, got {self.beta!r}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError(f"beta must exceed 1 and be finite, got {self.beta!r}")
 
 
 @dataclass
@@ -337,7 +337,33 @@ def remove_mean(f: SpectralField) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# norms and inner products
+# norms and inner products: every coefficient norm is one _weighted_sum over
+# one _power spectrum, every collocation norm reads _speed_sq
+
+
+def _power(c: np.ndarray) -> np.ndarray:
+    """|c|^2 mode by mode, summed over the leading component axis."""
+    return (c.real**2 + c.imag**2).sum(axis=0)
+
+
+def _weighted_sum(power: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """sum_m weight(m) power(m) (the plain sum when weight is None), any mode layout."""
+    if weight is None:
+        return float(power.sum())
+    return float(np.dot(weight.ravel(), power.ravel()))
+
+
+def _sobolev_weight(k_sq: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
+    """|xi|^(2s) with 0 at m = 0 (homogeneous), or (1 + |xi|^2)^s, from |xi|^2."""
+    if not homogeneous:
+        return (1.0 + k_sq) ** s
+    return np.power(k_sq, s, out=np.zeros_like(k_sq), where=k_sq > 0.0)
+
+
+def _speed_sq(f: SpectralField) -> np.ndarray:
+    """|u|^2 = sum_i u_i^2 at the collocation points, shape (N, N, N)."""
+    u = to_physical(f)
+    return u[0] ** 2 + u[1] ** 2 + u[2] ** 2
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
@@ -348,22 +374,14 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
     L2 norm.
     inhomogeneous: sqrt(L^3 sum_m (1 + |xi|^2)^s |c|^2) (H^s, all modes).
     """
-    power = np.abs(f.coeffs) ** 2
-    comp_sum = power.sum(axis=0)
-    if homogeneous:
-        if s == 0.0:
-            total = float(comp_sum.sum()) - float(comp_sum[0, 0, 0])
-        else:
-            nz = f.grid.k_sq > 0.0
-            total = float((f.grid.k_sq[nz] ** s * comp_sum[nz]).sum())
-    else:
-        total = float(((1.0 + f.grid.k_sq) ** s * comp_sum).sum())
+    weight = _sobolev_weight(f.grid.k_sq, s, homogeneous)
+    total = _weighted_sum(_power(f.coeffs), weight)
     return float(np.sqrt(f.grid.volume * max(total, 0.0)))
 
 
 def l2_norm(f: SpectralField) -> float:
     """Physical L2 norm, sqrt(L^3 sum |c|^2) (mean mode included)."""
-    return float(np.sqrt(f.grid.volume * float((np.abs(f.coeffs) ** 2).sum())))
+    return float(np.sqrt(f.grid.volume * _weighted_sum(_power(f.coeffs))))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -374,8 +392,7 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
 
 def grad_norm_sq(f: SpectralField) -> float:
     """||grad f||_L2^2 = L^3 sum |xi|^2 |c|^2."""
-    power = (np.abs(f.coeffs) ** 2).sum(axis=0)
-    return float(f.grid.volume * float((f.grid.k_sq * power).sum()))
+    return f.grid.volume * _weighted_sum(_power(f.coeffs), f.grid.k_sq)
 
 
 def lp_norm_physical(f: SpectralField, p: float) -> float:
@@ -387,29 +404,13 @@ def lp_norm_physical(f: SpectralField, p: float) -> float:
     """
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p!r}")
-    u = to_physical(f)
-    mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-    total = float((mag_sq ** (p / 2.0)).sum()) * f.grid.cell_volume
+    total = float((_speed_sq(f) ** (p / 2.0)).sum()) * f.grid.cell_volume
     return float(total ** (1.0 / p))
 
 
 def linf_norm(f: SpectralField) -> float:
     """Max pointwise Euclidean magnitude on the collocation grid."""
-    u = to_physical(f)
-    mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-    return float(np.sqrt(float(mag_sq.max())))
-
-
-def frequency_split(f: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Split into (w1, w2): modes with |xi| < 1 and modes with |xi| >= 1.
-
-    The split is exact: w1 + w2 reproduces the field bitwise. On a box with
-    L <= 2 pi every nonzero mode has |xi| >= 1 and w1 carries nothing.
-    """
-    low = f.grid.low_shell_mask
-    w1 = SpectralField(f.grid, f.coeffs * low, solenoidal=f.solenoidal)
-    w2 = SpectralField(f.grid, f.coeffs * ~low, solenoidal=f.solenoidal)
-    return w1, w2
+    return float(np.sqrt(float(_speed_sq(f).max())))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +421,10 @@ def divergence_error(f: SpectralField) -> float:
     """Relative size of xi . u: ||xi.u||_l2 / (xi_max ||u||_l2), 0 for the zero field."""
     k = f.grid.wavenumbers
     div = k[0] * f.coeffs[0] + k[1] * f.coeffs[1] + k[2] * f.coeffs[2]
-    denom = f.grid.xi_max * float(np.sqrt((np.abs(f.coeffs) ** 2).sum()))
+    denom = f.grid.xi_max * float(np.sqrt(_weighted_sum(_power(f.coeffs))))
     if denom == 0.0:
         return 0.0
-    return float(np.sqrt((np.abs(div) ** 2).sum()) / denom)
+    return float(np.sqrt(_weighted_sum(_power(div[np.newaxis]))) / denom)
 
 
 def hermitian_error(f: SpectralField) -> float:

@@ -98,7 +98,6 @@ def test_02_heat_limit():
         StepperConfig(dt=1e-3),
         1.0,
         output_every=1.0,
-        track_duhamel=False,
     )
     got = l2_norm(snaps[-1].u)
     want = math.exp(-1.0) * l2_norm(u0)
@@ -269,9 +268,7 @@ def test_10_restart_equivalence(tmp_path):
     # at t = 1 to 1e-12 relative
     cfg = _mapping(**{"time.dt": 2e-3, "time.output_every": 0.5})
     u0 = taylor_green(cfg.grid())
-    cont = run(
-        u0, cfg.phys(), cfg.stepper(), 1.0, output_every=0.5, track_duhamel=False
-    )
+    cont = run(u0, cfg.phys(), cfg.stepper(), 1.0, output_every=0.5)
     mid = cont[1]
     assert abs(mid.t - 0.5) <= 1e-12
     path = tmp_path / "mid.ckpt"
@@ -284,7 +281,6 @@ def test_10_restart_equivalence(tmp_path):
         1.0,
         t_start=resumed.t,
         output_every=0.5,
-        track_duhamel=False,
     )
     err = l2_norm(tail[-1].u - cont[-1].u) / l2_norm(cont[-1].u)
     _certify(

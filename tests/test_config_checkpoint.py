@@ -1,7 +1,12 @@
 """Config parsing/validation and the binary checkpoint format."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsdamp.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from nsdamp.config import (
@@ -63,6 +68,41 @@ class TestParsing:
         # every non-default value is present in the echo
         assert "phys.nu = 0.5" in echoed
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "grid.n_modes": st.integers(2, 32).map(lambda k: 2 * k),
+                "grid.box_length": st.floats(1e-3, 1e3) | st.floats(1e-3, 1e3).map(np.float64),
+                "phys.alpha": st.floats(0.0, 1e3),
+                "phys.beta": st.floats(1.0, 20.0, exclude_min=True),
+                "time.dt": st.floats(1e-9, 1.0),
+                "time.t_end": st.floats(1e-9, 1e6),
+                "output.directory": st.text(),
+            },
+            optional={
+                "grid.cutoff_fraction": st.floats(1e-3, 2.0 / 3.0),
+                "phys.nu": st.floats(1e-9, 1e3),
+                "time.output_every": st.floats(1e-9, 1e3),
+                "ic.seed": st.integers(0, 2**63 - 1),
+                "ic.amplitude": st.floats(1e-9, 1e3),
+            },
+        ),
+        st.one_of(
+            st.sampled_from(["taylor-green", "random-solenoidal"]).map(lambda k: {"ic.kind": k}),
+            st.text().map(lambda path: {"ic.kind": "checkpoint", "ic.path": path}),
+        ),
+    )
+    def test_canonical_text_round_trips(self, mapping, ic):
+        # the free-text values are drawn unrestricted: each is either refused
+        # with its key named or echoed back to an equal config
+        try:
+            cfg = config_from_mapping({**mapping, **ic})
+        except ConfigError as exc:
+            assert str(exc).startswith(("output.directory:", "ic.path:"))
+            return
+        assert parse_config(canonical_text(cfg)) == cfg
+
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("grid.n_modes = 16\n\nwhat is this\n")
@@ -106,6 +146,19 @@ class TestValidation:
             ({"ic.kind": "vortex-sheet"}, "ic.kind"),
             ({"ic.amplitude": 0.0}, "amplitude must be positive"),
             ({"grid.box_length": 0.0}, "grid.box_length must be positive"),
+            ({"grid.box_length": math.inf}, "grid.box_length must be positive and finite"),
+            ({"phys.nu": math.inf}, "phys.nu must be positive and finite"),
+            ({"phys.alpha": math.inf}, "phys.alpha must be nonnegative and finite"),
+            ({"phys.alpha": math.nan}, "phys.alpha must be nonnegative and finite"),
+            ({"phys.beta": math.inf}, "phys.beta must exceed 1 and be finite"),
+            ({"time.dt": math.inf}, "time.dt must be positive and finite"),
+            ({"time.t_end": "inf"}, "time.t_end must be positive and finite"),
+            ({"time.output_every": math.inf}, "time.output_every must be positive and finite"),
+            ({"ic.amplitude": math.inf}, "ic.amplitude must be positive and finite"),
+            ({"output.directory": "runs#1"}, "output.directory: expected a nonempty one-line"),
+            ({"output.directory": " x "}, "output.directory: expected a nonempty one-line"),
+            ({"output.directory": "a\nb"}, "output.directory: expected a nonempty one-line"),
+            ({"ic.kind": "checkpoint", "ic.path": ""}, "ic.path: expected a nonempty one-line"),
         ],
     )
     def test_invariant_violations_name_the_key(self, over, fragment):
@@ -191,12 +244,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="invalid field"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("slot, value", [(6, math.inf), (6, math.nan), (3, math.inf)])
+    def test_non_finite_header_rejected(self, tmp_path, slot, value):
+        # 8-byte header slots after the magic: n_modes, box_length, cutoff_radius, nu, alpha, beta, t
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(self._state(), path)
+        blob = bytearray(path.read_bytes())
+        offset = 4 + 8 * slot
+        blob[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="invalid header"):
+            read_checkpoint(path)
+
     def test_restart_matches_continuous_run(self, tmp_path):
         grid = make_grid(8, TWO_PI)
         u0 = taylor_green(grid)
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
         cfg = StepperConfig(dt=2e-3)
-        cont = run(u0, params, cfg, 0.4, output_every=0.2, track_duhamel=False)
+        cont = run(u0, params, cfg, 0.4, output_every=0.2)
         mid = cont[1]
         assert mid.t == 0.2
 
@@ -210,7 +275,6 @@ class TestCheckpoint:
             0.4,
             t_start=resumed.t,
             output_every=0.2,
-            track_duhamel=False,
         )
         a, b = cont[-1].u, tail[-1].u
         assert tail[-1].t == cont[-1].t

@@ -227,7 +227,6 @@ class TestStepping:
             StepperConfig(dt=1e-2),
             1.0,
             output_every=1.0,
-            track_duhamel=False,
         )
         want = math.exp(-nu * 1.0) * l2_norm(u0)
         assert l2_norm(snaps[-1].u) == pytest.approx(want, rel=1e-12)
@@ -244,8 +243,8 @@ class TestStepping:
 
         u0 = random_solenoidal(grid, seed=9, amplitude=2.0)
         v0 = SpectralField(grid, reflect(u0.coeffs), solenoidal=True)
-        a = run(u0, params, cfg, 0.05, output_every=0.05, track_duhamel=False)
-        b = run(v0, params, cfg, 0.05, output_every=0.05, track_duhamel=False)
+        a = run(u0, params, cfg, 0.05, output_every=0.05)
+        b = run(v0, params, cfg, 0.05, output_every=0.05)
         want = reflect(a[-1].u.coeffs)
         got = b[-1].u.coeffs
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -259,7 +258,6 @@ class TestStepping:
             StepperConfig(dt=5e-3),
             0.1,
             output_every=0.02,
-            track_duhamel=False,
         )
         times = [s.t for s in snaps]
         assert times == [i * 4 * 5e-3 for i in range(6)]
@@ -279,8 +277,8 @@ class TestStepping:
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=10)
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
-        a = run(u0, params, StepperConfig(dt=5e-3), 0.1, track_duhamel=False)
-        b = run(u0, params, StepperConfig(dt=5e-3), 0.1, track_duhamel=False)
+        a = run(u0, params, StepperConfig(dt=5e-3), 0.1)
+        b = run(u0, params, StepperConfig(dt=5e-3), 0.1)
         assert np.array_equal(a[-1].u.coeffs, b[-1].u.coeffs)
         assert a[-1].cum_visc == b[-1].cum_visc
 
@@ -307,7 +305,6 @@ class TestStepping:
             PhysParams(nu=1.0, alpha=1.0, beta=4.0),
             StepperConfig(dt=2e-3),
             0.2,
-            track_duhamel=False,
         )[-1]
         assert end.cum_visc > 0.0 and end.cum_damp > 0.0
         no_damp = run(
@@ -315,7 +312,6 @@ class TestStepping:
             PhysParams(nu=1.0, alpha=0.0, beta=4.0),
             StepperConfig(dt=2e-3),
             0.2,
-            track_duhamel=False,
         )[-1]
         assert no_damp.cum_damp == 0.0
 
@@ -327,7 +323,6 @@ class TestStepping:
             PhysParams(nu=0.2, alpha=1.0, beta=4.0),
             StepperConfig(dt=5e-3),
             0.1,
-            track_duhamel=False,
         )[-1]
         assert np.all(end.u.coeffs[:, 0, 0, 0] == 0.0)
 
@@ -413,7 +408,6 @@ class TestManufactured:
             0.3,
             forcing=forcing,
             output_every=0.3,
-            track_duhamel=False,
         )
         exact = target.field(0.3)
         err = l2_norm(snaps[-1].u - exact) / l2_norm(exact)
@@ -438,7 +432,6 @@ class TestManufactured:
                 0.4,
                 forcing=forcing,
                 output_every=0.4,
-                track_duhamel=False,
             )
             exact = target.field(0.4)
             return l2_norm(snaps[-1].u - exact) / l2_norm(exact)

@@ -215,7 +215,7 @@ class TestRefinement:
             grid = make_grid(n, TWO_PI)
             start = u0 if n == 8 else inject_field(u0, grid)
             finals.append(
-                run(start, params, cfg, 0.2, output_every=0.2, track_duhamel=False)[-1].u
+                run(start, params, cfg, 0.2, output_every=0.2)[-1].u
             )
         for a, b in zip(finals, finals[1:]):
             diff = l2_norm(inject_field(a, b.grid) - b)
@@ -303,4 +303,7 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.n_modes = 7\n")
         assert main(["run", str(bad)]) == 2
+        endless = tmp_path / "endless.cfg"
+        endless.write_text(cfg_file.read_text().replace("time.t_end = 0.1", "time.t_end = inf"))
+        assert main(["run", str(endless)]) == 2
         capsys.readouterr()

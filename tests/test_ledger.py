@@ -158,10 +158,15 @@ class TestDecayDiagnostics:
         assert np.isnan(d.heat_l2) and np.isnan(d.f_hminus2) and np.isnan(d.g_hminus2)
 
     def test_frequency_split_norms_partition_energy(self):
-        grid = make_grid(8, 8.0 * np.pi)
+        # random_solenoidal fills |xi| <= R/2, which reaches past |xi| = 1 from N = 32
+        grid = make_grid(32, 8.0 * np.pi)
         u = random_solenoidal(grid, seed=4)
         d = decay_snapshot(SolverState(t=0.0, u=u, params=PhysParams(1.0, 1.0, 4.0)))
         assert d.w1_l2**2 + d.w2_l2**2 == pytest.approx(l2_norm(u) ** 2, rel=1e-12)
+        assert d.w1_l2 > 0.0 and d.w2_l2 > 0.0
+        # on this box modes 1..3 sit strictly below |xi| = 1, mode 4 does not
+        assert grid.low_shell_mask[3, 0, 0]
+        assert not grid.low_shell_mask[4, 0, 0]
 
 
 class TestSpacetimeReport:

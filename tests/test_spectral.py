@@ -7,7 +7,6 @@ from nsdamp.spectral import (
     GridSpec,
     SpectralField,
     divergence_error,
-    frequency_split,
     friedrichs_truncate,
     grad_norm_sq,
     hermitian_error,
@@ -205,17 +204,6 @@ class TestNorms:
 
 
 class TestSplitAndChecks:
-    def test_frequency_split_is_bitwise_partition(self):
-        grid = make_grid(16, 8.0 * np.pi)
-        f = _random_field(grid, seed=21, solenoidal=True)
-        w1, w2 = frequency_split(f)
-        np.testing.assert_array_equal(w1.coeffs + w2.coeffs, f.coeffs)
-        assert np.all(w1.coeffs[:, ~grid.low_shell_mask] == 0.0)
-        assert np.all(w2.coeffs[:, grid.low_shell_mask] == 0.0)
-        # on this box modes 1..3 sit strictly below |xi| = 1
-        assert grid.low_shell_mask[3, 0, 0]
-        assert not grid.low_shell_mask[4, 0, 0]
-
     def test_error_detectors(self):
         grid = make_grid(8, TWO_PI)
         good = _random_field(grid, seed=31, solenoidal=True)
