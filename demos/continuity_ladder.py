@@ -26,7 +26,8 @@ def main():
     print(f"both shifts under the bound: {rep.bound_ok}")
     print(f"bound itself shrinking with eps: {rep.bounds_shrink}")
     print(f"verdict: {'pass' if rep.passed else 'FAIL'}")
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

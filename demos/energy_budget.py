@@ -49,7 +49,8 @@ def main():
     tail = run(resumed.u, resumed.params, cfg, 1.0, t_start=resumed.t, output_every=0.05)
     drift = l2_norm(tail[-1].u - snaps[-1].u) / l2_norm(snaps[-1].u)
     print(f"restart at t = {mid.t:g}: relative drift at t = 1 is {drift:.3e}")
+    return 0 if report.passed and drift <= 1e-12 else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -32,3 +32,4 @@ width = max(len(r.name) for r in rows)
 for r in rows:
     print(f"{r.name:<{width}}  {'ok' if r.passed else 'FAIL'}  "
           f"worst {r.worst:+.3e} over {r.samples} samples")
+raise SystemExit(0 if all(r.passed for r in rows) else 1)

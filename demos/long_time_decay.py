@@ -41,3 +41,4 @@ print(f"\n{'t':>5} {'energy':>12} {'H^-2':>12}")
 for r, d in list(zip(e, rep.recorder.decay))[::5]:
     print(f"{r.t:5.1f} {r.l2_sq:12.6e} {d.hminus2:12.6e}")
 print(f"verdict: {'pass' if rep.passed else 'FAIL'}")
+raise SystemExit(0 if rep.passed else 1)

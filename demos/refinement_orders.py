@@ -39,7 +39,8 @@ def main():
     ratios = ", ".join(f"{r:.1f}x" for r in rep.ratios)
     print(f"  shrink per doubling: {ratios} ({'ok' if rep.spatial_ok else 'FAIL'}, want >= 4x)")
     print(f"verdict: {'pass' if rep.passed else 'FAIL'}")
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

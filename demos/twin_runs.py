@@ -38,3 +38,4 @@ print(f"worst norm ratio  {rep.ratio_max:.4f} (must stay <= 1.05)")
 
 rep0 = twin_experiment(cfg, delta=0.0)
 print(f"\ndelta = 0: bitwise identical trajectories -> {rep0.bitwise_zero}")
+raise SystemExit(0 if rep.passed and rep0.passed else 1)

@@ -88,7 +88,7 @@ def read_checkpoint(path) -> SolverState:
         .reshape(3, n_modes, n_modes, n_modes)
         .astype(np.complex128)
     )
-    field = SpectralField(grid, coeffs, solenoidal=True)
+    field = SpectralField(grid, coeffs)
     try:
         field.validate(tol=1e-10)
     except ValueError as exc:

@@ -85,17 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(lines: list[str], out_dir: str | None) -> None:
+def _emit(lines: list[str], out_dir: str) -> None:
     text = "\n".join(lines)
     print(text)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _out_dir(args, cfg) -> str:
-    return args.out if args.out is not None else os.path.join(cfg.output_directory, args.command)
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -115,7 +109,12 @@ def _dispatch(args) -> int:
         return _cmd_verify(args)
 
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
+    out = args.out if args.out is not None else os.path.join(cfg.output_directory, args.command)
+    try:  # before integrating: an unusable directory is malformed input
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output directory {out!r}: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "run":
         result = run_experiment(cfg, out_dir=out)

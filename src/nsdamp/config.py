@@ -19,7 +19,7 @@ a normalized form that parses back to an equal config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .dynamics import StepperConfig
@@ -69,9 +69,6 @@ class ExperimentConfig:
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(dt=self.dt)
-
-    def with_updates(self, **kwargs: Any) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 # key -> (attribute, parser, required, default)

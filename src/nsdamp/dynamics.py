@@ -29,7 +29,7 @@ output cadence, and the expansion is Hermitian by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -104,9 +104,6 @@ class SolverState:
     @property
     def grid(self) -> GridSpec:
         return self.u.grid
-
-    def copy(self) -> "SolverState":
-        return replace(self, u=self.u.copy())
 
 
 @dataclass(frozen=True)
@@ -219,8 +216,10 @@ class _NLTerms(NamedTuple):
     linf: float  # max pointwise |u| on the grid
 
 
+#: the six products u_i u_j (i <= j), one block each ...
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_PAIR_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
+#: ... and, per component i, the blocks of u_i u_0, u_i u_1, u_i u_2
+_BLOCKS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
 class _Kernel:
@@ -272,10 +271,10 @@ class _Kernel:
         if pairs:
             k = ball.k
             adv = np.empty_like(v)
-            for comp in range(3):
-                acc = k[0] * hats[_PAIR_INDEX[tuple(sorted((comp, 0)))]]
-                acc = acc + k[1] * hats[_PAIR_INDEX[tuple(sorted((comp, 1)))]]
-                acc = acc + k[2] * hats[_PAIR_INDEX[tuple(sorted((comp, 2)))]]
+            for comp, (b0, b1, b2) in enumerate(_BLOCKS):
+                acc = k[0] * hats[b0]
+                acc = acc + k[1] * hats[b1]
+                acc = acc + k[2] * hats[b2]
                 adv[comp] = 1j * acc
         # a copy, not a view: the stepper keeps each stage's terms to the end of the step
         damp = hats[len(pairs):].copy() if self.damped else None
@@ -314,7 +313,7 @@ def advection(u: SpectralField) -> SpectralField:
     params = PhysParams(nu=1.0, alpha=0.0, beta=2.0)  # alpha=0: damping skipped
     terms = _Kernel(ball, params)(ball.gather(u.coeffs))
     _project_terms(ball, terms)
-    return SpectralField(u.grid, ball.expand(terms.adv), solenoidal=True)
+    return SpectralField(u.grid, ball.expand(terms.adv))
 
 
 def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
@@ -333,12 +332,12 @@ def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
     if not beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta!r}")
     if alpha == 0.0:
-        return SpectralField(u.grid, np.zeros_like(u.coeffs), solenoidal=True)
+        return SpectralField(u.grid, np.zeros_like(u.coeffs))
     ball = _ball(u.grid)
     params = PhysParams(nu=1.0, alpha=alpha, beta=beta)
     terms = _Kernel(ball, params, advect=False)(ball.gather(u.coeffs))
     _project_terms(ball, terms)
-    return SpectralField(u.grid, ball.expand(terms.damp), solenoidal=True)
+    return SpectralField(u.grid, ball.expand(terms.damp))
 
 
 def tendency(state: SolverState) -> SpectralField:
@@ -355,7 +354,7 @@ def tendency(state: SolverState) -> SpectralField:
     v = ball.gather(state.u.coeffs)
     out = _project_terms(ball, _Kernel(ball, state.params)(v))
     out -= state.params.nu * ball.k_sq * v
-    return SpectralField(state.grid, ball.expand(out), solenoidal=True)
+    return SpectralField(state.grid, ball.expand(out))
 
 
 def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
@@ -380,6 +379,18 @@ def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
 # integrating-factor RK4
 
 
+def _combine(x, stages, e_half, e_full, dt: float):
+    """One integrating-factor RK4 step of x from its four stage terms.
+
+    e_full x + dt/6 (e_full s1 + 2 e_half (s2 + s3) + s4), with e_half and
+    e_full the viscous factors over dt/2 and dt; the state, the Duhamel
+    parts (with -dt) and, with factors 1.0, the dissipation integrals all
+    advance by it.
+    """
+    s1, s2, s3, s4 = stages
+    return e_full * x + (dt / 6.0) * (e_full * s1 + 2.0 * e_half * (s2 + s3) + s4)
+
+
 class DuhamelTracker:
     """Running decomposition u(t) = e^(t Lap) v0 + f(t) + g(t).
 
@@ -388,9 +399,9 @@ class DuhamelTracker:
     integrating-factor RK4 stage combination the solution itself uses, so
     heat + f + g rebuilds the state to roundoff at every step. All three are
     ball vectors in the stepper's rfft layout; the initial field is first
-    restricted to the ball. advance() takes the projected forces P J div(u x u)
-    and P J alpha |u|^(beta-1) u of the four stages, which enter the state
-    with a minus sign; damp_stages holds None entries when alpha = 0.
+    restricted to the ball. advance() takes the kernel terms of the four
+    stages, whose projected forces P J div(u x u) and P J alpha |u|^(beta-1) u
+    enter the state with a minus sign; their damp is None when alpha = 0.
     """
 
     def __init__(self, initial: SpectralField):
@@ -401,23 +412,13 @@ class DuhamelTracker:
         self.g = np.zeros_like(self.heat)
 
     def advance(
-        self,
-        e_half: np.ndarray,
-        e_full: np.ndarray,
-        dt: float,
-        adv_stages: Sequence[np.ndarray],
-        damp_stages: Sequence[np.ndarray | None],
+        self, e_half: np.ndarray, e_full: np.ndarray, dt: float, stages: Sequence[_NLTerms]
     ) -> None:
-        a1, a2, a3, a4 = adv_stages
-        d1, d2, d3, d4 = damp_stages
+        # the forces enter with a minus sign; -dt applies it without negated copies
         self.heat = e_full * self.heat
-        self.f = e_full * self.f - (dt / 6.0) * (
-            e_full * a1 + 2.0 * e_half * (a2 + a3) + a4
-        )
-        if d1 is not None:
-            self.g = e_full * self.g - (dt / 6.0) * (
-                e_full * d1 + 2.0 * e_half * (d2 + d3) + d4
-            )
+        self.f = _combine(self.f, [n.adv for n in stages], e_half, e_full, -dt)
+        if stages[0].damp is not None:
+            self.g = _combine(self.g, [n.damp for n in stages], e_half, e_full, -dt)
 
     def norms(self) -> tuple[float, float, float]:
         """(||heat||_L2, ||f||_{H^-2}, ||g||_{H^-2})."""
@@ -460,25 +461,20 @@ class _Stepper:
         if not np.isfinite(linf):
             raise BlowupError(f"non-finite field (|u|_inf = {linf!r})")
         p = self.params
-        rate = max(linf * self.grid.xi_max, p.alpha * linf ** (p.beta - 1.0), _CFL_FLOOR)
+        radius = self.grid.cutoff_radius
+        rate = max(linf * radius, p.alpha * linf ** (p.beta - 1.0), _CFL_FLOOR)
         if not np.isfinite(rate) or dt > _CFL_SAFETY / rate:
             raise CFLError(
                 f"dt = {dt:g} exceeds the stability budget safety/rate = "
                 f"{_CFL_SAFETY / rate if np.isfinite(rate) else 0.0:g} "
-                f"(|u|_inf = {linf:g}, xi_max = {self.grid.xi_max:g}, "
+                f"(|u|_inf = {linf:g}, cutoff_radius = {radius:g}, "
                 f"alpha |u|_inf^(beta-1) = {p.alpha * linf ** (p.beta - 1.0):g})"
             )
 
-    def _rhs(self, v: np.ndarray, t: float, split: bool) -> tuple[np.ndarray, _NLTerms]:
-        """(nonlinear right-hand side at (v, t), the kernel's terms).
-
-        The terms keep their projected adv and damp parts only when split is
-        set, for the Duhamel tracker; otherwise those are dropped at once.
-        """
+    def _rhs(self, v: np.ndarray, t: float) -> tuple[np.ndarray, _NLTerms]:
+        """(nonlinear right-hand side at (v, t), the kernel's terms, projected)."""
         terms = self.kernel(v)
         total = _project_terms(self.ball, terms)
-        if not split:
-            terms = terms._replace(adv=None, damp=None)
         if self.forcing is not None:
             total = total + self.ball.gather(self.forcing(t))
         return total, terms
@@ -489,36 +485,31 @@ class _Stepper:
         """One step from ball vector v at time t: (new v, visc increment, damp increment)."""
         dt = self.cfg.dt
         eh, ef = self.e_half, self.e_full
-        split = tracker is not None
 
-        k1, n1 = self._rhs(v, t, split)
+        k1, n1 = self._rhs(v, t)
         self.check_cfl(n1.linf, dt)
 
         s2 = eh * (v + (dt / 2.0) * k1)
-        k2, n2 = self._rhs(s2, t + dt / 2.0, split)
+        k2, n2 = self._rhs(s2, t + dt / 2.0)
 
         s3 = eh * v + (dt / 2.0) * k2
-        k3, n3 = self._rhs(s3, t + dt / 2.0, split)
+        k3, n3 = self._rhs(s3, t + dt / 2.0)
 
         s4 = ef * v + dt * (eh * k3)
-        k4, n4 = self._rhs(s4, t + dt, split)
+        k4, n4 = self._rhs(s4, t + dt)
 
-        vnew = ef * v + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        vnew = _combine(v, (k1, k2, k3, k4), eh, ef, dt)
         self.ball.project(vnew)
         vnew[:, 0] = 0.0
 
+        stages = (n1, n2, n3, n4)
         if tracker is not None:
-            tracker.advance(eh, ef, dt, (n1.adv, n2.adv, n3.adv, n4.adv),
-                            (n1.damp, n2.damp, n3.damp, n4.damp))
+            tracker.advance(eh, ef, dt, stages)
 
         # The stage evaluations already carry the dissipation rates at the
         # stage states, so the augmented RK4 quadrature is free.
-        d_visc = (dt / 6.0) * (
-            n1.visc_rate + 2.0 * (n2.visc_rate + n3.visc_rate) + n4.visc_rate
-        )
-        d_damp = (dt / 6.0) * (
-            n1.damp_rate + 2.0 * (n2.damp_rate + n3.damp_rate) + n4.damp_rate
-        )
+        d_visc = _combine(0.0, [n.visc_rate for n in stages], 1.0, 1.0, dt)
+        d_damp = _combine(0.0, [n.damp_rate for n in stages], 1.0, 1.0, dt)
         return vnew, d_visc, d_damp
 
 
@@ -529,7 +520,7 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     retained modes), a no-op for fields of the state space. The viscous
     factor is exact; truncation and projection are applied inside every
     substage evaluation and once more to the combined output. Raises
-    CFLError when dt exceeds 0.9 / max(|u|_inf xi_max,
+    CFLError when dt exceeds 0.9 / max(|u|_inf R,
     alpha |u|_inf^(beta-1), 1e-30).
     """
     stepper = _Stepper(state.grid, state.params, cfg)
@@ -537,7 +528,7 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     v, d_visc, d_damp = stepper.advance(ball.gather(state.u.coeffs), state.t)
     return SolverState(
         t=state.t + cfg.dt,
-        u=SpectralField(state.grid, ball.expand(v), solenoidal=True),
+        u=SpectralField(state.grid, ball.expand(v)),
         params=state.params,
         step_count=state.step_count + 1,
         cum_visc=state.cum_visc + d_visc,
@@ -600,7 +591,7 @@ def run(
     def snapshot(i: int) -> SolverState:
         snap = SolverState(
             t=t_start + i * cfg.dt,  # exact grid time, no accumulation
-            u=SpectralField(grid, ball.expand(v), solenoidal=True),
+            u=SpectralField(grid, ball.expand(v)),
             params=params,
             step_count=i,
             cum_visc=cum_visc,
@@ -663,7 +654,7 @@ class SeparableTarget:
 
     def field(self, t: float) -> SpectralField:
         a = self.amplitude(t)
-        return SpectralField(self.base.grid, a * self.base.coeffs, solenoidal=True)
+        return SpectralField(self.base.grid, a * self.base.coeffs)
 
     def forcing(self, t: float) -> np.ndarray:
         a = self.amplitude(t)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,11 +81,8 @@ def _max_workers(n_jobs: int) -> int:
 
 
 def _parallel(jobs):
-    """Run zero-argument callables, preserving order; serial when pool = 1."""
-    workers = _max_workers(len(jobs))
-    if workers == 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    """Run zero-argument callables on the thread pool, preserving order."""
+    with ThreadPoolExecutor(max_workers=_max_workers(len(jobs))) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
 
@@ -106,7 +103,7 @@ def inject_field(f: SpectralField, fine: GridSpec) -> SpectralField:
     idx = f.grid.mode_numbers % fine.n_modes
     coeffs = np.zeros(fine.shape, dtype=np.complex128)
     coeffs[np.ix_(range(3), idx, idx, idx)] = f.coeffs
-    return SpectralField(fine, coeffs, solenoidal=f.solenoidal)
+    return SpectralField(fine, coeffs)
 
 
 def build_initial(cfg: ExperimentConfig) -> tuple[SpectralField, float]:
@@ -135,10 +132,6 @@ def build_initial(cfg: ExperimentConfig) -> tuple[SpectralField, float]:
     return state.u, state.t
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _write_report(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -155,7 +148,6 @@ class RunResult:
     recorder: SeriesRecorder
     passed: bool
     energy_line: str
-    out_dir: str | None = None
 
     def lines(self) -> list[str]:
         last = self.recorder.energy[-1]
@@ -204,11 +196,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         energy_line=report.describe() + f"; worst |residual|/baseline = {worst_abs / scale:.3e}",
     )
     if out_dir is not None:
-        _ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         write_series_csv(os.path.join(out_dir, "series.csv"), recorder.energy, recorder.decay)
         write_checkpoint(snapshots[-1], os.path.join(out_dir, "final.ckpt"))
         _write_report(os.path.join(out_dir, "report.txt"), result.lines())
-        result.out_dir = out_dir
     return result
 
 
@@ -406,7 +397,7 @@ def continuity_experiment(
         t_start=t_start,
         output_every=stride * dt,
     )
-    by_index = {int(round((s.t - t_start) / dt)): s for s in snapshots}
+    by_index = {s.step_count: s for s in snapshots}
 
     constant = gronwall_constant(cfg.alpha, cfg.beta)
     u_start = snapshots[0].u
@@ -569,7 +560,7 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
         recorder=recorder,
     )
     if out_dir is not None:
-        _ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         write_series_csv(os.path.join(out_dir, "series.csv"), energy, diags)
         _write_report(os.path.join(out_dir, "report.txt"), report.lines())
     return report
@@ -667,7 +658,7 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     if cfg.ic_kind == "checkpoint":
         raise ConfigError("refinement requires an analytic initial condition")
 
-    coarse_cfg = cfg.with_updates(n_modes=levels[0])
+    coarse_cfg = replace(cfg, n_modes=levels[0])
     u0_coarse, _ = build_initial(coarse_cfg)
     params, stepper = cfg.phys(), cfg.stepper()
 

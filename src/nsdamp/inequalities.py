@@ -284,15 +284,15 @@ def young_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
     )
 
 
-def gronwall_suite(n_alpha: int = 32, n_beta: int = 32) -> OracleRow:
-    """Monotonicity of the growth constant on a parameter grid.
+def gronwall_suite() -> OracleRow:
+    """Monotonicity of the growth constant on a 32 x 32 parameter grid.
 
     Strictly decreasing in alpha everywhere, and strictly decreasing in beta
     wherever alpha < 2 (the base 2/alpha exceeds 1 there).  The worst margin
     is the smallest decrease between neighbours; it must stay positive.
     """
-    alphas = np.linspace(0.1, 4.0, n_alpha)
-    betas = np.linspace(3.05, 8.0, n_beta)
+    alphas = np.linspace(0.1, 4.0, 32)
+    betas = np.linspace(3.05, 8.0, 32)
     grid = gronwall_constant(alphas[:, None], betas[None, :])
     margin_alpha = float((grid[:-1, :] - grid[1:, :]).min())
     below_two = alphas < 2.0
@@ -300,7 +300,7 @@ def gronwall_suite(n_alpha: int = 32, n_beta: int = 32) -> OracleRow:
     worst = min(margin_alpha, margin_beta)
     return OracleRow(
         name="gronwall-monotone",
-        samples=n_alpha * n_beta,
+        samples=grid.size,
         worst=worst,
         threshold=0.0,
         passed=worst > 0.0,
@@ -308,8 +308,8 @@ def gronwall_suite(n_alpha: int = 32, n_beta: int = 32) -> OracleRow:
     )
 
 
-def _random_band_limited(grid: GridSpec, rng: np.random.Generator, solenoidal: bool) -> SpectralField:
-    if solenoidal:
+def _random_band_limited(grid: GridSpec, rng: np.random.Generator, projected: bool) -> SpectralField:
+    if projected:
         return random_solenoidal(grid, seed=int(rng.integers(2**31)), amplitude=float(rng.uniform(0.1, 10.0)))
     samples = rng.standard_normal((3,) + grid.shape[1:])
     f = friedrichs_truncate(to_spectral(samples, grid))
@@ -328,7 +328,7 @@ def interpolation_suite(n_fields: int = 1000, seed: int = 0) -> OracleRow:
     worst = np.inf
     for i in range(n_fields):
         grid = grids[i % 2]
-        f = _random_band_limited(grid, rng, solenoidal=(i % 4 < 2))
+        f = _random_band_limited(grid, rng, projected=(i % 4 < 2))
         rhs = sobolev_norm(f, 0.0) ** 0.4 * sobolev_norm(f, 1.0) ** 0.6
         if rhs == 0.0:
             continue
@@ -364,8 +364,8 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
     grid = make_grid(16, 2.0 * np.pi)
     ratios = []
     for i in range(n_pairs):
-        f = _random_band_limited(grid, rng, solenoidal=(i % 2 == 0))
-        g = _random_band_limited(grid, rng, solenoidal=(i % 2 == 1))
+        f = _random_band_limited(grid, rng, projected=(i % 2 == 0))
+        g = _random_band_limited(grid, rng, projected=(i % 2 == 1))
         ratios.append(product_law_ratio(f, g))
     arr = np.asarray(ratios)
     finite = bool(np.isfinite(arr).all()) and bool((arr > 0.0).all())

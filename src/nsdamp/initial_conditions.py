@@ -38,7 +38,7 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
             for s3 in (1, -1):
                 coeffs[0, s1, s2, s3] = -1j * amplitude * s1 / 8.0
                 coeffs[1, s1, s2, s3] = 1j * amplitude * s2 / 8.0
-    return SpectralField(grid, coeffs, solenoidal=True)
+    return SpectralField(grid, coeffs)
 
 
 def shear_mode(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
@@ -51,7 +51,7 @@ def shear_mode(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[0, 0, 1, 0] = -0.5j * amplitude
     coeffs[0, 0, -1, 0] = 0.5j * amplitude
-    return SpectralField(grid, coeffs, solenoidal=True)
+    return SpectralField(grid, coeffs)
 
 
 def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> SpectralField:
@@ -69,4 +69,4 @@ def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Spec
     norm = l2_norm(f)
     if norm == 0.0:
         raise ValueError("random field collapsed to zero after projection")
-    return SpectralField(grid, f.coeffs * (amplitude / norm), solenoidal=True)
+    return SpectralField(grid, f.coeffs * (amplitude / norm))

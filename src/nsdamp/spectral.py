@@ -10,11 +10,12 @@ Conventions, fixed once for the whole package:
 * Physical-space norms carry the Lebesgue measure of the box, so the discrete
   Parseval identity reads ||u||_L2^2 = L^3 sum_m |c_m|^2. Homogeneous Sobolev
   norms skip m = 0 (the mean carries no |xi|^s weight on the lattice).
-* A sharp cutoff radius R <= (2/3) xi_max accompanies every grid; it doubles
-  as the dealiasing filter for the quadratic nonlinearity. For grid sizes not
-  divisible by 3 (in particular all powers of two) no aliased image of a
-  product of two ball-supported modes lands back inside the closed ball, so
-  products of truncated fields are alias-free on the retained modes.
+* A sharp cutoff radius R <= (2/3) (2 pi / L) (N / 2), two thirds of the
+  Nyquist wavenumber, accompanies every grid; it doubles as the dealiasing
+  filter for the quadratic nonlinearity. For grid sizes not divisible by 3
+  (in particular all powers of two) no aliased image of a product of two
+  ball-supported modes lands back inside the closed ball, so products of
+  truncated fields are alias-free on the retained modes.
 """
 
 from __future__ import annotations
@@ -133,11 +134,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return (self.box_length / self.n_modes) ** 3
 
-    @property
-    def xi_max(self) -> float:
-        """Largest wavenumber magnitude of any retained mode (= R)."""
-        return self.cutoff_radius
-
 
 def make_grid(n_modes: int, box_length: float, cutoff_fraction: float = 2.0 / 3.0) -> GridSpec:
     """Build a GridSpec from a cutoff fraction of the axis Nyquist wavenumber.
@@ -183,14 +179,12 @@ class PhysParams:
 class SpectralField:
     """A three-component velocity field in coefficient space.
 
-    coeffs has shape (3, N, N, N), dtype complex128. The `solenoidal` flag
-    records that the field has passed (or was produced by) the Leray
-    projection; validate() re-checks it numerically.
+    coeffs has shape (3, N, N, N), dtype complex128. validate() checks that
+    it lies in the solver's state space.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
-    solenoidal: bool = False
 
     def __post_init__(self) -> None:
         if self.coeffs.shape != self.grid.shape:
@@ -201,7 +195,7 @@ class SpectralField:
             self.coeffs = self.coeffs.astype(np.complex128)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.solenoidal)
+        return SpectralField(self.grid, self.coeffs.copy())
 
     # -- small arithmetic surface used by the experiments ------------------
 
@@ -211,30 +205,25 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(
-            self.grid, self.coeffs + other.coeffs, self.solenoidal and other.solenoidal
-        )
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(
-            self.grid, self.coeffs - other.coeffs, self.solenoidal and other.solenoidal
-        )
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar, self.solenoidal)
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs, self.solenoidal)
+        return SpectralField(self.grid, -self.coeffs)
 
     def validate(self, tol: float = 1e-12) -> None:
         """Raise ValueError if any structural invariant is violated.
 
         Checks, all relative to the coefficient scale: Hermitian symmetry,
-        support inside the closed cutoff ball, zero mean, and (when flagged)
-        solenoidality.
+        support inside the closed cutoff ball, zero mean, and solenoidality.
         """
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
@@ -250,14 +239,13 @@ class SpectralField:
         mean = float(np.max(np.abs(self.coeffs[:, 0, 0, 0])))
         if mean > tol * scale:
             raise ValueError(f"mean mode is not zero (|c(0)| = {mean:.3e})")
-        if self.solenoidal:
-            div = divergence_error(self)
-            if div > tol:
-                raise ValueError(f"field flagged solenoidal but xi.u error is {div:.3e}")
+        div = divergence_error(self)
+        if div > tol:
+            raise ValueError(f"field is not solenoidal: xi.u error is {div:.3e}")
 
 
 def zeros_like(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128), solenoidal=True)
+    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +256,16 @@ def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples of the field, shape (3, N, N, N), real.
 
     Inverse of to_spectral under the unit-amplitude convention: the inverse
-    transform is the plain exponential sum. The imaginary residue of a
-    Hermitian-symmetric field is roundoff and is dropped.
+    transform is the plain exponential sum. The field must be Hermitian,
+    c(-m) = conj(c(m)), as every real field is: the real-to-complex inverse
+    reads only the half spectrum m3 = 0..N/2 and takes the other half to be
+    its conjugate.
     """
-    u = _fft.ifftn(f.coeffs, axes=(1, 2, 3), norm="forward")
-    return np.ascontiguousarray(u.real)
+    n = f.grid.n_modes
+    return _fft.irfftn(f.coeffs[..., : n // 2 + 1], s=(n, n, n), axes=(1, 2, 3), norm="forward")
 
 
-def to_spectral(samples: np.ndarray, grid: GridSpec, solenoidal: bool = False) -> SpectralField:
+def to_spectral(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     """Coefficients of sampled data (forward transform, 1/N^3 normalized).
 
     No truncation or projection is applied; compose with friedrichs_truncate
@@ -285,7 +275,7 @@ def to_spectral(samples: np.ndarray, grid: GridSpec, solenoidal: bool = False) -
     if samples.shape != grid.shape:
         raise ValueError(f"samples have shape {samples.shape}, expected {grid.shape}")
     coeffs = _fft.fftn(samples, axes=(1, 2, 3), norm="forward")
-    return SpectralField(grid, coeffs, solenoidal=solenoidal)
+    return SpectralField(grid, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +302,28 @@ def leray_project(f: SpectralField) -> SpectralField:
     any other Fourier multiplier, truncation included.
     """
     out = f.coeffs - _gradient_part(f.coeffs, f.grid.wavenumbers, f.grid._k_sq_safe)
-    return SpectralField(f.grid, out, solenoidal=True)
+    return SpectralField(f.grid, out)
 
 
 def friedrichs_truncate(f: SpectralField, radius: float | None = None) -> SpectralField:
     """Zero every coefficient with |xi| > radius (closed ball kept).
 
     radius defaults to the grid's own cutoff_radius. Norm-nonincreasing and
-    idempotent; with radius <= (2/3) xi_max it is the dealiasing filter.
+    idempotent; at the grid's own radius it is the dealiasing filter.
     """
     if radius is None:
         radius = f.grid.cutoff_radius
     if radius < 0.0:
         raise ValueError(f"truncation radius must be nonnegative, got {radius!r}")
     mask = f.grid.k_sq <= radius**2 * (1.0 + _BALL_TOL)
-    return SpectralField(f.grid, f.coeffs * mask, solenoidal=f.solenoidal)
+    return SpectralField(f.grid, f.coeffs * mask)
 
 
 def remove_mean(f: SpectralField) -> SpectralField:
     """Zero the m = 0 coefficient (velocity frame choice)."""
     out = f.coeffs.copy()
     out[:, 0, 0, 0] = 0.0
-    return SpectralField(f.grid, out, solenoidal=f.solenoidal)
+    return SpectralField(f.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +408,10 @@ def linf_norm(f: SpectralField) -> float:
 
 
 def divergence_error(f: SpectralField) -> float:
-    """Relative size of xi . u: ||xi.u||_l2 / (xi_max ||u||_l2), 0 for the zero field."""
+    """Relative size of xi . u: ||xi.u||_l2 / (R ||u||_l2), 0 for the zero field."""
     k = f.grid.wavenumbers
     div = k[0] * f.coeffs[0] + k[1] * f.coeffs[1] + k[2] * f.coeffs[2]
-    denom = f.grid.xi_max * float(np.sqrt(_weighted_sum(_power(f.coeffs))))
+    denom = f.grid.cutoff_radius * float(np.sqrt(_weighted_sum(_power(f.coeffs))))
     if denom == 0.0:
         return 0.0
     return float(np.sqrt(_weighted_sum(_power(div[np.newaxis]))) / denom)

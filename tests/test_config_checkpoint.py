@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nsdamp.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
@@ -243,6 +243,30 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="invalid field"):
             read_checkpoint(path)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_file_raises_only_checkpoint_error(self, tmp_path, data):
+        # a truncation or a single flipped bit of a valid file either still
+        # reads as a state or raises CheckpointError (exit 2), nothing else
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(self._state(), path)
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            header_bits = 8 * (4 + 7 * 8)  # the magic and the seven header slots
+            bit = data.draw(
+                st.one_of(st.integers(0, header_bits - 1), st.integers(0, 8 * len(blob) - 1)),
+                label="bit",
+            )
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            read_checkpoint(path)
+        except CheckpointError:
+            pass
 
     @pytest.mark.parametrize("slot, value", [(6, math.inf), (6, math.nan), (3, math.inf)])
     def test_non_finite_header_rejected(self, tmp_path, slot, value):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/ and exits 0:
+a demo whose printed verdict fails exits 1."""
 
 import os
 import subprocess

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     cubic_damping_hat,
@@ -191,6 +193,27 @@ class TestAdvection:
         a = advection(u)
         assert abs(l2_inner(a, u)) <= 1e-12 * l2_norm(a) * l2_norm(u)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        n=st.sampled_from([6, 8, 10, 12, 16]),
+        length=st.floats(0.5, 30.0),
+        fraction=st.floats(0.25, 2.0 / 3.0, exclude_min=True),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_projection_and_skew_symmetry_on_random_grids(self, n, length, fraction, seed):
+        # L != 2 pi and cutoff fractions below 2/3 included
+        grid = make_grid(n, length, fraction)
+        noise = np.random.default_rng(seed).standard_normal(grid.shape)
+        once = leray_project(friedrichs_truncate(to_spectral(noise, grid)))
+        twice = leray_project(once)
+        assert np.abs(twice.coeffs - once.coeffs).max() <= 1e-12 * np.abs(once.coeffs).max()
+        try:
+            u = random_solenoidal(grid, seed=seed)
+        except ValueError:  # the ball of radius R/2 holds no mode but m = 0
+            assume(False)
+        a = advection(u)
+        assert abs(l2_inner(a, u)) <= 1e-12 * l2_norm(a) * l2_norm(u)
+
     def test_single_shear_mode_is_steady(self):
         # u = (sin y, 0, 0) advects nothing: div(u x u) has only a
         # d/dx(sin^2 y) entry, which is zero
@@ -242,7 +265,7 @@ class TestStepping:
             return -np.conj(c)
 
         u0 = random_solenoidal(grid, seed=9, amplitude=2.0)
-        v0 = SpectralField(grid, reflect(u0.coeffs), solenoidal=True)
+        v0 = SpectralField(grid, reflect(u0.coeffs))
         a = run(u0, params, cfg, 0.05, output_every=0.05)
         b = run(v0, params, cfg, 0.05, output_every=0.05)
         want = reflect(a[-1].u.coeffs)

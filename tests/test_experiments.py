@@ -306,4 +306,13 @@ class TestCli:
         endless = tmp_path / "endless.cfg"
         endless.write_text(cfg_file.read_text().replace("time.t_end = 0.1", "time.t_end = inf"))
         assert main(["run", str(endless)]) == 2
+        # an unusable --out is refused before anything is integrated or printed
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        for command in (["run", str(cfg_file)], ["twin", str(cfg_file), "--delta", "0"]):
+            for out in (occupied, occupied / "sub"):
+                capsys.readouterr()
+                assert main(command + ["--out", str(out)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("error: ")
         capsys.readouterr()

@@ -113,7 +113,7 @@ class TestDecayDiagnostics:
         c[0, 0, -1, 0] = 0.5j * c_amp
         c[2, 0, 1, 0] = 0.5 * c_amp
         c[2, 0, -1, 0] = 0.5 * c_amp
-        u = SpectralField(grid, c, solenoidal=True)
+        u = SpectralField(grid, c)
         params = PhysParams(nu=1.0, alpha=1.0, beta=beta)
         s0 = SolverState(t=0.0, u=u, params=params)
         s1 = SolverState(t=dt, u=u, params=params)
