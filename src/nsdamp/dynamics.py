@@ -22,8 +22,8 @@ The stepper holds the state as a flat vector of the ball's coefficients in
 the rfft half-spectrum layout (shape (3, n_ball), see _Ball) and moves to
 physical space with real-to-complex transforms; everything spectral works
 on those vectors only. Public arrays, snapshots, hooks and checkpoints stay
-full (3, N, N, N) coefficient arrays: run() expands the state only at the
-output cadence, and the expansion is Hermitian by construction.
+full (3, N, N, N) coefficient arrays: trajectory() expands the state only at
+the output cadence, and the expansion is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as _fft
@@ -58,6 +58,7 @@ __all__ = [
     "tendency",
     "pressure_field",
     "step",
+    "trajectory",
     "run",
     "SeparableTarget",
     "manufactured_forcing",
@@ -536,7 +537,7 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     )
 
 
-def run(
+def trajectory(
     initial: SpectralField,
     params: PhysParams,
     cfg: StepperConfig,
@@ -546,8 +547,8 @@ def run(
     output_every: float | None = None,
     hooks: Sequence[Callable[[SolverState, DuhamelTracker | None], None]] = (),
     forcing: Callable[[float], np.ndarray] | None = None,
-) -> list[SolverState]:
-    """Integrate from t_start to t_end, returning snapshots at the output cadence.
+) -> Iterator[SolverState]:
+    """Integrate from t_start to t_end, yielding snapshots at the output cadence.
 
     t_end - t_start and output_every must sit on the dt grid (validated), and
     snapshots are scheduled by step index, so reruns and restarts land on
@@ -555,6 +556,10 @@ def run(
     state and the Duhamel tracker (None when forcing is active, which makes
     the heat/f/g split meaningless). The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
+
+    Nothing runs until the first snapshot is requested, and only the
+    snapshot being yielded is held: a caller that keeps none integrates in
+    memory independent of the horizon and the cadence.
 
     Raises BlowupError on non-finite values or when the tracker's
     heat + f + g drifts from the state, and CFLError on a stability
@@ -608,7 +613,7 @@ def run(
             hook(snap, tracker)
         return snap
 
-    snapshots = [snapshot(0)]
+    yield snapshot(0)
     for i in range(1, n_steps + 1):
         v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, tracker)
         cum_visc += d_visc
@@ -616,8 +621,23 @@ def run(
         if not (np.isfinite(cum_visc) and np.isfinite(cum_damp)):
             raise BlowupError(f"non-finite values at t = {t_start + i * cfg.dt:g} (step {i})")
         if i % stride == 0 or i == n_steps:
-            snapshots.append(snapshot(i))
-    return snapshots
+            yield snapshot(i)
+
+
+def run(
+    initial: SpectralField,
+    params: PhysParams,
+    cfg: StepperConfig,
+    t_end: float,
+    *,
+    t_start: float = 0.0,
+    output_every: float | None = None,
+    hooks: Sequence[Callable[[SolverState, DuhamelTracker | None], None]] = (),
+    forcing: Callable[[float], np.ndarray] | None = None,
+) -> list[SolverState]:
+    """Every snapshot of trajectory() with these arguments, as a list."""
+    return list(trajectory(initial, params, cfg, t_end, t_start=t_start,
+                           output_every=output_every, hooks=hooks, forcing=forcing))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "SpacetimeReport",
     "SeriesRecorder",
     "CSV_COLUMNS",
-    "initial_energy_record",
     "record_energy",
     "trapezoid_energy_records",
     "check_energy_inequality",
@@ -83,33 +82,24 @@ class EnergyInequalityReport:
         )
 
 
-def initial_energy_record(state: SolverState) -> EnergyRecord:
-    """Open the ledger at this state; its budget total becomes the baseline."""
-    l2_sq = l2_norm(state.u) ** 2
-    baseline = l2_sq + state.cum_visc + state.cum_damp
-    return EnergyRecord(
-        t=state.t,
-        l2_sq=l2_sq,
-        cum_visc=state.cum_visc,
-        cum_damp=state.cum_damp,
-        residual=0.0,
-        baseline=baseline,
-    )
+def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> EnergyRecord:
+    """Extend the ledger by one snapshot, carrying the baseline forward.
 
-
-def record_energy(state: SolverState, prev: EnergyRecord) -> EnergyRecord:
-    """Extend the ledger by one snapshot, carrying the baseline forward."""
-    if state.t <= prev.t:
+    prev=None opens the ledger at this state: its budget total becomes the
+    baseline and the residual is zero.
+    """
+    if prev is not None and state.t <= prev.t:
         raise ValueError(f"non-monotone time: snapshot at t = {state.t!r} after t = {prev.t!r}")
     l2_sq = l2_norm(state.u) ** 2
-    residual = l2_sq + state.cum_visc + state.cum_damp - prev.baseline
+    total = l2_sq + state.cum_visc + state.cum_damp
+    baseline = total if prev is None else prev.baseline
     return EnergyRecord(
         t=state.t,
         l2_sq=l2_sq,
         cum_visc=state.cum_visc,
         cum_damp=state.cum_damp,
-        residual=residual,
-        baseline=prev.baseline,
+        residual=total - baseline,
+        baseline=baseline,
     )
 
 
@@ -137,7 +127,7 @@ def trapezoid_energy_records(states: Sequence[SolverState]) -> list[EnergyRecord
         else:
             damp_rates.append(0.0)
 
-    records = [initial_energy_record(states[0])]
+    records = [record_energy(states[0])]
     cum_visc = records[0].cum_visc
     cum_damp = records[0].cum_damp
     baseline = records[0].baseline
@@ -379,12 +369,9 @@ class SeriesRecorder:
         self.decay: list[DecayDiagnostics] = []
 
     def __call__(self, snap: SolverState, tracker: DuhamelTracker | None) -> None:
-        if not self.energy:
-            self.energy.append(initial_energy_record(snap))
-            self.decay.append(decay_snapshot(snap, None, tracker))
-        else:
-            self.energy.append(record_energy(snap, self.energy[-1]))
-            self.decay.append(decay_snapshot(snap, self.decay[-1], tracker))
+        energy, decay = (self.energy[-1], self.decay[-1]) if self.energy else (None, None)
+        self.energy.append(record_energy(snap, energy))
+        self.decay.append(decay_snapshot(snap, decay, tracker))
 
 
 CSV_COLUMNS = (

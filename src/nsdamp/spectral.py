@@ -340,7 +340,7 @@ def _weighted_sum(power: np.ndarray, weight: np.ndarray | None = None) -> float:
     """sum_m weight(m) power(m) (the plain sum when weight is None), any mode layout."""
     if weight is None:
         return float(power.sum())
-    return float(np.dot(weight.ravel(), power.ravel()))
+    return float((weight * power).sum())
 
 
 def _sobolev_weight(k_sq: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
@@ -377,7 +377,8 @@ def l2_norm(f: SpectralField) -> float:
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
     """Real L2 inner product <f, g> = L^3 Re sum conj(c_f) c_g."""
     f._check_same_grid(g)
-    return float(f.grid.volume * np.real(np.vdot(f.coeffs, g.coeffs)))
+    a, b = f.coeffs, g.coeffs
+    return float(f.grid.volume * (a.real * b.real + a.imag * b.imag).sum())
 
 
 def grad_norm_sq(f: SpectralField) -> float:

@@ -1,11 +1,19 @@
 """Experiment drivers and the command-line harness."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nsdamp import experiments
 from nsdamp.checkpoint import write_checkpoint
 from nsdamp.cli import main
-from nsdamp.config import ConfigError, config_from_mapping
+from nsdamp.config import ConfigError, canonical_text, config_from_mapping
 from nsdamp.dynamics import SolverState, StepperConfig, run
 from nsdamp.experiments import (
     build_initial,
@@ -17,9 +25,10 @@ from nsdamp.experiments import (
     twin_experiment,
 )
 from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
-from nsdamp.spectral import PhysParams, l2_norm, make_grid
+from nsdamp.spectral import PhysParams, grad_norm_sq, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cfg(**over):
@@ -106,6 +115,48 @@ class TestRunExperiment:
         assert "grid.n_modes = 8" in text  # canonical config echo
         assert "verdict: pass" in text
 
+    def test_unusable_out_dir_refused_before_integrating(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before checking out_dir")
+
+        monkeypatch.setattr(experiments, "run", refuse)
+        monkeypatch.setattr(experiments, "trajectory", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(OSError):
+            run_experiment(_cfg(), out_dir=str(blocker))
+        decay_cfg = _cfg(**{"grid.box_length": 8.0 * np.pi, "phys.beta": 10.0 / 3.0})
+        with pytest.raises(OSError):
+            decay_experiment(decay_cfg, out_dir=str(blocker))
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # every norm is a fixed-order reduction, so no BLAS thread count
+        # reaches the last bit of series.csv
+        cfg = _cfg(
+            **{
+                "grid.n_modes": 32,
+                "grid.box_length": 8.0 * np.pi,
+                "phys.beta": 10.0 / 3.0,
+                "time.dt": 0.02,
+                "time.t_end": 0.1,
+                "time.output_every": 0.02,
+                "ic.kind": "random-solenoidal",
+            }
+        )
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(canonical_text(cfg))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "nsdamp.cli", "run", str(cfg_path), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("series.csv", "final.ckpt")])
+        assert digests[0] == digests[1]
+
 
 class TestTwin:
     def test_zero_delta_bitwise(self):
@@ -121,6 +172,28 @@ class TestTwin:
         assert 0.0 < rep.margin_max <= 1.0
         assert rep.ratio_max <= 1.05
         assert rep.times.size == 11
+
+    def test_streamed_pairs_match_two_run_lists(self):
+        # 101 samples: several whole blocks and a partial last one
+        cfg = _cfg(**{"time.output_every": 2e-3})
+        rep = twin_experiment(cfg, 1e-3)
+        u0, _ = build_initial(cfg)
+        pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
+        base, twin = (
+            run(u, cfg.phys(), cfg.stepper(), cfg.t_end, output_every=cfg.output_every)
+            for u in (u0, u0 + pert * 1e-3)
+        )
+        times = np.array([s.t for s in base])
+        w_l2 = np.array([l2_norm(b.u - tw.u) for b, tw in zip(base, twin)])
+        w_grad = np.array([grad_norm_sq(b.u - tw.u) for b, tw in zip(base, twin)])
+        cum_grad = np.concatenate(
+            [[0.0], np.cumsum(0.5 * np.diff(times) * (w_grad[:-1] + w_grad[1:]))]
+        )
+        lhs = w_l2**2 + 2.0 * cum_grad
+        rhs = 1.1 * w_l2[0] ** 2 * np.exp(2.0 * rep.constant * (times - times[0]))
+        assert times.size == 101
+        for got, want in ((rep.times, times), (rep.lhs, lhs), (rep.rhs, rhs)):
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -191,6 +264,49 @@ class TestDecay:
         assert not rep.passed
         assert (tmp_path / "d" / "series.csv").exists()
         assert (tmp_path / "d" / "report.txt").exists()
+
+
+class TestMemory:
+    """The twin, continuity and decay drivers keep only what they certify."""
+
+    @staticmethod
+    def _cfg(steps: int):
+        return _cfg(
+            **{
+                "grid.n_modes": 16,
+                "grid.box_length": 8.0 * np.pi,
+                "phys.beta": 10.0 / 3.0,
+                "time.dt": 0.02,
+                "time.t_end": steps * 0.02,
+                "time.output_every": 0.02,
+                "ic.kind": "random-solenoidal",
+            }
+        )
+
+    @staticmethod
+    def _peak(driver) -> int:
+        tracemalloc.start()
+        try:
+            driver()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", ["decay", "twin", "continuity"])
+    def test_peak_does_not_grow_with_snapshot_count(self, name):
+        def driver(steps: int) -> None:
+            # steps + 1 snapshots; the continuity ladder's t0 + eps is the last
+            cfg, t0 = self._cfg(steps), steps // 2 + 1
+            if name == "decay":
+                decay_experiment(cfg)
+            elif name == "twin":
+                twin_experiment(cfg, 1e-3)
+            else:
+                continuity_experiment(cfg, [(steps - t0) * 0.02], t0=t0 * 0.02)
+
+        driver(24)  # warm the per-grid caches outside the measurement
+        peak_small, peak_large = self._peak(lambda: driver(24)), self._peak(lambda: driver(199))
+        assert peak_large <= 1.5 * peak_small, (peak_small, peak_large)
 
 
 class TestRefinement:

@@ -10,7 +10,6 @@ from nsdamp.ledger import (
     SeriesRecorder,
     check_energy_inequality,
     decay_snapshot,
-    initial_energy_record,
     lbeta_spacetime_report,
     record_energy,
     trapezoid_energy_records,
@@ -87,14 +86,14 @@ class TestEnergyLedger:
 
     def test_non_monotone_time_rejected(self):
         snaps, _ = _short_run(t_end=0.04)
-        first = initial_energy_record(snaps[0])
+        first = record_energy(snaps[0])
         with pytest.raises(ValueError, match="non-monotone"):
             record_energy(snaps[0], first)
 
     def test_restart_baseline_resets(self):
         snaps, _ = _short_run(t_end=0.04)
         later = snaps[-1]
-        rec = initial_energy_record(later)
+        rec = record_energy(later)
         assert rec.residual == 0.0
         assert rec.baseline == pytest.approx(
             later.cum_visc + later.cum_damp + l2_norm(later.u) ** 2
