@@ -21,8 +21,9 @@ which keeps the discrete energy ledger accurate to the scheme's own order.
 The stepper holds the state as a flat vector of the ball's coefficients in
 the rfft half-spectrum layout (shape (3, n_ball), see _Ball) and moves to
 physical space with real-to-complex transforms; everything spectral works
-on those vectors only. Public arrays, snapshots, hooks and checkpoints stay
-full (3, N, N, N) coefficient arrays: trajectory() expands the state only at
+on those vectors only, and its transforms skip every FFT line that holds
+no ball entry. Public arrays, snapshots, hooks and checkpoints stay full
+(3, N, N, N) coefficient arrays: trajectory() expands the state only at
 the output cadence, and the expansion is Hermitian by construction.
 """
 
@@ -126,19 +127,26 @@ class StepperConfig:
 
 
 class _Ball:
-    """The cutoff ball of one grid as flat indices into its rfft half spectrum.
+    """The cutoff ball of one grid as entries of its rfft half spectrum.
 
-    Entry j of a ball vector (shape (3, n_ball)) is the coefficient at flat
-    position index[j] of a (3, N, N, N/2+1) rfft array: every ball mode with
-    m3 > 0, and in the m3 = 0 plane one mode of each conjugate pair (m1 > 0,
-    or m1 = 0 and m2 >= 0, so m = 0 is entry 0). The other half of the
-    spectrum is the complex conjugate, written out by scatter() and
-    expand(), so every array built from a ball vector is Hermitian by
-    construction. The cutoff keeps |m3| <= N/3, so the Nyquist plane
-    m3 = N/2 holds no entry. Parseval weights are 2 for every entry (it
-    stands for itself and its conjugate) and 1 for m = 0.
+    Entry j of a ball vector (shape (3, n_ball)) is the coefficient at mode
+    full_index[j] of the (N, N, N) cube: every ball mode with m3 > 0, and in
+    the m3 = 0 plane one mode of each conjugate pair (m1 > 0, or m1 = 0 and
+    m2 >= 0, so m = 0 is entry 0). The other half of the spectrum is the
+    complex conjugate, written out by expand() and to_physical(), so every
+    array built from a ball vector is Hermitian by construction. The cutoff
+    keeps |m3| <= N/3, so the Nyquist plane m3 = N/2 holds no entry. Parseval
+    weights are 2 for every entry (it stands for itself and its conjugate)
+    and 1 for m = 0.
 
-    All arrays are read-only; nothing here is scratch space, so threads may
+    to_physical() and from_physical() visit only the planes m3 <= top, the
+    x_lines (m2, m3) along x and the y_lines (m1, m3) along y that hold an
+    entry, each pass in the order of scipy's irfftn and rfftn. So they equal
+    the full transforms: bitwise, except that at N not a power of two the
+    forward's per-pass 1/N factors round differently from one 1/N^3 (about
+    4e-16 of the largest coefficient).
+
+    Every array is read-only; nothing here is scratch space, so threads may
     share one instance.
     """
 
@@ -146,27 +154,36 @@ class _Ball:
         n = grid.n_modes
         half = n // 2 + 1
         self.grid = grid
-        self.rfft_shape = (3, n, n, half)
         m = grid.mode_numbers
         mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
         kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
-        self.index = np.flatnonzero(kept)
-        ix, iy, iz = np.unravel_index(self.index, (n, n, half))
+        ix, iy, iz = np.unravel_index(np.flatnonzero(kept), (n, n, half))
         self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
         conj = ((-ix) % n, (-iy) % n, (-iz) % n)
         self.conj_full_index = np.ravel_multi_index(conj, (n, n, n))[1:]
-        self.plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
-        self.conj_plane_index = np.ravel_multi_index(
-            (conj[0][self.plane], conj[1][self.plane], 0), (n, n, half)
-        )
         self.k = grid.wavenumbers[:, ix, iy, iz]
         self.k_sq = grid.k_sq[ix, iy, iz]
         self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
-        self.weight = np.full(self.index.size, 2.0)
+        self.weight = np.full(ix.size, 2.0)
         self.weight[0] = 1.0
-        for arr in (self.index, self.full_index, self.conj_full_index, self.plane,
-                    self.conj_plane_index, self.k, self.k_sq, self.k_sq_safe, self.weight):
-            arr.flags.writeable = False
+        self.top = int(iz.max())
+        planes = self.top + 1
+        self.plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
+        # inverse: the x_lines hold every entry and m3 = 0 mirror; slot = m1 * len(x_lines) + line
+        mirror_x, mirror_y = conj[0][self.plane], conj[1][self.plane]
+        key = np.concatenate([iy * planes + iz, mirror_y * planes])
+        lines, line = np.unique(key, return_inverse=True)
+        self.x_lines = np.array(np.divmod(lines, planes))
+        self.x_slot = ix * lines.size + line[: ix.size]
+        self.x_mirror_slot = mirror_x * lines.size + line[ix.size:]
+        # forward: the y_lines hold every entry; slot = line * N + m2
+        lines, line = np.unique(ix * planes + iz, return_inverse=True)
+        self.y_lines = np.array(np.divmod(lines, planes))
+        self.y_slot = line * n + iy
+
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """Ball vector of a full (3, N, N, N) coefficient array (restriction to the ball)."""
@@ -181,12 +198,29 @@ class _Ball:
         out[..., self.conj_full_index] = np.conj(v[..., 1:])
         return out.reshape(lead + (n, n, n))
 
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        """rfft half spectrum (3, N, N, N/2+1) of a ball vector, ready for irfftn."""
-        out = np.zeros((3, int(np.prod(self.rfft_shape[1:]))), dtype=np.complex128)
-        out[:, self.index] = v
-        out[:, self.conj_plane_index] = np.conj(v[:, self.plane])
-        return out.reshape(self.rfft_shape)
+    def to_physical(self, v: np.ndarray) -> np.ndarray:
+        """Grid values (3, N, N, N) of a ball vector: ifft on x_lines and y, irfft on z."""
+        n = self.grid.n_modes
+        lines = np.zeros((3, n * self.x_lines.shape[1]), dtype=np.complex128)
+        lines[:, self.x_slot] = v
+        lines[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
+        lines = _fft.ifft(lines.reshape(3, n, -1), axis=1, norm="forward", overwrite_x=True)
+        spec = np.zeros((3, n, n, self.top + 1), dtype=np.complex128)
+        spec[:, :, self.x_lines[0], self.x_lines[1]] = lines
+        spec = _fft.ifft(spec, axis=2, norm="forward", overwrite_x=True)
+        return _fft.irfft(spec, n=n, axis=3, norm="forward", overwrite_x=True)
+
+    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
+        """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time."""
+        out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
+        for g in range(0, len(blocks), 3):
+            spec = _fft.rfft(blocks[g : g + 3], axis=3, norm="forward")[..., : self.top + 1]
+            spec = _fft.fft(spec, axis=1, norm="forward", overwrite_x=True)
+            lines = spec.transpose(0, 1, 3, 2)[:, self.y_lines[0], self.y_lines[1]]
+            del spec  # two alive at once made the heap top trim and fault back in at each stage
+            lines = _fft.fft(lines, axis=2, norm="forward", overwrite_x=True)
+            np.take(lines.reshape(len(lines), -1), self.y_slot, axis=1, out=out[g : g + 3])
+        return out
 
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
         """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""
@@ -226,9 +260,10 @@ _BLOCKS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 class _Kernel:
     """J div(u x u) and alpha J |u|^(beta-1) u of ball vectors, plus ledger rates.
 
-    One inverse real-to-complex transform of the state, the products on the
-    full physical grid, one forward transform of all product blocks, then
-    the divergence on the ball entries. Nothing is projected: _project_terms
+    One pruned inverse transform of the state (_Ball.to_physical), the
+    products on the full physical grid, the pruned forward transform of the
+    product blocks (_Ball.from_physical, three blocks at a time), then the
+    divergence on the ball entries. Nothing is projected: _project_terms
     does that for the stepper and the operators, and pressure_field takes
     the gradient part instead. advect=False skips the advection term.
 
@@ -250,8 +285,7 @@ class _Kernel:
     def __call__(self, v: np.ndarray) -> _NLTerms:
         ball, params, pairs, blocks = self.ball, self.params, self.pairs, self.blocks
         grid = ball.grid
-        n = grid.n_modes
-        u = _fft.irfftn(ball.scatter(v), s=(n, n, n), axes=(1, 2, 3), norm="forward")
+        u = ball.to_physical(v)
         mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
         linf = float(np.sqrt(float(mag_sq.max())))
 
@@ -266,8 +300,7 @@ class _Kernel:
             for i in range(3):
                 np.multiply(weight, u[i], out=blocks[len(pairs) + i])
 
-        hats = _fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
-        hats = np.take(hats.reshape(len(blocks), -1), ball.index, axis=1)
+        hats = ball.from_physical(blocks)
         adv = None
         if pairs:
             k = ball.k

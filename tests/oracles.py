@@ -6,9 +6,14 @@ FFT machinery. ``linear_quadratic_convolution`` instead forms the exact
 (non-wrapping) product, so comparing against it detects aliasing. Quadratic
 cost in the mode count: only usable on tiny grids, which is the point — an
 independent oracle for the pseudo-spectral path.
+
+``full_inverse`` and ``full_forward`` are the unpruned transforms of the
+stepper's ball vectors: whole-spectrum ``irfftn`` and ``rfftn``, which the
+pruned ``_Ball`` transforms must reproduce.
 """
 
 import numpy as np
+import scipy.fft
 
 
 def _support(coeffs):
@@ -129,3 +134,28 @@ def direct_pressure(u, alpha):
     p_hat = -div / k_sq
     p_hat[0, 0, 0] = 0.0
     return p_hat
+
+
+def scatter(ball, v):
+    """rfft half spectrum (3, N, N, N/2+1) of a ball vector: its entries and their m3 = 0 mirrors."""
+    n = ball.grid.n_modes
+    ix, iy, iz = np.unravel_index(ball.full_index, (n, n, n))
+    plane = np.flatnonzero(iz == 0)[1:]  # m = 0 is its own mirror
+    out = np.zeros((3, n, n, n // 2 + 1), dtype=np.complex128)
+    out[:, ix, iy, iz] = v
+    out[:, (-ix[plane]) % n, (-iy[plane]) % n, 0] = np.conj(v[:, plane])
+    return out
+
+
+def full_inverse(ball, v):
+    """irfftn of the whole half spectrum of a ball vector."""
+    n = ball.grid.n_modes
+    return scipy.fft.irfftn(scatter(ball, v), s=(n, n, n), axes=(1, 2, 3), norm="forward")
+
+
+def full_forward(ball, blocks):
+    """rfftn of real blocks (k, N, N, N) over the whole half spectrum, gathered at the ball entries."""
+    n = ball.grid.n_modes
+    index = np.ravel_multi_index(np.unravel_index(ball.full_index, (n, n, n)), (n, n, n // 2 + 1))
+    hats = scipy.fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
+    return np.take(hats.reshape(len(blocks), -1), index, axis=1)

@@ -11,6 +11,8 @@ from oracles import (
     cubic_damping_hat,
     direct_advection,
     direct_pressure,
+    full_forward,
+    full_inverse,
     linear_advection,
     project_hat,
 )
@@ -27,6 +29,7 @@ from nsdamp.dynamics import (
     run,
     step,
     tendency,
+    _ball,
 )
 from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
 from nsdamp.spectral import (
@@ -93,6 +96,47 @@ class TestAliasing:
         want = linear_advection(u)
         got = advection(u).coeffs
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestBallTransforms:
+    """The pruned transforms of the stepper's ball against whole-spectrum irfftn and rfftn."""
+
+    @staticmethod
+    def check_against_full_transforms(grid, seed, n_blocks):
+        ball = _ball(grid)
+        rng = np.random.default_rng(seed)
+        shape = (3, ball.k_sq.size)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v[:, 0] = v[:, 0].real
+        assert np.array_equal(ball.to_physical(v), full_inverse(ball, v))
+        blocks = rng.standard_normal((n_blocks,) + grid.shape[1:])
+        got, ref = ball.from_physical(blocks), full_forward(ball, blocks)
+        n = grid.n_modes
+        if n & (n - 1) == 0:  # per-pass 1/N factors are exact powers of two
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        n=st.sampled_from([4, 6, 8, 10, 12, 16, 24, 32]),
+        length=st.floats(0.5, 30.0),
+        fraction=st.floats(0.25, 2.0 / 3.0, exclude_min=True),
+        seed=st.integers(0, 2**31 - 1),
+        n_blocks=st.sampled_from([3, 6, 9]),
+    )
+    def test_pruned_transforms_equal_full_ones(self, n, length, fraction, seed, n_blocks):
+        self.check_against_full_transforms(make_grid(n, length, fraction), seed, n_blocks)
+
+    def test_pruned_transforms_equal_full_ones_at_n64(self):
+        self.check_against_full_transforms(make_grid(64, TWO_PI), seed=64, n_blocks=9)
+
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_ball_tables_are_read_only(self, n):
+        # threads share one _Ball through the cache, so no table may be scratch space
+        arrays = [a for a in vars(_ball(make_grid(n, TWO_PI))).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 10
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestOracleStep:
