@@ -193,6 +193,8 @@ def canonical_text(cfg: ExperimentConfig) -> str:
 
 def validate_for_experiment(cfg: ExperimentConfig, experiment: str) -> None:
     """Checks that only matter for a particular experiment driver."""
+    if experiment in ("twin", "continuity", "decay") and not cfg.alpha > 0.0:
+        raise ConfigError(f"{experiment} requires alpha > 0")
     if experiment in ("twin", "continuity") and not cfg.beta > 3.0:
         raise ConfigError("uniqueness requires beta > 3")
     if experiment == "decay":

@@ -53,7 +53,7 @@ __all__ = [
     "StepperConfig",
     "CFLError",
     "BlowupError",
-    "DuhamelTracker",
+    "DuhamelNorms",
     "advection",
     "damping",
     "tendency",
@@ -86,6 +86,15 @@ class BlowupError(RuntimeError):
     """Non-finite values appeared during time stepping."""
 
 
+class DuhamelNorms(NamedTuple):
+    """Norms of the split u(t) = e^(t Lap) u0 + f(t) + g(t) at one snapshot."""
+
+    heat_l2: float  # ||e^(t Lap) u0||_L2
+    f_hminus2: float  # ||f||_{H^-2}, f the advection part of the correction
+    g_hminus2: float  # ||g||_{H^-2}, g the damping part
+    drift: float  # relative L2 gap between heat + f + g and the state
+
+
 @dataclass
 class SolverState:
     """Solution snapshot: time, field, parameters, and the running dissipation integrals.
@@ -93,7 +102,8 @@ class SolverState:
     cum_visc = 2 nu int_0^t ||grad u||^2 ds and
     cum_damp = 2 alpha int_0^t int |u|^(beta+1) dx ds,
     both integrated with the stepper's own RK4 quadrature from the start of
-    the run this state belongs to.
+    the run this state belongs to. duhamel is None under forcing and for
+    states that trajectory() did not produce.
     """
 
     t: float
@@ -102,6 +112,7 @@ class SolverState:
     step_count: int = 0
     cum_visc: float = 0.0
     cum_damp: float = 0.0
+    duhamel: DuhamelNorms | None = None
 
     @property
     def grid(self) -> GridSpec:
@@ -337,11 +348,12 @@ def _project_terms(ball: _Ball, terms: _NLTerms) -> np.ndarray:
 def advection(u: SpectralField) -> SpectralField:
     """Truncated, projected advection term P J div(u x u).
 
-    The input is first restricted to the ball (its Hermitian part on the
-    retained modes, as the stepper holds it), a no-op for fields of the
-    state space. The tensor u x u is formed pointwise on the collocation
-    grid, transformed, differentiated in coefficient space, sharply
-    truncated, and projected. For solenoidal u this equals P J (u . grad u).
+    Only the ball's half-spectrum entries of u are read (see _Ball); the
+    other half is taken as their conjugates and every other coefficient is
+    ignored, a no-op for fields of the state space. The tensor u x u is
+    formed pointwise on the collocation grid, transformed, differentiated
+    in coefficient space, sharply truncated, and projected. For solenoidal
+    u this equals P J (u . grad u).
     """
     ball = _ball(u.grid)
     params = PhysParams(nu=1.0, alpha=0.0, beta=2.0)  # alpha=0: damping skipped
@@ -353,13 +365,12 @@ def advection(u: SpectralField) -> SpectralField:
 def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
     """Truncated, projected damping force alpha |u|^(beta-1) u, mean mode removed.
 
-    The input is first restricted to the ball (its Hermitian part on the
-    retained modes, as the stepper holds it), a no-op for fields of the
-    state space. The force is evaluated pointwise in physical space, then
-    truncated and projected, and its m = 0 coefficient is dropped (the
-    stepper's frame choice). Its inner product with a zero-mean u equals
-    alpha times the collocation quadrature of |u|^(beta+1), hence is
-    nonnegative: the term only dissipates.
+    Only the ball's half-spectrum entries of u are read, as in advection.
+    The force is evaluated pointwise in physical space, then truncated and
+    projected, and its m = 0 coefficient is dropped (the stepper's frame
+    choice). Its inner product with a zero-mean u equals alpha times the
+    collocation quadrature of |u|^(beta+1), hence is nonnegative: the term
+    only dissipates.
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
@@ -377,9 +388,8 @@ def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
 def tendency(state: SolverState) -> SpectralField:
     """Full right-hand side -advection - damping - nu |xi|^2 u.
 
-    The field is first restricted to the ball (its Hermitian part on the
-    retained modes, as the stepper holds it), a no-op for fields of the
-    state space. The damping force enters with its mean mode removed (frame
+    Only the ball's half-spectrum entries of the field are read, as in
+    advection. The damping force enters with its mean mode removed (frame
     choice). The stepper never uses this assembled form: it treats the
     viscous part exactly through the integrating factor and discretizes
     only the rest.
@@ -394,12 +404,11 @@ def tendency(state: SolverState) -> SpectralField:
 def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
     """Pressure coefficients (N, N, N) recovered from the truncated nonlinear terms.
 
-    The input is first restricted to the ball (its Hermitian part on the
-    retained modes), as advection and damping do, a no-op for fields of the
-    state space. Then p = -(-Laplacian)^(-1) div(J div(u x u) + alpha J
-    |u|^(beta-1) u), zero mean: grad p is exactly the non-solenoidal part of
-    the truncated terms, so grad p + P(terms) = terms mode by mode. The same
-    kernel evaluation feeds the stepper; here its terms are not projected.
+    Only the ball's half-spectrum entries of u are read, as in advection.
+    Then p = -(-Laplacian)^(-1) div(J div(u x u) + alpha J |u|^(beta-1) u),
+    zero mean: grad p is exactly the non-solenoidal part of the truncated
+    terms, so grad p + P(terms) = terms mode by mode. The same kernel
+    evaluation feeds the stepper; here its terms are not projected.
     """
     ball = _ball(u.grid)
     terms = _Kernel(ball, params)(ball.gather(u.coeffs))
@@ -425,25 +434,24 @@ def _combine(x, stages, e_half, e_full, dt: float):
     return e_full * x + (dt / 6.0) * (e_full * s1 + 2.0 * e_half * (s2 + s3) + s4)
 
 
-class DuhamelTracker:
-    """Running decomposition u(t) = e^(t Lap) v0 + f(t) + g(t).
+class _Duhamel:
+    """Running decomposition u(t) = e^(t Lap) u0 + f(t) + g(t) of the stepper's state.
 
-    heat is the exact viscous semigroup applied to the initial field; f and g
-    accumulate the advection and damping contributions with the same
-    integrating-factor RK4 stage combination the solution itself uses, so
-    heat + f + g rebuilds the state to roundoff at every step. All three are
-    ball vectors in the stepper's rfft layout; the initial field is first
-    restricted to the ball. advance() takes the kernel terms of the four
-    stages, whose projected forces P J div(u x u) and P J alpha |u|^(beta-1) u
-    enter the state with a minus sign; their damp is None when alpha = 0.
+    heat is the exact viscous semigroup applied to the initial ball vector
+    v0; f and g accumulate the advection and damping contributions with the
+    same integrating-factor RK4 stage combination the state itself uses, so
+    heat + f + g rebuilds the state to roundoff at every step. advance()
+    takes the kernel terms of the four stages, whose projected forces
+    P J div(u x u) and P J alpha |u|^(beta-1) u enter the state with a minus
+    sign; their damp is None when alpha = 0.
     """
 
-    def __init__(self, initial: SpectralField):
-        self.grid = initial.grid
-        self._ball = _ball(initial.grid)
-        self.heat = self._ball.gather(initial.coeffs)
-        self.f = np.zeros_like(self.heat)
-        self.g = np.zeros_like(self.heat)
+    def __init__(self, ball: _Ball, v0: np.ndarray):
+        self.ball = ball
+        self.hminus2 = _sobolev_weight(ball.k_sq, -2.0, homogeneous=False)
+        self.heat = v0
+        self.f = np.zeros_like(v0)
+        self.g = np.zeros_like(v0)
 
     def advance(
         self, e_half: np.ndarray, e_full: np.ndarray, dt: float, stages: Sequence[_NLTerms]
@@ -454,22 +462,17 @@ class DuhamelTracker:
         if stages[0].damp is not None:
             self.g = _combine(self.g, [n.damp for n in stages], e_half, e_full, -dt)
 
-    def norms(self) -> tuple[float, float, float]:
-        """(||heat||_L2, ||f||_{H^-2}, ||g||_{H^-2})."""
-        ball, volume = self._ball, self.grid.volume
-        weight = _sobolev_weight(ball.k_sq, -2.0, homogeneous=False)
-        heat_l2 = float(np.sqrt(volume * ball.norm_sq(self.heat)))
-        f_h = float(np.sqrt(volume * ball.norm_sq(self.f, weight)))
-        g_h = float(np.sqrt(volume * ball.norm_sq(self.g, weight)))
-        return heat_l2, f_h, g_h
-
-    def reconstruction_error(self, u: SpectralField) -> float:
-        """Relative L2 gap between heat + f + g and the actual state (restricted to the ball)."""
-        ball = self._ball
-        target = ball.gather(u.coeffs)
-        gap = float(np.sqrt(ball.norm_sq(self.heat + self.f + self.g - target)))
-        denom = float(np.sqrt(ball.norm_sq(target)))
-        return gap if denom == 0.0 else gap / denom
+    def norms(self, v: np.ndarray) -> DuhamelNorms:
+        """The split's norms, with its drift from the state's ball vector v."""
+        ball, volume = self.ball, self.ball.grid.volume
+        gap = float(np.sqrt(ball.norm_sq(self.heat + self.f + self.g - v)))
+        denom = float(np.sqrt(ball.norm_sq(v)))
+        return DuhamelNorms(
+            heat_l2=float(np.sqrt(volume * ball.norm_sq(self.heat))),
+            f_hminus2=float(np.sqrt(volume * ball.norm_sq(self.f, self.hminus2))),
+            g_hminus2=float(np.sqrt(volume * ball.norm_sq(self.g, self.hminus2))),
+            drift=gap if denom == 0.0 else gap / denom,
+        )
 
 
 class _Stepper:
@@ -514,7 +517,7 @@ class _Stepper:
         return total, terms
 
     def advance(
-        self, v: np.ndarray, t: float, tracker: DuhamelTracker | None = None
+        self, v: np.ndarray, t: float, duhamel: _Duhamel | None = None
     ) -> tuple[np.ndarray, float, float]:
         """One step from ball vector v at time t: (new v, visc increment, damp increment)."""
         dt = self.cfg.dt
@@ -537,8 +540,8 @@ class _Stepper:
         vnew[:, 0] = 0.0
 
         stages = (n1, n2, n3, n4)
-        if tracker is not None:
-            tracker.advance(eh, ef, dt, stages)
+        if duhamel is not None:
+            duhamel.advance(eh, ef, dt, stages)
 
         # The stage evaluations already carry the dissipation rates at the
         # stage states, so the augmented RK4 quadrature is free.
@@ -550,11 +553,10 @@ class _Stepper:
 def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     """Advance one step of integrating-factor RK4.
 
-    The state is first restricted to the ball (its Hermitian part on the
-    retained modes), a no-op for fields of the state space. The viscous
-    factor is exact; truncation and projection are applied inside every
-    substage evaluation and once more to the combined output. Raises
-    CFLError when dt exceeds 0.9 / max(|u|_inf R,
+    Only the ball's half-spectrum entries of the state are read, as in
+    advection. The viscous factor is exact; truncation and projection are
+    applied inside every substage evaluation and once more to the combined
+    output. Raises CFLError when dt exceeds 0.9 / max(|u|_inf R,
     alpha |u|_inf^(beta-1), 1e-30).
     """
     stepper = _Stepper(state.grid, state.params, cfg)
@@ -578,23 +580,23 @@ def trajectory(
     *,
     t_start: float = 0.0,
     output_every: float | None = None,
-    hooks: Sequence[Callable[[SolverState, DuhamelTracker | None], None]] = (),
+    hooks: Sequence[Callable[[SolverState], None]] = (),
     forcing: Callable[[float], np.ndarray] | None = None,
 ) -> Iterator[SolverState]:
     """Integrate from t_start to t_end, yielding snapshots at the output cadence.
 
     t_end - t_start and output_every must sit on the dt grid (validated), and
     snapshots are scheduled by step index, so reruns and restarts land on
-    bitwise-identical times. Hooks are called at every snapshot with the
-    state and the Duhamel tracker (None when forcing is active, which makes
-    the heat/f/g split meaningless). The final state is always a snapshot.
+    bitwise-identical times. Hooks are called with each snapshot before it
+    is yielded; its duhamel is None when forcing is active, which makes the
+    heat/f/g split meaningless. The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
 
     Nothing runs until the first snapshot is requested, and only the
     snapshot being yielded is held: a caller that keeps none integrates in
     memory independent of the horizon and the cadence.
 
-    Raises BlowupError on non-finite values or when the tracker's
+    Raises BlowupError on non-finite values or when the split's
     heat + f + g drifts from the state, and CFLError on a stability
     violation; each carries a time in its message.
     """
@@ -623,32 +625,31 @@ def trajectory(
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
     ball = stepper.ball
     v = ball.gather(field0.coeffs)
-    tracker = DuhamelTracker(field0) if forcing is None else None
+    duhamel = _Duhamel(ball, v) if forcing is None else None
     cum_visc = cum_damp = 0.0
 
     def snapshot(i: int) -> SolverState:
+        t = t_start + i * cfg.dt  # exact grid time, no accumulation
+        norms = None if duhamel is None else duhamel.norms(v)
+        if norms is not None and norms.drift > _DUHAMEL_DRIFT_TOL:
+            raise BlowupError(f"Duhamel split drifted from the state ({norms.drift:.3e} relative) "
+                              f"at t = {t:g}")
         snap = SolverState(
-            t=t_start + i * cfg.dt,  # exact grid time, no accumulation
+            t=t,
             u=SpectralField(grid, ball.expand(v)),
             params=params,
             step_count=i,
             cum_visc=cum_visc,
             cum_damp=cum_damp,
+            duhamel=norms,
         )
-        if tracker is not None:
-            drift = tracker.reconstruction_error(snap.u)
-            if drift > _DUHAMEL_DRIFT_TOL:
-                raise BlowupError(
-                    f"Duhamel split drifted from the state ({drift:.3e} relative) "
-                    f"at t = {snap.t:g}"
-                )
         for hook in hooks:
-            hook(snap, tracker)
+            hook(snap)
         return snap
 
     yield snapshot(0)
     for i in range(1, n_steps + 1):
-        v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, tracker)
+        v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, duhamel)
         cum_visc += d_visc
         cum_damp += d_damp
         if not (np.isfinite(cum_visc) and np.isfinite(cum_damp)):
@@ -665,7 +666,7 @@ def run(
     *,
     t_start: float = 0.0,
     output_every: float | None = None,
-    hooks: Sequence[Callable[[SolverState, DuhamelTracker | None], None]] = (),
+    hooks: Sequence[Callable[[SolverState], None]] = (),
     forcing: Callable[[float], np.ndarray] | None = None,
 ) -> list[SolverState]:
     """Every snapshot of trajectory() with these arguments, as a list."""

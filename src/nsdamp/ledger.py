@@ -1,9 +1,9 @@
 """Energy-budget accounting, decay diagnostics, and the snapshot CSV.
 
 Everything here is a pure fold over solver snapshots: the stepper hands over
-immutable states (plus the optional heat/f/g tracker) and this module turns
-them into records, checks, and report rows.  The dissipation integrals in
-``EnergyRecord`` come straight from the accumulators the stepper integrates
+immutable states, each with the norms of its heat/f/g split, and this module
+turns them into records, checks, and report rows.  The dissipation integrals
+in ``EnergyRecord`` come straight from the accumulators the stepper integrates
 alongside the field (scheme-order accurate); ``trapezoid_energy_records``
 rebuilds them independently from the snapshots for cross-checking.
 """
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DuhamelTracker, SolverState
+from .dynamics import DuhamelNorms, SolverState
 from .spectral import (
     PhysParams,
     SpectralField,
@@ -211,16 +211,12 @@ def _pointwise_rates(u: SpectralField, beta: float) -> tuple[float, float, float
     return rate_e1, rate_e2, float(mag.max(initial=0.0)), embed_mass
 
 
-def decay_snapshot(
-    state: SolverState,
-    accum: DecayDiagnostics | None = None,
-    duhamel: DuhamelTracker | None = None,
-) -> DecayDiagnostics:
+def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) -> DecayDiagnostics:
     """Fold one snapshot into the decay diagnostics.
 
     Pass accum=None to open the series (cumulative integrals start at zero).
-    The heat/f/g norms come from the tracker when one is supplied and are NaN
-    otherwise, keeping the CSV shape fixed.
+    The heat/f/g norms come from state.duhamel and are NaN when it is None,
+    keeping the CSV shape fixed.
     """
     u = state.u
     grid = u.grid
@@ -247,10 +243,7 @@ def decay_snapshot(
         lbeta_e1 = accum.lbeta_E1 + half_dt * (accum.rate_e1 + rate_e1)
         lbeta_e2 = accum.lbeta_E2 + half_dt * (accum.rate_e2 + rate_e2)
 
-    if duhamel is not None:
-        heat_l2, f_h, g_h = duhamel.norms()
-    else:
-        heat_l2 = f_h = g_h = float("nan")
+    split = state.duhamel or DuhamelNorms(*[math.nan] * 4)
 
     return DecayDiagnostics(
         t=state.t,
@@ -259,9 +252,9 @@ def decay_snapshot(
         w2_l2=math.sqrt(norm_sq(~grid.low_shell_mask)),
         lbeta_E1=lbeta_e1,
         lbeta_E2=lbeta_e2,
-        heat_l2=heat_l2,
-        f_hminus2=f_h,
-        g_hminus2=g_h,
+        heat_l2=split.heat_l2,
+        f_hminus2=split.f_hminus2,
+        g_hminus2=split.g_hminus2,
         linf=linf,
         rate_e1=rate_e1,
         rate_e2=rate_e2,
@@ -368,10 +361,10 @@ class SeriesRecorder:
         self.energy: list[EnergyRecord] = []
         self.decay: list[DecayDiagnostics] = []
 
-    def __call__(self, snap: SolverState, tracker: DuhamelTracker | None) -> None:
+    def __call__(self, snap: SolverState) -> None:
         energy, decay = (self.energy[-1], self.decay[-1]) if self.energy else (None, None)
         self.energy.append(record_energy(snap, energy))
-        self.decay.append(decay_snapshot(snap, decay, tracker))
+        self.decay.append(decay_snapshot(snap, decay))
 
 
 CSV_COLUMNS = (

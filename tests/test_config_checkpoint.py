@@ -193,6 +193,12 @@ class TestValidation:
             _base_mapping(**{"grid.box_length": 8.0 * np.pi, "phys.beta": 10.0 / 3.0})
         )
         validate_for_experiment(big, "decay")  # no raise
+        undamped = config_from_mapping(
+            _base_mapping(**{"grid.box_length": 8.0 * np.pi, "phys.alpha": 0.0})
+        )
+        for experiment in ("twin", "continuity", "decay"):
+            with pytest.raises(ConfigError, match=f"{experiment} requires alpha > 0"):
+                validate_for_experiment(undamped, experiment)
 
 
 class TestCheckpoint:

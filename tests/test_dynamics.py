@@ -16,6 +16,7 @@ from oracles import (
     linear_advection,
     project_hat,
 )
+from nsdamp import dynamics
 from nsdamp.dynamics import (
     BlowupError,
     CFLError,
@@ -131,6 +132,26 @@ class TestBallTransforms:
     def test_pruned_transforms_equal_full_ones_at_n64(self):
         self.check_against_full_transforms(make_grid(64, TWO_PI), seed=64, n_blocks=9)
 
+    @pytest.mark.parametrize("op", ["advection", "damping", "tendency", "pressure_field", "step"])
+    def test_operators_read_only_the_half_spectrum_ball_entries(self, op):
+        # a non-Hermitian field with coefficients outside the ball gives the
+        # bits of the Hermitian ball field built from its half-spectrum entries
+        grid = make_grid(8, TWO_PI)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        rng = np.random.default_rng(8)
+        c = 0.1 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        ball = _ball(grid)
+        apply = {
+            "advection": lambda u: advection(u).coeffs,
+            "damping": lambda u: damping(u, params.alpha, params.beta).coeffs,
+            "tendency": lambda u: tendency(SolverState(t=0.0, u=u, params=params)).coeffs,
+            "pressure_field": lambda u: pressure_field(u, params),
+            "step": lambda u: step(SolverState(t=0.0, u=u, params=params), StepperConfig(dt=1e-3)).u.coeffs,
+        }[op]
+        u = SpectralField(grid, c)
+        assert hermitian_error(u) > 0.1
+        assert np.array_equal(apply(u), apply(SpectralField(grid, ball.expand(ball.gather(c)))))
+
     @pytest.mark.parametrize("n", [4, 6, 16])
     def test_ball_tables_are_read_only(self, n):
         # threads share one _Ball through the cache, so no table may be scratch space
@@ -185,7 +206,7 @@ class TestOracleStep:
             StepperConfig(dt=5e-3),
             0.02,
             output_every=5e-3,
-            hooks=(lambda snap, tracker: seen.append(snap),),
+            hooks=(seen.append,),
         )
         assert len(seen) == 5
         for snap in seen:
@@ -412,24 +433,18 @@ class TestDuhamel:
         # random field is the right probe
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=30, amplitude=2.0)
-        seen = []
-
-        def hook(snap, tracker):
-            seen.append((snap.t, tracker.norms(), tracker.reconstruction_error(snap.u)))
-
-        run(
+        snaps = run(
             u0,
             PhysParams(nu=1.0, alpha=1.0, beta=4.0),
             StepperConfig(dt=2e-3),
             0.3,
             output_every=0.1,
-            hooks=(hook,),
         )
-        t0, (heat0, f0, g0), drift0 = seen[0]
-        assert t0 == 0.0
+        heat0, f0, g0, drift0 = snaps[0].duhamel
+        assert snaps[0].t == 0.0
         assert heat0 == pytest.approx(l2_norm(u0), rel=1e-13)
         assert f0 == 0.0 and g0 == 0.0 and drift0 == 0.0
-        t1, (heat1, f1, g1), drift1 = seen[-1]
+        heat1, f1, g1, drift1 = snaps[-1].duhamel
         assert heat1 < heat0  # pure heat part decays
         assert f1 > 0.0 and g1 > 0.0
         assert drift1 <= 1e-6
@@ -439,22 +454,39 @@ class TestDuhamel:
         # of the split stays at roundoff while g accumulates the damping
         grid = make_grid(16, TWO_PI)
         u0 = shear_mode(grid)
-        captured = []
-
-        def hook(snap, tracker):
-            captured.append(tracker.norms())
-
-        run(
+        snaps = run(
             u0,
             PhysParams(nu=1.0, alpha=2.0, beta=3.0),
             StepperConfig(dt=2e-3),
             0.2,
             output_every=0.2,
-            hooks=(hook,),
         )
-        _, f_end, g_end = captured[-1]
+        _, f_end, g_end, _ = snaps[-1].duhamel
         assert f_end <= 1e-13
         assert g_end > 1e-4
+
+    def test_drift_guard_fires(self, monkeypatch):
+        # a split whose damping part never advances stops matching the state
+        advance = dynamics._Duhamel.advance
+
+        def frozen_g(self, *args):
+            g = self.g
+            advance(self, *args)
+            self.g = g
+
+        monkeypatch.setattr(dynamics._Duhamel, "advance", frozen_g)
+        u0 = random_solenoidal(make_grid(8, TWO_PI), seed=30, amplitude=2.0)
+        with pytest.raises(BlowupError, match=r"Duhamel split drifted .* at t = 0\.01$"):
+            run(u0, PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=2e-3), 0.1,
+                output_every=0.01)
+
+    def test_no_split_under_forcing(self):
+        grid = make_grid(8, TWO_PI)
+        params = PhysParams(nu=0.4, alpha=0.5, beta=5.0)
+        target = SeparableTarget(taylor_green(grid, amplitude=0.3), lambda t: 1.0, lambda t: 0.0, params)
+        snaps = run(target.field(0.0), params, StepperConfig(dt=1e-2), 0.02,
+                    forcing=manufactured_forcing(target, params))
+        assert all(s.duhamel is None for s in snaps)
 
 
 class TestManufactured:

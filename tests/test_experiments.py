@@ -129,6 +129,17 @@ class TestRunExperiment:
         with pytest.raises(OSError):
             decay_experiment(decay_cfg, out_dir=str(blocker))
 
+    def test_undamped_config_refused_before_integrating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before checking alpha")
+
+        monkeypatch.setattr(experiments, "trajectory", refuse)
+        cfg = _cfg(**{"grid.box_length": 8.0 * np.pi, "phys.alpha": 0.0})
+        with pytest.raises(ConfigError, match="continuity requires alpha > 0"):
+            continuity_experiment(cfg, [0.2], t0=0.5)
+        with pytest.raises(ConfigError, match="decay requires alpha > 0"):
+            decay_experiment(cfg)
+
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # every norm is a fixed-order reduction, so no BLAS thread count
         # reaches the last bit of series.csv

@@ -150,7 +150,7 @@ class TestDecayDiagnostics:
         first = rec.decay[0]
         assert first.heat_l2 == pytest.approx(np.sqrt(rec.energy[0].l2_sq), rel=1e-13)
         assert first.f_hminus2 == 0.0 and first.g_hminus2 == 0.0
-        # without a tracker the Duhamel columns are NaN placeholders
+        # a state that trajectory() did not produce carries no split: NaN placeholders
         grid = make_grid(8, TWO_PI)
         u = random_solenoidal(grid, seed=3)
         d = decay_snapshot(SolverState(t=0.0, u=u, params=PhysParams(1.0, 1.0, 4.0)))
