@@ -23,8 +23,9 @@ the rfft half-spectrum layout (shape (3, n_ball), see _Ball) and moves to
 physical space with real-to-complex transforms; everything spectral works
 on those vectors only, and its transforms skip every FFT line that holds
 no ball entry. Public arrays, snapshots, hooks and checkpoints stay full
-(3, N, N, N) coefficient arrays: trajectory() expands the state only at
-the output cadence, and the expansion is Hermitian by construction.
+(3, N, N, N) coefficient arrays: trajectory() starts from the initial
+field's ball entries and expands the state only at the output cadence,
+and the expansion is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .spectral import (
     _power,
     _sobolev_weight,
     _weighted_sum,
-    leray_project,
 )
 
 __all__ = [
@@ -76,6 +76,9 @@ _GRID_ALIGN_TOL = 1e-8
 
 #: Duhamel reconstruction drift that aborts a run (roundoff sits near 1e-13).
 _DUHAMEL_DRIFT_TOL = 1e-6
+
+#: relative tolerance of the initial field's Hermitian and solenoidal checks.
+_START_TOL = 1e-10
 
 
 class CFLError(RuntimeError):
@@ -175,6 +178,8 @@ class _Ball:
         self.k = grid.wavenumbers[:, ix, iy, iz]
         self.k_sq = grid.k_sq[ix, iy, iz]
         self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
+        self.hminus2 = _sobolev_weight(self.k_sq, -2.0, homogeneous=False)  # (1 + |xi|^2)^-2
+        self.low_shell = grid.low_shell_mask[ix, iy, iz]
         self.weight = np.full(ix.size, 2.0)
         self.weight[0] = 1.0
         self.top = int(iz.max())
@@ -448,7 +453,6 @@ class _Duhamel:
 
     def __init__(self, ball: _Ball, v0: np.ndarray):
         self.ball = ball
-        self.hminus2 = _sobolev_weight(ball.k_sq, -2.0, homogeneous=False)
         self.heat = v0
         self.f = np.zeros_like(v0)
         self.g = np.zeros_like(v0)
@@ -469,8 +473,8 @@ class _Duhamel:
         denom = float(np.sqrt(ball.norm_sq(v)))
         return DuhamelNorms(
             heat_l2=float(np.sqrt(volume * ball.norm_sq(self.heat))),
-            f_hminus2=float(np.sqrt(volume * ball.norm_sq(self.f, self.hminus2))),
-            g_hminus2=float(np.sqrt(volume * ball.norm_sq(self.g, self.hminus2))),
+            f_hminus2=float(np.sqrt(volume * ball.norm_sq(self.f, ball.hminus2))),
+            g_hminus2=float(np.sqrt(volume * ball.norm_sq(self.g, ball.hminus2))),
             drift=gap if denom == 0.0 else gap / denom,
         )
 
@@ -572,6 +576,35 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     )
 
 
+def _initial_vector(ball: _Ball, coeffs: np.ndarray) -> np.ndarray:
+    """The ball entries of an initial field, projected, with m = 0 zeroed.
+
+    Refused with SpectralField.validate's messages when any coefficient is
+    non-finite, or when the projected entries, relative to the largest of
+    them and of their projected conjugate partners, are not Hermitian or
+    not solenoidal. Support and zero mean hold by construction.
+    """
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("field contains non-finite coefficients")
+    v = ball.gather(coeffs)
+    ball.project(v)
+    v[:, 0] = 0.0
+    mirror = np.take(coeffs.reshape(3, -1), ball.conj_full_index, axis=1)
+    mirror -= _gradient_part(mirror, ball.k[:, 1:], ball.k_sq_safe[1:])  # P(-xi) = P(xi)
+    scale = max(float(np.abs(v).max()), float(np.abs(mirror).max(initial=0.0)))
+    if scale == 0.0:
+        return v
+    herm = float(np.abs(v[:, 1:] - np.conj(mirror)).max(initial=0.0)) / scale
+    if herm > _START_TOL:
+        raise ValueError(f"Hermitian symmetry violated: relative error {herm:.3e}")
+    div = ball.k[0] * v[0] + ball.k[1] * v[1] + ball.k[2] * v[2]
+    v_sq = ball.norm_sq(v)
+    err = math.sqrt(ball.norm_sq(div[np.newaxis]) / v_sq) / ball.grid.cutoff_radius if v_sq else 0.0
+    if err > _START_TOL:
+        raise ValueError(f"field is not solenoidal: xi.u error is {err:.3e}")
+    return v
+
+
 def trajectory(
     initial: SpectralField,
     params: PhysParams,
@@ -591,6 +624,9 @@ def trajectory(
     is yielded; its duhamel is None when forcing is active, which makes the
     heat/f/g split meaningless. The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
+    The initial field enters through its ball entries, projected; it is
+    refused with a ValueError when any of its coefficients is non-finite or
+    those entries are not Hermitian to 1e-10 (see _initial_vector).
 
     Nothing runs until the first snapshot is requested, and only the
     snapshot being yielded is held: a caller that keeps none integrates in
@@ -618,13 +654,9 @@ def trajectory(
             )
 
     grid = initial.grid
-    field0 = leray_project(SpectralField(grid, initial.coeffs * grid.ball_mask))
-    field0.coeffs[:, 0, 0, 0] = 0.0
-    field0.validate(tol=1e-10)
-
+    ball = _ball(grid)
+    v = _initial_vector(ball, initial.coeffs)
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
-    ball = stepper.ball
-    v = ball.gather(field0.coeffs)
     duhamel = _Duhamel(ball, v) if forcing is None else None
     cum_visc = cum_damp = 0.0
 

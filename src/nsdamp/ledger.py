@@ -6,6 +6,12 @@ turns them into records, checks, and report rows.  The dissipation integrals
 in ``EnergyRecord`` come straight from the accumulators the stepper integrates
 alongside the field (scheme-order accurate); ``trapezoid_energy_records``
 rebuilds them independently from the snapshots for cross-checking.
+
+The hooks ``record_energy`` and ``decay_snapshot`` read only a snapshot's
+half-spectrum ball entries, as the operators in ``dynamics`` do: weighted
+sums over the ball vector and its pruned inverse transform.
+``trapezoid_energy_records`` keeps to the full-cube norms of ``spectral``,
+so the cross-check does not take the ball path of the ledger it checks.
 """
 
 from __future__ import annotations
@@ -16,18 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DuhamelNorms, SolverState
-from .spectral import (
-    PhysParams,
-    SpectralField,
-    _power,
-    _sobolev_weight,
-    _speed_sq,
-    _weighted_sum,
-    grad_norm_sq,
-    l2_norm,
-    lp_norm_physical,
-)
+from .dynamics import DuhamelNorms, SolverState, _ball
+from .spectral import PhysParams, grad_norm_sq, l2_norm, lp_norm_physical
 
 __all__ = [
     "EnergyRecord",
@@ -90,7 +86,8 @@ def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> Energ
     """
     if prev is not None and state.t <= prev.t:
         raise ValueError(f"non-monotone time: snapshot at t = {state.t!r} after t = {prev.t!r}")
-    l2_sq = l2_norm(state.u) ** 2
+    ball = _ball(state.grid)
+    l2_sq = state.grid.volume * ball.norm_sq(ball.gather(state.u.coeffs))
     total = l2_sq + state.cum_visc + state.cum_damp
     baseline = total if prev is None else prev.baseline
     return EnergyRecord(
@@ -127,14 +124,15 @@ def trapezoid_energy_records(states: Sequence[SolverState]) -> list[EnergyRecord
         else:
             damp_rates.append(0.0)
 
-    records = [record_energy(states[0])]
-    cum_visc = records[0].cum_visc
-    cum_damp = records[0].cum_damp
-    baseline = records[0].baseline
-    for i in range(1, len(states)):
-        half_dt = 0.5 * (times[i] - times[i - 1])
-        cum_visc += half_dt * (visc_rates[i - 1] + visc_rates[i])
-        cum_damp += half_dt * (damp_rates[i - 1] + damp_rates[i])
+    # the opening row too reads the full-cube norms, not the ledger's record_energy
+    records = []
+    cum_visc, cum_damp = states[0].cum_visc, states[0].cum_damp
+    baseline = l2_norm(states[0].u) ** 2 + cum_visc + cum_damp
+    for i in range(len(states)):
+        if i:
+            half_dt = 0.5 * (times[i] - times[i - 1])
+            cum_visc += half_dt * (visc_rates[i - 1] + visc_rates[i])
+            cum_damp += half_dt * (damp_rates[i - 1] + damp_rates[i])
         l2_sq = l2_norm(states[i].u) ** 2
         records.append(
             EnergyRecord(
@@ -199,10 +197,9 @@ class DecayDiagnostics:
     embed_ratio: float
 
 
-def _pointwise_rates(u: SpectralField, beta: float) -> tuple[float, float, float, float]:
-    """(rate over |u|<=1, rate over |u|>1, sup |u|, integral of |u|^(10/3))."""
-    mag = np.sqrt(_speed_sq(u))
-    dv = u.grid.cell_volume
+def _pointwise_rates(u: np.ndarray, dv: float, beta: float) -> tuple[float, float, float, float]:
+    """(rate over |u|<=1, rate over |u|>1, sup |u|, integral of |u|^(10/3)) of grid values u."""
+    mag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
     small = mag <= 1.0
     powered = mag**beta
     rate_e1 = dv * float(powered[small].sum())
@@ -218,17 +215,18 @@ def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) ->
     The heat/f/g norms come from state.duhamel and are NaN when it is None,
     keeping the CSV shape fixed.
     """
-    u = state.u
-    grid = u.grid
-    rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(u, state.params.beta)
+    grid = state.grid
+    ball = _ball(grid)
+    v = ball.gather(state.u.coeffs)
+    rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(
+        ball.to_physical(v), grid.cell_volume, state.params.beta
+    )
 
-    power = _power(u.coeffs)
-
-    def norm_sq(weight: np.ndarray | None = None) -> float:
-        return grid.volume * _weighted_sum(power, weight)
+    def norm_sq(multiplier: np.ndarray | None = None) -> float:
+        return grid.volume * ball.norm_sq(v, multiplier)
 
     l2 = math.sqrt(norm_sq())
-    gsq = norm_sq(grid.k_sq)
+    gsq = norm_sq(ball.k_sq)
     denom = l2 ** (4.0 / 3.0) * gsq
     embed_ratio = embed_mass / denom if denom > 1e-300 else 0.0
 
@@ -247,9 +245,9 @@ def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) ->
 
     return DecayDiagnostics(
         t=state.t,
-        hminus2=math.sqrt(norm_sq(_sobolev_weight(grid.k_sq, -2.0, homogeneous=False))),
-        w1_l2=math.sqrt(norm_sq(grid.low_shell_mask)),
-        w2_l2=math.sqrt(norm_sq(~grid.low_shell_mask)),
+        hminus2=math.sqrt(norm_sq(ball.hminus2)),
+        w1_l2=math.sqrt(norm_sq(ball.low_shell)),
+        w2_l2=math.sqrt(norm_sq(~ball.low_shell)),
         lbeta_E1=lbeta_e1,
         lbeta_E2=lbeta_e2,
         heat_l2=split.heat_l2,

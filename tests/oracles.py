@@ -10,6 +10,10 @@ independent oracle for the pseudo-spectral path.
 ``full_inverse`` and ``full_forward`` are the unpruned transforms of the
 stepper's ball vectors: whole-spectrum ``irfftn`` and ``rfftn``, which the
 pruned ``_Ball`` transforms must reproduce.
+
+``full_cube_ledger`` folds snapshots with the snapshot hooks' formulas over
+the whole (3, N, N, N) coefficient cube, which the hooks' ball sums and
+pruned inverse transform must reproduce.
 """
 
 import numpy as np
@@ -159,3 +163,47 @@ def full_forward(ball, blocks):
     index = np.ravel_multi_index(np.unravel_index(ball.full_index, (n, n, n)), (n, n, n // 2 + 1))
     hats = scipy.fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
     return np.take(hats.reshape(len(blocks), -1), index, axis=1)
+
+
+def full_cube_ledger(states):
+    """record_energy's l2_sq and decay_snapshot's norms and rates, from the whole cube.
+
+    One dict per snapshot. The norms are weighted sums of |c|^2 over every
+    mode; the rates sample the speed by irfftn of the half spectrum.
+    """
+    rows = []
+    for s in states:
+        grid, c = s.grid, s.u.coeffs
+        n = grid.n_modes
+        power = (c.real**2 + c.imag**2).sum(axis=0)
+
+        def norm_sq(weight=1.0):
+            return grid.volume * float((weight * power).sum())
+
+        u = scipy.fft.irfftn(c[..., : n // 2 + 1], s=(n, n, n), axes=(1, 2, 3), norm="forward")
+        mag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+        dv = grid.cell_volume
+        small = mag <= 1.0
+        powered = mag**s.params.beta
+        row = {
+            "t": s.t,
+            "l2_sq": norm_sq(),
+            "hminus2": np.sqrt(norm_sq((1.0 + grid.k_sq) ** -2.0)),
+            "w1_l2": np.sqrt(norm_sq(grid.low_shell_mask)),
+            "w2_l2": np.sqrt(norm_sq(~grid.low_shell_mask)),
+            "linf": float(mag.max(initial=0.0)),
+            "rate_e1": dv * float(powered[small].sum()),
+            "rate_e2": dv * float(powered[~small].sum()),
+            "lbeta_E1": 0.0,
+            "lbeta_E2": 0.0,
+        }
+        embed_mass = dv * float((mag ** (10.0 / 3.0)).sum())
+        denom = np.sqrt(norm_sq()) ** (4.0 / 3.0) * norm_sq(grid.k_sq)
+        row["embed_ratio"] = embed_mass / denom if denom > 1e-300 else 0.0
+        if rows:
+            prev = rows[-1]
+            half_dt = 0.5 * (s.t - prev["t"])
+            row["lbeta_E1"] = prev["lbeta_E1"] + half_dt * (prev["rate_e1"] + row["rate_e1"])
+            row["lbeta_E2"] = prev["lbeta_E2"] + half_dt * (prev["rate_e2"] + row["rate_e2"])
+        rows.append(row)
+    return rows

@@ -385,6 +385,51 @@ class TestStepping:
         with pytest.raises(BlowupError):
             step(state, StepperConfig(dt=1e-3))
 
+    @pytest.mark.parametrize(
+        "entry,value,message",
+        [
+            ((1, 1, 0, 1), 0.3, r"Hermitian symmetry violated: relative error 1\.000e\+00"),
+            ((2, 1, 0, 0), 0.3, "Hermitian symmetry violated"),
+            ((0, 1, 1, 1), np.nan, "field contains non-finite coefficients"),
+            ((0, 4, 4, 4), np.nan, "field contains non-finite coefficients"),
+            ((0, 0, 0, 0), np.nan, "field contains non-finite coefficients"),
+            ((2, 0, 1, 2), np.inf, "field contains non-finite coefficients"),
+        ],
+        ids=["hermitian-m3-positive", "hermitian-m3-zero", "nan-in-ball", "nan-outside-ball",
+             "nan-mean", "inf"],
+    )
+    def test_bad_initial_field_refused_before_integrating(self, monkeypatch, entry, value, message):
+        # the Hermitian breaks perturb a component transverse to xi (y at
+        # m = (1, 0, 1), z at m = (1, 0, 0)): one along xi is projected away
+        def integrate(*args):
+            raise AssertionError("the stepper ran")
+
+        monkeypatch.setattr(dynamics._Stepper, "advance", integrate)
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
+        u0 = random_solenoidal(make_grid(8, TWO_PI), seed=3)
+        with pytest.raises(AssertionError, match="the stepper ran"):
+            run(u0, params, cfg, 0.01)
+        if np.isfinite(value):
+            u0.coeffs[entry] += value
+        else:
+            u0.coeffs[entry] = value
+        with pytest.raises(ValueError, match=message):
+            run(u0, params, cfg, 0.01)
+
+    def test_longitudinal_part_of_initial_field_is_projected_away(self):
+        # a part along xi passes the start-up checks even where it breaks
+        # Hermitian symmetry: each entry and its conjugate partner are projected
+        grid = make_grid(8, TWO_PI)
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
+        u0 = random_solenoidal(grid, seed=3)
+        bent = u0.copy()
+        bent.coeffs[:, 1, 0, 1] += 0.3 * np.array([1.0, 0.0, 1.0])  # m = (1, 0, 1)
+        bent.coeffs[:, 7, 0, 7] += 0.2j * np.array([1.0, 0.0, 1.0])  # m = (-1, 0, -1)
+        assert hermitian_error(bent) > 0.1
+        want = run(u0, params, cfg, 0.0)[0].u.coeffs
+        got = run(bent, params, cfg, 0.0)[0].u.coeffs
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_accumulators_track_dissipation(self):
         grid = make_grid(8, TWO_PI)
         u0 = taylor_green(grid)

@@ -14,7 +14,7 @@ from nsdamp import experiments
 from nsdamp.checkpoint import write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
-from nsdamp.dynamics import SolverState, StepperConfig, run
+from nsdamp.dynamics import SolverState, StepperConfig, run, trajectory
 from nsdamp.experiments import (
     build_initial,
     continuity_experiment,
@@ -318,6 +318,17 @@ class TestMemory:
         driver(24)  # warm the per-grid caches outside the measurement
         peak_small, peak_large = self._peak(lambda: driver(24)), self._peak(lambda: driver(199))
         assert peak_large <= 1.5 * peak_small, (peak_small, peak_large)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_trajectory_start_up_holds_no_cube_temporaries(self, n):
+        # up to the first snapshot only the kernel's product blocks (1.5
+        # cubes) and that snapshot (1 cube) are cube-sized; the initial field
+        # is read through its ball entries
+        u0 = random_solenoidal(make_grid(n, TWO_PI), seed=n)
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
+        next(trajectory(u0, params, cfg, 0.0))  # warm the per-grid caches outside the measurement
+        cubes = self._peak(lambda: next(trajectory(u0, params, cfg, 0.0))) / (3 * n**3 * 16)
+        assert cubes <= 3.25, cubes
 
 
 class TestRefinement:

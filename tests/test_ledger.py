@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nsdamp.dynamics import SolverState, StepperConfig, run
+from oracles import full_cube_ledger
+from nsdamp.dynamics import DuhamelNorms, SolverState, StepperConfig, _ball, run, trajectory
 from nsdamp.initial_conditions import random_solenoidal, taylor_green
 from nsdamp.ledger import (
     CSV_COLUMNS,
@@ -15,7 +16,7 @@ from nsdamp.ledger import (
     trapezoid_energy_records,
     write_series_csv,
 )
-from nsdamp.spectral import PhysParams, SpectralField, l2_norm, make_grid
+from nsdamp.spectral import PhysParams, SpectralField, hermitian_error, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -166,6 +167,44 @@ class TestDecayDiagnostics:
         # on this box modes 1..3 sit strictly below |xi| = 1, mode 4 does not
         assert grid.low_shell_mask[3, 0, 0]
         assert not grid.low_shell_mask[4, 0, 0]
+
+
+class TestHooksAgainstFullCube:
+    """The hooks read the ball vector; oracles.full_cube_ledger reads the whole cube."""
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_hooks_match_full_cube_formulas(self, n, seed):
+        u0 = random_solenoidal(make_grid(n, 8.0 * np.pi), seed=seed)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=10.0 / 3.0)
+        rec = SeriesRecorder()
+        snaps = list(trajectory(u0, params, StepperConfig(dt=0.02), 0.1, output_every=0.02, hooks=(rec,)))
+        want = full_cube_ledger(snaps)
+        for e, d, ref in zip(rec.energy, rec.decay, want):
+            for name in ("linf", "rate_e1", "rate_e2", "lbeta_E1", "lbeta_E2"):
+                assert getattr(d, name) == ref[name], name
+            assert e.l2_sq == pytest.approx(ref["l2_sq"], rel=1e-14, abs=0.0)
+            for name in ("hminus2", "w1_l2", "w2_l2", "embed_ratio"):
+                assert getattr(d, name) == pytest.approx(ref[name], rel=1e-14, abs=0.0), name
+        assert len(want) == 6 and want[-1]["lbeta_E1"] > 0.0
+
+    @pytest.mark.parametrize("hook", [record_energy, decay_snapshot], ids=lambda f: f.__name__)
+    def test_hooks_read_only_the_half_spectrum_ball_entries(self, hook):
+        # a non-Hermitian field with coefficients outside the ball gives the
+        # bits of the Hermitian ball field built from its half-spectrum entries
+        grid = make_grid(8, TWO_PI)
+        rng = np.random.default_rng(8)
+        c = 0.1 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        ball = _ball(grid)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        split = DuhamelNorms(1.0, 2.0, 3.0, 0.0)
+
+        def fold(coeffs):
+            u = SpectralField(grid, coeffs)
+            return hook(SolverState(t=0.1, u=u, params=params, cum_visc=0.5, cum_damp=0.25, duhamel=split))
+
+        assert hermitian_error(SpectralField(grid, c)) > 0.1
+        assert fold(c) == fold(ball.expand(ball.gather(c)))
 
 
 class TestSpacetimeReport:
