@@ -90,7 +90,7 @@ def read_checkpoint(path) -> SolverState:
     )
     field = SpectralField(grid, coeffs)
     try:
-        field.validate(tol=1e-10)
+        field.validate()
     except ValueError as exc:
         raise CheckpointError(f"invalid field in checkpoint: {exc}") from None
     return SolverState(t=t, u=field, params=params)

@@ -19,34 +19,27 @@ augmented scalar unknowns integrated by the same RK4 stage combination,
 which keeps the discrete energy ledger accurate to the scheme's own order.
 
 The stepper holds the state as a flat vector of the ball's coefficients in
-the rfft half-spectrum layout (shape (3, n_ball), see _Ball) and moves to
-physical space with real-to-complex transforms; everything spectral works
-on those vectors only, and its transforms skip every FFT line that holds
-no ball entry. Public arrays, snapshots, hooks and checkpoints stay full
-(3, N, N, N) coefficient arrays: trajectory() starts from the initial
-field's ball entries and expands the state only at the output cadence,
-and the expansion is Hermitian by construction.
+the rfft half-spectrum layout (shape (3, n_ball)) and moves to physical
+space with real-to-complex transforms; everything spectral works on those
+vectors only, and its transforms skip every FFT line that holds no ball
+entry. The layout, with its tables, transforms and weighted sums, belongs
+to the grid (GridSpec.ball, see spectral._Ball). Public arrays, snapshots,
+hooks and checkpoints stay full (3, N, N, N) coefficient arrays:
+trajectory() starts from the initial field's ball entries and expands the
+state only at the output cadence, and the expansion is Hermitian by
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as _fft
 
-from .spectral import (
-    GridSpec,
-    PhysParams,
-    SpectralField,
-    _gradient_part,
-    _power,
-    _sobolev_weight,
-    _weighted_sum,
-)
+from .spectral import _STATE_TOL, GridSpec, PhysParams, SpectralField, _Ball, _gradient_part
 
 __all__ = [
     "SolverState",
@@ -76,9 +69,6 @@ _GRID_ALIGN_TOL = 1e-8
 
 #: Duhamel reconstruction drift that aborts a run (roundoff sits near 1e-13).
 _DUHAMEL_DRIFT_TOL = 1e-6
-
-#: relative tolerance of the initial field's Hermitian and solenoidal checks.
-_START_TOL = 1e-10
 
 
 class CFLError(RuntimeError):
@@ -137,123 +127,6 @@ class StepperConfig:
 
 
 # ---------------------------------------------------------------------------
-# the ball in rfft layout
-
-
-class _Ball:
-    """The cutoff ball of one grid as entries of its rfft half spectrum.
-
-    Entry j of a ball vector (shape (3, n_ball)) is the coefficient at mode
-    full_index[j] of the (N, N, N) cube: every ball mode with m3 > 0, and in
-    the m3 = 0 plane one mode of each conjugate pair (m1 > 0, or m1 = 0 and
-    m2 >= 0, so m = 0 is entry 0). The other half of the spectrum is the
-    complex conjugate, written out by expand() and to_physical(), so every
-    array built from a ball vector is Hermitian by construction. The cutoff
-    keeps |m3| <= N/3, so the Nyquist plane m3 = N/2 holds no entry. Parseval
-    weights are 2 for every entry (it stands for itself and its conjugate)
-    and 1 for m = 0.
-
-    to_physical() and from_physical() visit only the planes m3 <= top, the
-    x_lines (m2, m3) along x and the y_lines (m1, m3) along y that hold an
-    entry, each pass in the order of scipy's irfftn and rfftn. So they equal
-    the full transforms: bitwise, except that at N not a power of two the
-    forward's per-pass 1/N factors round differently from one 1/N^3 (about
-    4e-16 of the largest coefficient).
-
-    Every array is read-only; nothing here is scratch space, so threads may
-    share one instance.
-    """
-
-    def __init__(self, grid: GridSpec):
-        n = grid.n_modes
-        half = n // 2 + 1
-        self.grid = grid
-        m = grid.mode_numbers
-        mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
-        kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
-        ix, iy, iz = np.unravel_index(np.flatnonzero(kept), (n, n, half))
-        self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
-        conj = ((-ix) % n, (-iy) % n, (-iz) % n)
-        self.conj_full_index = np.ravel_multi_index(conj, (n, n, n))[1:]
-        self.k = grid.wavenumbers[:, ix, iy, iz]
-        self.k_sq = grid.k_sq[ix, iy, iz]
-        self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
-        self.hminus2 = _sobolev_weight(self.k_sq, -2.0, homogeneous=False)  # (1 + |xi|^2)^-2
-        self.low_shell = grid.low_shell_mask[ix, iy, iz]
-        self.weight = np.full(ix.size, 2.0)
-        self.weight[0] = 1.0
-        self.top = int(iz.max())
-        planes = self.top + 1
-        self.plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
-        # inverse: the x_lines hold every entry and m3 = 0 mirror; slot = m1 * len(x_lines) + line
-        mirror_x, mirror_y = conj[0][self.plane], conj[1][self.plane]
-        key = np.concatenate([iy * planes + iz, mirror_y * planes])
-        lines, line = np.unique(key, return_inverse=True)
-        self.x_lines = np.array(np.divmod(lines, planes))
-        self.x_slot = ix * lines.size + line[: ix.size]
-        self.x_mirror_slot = mirror_x * lines.size + line[ix.size:]
-        # forward: the y_lines hold every entry; slot = line * N + m2
-        lines, line = np.unique(ix * planes + iz, return_inverse=True)
-        self.y_lines = np.array(np.divmod(lines, planes))
-        self.y_slot = line * n + iy
-
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-
-    def gather(self, coeffs: np.ndarray) -> np.ndarray:
-        """Ball vector of a full (3, N, N, N) coefficient array (restriction to the ball)."""
-        return np.take(coeffs.reshape(3, -1), self.full_index, axis=1)
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        """Full (..., N, N, N) coefficients of a ball vector (..., n_ball), zero outside the ball."""
-        n = self.grid.n_modes
-        lead = v.shape[:-1]
-        out = np.zeros(lead + (n**3,), dtype=np.complex128)
-        out[..., self.full_index] = v
-        out[..., self.conj_full_index] = np.conj(v[..., 1:])
-        return out.reshape(lead + (n, n, n))
-
-    def to_physical(self, v: np.ndarray) -> np.ndarray:
-        """Grid values (3, N, N, N) of a ball vector: ifft on x_lines and y, irfft on z."""
-        n = self.grid.n_modes
-        lines = np.zeros((3, n * self.x_lines.shape[1]), dtype=np.complex128)
-        lines[:, self.x_slot] = v
-        lines[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
-        lines = _fft.ifft(lines.reshape(3, n, -1), axis=1, norm="forward", overwrite_x=True)
-        spec = np.zeros((3, n, n, self.top + 1), dtype=np.complex128)
-        spec[:, :, self.x_lines[0], self.x_lines[1]] = lines
-        spec = _fft.ifft(spec, axis=2, norm="forward", overwrite_x=True)
-        return _fft.irfft(spec, n=n, axis=3, norm="forward", overwrite_x=True)
-
-    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
-        """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time."""
-        out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
-        for g in range(0, len(blocks), 3):
-            spec = _fft.rfft(blocks[g : g + 3], axis=3, norm="forward")[..., : self.top + 1]
-            spec = _fft.fft(spec, axis=1, norm="forward", overwrite_x=True)
-            lines = spec.transpose(0, 1, 3, 2)[:, self.y_lines[0], self.y_lines[1]]
-            del spec  # two alive at once made the heap top trim and fault back in at each stage
-            lines = _fft.fft(lines, axis=2, norm="forward", overwrite_x=True)
-            np.take(lines.reshape(len(lines), -1), self.y_slot, axis=1, out=out[g : g + 3])
-        return out
-
-    def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
-        """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""
-        weight = self.weight if multiplier is None else self.weight * multiplier
-        return _weighted_sum(_power(v), weight)
-
-    def project(self, v: np.ndarray) -> None:
-        """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""
-        v -= _gradient_part(v, self.k, self.k_sq_safe)
-
-
-@lru_cache(maxsize=16)
-def _ball(grid: GridSpec) -> _Ball:
-    return _Ball(grid)
-
-
-# ---------------------------------------------------------------------------
 # the nonlinear kernel
 
 
@@ -290,9 +163,10 @@ class _Kernel:
     buffer is scratch space: each thread needs its own instance.
     """
 
-    def __init__(self, ball: _Ball, params: PhysParams, *, advect: bool = True):
-        n = ball.grid.n_modes
-        self.ball = ball
+    def __init__(self, grid: GridSpec, params: PhysParams, *, advect: bool = True):
+        n = grid.n_modes
+        self.grid = grid
+        self.ball = grid.ball
         self.params = params
         self.pairs = _PAIRS if advect else ()
         self.damped = params.alpha > 0.0
@@ -300,7 +174,7 @@ class _Kernel:
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
         ball, params, pairs, blocks = self.ball, self.params, self.pairs, self.blocks
-        grid = ball.grid
+        grid = self.grid
         u = ball.to_physical(v)
         mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
         linf = float(np.sqrt(float(mag_sq.max())))
@@ -360,9 +234,9 @@ def advection(u: SpectralField) -> SpectralField:
     in coefficient space, sharply truncated, and projected. For solenoidal
     u this equals P J (u . grad u).
     """
-    ball = _ball(u.grid)
+    ball = u.grid.ball
     params = PhysParams(nu=1.0, alpha=0.0, beta=2.0)  # alpha=0: damping skipped
-    terms = _Kernel(ball, params)(ball.gather(u.coeffs))
+    terms = _Kernel(u.grid, params)(ball.gather(u.coeffs))
     _project_terms(ball, terms)
     return SpectralField(u.grid, ball.expand(terms.adv))
 
@@ -377,15 +251,11 @@ def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
     collocation quadrature of |u|^(beta+1), hence is nonnegative: the term
     only dissipates.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
-    if not beta > 1.0:
-        raise ValueError(f"beta must exceed 1, got {beta!r}")
+    params = PhysParams(nu=1.0, alpha=alpha, beta=beta)
     if alpha == 0.0:
         return SpectralField(u.grid, np.zeros_like(u.coeffs))
-    ball = _ball(u.grid)
-    params = PhysParams(nu=1.0, alpha=alpha, beta=beta)
-    terms = _Kernel(ball, params, advect=False)(ball.gather(u.coeffs))
+    ball = u.grid.ball
+    terms = _Kernel(u.grid, params, advect=False)(ball.gather(u.coeffs))
     _project_terms(ball, terms)
     return SpectralField(u.grid, ball.expand(terms.damp))
 
@@ -399,9 +269,9 @@ def tendency(state: SolverState) -> SpectralField:
     viscous part exactly through the integrating factor and discretizes
     only the rest.
     """
-    ball = _ball(state.grid)
+    ball = state.grid.ball
     v = ball.gather(state.u.coeffs)
-    out = _project_terms(ball, _Kernel(ball, state.params)(v))
+    out = _project_terms(ball, _Kernel(state.grid, state.params)(v))
     out -= state.params.nu * ball.k_sq * v
     return SpectralField(state.grid, ball.expand(out))
 
@@ -415,8 +285,8 @@ def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
     terms, so grad p + P(terms) = terms mode by mode. The same kernel
     evaluation feeds the stepper; here its terms are not projected.
     """
-    ball = _ball(u.grid)
-    terms = _Kernel(ball, params)(ball.gather(u.coeffs))
+    ball = u.grid.ball
+    terms = _Kernel(u.grid, params)(ball.gather(u.coeffs))
     force = terms.adv if terms.damp is None else terms.adv + terms.damp
     k = ball.k
     p = -1j * (k[0] * force[0] + k[1] * force[1] + k[2] * force[2]) / ball.k_sq_safe
@@ -451,8 +321,9 @@ class _Duhamel:
     sign; their damp is None when alpha = 0.
     """
 
-    def __init__(self, ball: _Ball, v0: np.ndarray):
-        self.ball = ball
+    def __init__(self, grid: GridSpec, v0: np.ndarray):
+        self.ball = grid.ball
+        self.volume = grid.volume
         self.heat = v0
         self.f = np.zeros_like(v0)
         self.g = np.zeros_like(v0)
@@ -468,7 +339,7 @@ class _Duhamel:
 
     def norms(self, v: np.ndarray) -> DuhamelNorms:
         """The split's norms, with its drift from the state's ball vector v."""
-        ball, volume = self.ball, self.ball.grid.volume
+        ball, volume = self.ball, self.volume
         gap = float(np.sqrt(ball.norm_sq(self.heat + self.f + self.g - v)))
         denom = float(np.sqrt(ball.norm_sq(v)))
         return DuhamelNorms(
@@ -490,8 +361,8 @@ class _Stepper:
         forcing: Callable[[float], np.ndarray] | None = None,
     ):
         self.grid = grid
-        self.ball = _ball(grid)
-        self.kernel = _Kernel(self.ball, params)
+        self.ball = grid.ball
+        self.kernel = _Kernel(grid, params)
         self.params = params
         self.cfg = cfg
         self.forcing = forcing
@@ -576,7 +447,7 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     )
 
 
-def _initial_vector(ball: _Ball, coeffs: np.ndarray) -> np.ndarray:
+def _initial_vector(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """The ball entries of an initial field, projected, with m = 0 zeroed.
 
     Refused with SpectralField.validate's messages when any coefficient is
@@ -586,6 +457,7 @@ def _initial_vector(ball: _Ball, coeffs: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("field contains non-finite coefficients")
+    ball = grid.ball
     v = ball.gather(coeffs)
     ball.project(v)
     v[:, 0] = 0.0
@@ -595,12 +467,12 @@ def _initial_vector(ball: _Ball, coeffs: np.ndarray) -> np.ndarray:
     if scale == 0.0:
         return v
     herm = float(np.abs(v[:, 1:] - np.conj(mirror)).max(initial=0.0)) / scale
-    if herm > _START_TOL:
+    if herm > _STATE_TOL:
         raise ValueError(f"Hermitian symmetry violated: relative error {herm:.3e}")
     div = ball.k[0] * v[0] + ball.k[1] * v[1] + ball.k[2] * v[2]
     v_sq = ball.norm_sq(v)
-    err = math.sqrt(ball.norm_sq(div[np.newaxis]) / v_sq) / ball.grid.cutoff_radius if v_sq else 0.0
-    if err > _START_TOL:
+    err = math.sqrt(ball.norm_sq(div[np.newaxis]) / v_sq) / grid.cutoff_radius if v_sq else 0.0
+    if err > _STATE_TOL:
         raise ValueError(f"field is not solenoidal: xi.u error is {err:.3e}")
     return v
 
@@ -654,10 +526,10 @@ def trajectory(
             )
 
     grid = initial.grid
-    ball = _ball(grid)
-    v = _initial_vector(ball, initial.coeffs)
+    ball = grid.ball
+    v = _initial_vector(grid, initial.coeffs)
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
-    duhamel = _Duhamel(ball, v) if forcing is None else None
+    duhamel = _Duhamel(grid, v) if forcing is None else None
     cum_visc = cum_damp = 0.0
 
     def snapshot(i: int) -> SolverState:
@@ -725,7 +597,7 @@ class SeparableTarget:
         amplitude_rate: Callable[[float], float],
         params: PhysParams,
     ):
-        base.validate(tol=1e-10)
+        base.validate()
         outside = base.coeffs[:, ~base.grid.ball_mask]
         scale = max(float(np.max(np.abs(base.coeffs))), 1e-300)
         if outside.size and float(np.max(np.abs(outside))) > 1e-13 * scale:

@@ -437,7 +437,7 @@ class DecayReport:
     threshold_time: float | None
     spacetime_lines: list[str]
     passed: bool
-    recorder: SeriesRecorder = field(repr=False, default=None)
+    recorder: SeriesRecorder = field(repr=False)
 
     def lines(self) -> list[str]:
         out = ["# large-time decay", ""]

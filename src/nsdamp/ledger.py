@@ -9,7 +9,8 @@ rebuilds them independently from the snapshots for cross-checking.
 
 The hooks ``record_energy`` and ``decay_snapshot`` read only a snapshot's
 half-spectrum ball entries, as the operators in ``dynamics`` do: weighted
-sums over the ball vector and its pruned inverse transform.
+sums over the ball vector of the snapshot's grid (``GridSpec.ball``) and
+its pruned inverse transform.
 ``trapezoid_energy_records`` keeps to the full-cube norms of ``spectral``,
 so the cross-check does not take the ball path of the ledger it checks.
 """
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DuhamelNorms, SolverState, _ball
+from .dynamics import DuhamelNorms, SolverState
 from .spectral import PhysParams, grad_norm_sq, l2_norm, lp_norm_physical
 
 __all__ = [
@@ -86,7 +87,7 @@ def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> Energ
     """
     if prev is not None and state.t <= prev.t:
         raise ValueError(f"non-monotone time: snapshot at t = {state.t!r} after t = {prev.t!r}")
-    ball = _ball(state.grid)
+    ball = state.grid.ball
     l2_sq = state.grid.volume * ball.norm_sq(ball.gather(state.u.coeffs))
     total = l2_sq + state.cum_visc + state.cum_damp
     baseline = total if prev is None else prev.baseline
@@ -204,7 +205,7 @@ def _pointwise_rates(u: np.ndarray, dv: float, beta: float) -> tuple[float, floa
     powered = mag**beta
     rate_e1 = dv * float(powered[small].sum())
     rate_e2 = dv * float(powered[~small].sum())
-    embed_mass = dv * float((mag**_EMBED_P).sum())
+    embed_mass = dv * float((powered if beta == _EMBED_P else mag**_EMBED_P).sum())
     return rate_e1, rate_e2, float(mag.max(initial=0.0)), embed_mass
 
 
@@ -216,7 +217,7 @@ def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) ->
     keeping the CSV shape fixed.
     """
     grid = state.grid
-    ball = _ball(grid)
+    ball = grid.ball
     v = ball.gather(state.u.coeffs)
     rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(
         ball.to_physical(v), grid.cell_volume, state.params.beta

@@ -16,6 +16,10 @@ Conventions, fixed once for the whole package:
   (in particular all powers of two) no aliased image of a product of two
   ball-supported modes lands back inside the closed ball, so products of
   truncated fields are alias-free on the retained modes.
+* Each grid's cutoff ball is also a layout, GridSpec.ball: a flat vector of
+  the ball's entries of the rfft half spectrum, with its wavenumber and
+  H^-2 / unit-shell tables, pruned transforms and Parseval-weighted sums.
+  The stepper evolves such vectors and the ledger's hooks read them.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ __all__ = [
 #: relative slack on the |xi| <= R comparison so boundary shells are kept
 #: regardless of how R was rounded ("closed ball" semantics in floats).
 _BALL_TOL = 1e-12
+
+#: relative tolerance of the state-space checks: validate() and the stepper's start-up.
+_STATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,11 @@ class GridSpec:
         out = self.k_sq.copy()
         out[0, 0, 0] = 1.0
         return out
+
+    @cached_property
+    def ball(self) -> "_Ball":
+        """The cutoff ball as entries of the rfft half spectrum (see _Ball)."""
+        return _Ball(self)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -219,11 +231,12 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coeffs)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Raise ValueError if any structural invariant is violated.
 
-        Checks, all relative to the coefficient scale: Hermitian symmetry,
-        support inside the closed cutoff ball, zero mean, and solenoidality.
+        Checks, each to 1e-10 relative to the coefficient scale: Hermitian
+        symmetry, support inside the closed cutoff ball, zero mean, and
+        solenoidality.
         """
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
@@ -231,16 +244,16 @@ class SpectralField:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("field contains non-finite coefficients")
         herm = hermitian_error(self)
-        if herm > tol:
+        if herm > _STATE_TOL:
             raise ValueError(f"Hermitian symmetry violated: relative error {herm:.3e}")
         outside = self.coeffs[:, ~self.grid.ball_mask]
-        if outside.size and float(np.max(np.abs(outside))) > tol * scale:
+        if outside.size and float(np.max(np.abs(outside))) > _STATE_TOL * scale:
             raise ValueError("coefficients outside the cutoff ball are not zero")
         mean = float(np.max(np.abs(self.coeffs[:, 0, 0, 0])))
-        if mean > tol * scale:
+        if mean > _STATE_TOL * scale:
             raise ValueError(f"mean mode is not zero (|c(0)| = {mean:.3e})")
         div = divergence_error(self)
-        if div > tol:
+        if div > _STATE_TOL:
             raise ValueError(f"field is not solenoidal: xi.u error is {div:.3e}")
 
 
@@ -426,3 +439,115 @@ def hermitian_error(f: SpectralField) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(c - np.conj(rev))) / scale)
+
+
+# ---------------------------------------------------------------------------
+# the cutoff ball in rfft layout, the state vector of the stepper and the ledger
+
+
+class _Ball:
+    """The cutoff ball of one grid as entries of its rfft half spectrum.
+
+    Entry j of a ball vector (shape (3, n_ball)) is the coefficient at mode
+    full_index[j] of the (N, N, N) cube: every ball mode with m3 > 0, and in
+    the m3 = 0 plane one mode of each conjugate pair (m1 > 0, or m1 = 0 and
+    m2 >= 0, so m = 0 is entry 0). The other half of the spectrum is the
+    complex conjugate, written out by expand() and to_physical(), so every
+    array built from a ball vector is Hermitian by construction. The cutoff
+    keeps |m3| <= N/3, so the Nyquist plane m3 = N/2 holds no entry. Parseval
+    weights are 2 for every entry (it stands for itself and its conjugate)
+    and 1 for m = 0.
+
+    to_physical() and from_physical() visit only the planes m3 <= top, the
+    x_lines (m2, m3) along x and the y_lines (m1, m3) along y that hold an
+    entry, each pass in the order of scipy's irfftn and rfftn. So they equal
+    the full transforms: bitwise, except that at N not a power of two the
+    forward's per-pass 1/N factors round differently from one 1/N^3 (about
+    4e-16 of the largest coefficient).
+
+    Built once per grid, as GridSpec.ball, and holding no reference back to
+    it, so a grid and its ball are freed together. Every array is read-only;
+    nothing here is scratch space, so threads may share one instance.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = self.n_modes = grid.n_modes
+        half = n // 2 + 1
+        m = grid.mode_numbers
+        mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
+        kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
+        ix, iy, iz = np.unravel_index(np.flatnonzero(kept), (n, n, half))
+        self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
+        conj = ((-ix) % n, (-iy) % n, (-iz) % n)
+        self.conj_full_index = np.ravel_multi_index(conj, (n, n, n))[1:]
+        self.k = grid.wavenumbers[:, ix, iy, iz]
+        self.k_sq = grid.k_sq[ix, iy, iz]
+        self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
+        self.hminus2 = _sobolev_weight(self.k_sq, -2.0, homogeneous=False)  # (1 + |xi|^2)^-2
+        self.low_shell = grid.low_shell_mask[ix, iy, iz]
+        self.weight = np.full(ix.size, 2.0)
+        self.weight[0] = 1.0
+        self.top = int(iz.max())
+        planes = self.top + 1
+        self.plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
+        # inverse: the x_lines hold every entry and m3 = 0 mirror; slot = m1 * len(x_lines) + line
+        mirror_x, mirror_y = conj[0][self.plane], conj[1][self.plane]
+        key = np.concatenate([iy * planes + iz, mirror_y * planes])
+        lines, line = np.unique(key, return_inverse=True)
+        self.x_lines = np.array(np.divmod(lines, planes))
+        self.x_slot = ix * lines.size + line[: ix.size]
+        self.x_mirror_slot = mirror_x * lines.size + line[ix.size:]
+        # forward: the y_lines hold every entry; slot = line * N + m2
+        lines, line = np.unique(ix * planes + iz, return_inverse=True)
+        self.y_lines = np.array(np.divmod(lines, planes))
+        self.y_slot = line * n + iy
+
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """Ball vector of a full (3, N, N, N) coefficient array (restriction to the ball)."""
+        return np.take(coeffs.reshape(3, -1), self.full_index, axis=1)
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Full (..., N, N, N) coefficients of a ball vector (..., n_ball), zero outside the ball."""
+        n = self.n_modes
+        lead = v.shape[:-1]
+        out = np.zeros(lead + (n**3,), dtype=np.complex128)
+        out[..., self.full_index] = v
+        out[..., self.conj_full_index] = np.conj(v[..., 1:])
+        return out.reshape(lead + (n, n, n))
+
+    def to_physical(self, v: np.ndarray) -> np.ndarray:
+        """Grid values (3, N, N, N) of a ball vector: ifft on x_lines and y, irfft on z."""
+        n = self.n_modes
+        lines = np.zeros((3, n * self.x_lines.shape[1]), dtype=np.complex128)
+        lines[:, self.x_slot] = v
+        lines[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
+        lines = _fft.ifft(lines.reshape(3, n, -1), axis=1, norm="forward", overwrite_x=True)
+        spec = np.zeros((3, n, n, self.top + 1), dtype=np.complex128)
+        spec[:, :, self.x_lines[0], self.x_lines[1]] = lines
+        spec = _fft.ifft(spec, axis=2, norm="forward", overwrite_x=True)
+        return _fft.irfft(spec, n=n, axis=3, norm="forward", overwrite_x=True)
+
+    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
+        """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time."""
+        out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
+        for g in range(0, len(blocks), 3):
+            spec = _fft.rfft(blocks[g : g + 3], axis=3, norm="forward")[..., : self.top + 1]
+            spec = _fft.fft(spec, axis=1, norm="forward", overwrite_x=True)
+            lines = spec.transpose(0, 1, 3, 2)[:, self.y_lines[0], self.y_lines[1]]
+            del spec  # two alive at once made the heap top trim and fault back in at each stage
+            lines = _fft.fft(lines, axis=2, norm="forward", overwrite_x=True)
+            np.take(lines.reshape(len(lines), -1), self.y_slot, axis=1, out=out[g : g + 3])
+        return out
+
+    def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
+        """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""
+        weight = self.weight if multiplier is None else self.weight * multiplier
+        return _weighted_sum(_power(v), weight)
+
+    def project(self, v: np.ndarray) -> None:
+        """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""
+        v -= _gradient_part(v, self.k, self.k_sq_safe)

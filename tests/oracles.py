@@ -142,7 +142,7 @@ def direct_pressure(u, alpha):
 
 def scatter(ball, v):
     """rfft half spectrum (3, N, N, N/2+1) of a ball vector: its entries and their m3 = 0 mirrors."""
-    n = ball.grid.n_modes
+    n = ball.n_modes
     ix, iy, iz = np.unravel_index(ball.full_index, (n, n, n))
     plane = np.flatnonzero(iz == 0)[1:]  # m = 0 is its own mirror
     out = np.zeros((3, n, n, n // 2 + 1), dtype=np.complex128)
@@ -153,13 +153,13 @@ def scatter(ball, v):
 
 def full_inverse(ball, v):
     """irfftn of the whole half spectrum of a ball vector."""
-    n = ball.grid.n_modes
+    n = ball.n_modes
     return scipy.fft.irfftn(scatter(ball, v), s=(n, n, n), axes=(1, 2, 3), norm="forward")
 
 
 def full_forward(ball, blocks):
     """rfftn of real blocks (k, N, N, N) over the whole half spectrum, gathered at the ball entries."""
-    n = ball.grid.n_modes
+    n = ball.n_modes
     index = np.ravel_multi_index(np.unravel_index(ball.full_index, (n, n, n)), (n, n, n // 2 + 1))
     hats = scipy.fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
     return np.take(hats.reshape(len(blocks), -1), index, axis=1)

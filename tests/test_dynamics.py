@@ -1,6 +1,8 @@
 """Nonlinear terms against direct convolution, stepping, and the Duhamel split."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -30,9 +32,10 @@ from nsdamp.dynamics import (
     run,
     step,
     tendency,
-    _ball,
+    trajectory,
 )
 from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
+from nsdamp.ledger import SeriesRecorder
 from nsdamp.spectral import (
     PhysParams,
     SpectralField,
@@ -104,7 +107,7 @@ class TestBallTransforms:
 
     @staticmethod
     def check_against_full_transforms(grid, seed, n_blocks):
-        ball = _ball(grid)
+        ball = grid.ball
         rng = np.random.default_rng(seed)
         shape = (3, ball.k_sq.size)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -140,7 +143,7 @@ class TestBallTransforms:
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
         rng = np.random.default_rng(8)
         c = 0.1 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        ball = _ball(grid)
+        ball = grid.ball
         apply = {
             "advection": lambda u: advection(u).coeffs,
             "damping": lambda u: damping(u, params.alpha, params.beta).coeffs,
@@ -154,10 +157,28 @@ class TestBallTransforms:
 
     @pytest.mark.parametrize("n", [4, 6, 16])
     def test_ball_tables_are_read_only(self, n):
-        # threads share one _Ball through the cache, so no table may be scratch space
-        arrays = [a for a in vars(_ball(make_grid(n, TWO_PI))).values() if isinstance(a, np.ndarray)]
+        # threads share a grid, and with it its ball, so no table may be scratch space
+        arrays = [a for a in vars(make_grid(n, TWO_PI).ball).values() if isinstance(a, np.ndarray)]
         assert len(arrays) >= 10
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_a_grid_and_its_ball_are_freed_together(self):
+        # no cache and no reference from the ball back to its grid: once the
+        # stepper and the ledger have used the ball, reference counting alone
+        # frees a dropped grid
+        grid = make_grid(8, TWO_PI)
+        grid_ref = weakref.ref(grid)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        recorder = SeriesRecorder()
+        gc.disable()
+        try:
+            snaps = list(trajectory(random_solenoidal(grid, seed=3), params, StepperConfig(dt=1e-3),
+                                    2e-3, output_every=1e-3, hooks=(recorder,)))
+            assert len(snaps) == len(recorder.energy) == 3 and "ball" in vars(grid)
+            del grid, snaps
+            assert grid_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestOracleStep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import full_cube_ledger
-from nsdamp.dynamics import DuhamelNorms, SolverState, StepperConfig, _ball, run, trajectory
+from nsdamp.dynamics import DuhamelNorms, SolverState, StepperConfig, run, trajectory
 from nsdamp.initial_conditions import random_solenoidal, taylor_green
 from nsdamp.ledger import (
     CSV_COLUMNS,
@@ -195,7 +195,7 @@ class TestHooksAgainstFullCube:
         grid = make_grid(8, TWO_PI)
         rng = np.random.default_rng(8)
         c = 0.1 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        ball = _ball(grid)
+        ball = grid.ball
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
         split = DuhamelNorms(1.0, 2.0, 3.0, 0.0)
 

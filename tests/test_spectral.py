@@ -220,7 +220,7 @@ class TestSplitAndChecks:
         f = zeros_like(grid)
         f.coeffs[0, 3, 3, 0] = 1.0  # |xi| ~ 4.24, outside the ball
         with pytest.raises(ValueError):
-            f.validate(1e-12)
+            f.validate()
 
     def test_remove_mean(self):
         grid = make_grid(8, TWO_PI)
