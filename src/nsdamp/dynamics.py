@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft as _fft
 
 from .spectral import _STATE_TOL, GridSpec, PhysParams, SpectralField, _Ball, _gradient_part
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .initial_conditions import random_solenoidal
 from .spectral import (
@@ -24,12 +23,10 @@ from .spectral import (
     _power,
     _sobolev_weight,
     _weighted_sum,
-    friedrichs_truncate,
     make_grid,
     remove_mean,
     sobolev_norm,
     to_physical,
-    to_spectral,
 )
 
 __all__ = [
@@ -178,8 +175,10 @@ def product_law_ratio(f: SpectralField, g: SpectralField) -> float:
     fp = to_physical(f)
     gp = to_physical(g)
     prods = fp[:, None, :, :, :] * gp[None, :, :, :, :]
-    c = _fft.fftn(prods.reshape(9, *f.grid.shape[1:]), axes=(-3, -2, -1), norm="forward")
-    weight = _sobolev_weight(f.grid.k_sq, -0.5, homogeneous=True)
+    n = f.grid.n_modes
+    c = np.fft.rfftn(prods.reshape(9, n, n, n), axes=(1, 2, 3), norm="forward")
+    weight = _sobolev_weight(f.grid.k_sq[..., : n // 2 + 1], -0.5, homogeneous=True)
+    weight[..., 1 : n // 2] *= 2.0  # Parseval: these planes also stand for their conjugates
     num_sq = f.grid.volume * _weighted_sum(_power(c), weight)
     return float(np.sqrt(max(num_sq, 0.0)) / den)
 
@@ -316,7 +315,7 @@ def _random_band_limited(grid: GridSpec, rng: np.random.Generator, projected: bo
     if projected:
         return random_solenoidal(grid, seed=int(rng.integers(2**31)), amplitude=float(rng.uniform(0.1, 10.0)))
     samples = rng.standard_normal((3,) + grid.shape[1:])
-    f = friedrichs_truncate(to_spectral(samples, grid))
+    f = SpectralField(grid, grid.ball.expand(grid.ball.from_physical(samples)))
     return remove_mean(f) * float(rng.uniform(0.1, 10.0))
 
 

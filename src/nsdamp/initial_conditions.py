@@ -11,7 +11,6 @@ from .spectral import (
     l2_norm,
     leray_project,
     remove_mean,
-    to_spectral,
 )
 
 __all__ = ["taylor_green", "shear_mode", "random_solenoidal"]
@@ -63,7 +62,7 @@ def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Spec
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
-    f = to_spectral(noise, grid)
+    f = SpectralField(grid, grid.ball.expand(grid.ball.from_physical(noise)))
     f = friedrichs_truncate(f, grid.cutoff_radius / 2.0)
     f = remove_mean(leray_project(f))
     norm = l2_norm(f)

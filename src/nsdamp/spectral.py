@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _fft
 
 __all__ = [
     "GridSpec",
@@ -275,19 +274,21 @@ def to_physical(f: SpectralField) -> np.ndarray:
     its conjugate.
     """
     n = f.grid.n_modes
-    return _fft.irfftn(f.coeffs[..., : n // 2 + 1], s=(n, n, n), axes=(1, 2, 3), norm="forward")
+    return np.fft.irfftn(f.coeffs[..., : n // 2 + 1], s=(n, n, n), axes=(1, 2, 3), norm="forward")
 
 
 def to_spectral(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     """Coefficients of sampled data (forward transform, 1/N^3 normalized).
 
     No truncation or projection is applied; compose with friedrichs_truncate
-    and leray_project to land in the solver's state space.
+    and leray_project to land in the solver's state space. No path in the
+    package calls it: fields truncated to the cutoff ball at once take the
+    ball's pruned forward transform, GridSpec.ball.from_physical.
     """
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise ValueError(f"samples have shape {samples.shape}, expected {grid.shape}")
-    coeffs = _fft.fftn(samples, axes=(1, 2, 3), norm="forward")
+    coeffs = np.fft.fftn(samples, axes=(1, 2, 3), norm="forward")
     return SpectralField(grid, coeffs)
 
 
@@ -460,10 +461,11 @@ class _Ball:
 
     to_physical() and from_physical() visit only the planes m3 <= top, the
     x_lines (m2, m3) along x and the y_lines (m1, m3) along y that hold an
-    entry, each pass in the order of scipy's irfftn and rfftn. So they equal
-    the full transforms: bitwise, except that at N not a power of two the
-    forward's per-pass 1/N factors round differently from one 1/N^3 (about
-    4e-16 of the largest coefficient).
+    entry, each pass in the order of pocketfft's irfftn and rfftn, as
+    numpy.fft (NumPy >= 2) runs them. So they equal the full transforms:
+    bitwise, except that at N not a power of two the forward's per-pass 1/N
+    factors round differently from one 1/N^3 (about 4e-16 of the largest
+    coefficient). The tests check them against SciPy's full transforms.
 
     Built once per grid, as GridSpec.ball, and holding no reference back to
     it, so a grid and its ball are freed together. Every array is read-only;
@@ -525,21 +527,22 @@ class _Ball:
         lines = np.zeros((3, n * self.x_lines.shape[1]), dtype=np.complex128)
         lines[:, self.x_slot] = v
         lines[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
-        lines = _fft.ifft(lines.reshape(3, n, -1), axis=1, norm="forward", overwrite_x=True)
+        lines = lines.reshape(3, n, -1)
+        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
         spec = np.zeros((3, n, n, self.top + 1), dtype=np.complex128)
         spec[:, :, self.x_lines[0], self.x_lines[1]] = lines
-        spec = _fft.ifft(spec, axis=2, norm="forward", overwrite_x=True)
-        return _fft.irfft(spec, n=n, axis=3, norm="forward", overwrite_x=True)
+        np.fft.ifft(spec, axis=2, norm="forward", out=spec)
+        return np.fft.irfft(spec, n=n, axis=3, norm="forward")
 
     def from_physical(self, blocks: np.ndarray) -> np.ndarray:
         """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time."""
         out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
         for g in range(0, len(blocks), 3):
-            spec = _fft.rfft(blocks[g : g + 3], axis=3, norm="forward")[..., : self.top + 1]
-            spec = _fft.fft(spec, axis=1, norm="forward", overwrite_x=True)
+            spec = np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward")[..., : self.top + 1]
+            np.fft.fft(spec, axis=1, norm="forward", out=spec)
             lines = spec.transpose(0, 1, 3, 2)[:, self.y_lines[0], self.y_lines[1]]
             del spec  # two alive at once made the heap top trim and fault back in at each stage
-            lines = _fft.fft(lines, axis=2, norm="forward", overwrite_x=True)
+            np.fft.fft(lines, axis=2, norm="forward", out=lines)
             np.take(lines.reshape(len(lines), -1), self.y_slot, axis=1, out=out[g : g + 3])
         return out
 

@@ -11,6 +11,11 @@ independent oracle for the pseudo-spectral path.
 stepper's ball vectors: whole-spectrum ``irfftn`` and ``rfftn``, which the
 pruned ``_Ball`` transforms must reproduce.
 
+``fftn_random_solenoidal``, ``fftn_random_band_limited`` and
+``fftn_product_law_ratio`` build the seeded random fields and the
+product-law ratio from the full ``fftn`` of the whole cube, which the
+package's ball transforms and half-spectrum sums must reproduce.
+
 ``full_cube_ledger`` folds snapshots with the snapshot hooks' formulas over
 the whole (3, N, N, N) coefficient cube, which the hooks' ball sums and
 pruned inverse transform must reproduce.
@@ -18,6 +23,8 @@ pruned inverse transform must reproduce.
 
 import numpy as np
 import scipy.fft
+
+from nsdamp.spectral import SpectralField, friedrichs_truncate, l2_norm, leray_project, remove_mean
 
 
 def _support(coeffs):
@@ -163,6 +170,34 @@ def full_forward(ball, blocks):
     index = np.ravel_multi_index(np.unravel_index(ball.full_index, (n, n, n)), (n, n, n // 2 + 1))
     hats = scipy.fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
     return np.take(hats.reshape(len(blocks), -1), index, axis=1)
+
+
+def fftn_random_solenoidal(grid, seed, amplitude=1.0):
+    """random_solenoidal from the fftn of its noise: truncated to R/2, projected, mean removed, normalised."""
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    f = SpectralField(grid, scipy.fft.fftn(noise, axes=(1, 2, 3), norm="forward"))
+    f = remove_mean(leray_project(friedrichs_truncate(f, grid.cutoff_radius / 2.0)))
+    return f * (amplitude / l2_norm(f))
+
+
+def fftn_random_band_limited(grid, rng):
+    """The oracle suites' unprojected field from the fftn of its samples: truncated, mean removed, scaled."""
+    samples = rng.standard_normal(grid.shape)
+    f = friedrichs_truncate(SpectralField(grid, scipy.fft.fftn(samples, axes=(1, 2, 3), norm="forward")))
+    return remove_mean(f) * float(rng.uniform(0.1, 10.0))
+
+
+def fftn_product_law_ratio(f, g):
+    """||f (x) g||_(H^-1/2) / (||f||_L2 ||grad g||_L2) with the fftn of the products over the whole cube."""
+    grid = f.grid
+    fp, gp = (scipy.fft.ifftn(h.coeffs, axes=(1, 2, 3), norm="forward").real for h in (f, g))
+    c = scipy.fft.fftn(fp[:, None] * gp[None], axes=(2, 3, 4), norm="forward")
+    power = (c.real**2 + c.imag**2).sum(axis=(0, 1))
+    k_sq = grid.k_sq
+    num = grid.volume * float((power[k_sq > 0.0] / np.sqrt(k_sq[k_sq > 0.0])).sum())
+    f_sq = grid.volume * float((np.abs(f.coeffs) ** 2).sum())
+    g_grad_sq = grid.volume * float((k_sq * np.abs(g.coeffs) ** 2).sum())
+    return np.sqrt(num) / np.sqrt(f_sq * g_grad_sq)
 
 
 def full_cube_ledger(states):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import fftn_product_law_ratio, fftn_random_band_limited, fftn_random_solenoidal
 
 from nsdamp.inequalities import (
+    _random_band_limited,
     gronwall_constant,
     interpolation_gap,
     monotonicity_gap,
@@ -145,6 +147,37 @@ def test_product_law_ratio_finite_and_positive():
     g = random_solenoidal(grid, seed=2)
     r = product_law_ratio(f, g)
     assert np.isfinite(r) and r > 0.0
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64])
+def test_random_fields_equal_the_fftn_construction(n):
+    # the package takes the ball's pruned forward transform of the noise; the
+    # oracle transforms the whole cube with SciPy's fftn and then truncates
+    grid = make_grid(n, 2.0 * np.pi)
+    pairs = [
+        (random_solenoidal(grid, seed=n), fftn_random_solenoidal(grid, seed=n)),
+        (
+            _random_band_limited(grid, np.random.default_rng(n), projected=False),
+            fftn_random_band_limited(grid, np.random.default_rng(n)),
+        ),
+    ]
+    for got, ref in pairs:
+        if n & (n - 1) == 0:  # per-pass 1/N factors are exact powers of two
+            assert np.array_equal(got.coeffs, ref.coeffs)
+        else:
+            assert np.abs(got.coeffs - ref.coeffs).max() <= 1e-15 * np.abs(ref.coeffs).max()
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_product_law_ratio_equals_the_full_spectrum_sum(n):
+    grid = make_grid(n, 2.0 * np.pi)
+    rng = np.random.default_rng(n)
+    for f, g in [
+        (random_solenoidal(grid, seed=1), random_solenoidal(grid, seed=2)),
+        (_random_band_limited(grid, rng, projected=False), random_solenoidal(grid, seed=3)),
+    ]:
+        ref = fftn_product_law_ratio(f, g)
+        assert abs(product_law_ratio(f, g) - ref) <= 1e-15 * ref
 
 
 def test_verify_suite_fast_all_pass():

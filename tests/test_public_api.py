@@ -1,10 +1,14 @@
 """The package namespace re-exports every module's public names, once each,
-and no module reaches into the stepper's private names."""
+no module reaches into the stepper's private names or keeps an unused
+import, and the package runs without SciPy."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import nsdamp
 
@@ -35,3 +39,44 @@ def test_no_module_imports_a_private_name_of_dynamics():
                 private += [f"{path.name}: {name}" for name in names if name.startswith("_")]
     assert imported  # the walk saw the modules that build on dynamics
     assert not private
+
+
+def test_no_module_keeps_an_unused_import():
+    # a top-level import that no code reads costs import time and hides
+    # what a module depends on
+    unused = []
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"nsdamp.{path.stem}"), "__all__", ()))
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used | exported]
+    assert not unused
+
+
+def test_a_run_and_the_oracle_suites_import_no_scipy(tmp_path):
+    # numpy.fft runs every transform; SciPy is only the tests' reference
+    script = f"""
+import sys
+import nsdamp
+cfg = nsdamp.config_from_mapping({{
+    "grid.n_modes": 8, "grid.box_length": 6.283185307179586, "phys.alpha": 1.0,
+    "phys.beta": 4.0, "time.dt": 0.001, "time.t_end": 0.004, "ic.kind": "random-solenoidal",
+}})
+nsdamp.run_experiment(cfg, out_dir={str(tmp_path / "run")!r})
+nsdamp.verify_suite(0, fast=True)
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+    src = str(pathlib.Path(nsdamp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
