@@ -23,11 +23,12 @@ the rfft half-spectrum layout (shape (3, n_ball)) and moves to physical
 space with real-to-complex transforms; everything spectral works on those
 vectors only, and its transforms skip every FFT line that holds no ball
 entry. The layout, with its tables, transforms and weighted sums, belongs
-to the grid (GridSpec.ball, see spectral._Ball). Public arrays, snapshots,
-hooks and checkpoints stay full (3, N, N, N) coefficient arrays:
-trajectory() starts from the initial field's ball entries and expands the
-state only at the output cadence, and the expansion is Hermitian by
-construction.
+to the grid (GridSpec.ball, see spectral._Ball). trajectory() starts from
+the initial field's ball entries, and each snapshot holds the stepper's
+vector (SolverState.vector), which the ledger's hooks read. Public arrays
+and checkpoints stay full (3, N, N, N) coefficient arrays: a snapshot's
+field, SolverState.u, is expanded from the vector on first access, and the
+expansion is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class DuhamelNorms(NamedTuple):
     drift: float  # relative L2 gap between heat + f + g and the state
 
 
-@dataclass
 class SolverState:
     """Solution snapshot: time, field, parameters, and the running dissipation integrals.
 
@@ -96,19 +96,53 @@ class SolverState:
     both integrated with the stepper's own RK4 quadrature from the start of
     the run this state belongs to. duhamel is None under forcing and for
     states that trajectory() did not produce.
+
+    A snapshot of trajectory() or step() holds the stepper's ball vector
+    (see vector) and builds u, the full (3, N, N, N) field, on first access,
+    then keeps it: snap.u is snap.u. A state built from a field keeps that
+    very object as u.
     """
 
-    t: float
-    u: SpectralField
-    params: PhysParams
-    step_count: int = 0
-    cum_visc: float = 0.0
-    cum_damp: float = 0.0
-    duhamel: DuhamelNorms | None = None
+    def __init__(self, t: float, u: SpectralField, params: PhysParams, step_count: int = 0,
+                 cum_visc: float = 0.0, cum_damp: float = 0.0, duhamel: DuhamelNorms | None = None):
+        self.t, self.params, self.step_count = t, params, step_count
+        self.cum_visc, self.cum_damp, self.duhamel = cum_visc, cum_damp, duhamel
+        self.grid: GridSpec = u.grid
+        self._u: SpectralField | None = u
+        self._vector: np.ndarray | None = None
+
+    @classmethod
+    def _of_vector(cls, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams,
+                   step_count: int, cum_visc: float, cum_damp: float,
+                   duhamel: DuhamelNorms | None = None) -> "SolverState":
+        """A snapshot holding ball vector v of grid; u is built when first asked for."""
+        # read-only: trajectory() steps on from this very array after the yield
+        v.flags.writeable = False
+        state = cls.__new__(cls)
+        state.t, state.params, state.step_count = t, params, step_count
+        state.cum_visc, state.cum_damp, state.duhamel = cum_visc, cum_damp, duhamel
+        state.grid, state._u, state._vector = grid, None, v
+        return state
 
     @property
-    def grid(self) -> GridSpec:
-        return self.u.grid
+    def u(self) -> SpectralField:
+        """The field, (3, N, N, N) coefficients; a snapshot expands its vector once, here."""
+        if self._u is None:
+            self._u = SpectralField(self.grid, self.grid.ball.expand(self._vector))
+        return self._u
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The field's ball entries, shape (3, n_ball), in the layout of grid.ball.
+
+        A snapshot returns the stepper's own array, which is read-only. A
+        state built from a field gathers them from u at each access: only
+        the ball's half-spectrum entries of u are read, so for a field
+        outside the state space this is not u itself.
+        """
+        if self._vector is not None:
+            return self._vector
+        return self.grid.ball.gather(self._u.coeffs)
 
 
 @dataclass(frozen=True)
@@ -155,27 +189,47 @@ class _Kernel:
     does that for the stepper and the operators, and pressure_field takes
     the gradient part instead. advect=False skips the advection term.
 
-    The product blocks, the largest array of an evaluation, live in a buffer
-    that every call reuses. Allocated and freed at each stage instead, they
+    Every array of an evaluation but the terms it returns lives in a buffer
+    of the instance, allocated at the first call and reused by every later
+    one: the grid values u, |u|^2 and the damping weight, one half-spectrum
+    array (the inverse's planes and the forward's rfft output), the x-line
+    and y-line arrays of the two transforms, and the product blocks with
+    their ball coefficients. Allocated and freed at each stage instead, they
     let the allocator trim the top of the heap and fault it back in at the
-    next stage (six times the minor page faults of an N = 32 run). The
-    buffer is scratch space: each thread needs its own instance.
+    next stage. The buffers are per-instance scratch: one kernel per thread.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams, *, advect: bool = True):
-        n = grid.n_modes
         self.grid = grid
         self.ball = grid.ball
         self.params = params
         self.pairs = _PAIRS if advect else ()
         self.damped = params.alpha > 0.0
-        self.blocks = np.empty((len(self.pairs) + 3 * self.damped, n, n, n))
+        self.u = None  # the buffers, allocated by the first call
+
+    def _allocate(self) -> None:
+        ball, n = self.ball, self.grid.n_modes
+        n_blocks = len(self.pairs) + 3 * self.damped
+        self.u = np.empty((3, n, n, n))
+        self.mag_sq = np.empty((n, n, n))
+        self.weight = np.empty((n, n, n))
+        self.half = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
+        self.planes = self.half[..., : ball.top + 1]
+        self.x_lines = np.empty((3, n, ball.x_lines.shape[1]), dtype=np.complex128)
+        self.y_lines = np.empty((3,) + ball.y_gather.shape, dtype=np.complex128)
+        self.blocks = np.empty((n_blocks, n, n, n))
+        self.hats = np.empty((n_blocks, ball.k_sq.size), dtype=np.complex128)
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
+        if self.u is None:
+            self._allocate()
         ball, params, pairs, blocks = self.ball, self.params, self.pairs, self.blocks
-        grid = self.grid
-        u = ball.to_physical(v)
-        mag_sq = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+        u, mag_sq, weight = self.u, self.mag_sq, self.weight
+        ball.to_physical(v, out=u, lines=self.x_lines, planes=self.planes)
+        # |u|^2 = (u_0^2 + u_1^2) + u_2^2, the weight buffer holding each square
+        np.square(u[0], out=mag_sq)
+        for i in (1, 2):
+            mag_sq += np.square(u[i], out=weight)
         linf = float(np.sqrt(float(mag_sq.max())))
 
         for b, (i, j) in enumerate(pairs):
@@ -183,13 +237,14 @@ class _Kernel:
         damp_rate = 0.0
         if self.damped:
             # |u|^(beta-1) u pointwise; 0^(beta-1) = 0 since beta > 1.
-            weight = mag_sq ** ((params.beta - 1.0) / 2.0)
-            damp_rate = 2.0 * params.alpha * float((weight * mag_sq).sum()) * grid.cell_volume
+            np.power(mag_sq, (params.beta - 1.0) / 2.0, out=weight)
+            mag_sq *= weight
+            damp_rate = 2.0 * params.alpha * float(mag_sq.sum()) * self.grid.cell_volume
             weight *= params.alpha
             for i in range(3):
                 np.multiply(weight, u[i], out=blocks[len(pairs) + i])
 
-        hats = ball.from_physical(blocks)
+        hats = ball.from_physical(blocks, out=self.hats, half=self.half, lines=self.y_lines)
         adv = None
         if pairs:
             k = ball.k
@@ -201,7 +256,7 @@ class _Kernel:
                 adv[comp] = 1j * acc
         # a copy, not a view: the stepper keeps each stage's terms to the end of the step
         damp = hats[len(pairs):].copy() if self.damped else None
-        visc_rate = 2.0 * params.nu * grid.volume * ball.norm_sq(v, ball.k_sq)
+        visc_rate = 2.0 * params.nu * self.grid.volume * ball.norm_sq(v, ball.k_sq)
         return _NLTerms(adv, damp, visc_rate, damp_rate, linf)
 
 
@@ -269,7 +324,7 @@ def tendency(state: SolverState) -> SpectralField:
     only the rest.
     """
     ball = state.grid.ball
-    v = ball.gather(state.u.coeffs)
+    v = state.vector
     out = _project_terms(ball, _Kernel(state.grid, state.params)(v))
     out -= state.params.nu * ball.k_sq * v
     return SpectralField(state.grid, ball.expand(out))
@@ -434,16 +489,10 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     alpha |u|_inf^(beta-1), 1e-30).
     """
     stepper = _Stepper(state.grid, state.params, cfg)
-    ball = stepper.ball
-    v, d_visc, d_damp = stepper.advance(ball.gather(state.u.coeffs), state.t)
-    return SolverState(
-        t=state.t + cfg.dt,
-        u=SpectralField(state.grid, ball.expand(v)),
-        params=state.params,
-        step_count=state.step_count + 1,
-        cum_visc=state.cum_visc + d_visc,
-        cum_damp=state.cum_damp + d_damp,
-    )
+    v, d_visc, d_damp = stepper.advance(state.vector, state.t)
+    return SolverState._of_vector(state.grid, v, state.t + cfg.dt, state.params,
+                                  state.step_count + 1, state.cum_visc + d_visc,
+                                  state.cum_damp + d_damp)
 
 
 def _initial_vector(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -525,7 +574,6 @@ def trajectory(
             )
 
     grid = initial.grid
-    ball = grid.ball
     v = _initial_vector(grid, initial.coeffs)
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
     duhamel = _Duhamel(grid, v) if forcing is None else None
@@ -537,15 +585,7 @@ def trajectory(
         if norms is not None and norms.drift > _DUHAMEL_DRIFT_TOL:
             raise BlowupError(f"Duhamel split drifted from the state ({norms.drift:.3e} relative) "
                               f"at t = {t:g}")
-        snap = SolverState(
-            t=t,
-            u=SpectralField(grid, ball.expand(v)),
-            params=params,
-            step_count=i,
-            cum_visc=cum_visc,
-            cum_damp=cum_damp,
-            duhamel=norms,
-        )
+        snap = SolverState._of_vector(grid, v, t, params, i, cum_visc, cum_damp, norms)
         for hook in hooks:
             hook(snap)
         return snap

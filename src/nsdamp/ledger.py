@@ -8,9 +8,10 @@ alongside the field (scheme-order accurate); ``trapezoid_energy_records``
 rebuilds them independently from the snapshots for cross-checking.
 
 The hooks ``record_energy`` and ``decay_snapshot`` read only a snapshot's
-half-spectrum ball entries, as the operators in ``dynamics`` do: weighted
-sums over the ball vector of the snapshot's grid (``GridSpec.ball``) and
-its pruned inverse transform.
+ball vector (``SolverState.vector``, the half-spectrum ball entries in the
+layout of ``GridSpec.ball``), so a snapshot of the stepper is never
+expanded to its full field: weighted sums over the vector and its pruned
+inverse transform.
 ``trapezoid_energy_records`` keeps to the full-cube norms of ``spectral``,
 so the cross-check does not take the ball path of the ledger it checks.
 """
@@ -88,7 +89,7 @@ def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> Energ
     if prev is not None and state.t <= prev.t:
         raise ValueError(f"non-monotone time: snapshot at t = {state.t!r} after t = {prev.t!r}")
     ball = state.grid.ball
-    l2_sq = state.grid.volume * ball.norm_sq(ball.gather(state.u.coeffs))
+    l2_sq = state.grid.volume * ball.norm_sq(state.vector)
     total = l2_sq + state.cum_visc + state.cum_damp
     baseline = total if prev is None else prev.baseline
     return EnergyRecord(
@@ -218,7 +219,7 @@ def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) ->
     """
     grid = state.grid
     ball = grid.ball
-    v = ball.gather(state.u.coeffs)
+    v = state.vector
     rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(
         ball.to_physical(v), grid.cell_volume, state.params.beta
     )

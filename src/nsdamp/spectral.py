@@ -469,7 +469,9 @@ class _Ball:
 
     Built once per grid, as GridSpec.ball, and holding no reference back to
     it, so a grid and its ball are freed together. Every array is read-only;
-    nothing here is scratch space, so threads may share one instance.
+    nothing here is scratch space, so threads may share one instance. A
+    caller that transforms often passes its own work arrays to the
+    transforms (the stepper's kernel does); other callers let them allocate.
     """
 
     def __init__(self, grid: GridSpec):
@@ -499,9 +501,11 @@ class _Ball:
         self.x_lines = np.array(np.divmod(lines, planes))
         self.x_slot = ix * lines.size + line[: ix.size]
         self.x_mirror_slot = mirror_x * lines.size + line[ix.size:]
-        # forward: the y_lines hold every entry; slot = line * N + m2
+        # forward: the y_lines (m1, m3) hold every entry; slot = line * N + m2, and
+        # y_gather[line, m2] is the line's mode in one component of the (N, N, N/2 + 1) rfft output
         lines, line = np.unique(ix * planes + iz, return_inverse=True)
-        self.y_lines = np.array(np.divmod(lines, planes))
+        y1, y3 = np.divmod(lines, planes)
+        self.y_gather = (y1 * (n * half) + y3)[:, np.newaxis] + half * np.arange(n)
         self.y_slot = line * n + iy
 
         for arr in vars(self).values():
@@ -521,29 +525,46 @@ class _Ball:
         out[..., self.conj_full_index] = np.conj(v[..., 1:])
         return out.reshape(lead + (n, n, n))
 
-    def to_physical(self, v: np.ndarray) -> np.ndarray:
-        """Grid values (3, N, N, N) of a ball vector: ifft on x_lines and y, irfft on z."""
-        n = self.n_modes
-        lines = np.zeros((3, n * self.x_lines.shape[1]), dtype=np.complex128)
-        lines[:, self.x_slot] = v
-        lines[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
-        lines = lines.reshape(3, n, -1)
-        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-        spec = np.zeros((3, n, n, self.top + 1), dtype=np.complex128)
-        spec[:, :, self.x_lines[0], self.x_lines[1]] = lines
-        np.fft.ifft(spec, axis=2, norm="forward", out=spec)
-        return np.fft.irfft(spec, n=n, axis=3, norm="forward")
+    def to_physical(self, v: np.ndarray, out=None, lines=None, planes=None) -> np.ndarray:
+        """Grid values (k, N, N, N) of a ball vector (k, n_ball): ifft on x_lines and y, irfft on z.
 
-    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
-        """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time."""
-        out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
+        out, lines (k, N, len(x_lines)) and planes (k, N, N, top + 1), when
+        given, receive the result and the two passes' work; by default all
+        three are allocated.
+        """
+        n, comps = self.n_modes, len(v)
+        if lines is None:
+            lines = np.empty((comps, n, self.x_lines.shape[1]), dtype=np.complex128)
+        if planes is None:
+            planes = np.empty((comps, n, n, self.top + 1), dtype=np.complex128)
+        lines[...] = 0.0
+        planes[...] = 0.0
+        flat = lines.reshape(comps, -1)
+        flat[:, self.x_slot] = v
+        flat[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
+        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
+        planes[:, :, self.x_lines[0], self.x_lines[1]] = lines
+        np.fft.ifft(planes, axis=2, norm="forward", out=planes)
+        return np.fft.irfft(planes, n=n, axis=3, norm="forward", out=out)
+
+    def from_physical(self, blocks: np.ndarray, out=None, half=None, lines=None) -> np.ndarray:
+        """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time.
+
+        out, half (3, N, N, N/2 + 1) and lines (3, len(y_gather), N), when
+        given, receive the result and the passes' work; by default all three
+        are allocated, half and lines afresh for each three blocks.
+        """
+        if out is None:
+            out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
         for g in range(0, len(blocks), 3):
-            spec = np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward")[..., : self.top + 1]
-            np.fft.fft(spec, axis=1, norm="forward", out=spec)
-            lines = spec.transpose(0, 1, 3, 2)[:, self.y_lines[0], self.y_lines[1]]
-            del spec  # two alive at once made the heap top trim and fault back in at each stage
-            np.fft.fft(lines, axis=2, norm="forward", out=lines)
-            np.take(lines.reshape(len(lines), -1), self.y_slot, axis=1, out=out[g : g + 3])
+            spec = np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward", out=half)
+            planes = spec[..., : self.top + 1]
+            np.fft.fft(planes, axis=1, norm="forward", out=planes)
+            # mode="clip": the default "raise" copies out before writing it
+            y = np.take(spec.reshape(len(spec), -1), self.y_gather, axis=1, out=lines, mode="clip")
+            del spec, planes  # two alive at once made the heap top trim and fault back in at each stage
+            np.fft.fft(y, axis=2, norm="forward", out=y)
+            np.take(y.reshape(len(y), -1), self.y_slot, axis=1, out=out[g : g + 3], mode="clip")
         return out
 
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:

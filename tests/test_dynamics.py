@@ -19,6 +19,7 @@ from oracles import (
     project_hat,
 )
 from nsdamp import dynamics
+from nsdamp.checkpoint import write_checkpoint
 from nsdamp.dynamics import (
     BlowupError,
     CFLError,
@@ -155,6 +156,17 @@ class TestBallTransforms:
         assert hermitian_error(u) > 0.1
         assert np.array_equal(apply(u), apply(SpectralField(grid, ball.expand(ball.gather(c)))))
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_inverse_transforms_as_many_components_as_it_is_given(self, n):
+        ball = make_grid(n, TWO_PI).ball
+        rng = np.random.default_rng(n)
+        shape = (3, ball.k_sq.size)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v[:, 0] = v[:, 0].real
+        whole = ball.to_physical(v)
+        for rows in (1, 2, 3):
+            assert np.array_equal(ball.to_physical(v[:rows]), whole[:rows])
+
     @pytest.mark.parametrize("n", [4, 6, 16])
     def test_ball_tables_are_read_only(self, n):
         # threads share a grid, and with it its ball, so no table may be scratch space
@@ -179,6 +191,39 @@ class TestBallTransforms:
             assert grid_ref() is None
         finally:
             gc.enable()
+
+
+class TestSnapshots:
+    """A snapshot holds its ball vector and builds its field once, when asked."""
+
+    def test_snapshot_field_is_built_once_from_its_vector(self, tmp_path):
+        grid = make_grid(8, TWO_PI)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        snaps = run(random_solenoidal(grid, seed=5), params, StepperConfig(dt=1e-3), 2e-3,
+                    output_every=1e-3)
+        # a checkpoint of a snapshot whose field was never read has the bytes
+        # of one written from a state built eagerly from the same vector
+        eager = SolverState(t=snaps[-1].t, u=SpectralField(grid, grid.ball.expand(snaps[-1].vector)),
+                            params=params)
+        write_checkpoint(snaps[-1], tmp_path / "lazy.ckpt")
+        write_checkpoint(eager, tmp_path / "eager.ckpt")
+        assert (tmp_path / "lazy.ckpt").read_bytes() == (tmp_path / "eager.ckpt").read_bytes()
+        for snap in snaps + [step(snaps[0], StepperConfig(dt=1e-3))]:
+            assert not snap.vector.flags.writeable  # trajectory() steps on from this array
+            assert snap.u is snap.u
+            assert np.array_equal(snap.u.coeffs, grid.ball.expand(snap.vector))
+
+    def test_state_built_from_a_field_keeps_it(self, tmp_path):
+        # a field with an entry outside the ball keeps it, into the checkpoint too
+        grid = make_grid(8, TWO_PI)
+        c = random_solenoidal(grid, seed=6).coeffs.copy()
+        c[:, 3, 0, 0] = 1.0  # |m| = 3 > R = 8/3
+        u = SpectralField(grid, c)
+        state = SolverState(t=0.0, u=u, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        assert state.u is u
+        assert np.array_equal(state.vector, grid.ball.gather(c))
+        write_checkpoint(state, tmp_path / "s.ckpt")
+        assert (tmp_path / "s.ckpt").read_bytes()[-c.nbytes:] == c.astype("<c16").tobytes()
 
 
 class TestOracleStep:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsdamp import experiments
+from nsdamp import dynamics, experiments
 from nsdamp.checkpoint import write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
@@ -278,7 +278,12 @@ class TestDecay:
 
 
 class TestMemory:
-    """The twin, continuity and decay drivers keep only what they certify."""
+    """What the drivers and the stepper hold.
+
+    The twin, continuity and decay drivers keep only what they certify; a
+    snapshot that run_experiment keeps holds its ball vector, not a cube;
+    the kernel works in buffers of its own, allocated at its first call.
+    """
 
     @staticmethod
     def _cfg(steps: int):
@@ -319,11 +324,31 @@ class TestMemory:
         peak_small, peak_large = self._peak(lambda: driver(24)), self._peak(lambda: driver(199))
         assert peak_large <= 1.5 * peak_small, (peak_small, peak_large)
 
+    def test_retained_snapshots_hold_ball_vectors(self):
+        # RunResult.snapshots keeps every snapshot; each holds its ball vector
+        # (about a thirteenth of a cube at N = 16) while its field goes unread
+        cube = 3 * 16**3 * 16
+        run_experiment(self._cfg(24), None)  # warm the per-grid caches outside the measurement
+        peak_small = self._peak(lambda: run_experiment(self._cfg(24), None))
+        peak_large = self._peak(lambda: run_experiment(self._cfg(199), None))
+        assert (peak_large - peak_small) / (200 - 25) < cube / 4, (peak_small, peak_large)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_a_warm_kernel_call_allocates_almost_nothing(self, n):
+        # past its first call the kernel allocates only the terms it returns
+        # and the divergence's ball-sized temporaries
+        grid = make_grid(n, TWO_PI)
+        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
+        kernel(v)
+        assert self._peak(lambda: kernel(v)) < 6 * v.nbytes
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_trajectory_start_up_holds_no_cube_temporaries(self, n):
-        # up to the first snapshot only the kernel's product blocks (1.5
-        # cubes) and that snapshot (1 cube) are cube-sized; the initial field
-        # is read through its ball entries
+        # up to the first snapshot nothing cube-sized is allocated: the
+        # initial field is read through its ball entries, the snapshot holds
+        # its ball vector, and the kernel allocates its buffers at its first
+        # call, which comes after the first snapshot
         u0 = random_solenoidal(make_grid(n, TWO_PI), seed=n)
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         next(trajectory(u0, params, cfg, 0.0))  # warm the per-grid caches outside the measurement
