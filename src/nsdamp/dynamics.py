@@ -550,7 +550,8 @@ def trajectory(
 
     Nothing runs until the first snapshot is requested, and only the
     snapshot being yielded is held: a caller that keeps none integrates in
-    memory independent of the horizon and the cadence.
+    memory independent of the horizon and the cadence. The reference to the
+    initial field is dropped once its ball entries are read.
 
     Raises BlowupError on non-finite values or when the split's
     heat + f + g drifts from the state, and CFLError on a stability
@@ -575,6 +576,7 @@ def trajectory(
 
     grid = initial.grid
     v = _initial_vector(grid, initial.coeffs)
+    del initial  # only its ball entries are needed from here on
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
     duhamel = _Duhamel(grid, v) if forcing is None else None
     cum_visc = cum_damp = 0.0
@@ -613,8 +615,10 @@ def run(
     forcing: Callable[[float], np.ndarray] | None = None,
 ) -> list[SolverState]:
     """Every snapshot of trajectory() with these arguments, as a list."""
-    return list(trajectory(initial, params, cfg, t_end, t_start=t_start,
-                           output_every=output_every, hooks=hooks, forcing=forcing))
+    steps = trajectory(initial, params, cfg, t_end, t_start=t_start,
+                       output_every=output_every, hooks=hooks, forcing=forcing)
+    del initial  # trajectory drops it once start-up has read it
+    return list(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    u0, t_start = build_initial(cfg)
+    # the field is popped into the call, not named here, so that once the
+    # run's start-up has read it nothing keeps it alive
+    start = list(build_initial(cfg))
+    t_start = start.pop()
     recorder = SeriesRecorder()
     snapshots = run(
-        u0,
+        start.pop(),
         cfg.phys(),
         cfg.stepper(),
         cfg.t_end,

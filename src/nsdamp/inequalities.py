@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_conditions import random_solenoidal
+from .initial_conditions import _solenoidal_ball
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -24,7 +24,6 @@ from .spectral import (
     _sobolev_weight,
     _weighted_sum,
     make_grid,
-    remove_mean,
     sobolev_norm,
     to_physical,
 )
@@ -131,13 +130,22 @@ def _require_zero_mean(f: SpectralField, what: str) -> None:
         raise ValueError(f"{what} requires a zero-mean field")
 
 
-def _interpolation_sides(f: SpectralField) -> tuple[float, float]:
-    """(lhs, rhs) of the interpolation bound; (0, 0) for the zero field."""
-    _require_zero_mean(f, "interpolation gap")
-    l2 = sobolev_norm(f, 0.0)
+#: Sobolev orders of the interpolation bound's three norms: L2, the s = 3/5 side, grad
+_INTERPOLATION_ORDERS = (0.0, 0.6, 1.0)
+
+
+def _norm(power: np.ndarray, weight: np.ndarray, volume: float) -> float:
+    """sqrt(L^3 sum weight |c|^2), as sobolev_norm takes it, in any mode layout."""
+    return float(np.sqrt(volume * max(_weighted_sum(power, weight), 0.0)))
+
+
+def _interpolation_sides(power: np.ndarray, weights, volume: float) -> tuple[float, float]:
+    """(lhs, rhs) of the interpolation bound from a power spectrum and its three
+    weights (_INTERPOLATION_ORDERS, in any mode layout); (0, 0) for the zero field."""
+    l2, lhs, grad = (_norm(power, w, volume) for w in weights)
     if l2 == 0.0:
         return 0.0, 0.0
-    return sobolev_norm(f, 0.6), l2 ** 0.4 * sobolev_norm(f, 1.0) ** 0.6
+    return lhs, l2 ** 0.4 * grad ** 0.6
 
 
 def interpolation_gap(f: SpectralField) -> float:
@@ -151,8 +159,30 @@ def interpolation_gap(f: SpectralField) -> float:
     spectral sums, with equality exactly on a single shell).  Zero field
     returns 0 by convention.
     """
-    lhs, rhs = _interpolation_sides(f)
+    _require_zero_mean(f, "interpolation gap")
+    weights = [_sobolev_weight(f.grid.k_sq, s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
+    lhs, rhs = _interpolation_sides(_power(f.coeffs), weights, f.grid.volume)
     return rhs - lhs
+
+
+def _product_weight(grid: GridSpec) -> np.ndarray:
+    """|xi|^-1 on the rfft half spectrum, doubled on the planes that stand for their conjugates."""
+    n = grid.n_modes
+    weight = _sobolev_weight(grid.k_sq[..., : n // 2 + 1], -0.5, homogeneous=True)
+    weight[..., 1 : n // 2] *= 2.0  # Parseval: these planes also stand for their conjugates
+    return weight
+
+
+def _product_ratio(fp: np.ndarray, gp: np.ndarray, den: float, weight: np.ndarray,
+                   volume: float) -> float:
+    """||fp (x) gp||_(s = -1/2) / den from the samples, with weight from _product_weight."""
+    if den < 1e-300:
+        raise ValueError("zero denominator: both fields must be nonzero")
+    n = fp.shape[-1]
+    prods = fp[:, None, :, :, :] * gp[None, :, :, :, :]
+    c = np.fft.rfftn(prods.reshape(9, n, n, n), axes=(1, 2, 3), norm="forward")
+    num_sq = volume * _weighted_sum(_power(c), weight)
+    return float(np.sqrt(max(num_sq, 0.0)) / den)
 
 
 def product_law_ratio(f: SpectralField, g: SpectralField) -> float:
@@ -169,18 +199,8 @@ def product_law_ratio(f: SpectralField, g: SpectralField) -> float:
     _require_zero_mean(f, "product-law ratio")
     _require_zero_mean(g, "product-law ratio")
     den = sobolev_norm(f, 0.0) * sobolev_norm(g, 1.0)
-    if den < 1e-300:
-        raise ValueError("zero denominator: both fields must be nonzero")
-
-    fp = to_physical(f)
-    gp = to_physical(g)
-    prods = fp[:, None, :, :, :] * gp[None, :, :, :, :]
-    n = f.grid.n_modes
-    c = np.fft.rfftn(prods.reshape(9, n, n, n), axes=(1, 2, 3), norm="forward")
-    weight = _sobolev_weight(f.grid.k_sq[..., : n // 2 + 1], -0.5, homogeneous=True)
-    weight[..., 1 : n // 2] *= 2.0  # Parseval: these planes also stand for their conjugates
-    num_sq = f.grid.volume * _weighted_sum(_power(c), weight)
-    return float(np.sqrt(max(num_sq, 0.0)) / den)
+    return _product_ratio(to_physical(f), to_physical(g), den, _product_weight(f.grid),
+                          f.grid.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +331,25 @@ def gronwall_suite() -> OracleRow:
     )
 
 
-def _random_band_limited(grid: GridSpec, rng: np.random.Generator, projected: bool) -> SpectralField:
+def _random_band_limited(grid: GridSpec, rng: np.random.Generator, projected: bool) -> np.ndarray:
+    """Ball vector of a random zero-mean field with a random scale in [0.1, 10).
+
+    projected: random_solenoidal's field before it is expanded, scaled by its
+    ball norm.  Otherwise white noise on the whole ball, not projected.
+    """
+    ball = grid.ball
     if projected:
-        return random_solenoidal(grid, seed=int(rng.integers(2**31)), amplitude=float(rng.uniform(0.1, 10.0)))
-    samples = rng.standard_normal((3,) + grid.shape[1:])
-    f = SpectralField(grid, grid.ball.expand(grid.ball.from_physical(samples)))
-    return remove_mean(f) * float(rng.uniform(0.1, 10.0))
+        v = _solenoidal_ball(grid, int(rng.integers(2**31)))
+        return v * (float(rng.uniform(0.1, 10.0)) / np.sqrt(grid.volume * ball.norm_sq(v)))
+    v = ball.from_physical(rng.standard_normal((3,) + grid.shape[1:]))
+    v[:, 0] = 0.0
+    return v * float(rng.uniform(0.1, 10.0))
+
+
+def _ball_sobolev_weights(grid: GridSpec, orders) -> list[np.ndarray]:
+    """Parseval-weighted |xi|^(2s) on the grid's ball entries, one array per order s."""
+    ball = grid.ball
+    return [ball.weight * _sobolev_weight(ball.k_sq, s, homogeneous=True) for s in orders]
 
 
 def interpolation_suite(n_fields: int = 1000, seed: int = 0) -> OracleRow:
@@ -324,24 +357,27 @@ def interpolation_suite(n_fields: int = 1000, seed: int = 0) -> OracleRow:
 
     Mixes solenoidal and unprojected fields on 8^3 and 16^3 grids, plus a
     single-shell field where the bound is an equality.  The gap is measured
-    relative to the right-hand side; the floor is -1e-10.
+    relative to the right-hand side; the floor is -1e-10.  The fields stay
+    ball vectors throughout.
     """
     rng = np.random.default_rng(seed)
     grids = [make_grid(8, 2.0 * np.pi), make_grid(16, 4.0 * np.pi)]
+    weights = [_ball_sobolev_weights(grid, _INTERPOLATION_ORDERS) for grid in grids]
     worst = np.inf
     for i in range(n_fields):
         grid = grids[i % 2]
-        lhs, rhs = _interpolation_sides(_random_band_limited(grid, rng, projected=(i % 4 < 2)))
+        v = _random_band_limited(grid, rng, projected=(i % 4 < 2))
+        lhs, rhs = _interpolation_sides(_power(v), weights[i % 2], grid.volume)
         if rhs == 0.0:
             continue
         worst = min(worst, (rhs - lhs) / rhs)
 
     # single-shell equality case: cos(x) in the y component
     grid = grids[0]
-    c = np.zeros(grid.shape, dtype=np.complex128)
-    c[1, 1, 0, 0] = 0.5
-    c[1, -1, 0, 0] = 0.5
-    lhs, rhs = _interpolation_sides(SpectralField(grid, c))
+    n = grid.n_modes
+    v = np.zeros((3, grid.ball.k_sq.size), dtype=np.complex128)
+    v[1, grid.ball.full_index == np.ravel_multi_index((1, 0, 0), (n, n, n))] = 0.5
+    lhs, rhs = _interpolation_sides(_power(v), weights[0], grid.volume)
     worst = min(worst, (rhs - lhs) / rhs)
 
     return OracleRow(
@@ -359,15 +395,21 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
 
     No universal constant is asserted -- the pass condition is only that the
     ratio stays finite and positive; the observed maximum is reported so
-    regressions in the product computation are visible.
+    regressions in the product computation are visible.  The fields are
+    ball vectors; only the products are transformed over the whole cube.
     """
     rng = np.random.default_rng(seed)
     grid = make_grid(16, 2.0 * np.pi)
+    ball = grid.ball
+    l2_weight, grad_weight = _ball_sobolev_weights(grid, (0.0, 1.0))
+    weight = _product_weight(grid)
     ratios = []
     for i in range(n_pairs):
-        f = _random_band_limited(grid, rng, projected=(i % 2 == 0))
-        g = _random_band_limited(grid, rng, projected=(i % 2 == 1))
-        ratios.append(product_law_ratio(f, g))
+        v = _random_band_limited(grid, rng, projected=(i % 2 == 0))
+        w = _random_band_limited(grid, rng, projected=(i % 2 == 1))
+        den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
+        ratios.append(_product_ratio(ball.to_physical(v), ball.to_physical(w), den, weight,
+                                     grid.volume))
     arr = np.asarray(ratios)
     finite = bool(np.isfinite(arr).all()) and bool((arr > 0.0).all())
     return OracleRow(

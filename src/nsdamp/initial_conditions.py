@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    friedrichs_truncate,
-    l2_norm,
-    leray_project,
-    remove_mean,
-)
+from .spectral import _BALL_TOL, GridSpec, SpectralField, l2_norm
 
 __all__ = ["taylor_green", "shear_mode", "random_solenoidal"]
 
@@ -53,6 +46,19 @@ def shear_mode(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
+def _solenoidal_ball(grid: GridSpec, seed: int) -> np.ndarray:
+    """Ball vector of seeded white noise truncated to |xi| <= R/2, projected, m = 0 zeroed.
+
+    Not normalized. random_solenoidal expands it; the oracle suites keep it.
+    """
+    ball = grid.ball
+    v = ball.from_physical(np.random.default_rng(seed).standard_normal(grid.shape))
+    v *= ball.k_sq <= (grid.cutoff_radius / 2.0) ** 2 * (1.0 + _BALL_TOL)
+    ball.project(v)
+    v[:, 0] = 0.0
+    return v
+
+
 def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> SpectralField:
     """Seeded random field: white noise, truncated to |xi| <= R/2, projected,
     zero-meaned, and normalized so the L2 norm equals `amplitude`.
@@ -60,12 +66,9 @@ def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Spec
     The half-radius support leaves room for the quadratic term to populate
     the rest of the ball before truncation bites.
     """
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(grid.shape)
-    f = SpectralField(grid, grid.ball.expand(grid.ball.from_physical(noise)))
-    f = friedrichs_truncate(f, grid.cutoff_radius / 2.0)
-    f = remove_mean(leray_project(f))
+    f = SpectralField(grid, grid.ball.expand(_solenoidal_ball(grid, seed)))
     norm = l2_norm(f)
     if norm == 0.0:
         raise ValueError("random field collapsed to zero after projection")
-    return SpectralField(grid, f.coeffs * (amplitude / norm))
+    f.coeffs *= amplitude / norm
+    return f

@@ -1,10 +1,12 @@
 """Experiment drivers and the command-line harness."""
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from nsdamp.experiments import (
     twin_experiment,
 )
 from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
+from nsdamp.ledger import SeriesRecorder
 from nsdamp.spectral import PhysParams, grad_norm_sq, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
@@ -354,6 +357,49 @@ class TestMemory:
         next(trajectory(u0, params, cfg, 0.0))  # warm the per-grid caches outside the measurement
         cubes = self._peak(lambda: next(trajectory(u0, params, cfg, 0.0))) / (3 * n**3 * 16)
         assert cubes <= 3.25, cubes
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps a call's arguments on the caller's stack")
+    def test_the_initial_field_is_released_after_start_up(self, monkeypatch):
+        # only the start-up reads the initial field: trajectory, run and
+        # run_experiment each drop their reference to it before the first
+        # snapshot, so reference counting alone frees it
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
+        refs, dead = [], []
+
+        def first_snapshot(snap):
+            if not dead:
+                dead.append(refs[-1]() is None)
+
+        class Recorder(SeriesRecorder):
+            def __call__(self, snap):
+                first_snapshot(snap)
+                super().__call__(snap)
+
+        def traced_build(c):
+            u0, t_start = build_initial(c)
+            refs.append(weakref.ref(u0))
+            return u0, t_start
+
+        gc.disable()
+        try:
+            fields = [random_solenoidal(make_grid(8, TWO_PI), seed=1)]
+            refs.append(weakref.ref(fields[0]))
+            steps = trajectory(fields.pop(), params, cfg, 2e-3)
+            next(steps)
+            assert refs[-1]() is None
+
+            fields.append(random_solenoidal(make_grid(8, TWO_PI), seed=2))
+            refs.append(weakref.ref(fields[0]))
+            run(fields.pop(), params, cfg, 2e-3, hooks=(first_snapshot,))
+            assert dead.pop()
+
+            monkeypatch.setattr(experiments, "build_initial", traced_build)
+            monkeypatch.setattr(experiments, "SeriesRecorder", Recorder)
+            run_experiment(_cfg(**{"time.t_end": 4e-3, "ic.kind": "random-solenoidal"}), None)
+            assert dead.pop()
+        finally:
+            gc.enable()
 
 
 class TestRefinement:

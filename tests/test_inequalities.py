@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from oracles import fftn_product_law_ratio, fftn_random_band_limited, fftn_random_solenoidal
 
+from nsdamp import inequalities, initial_conditions
 from nsdamp.inequalities import (
+    _INTERPOLATION_ORDERS,
+    _ball_sobolev_weights,
+    _interpolation_sides,
+    _norm,
+    _product_ratio,
+    _product_weight,
     _random_band_limited,
     gronwall_constant,
     interpolation_gap,
@@ -14,7 +21,7 @@ from nsdamp.inequalities import (
     young_gap,
 )
 from nsdamp.initial_conditions import random_solenoidal
-from nsdamp.spectral import SpectralField, make_grid
+from nsdamp.spectral import SpectralField, _power, _sobolev_weight, make_grid
 
 
 class TestMonotonicityGap:
@@ -154,10 +161,11 @@ def test_random_fields_equal_the_fftn_construction(n):
     # the package takes the ball's pruned forward transform of the noise; the
     # oracle transforms the whole cube with SciPy's fftn and then truncates
     grid = make_grid(n, 2.0 * np.pi)
+    band_limited = _random_band_limited(grid, np.random.default_rng(n), projected=False)
     pairs = [
         (random_solenoidal(grid, seed=n), fftn_random_solenoidal(grid, seed=n)),
         (
-            _random_band_limited(grid, np.random.default_rng(n), projected=False),
+            SpectralField(grid, grid.ball.expand(band_limited)),
             fftn_random_band_limited(grid, np.random.default_rng(n)),
         ),
     ]
@@ -174,10 +182,52 @@ def test_product_law_ratio_equals_the_full_spectrum_sum(n):
     rng = np.random.default_rng(n)
     for f, g in [
         (random_solenoidal(grid, seed=1), random_solenoidal(grid, seed=2)),
-        (_random_band_limited(grid, rng, projected=False), random_solenoidal(grid, seed=3)),
+        (
+            SpectralField(grid, grid.ball.expand(_random_band_limited(grid, rng, projected=False))),
+            random_solenoidal(grid, seed=3),
+        ),
     ]:
         ref = fftn_product_law_ratio(f, g)
         assert abs(product_law_ratio(f, g) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_the_suites_ball_sums_equal_the_public_functions(n):
+    # the suites keep their fields as ball vectors; the public functions take
+    # the expanded fields over the whole cube
+    grid = make_grid(n, 2.0 * np.pi)
+    ball, rng = grid.ball, np.random.default_rng(n)
+    interpolation_weights = _ball_sobolev_weights(grid, _INTERPOLATION_ORDERS)
+    cube_weights = [_sobolev_weight(grid.k_sq, s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
+    l2_weight, grad_weight = _ball_sobolev_weights(grid, (0.0, 1.0))
+    product_weight = _product_weight(grid)
+    for projected in (True, False, True, False):
+        v = _random_band_limited(grid, rng, projected)
+        w = _random_band_limited(grid, rng, not projected)
+        f, g = (SpectralField(grid, ball.expand(x)) for x in (v, w))
+
+        sides = _interpolation_sides(_power(v), interpolation_weights, grid.volume)
+        ref = _interpolation_sides(_power(f.coeffs), cube_weights, grid.volume)
+        assert np.allclose(sides, ref, rtol=1e-15, atol=0.0)
+        assert abs((sides[1] - sides[0]) - interpolation_gap(f)) <= 1e-15 * ref[1]
+
+        den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
+        ratio = _product_ratio(ball.to_physical(v), ball.to_physical(w), den, product_weight,
+                               grid.volume)
+        ref = product_law_ratio(f, g)
+        assert abs(ratio - ref) <= 1e-15 * ref
+
+
+def test_the_suites_never_touch_the_cube_operators(monkeypatch):
+    # the suites' fields stay ball vectors: no cube truncation, projection,
+    # mean removal or inverse transform on the way to any row
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle suite called a full-cube operator")
+
+    for module in (inequalities, initial_conditions):
+        for name in ("friedrichs_truncate", "leray_project", "remove_mean", "to_physical"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert all(row.passed for row in verify_suite(0, fast=True))
 
 
 def test_verify_suite_fast_all_pass():
