@@ -177,76 +177,107 @@ class _NLTerms(NamedTuple):
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 #: ... and, per component i, the blocks of u_i u_0, u_i u_1, u_i u_2
 _BLOCKS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+#: values per block in one slab of x-planes: the three blocks' slab is at most
+#: 768 KiB, so the products are still in a 1-2 MiB L2 cache when the z pass reads them
+_SLAB = 2**15
 
 
 class _Kernel:
     """J div(u x u) and alpha J |u|^(beta-1) u of ball vectors, plus ledger rates.
 
-    One pruned inverse transform of the state (_Ball.to_physical), the
-    products on the full physical grid, the pruned forward transform of the
-    product blocks (_Ball.from_physical, three blocks at a time), then the
-    divergence on the ball entries. Nothing is projected: _project_terms
-    does that for the stepper and the operators, and pressure_field takes
-    the gradient part instead. advect=False skips the advection term.
+    One pruned inverse transform of the state (_Ball.to_physical), then the
+    pruned forward transform of the product blocks, three at a time (the
+    stress blocks of _PAIRS[:3], of _PAIRS[3:], then the damping blocks):
+    slab by slab of x-planes, the three products are formed and transformed
+    along z straight into the half-spectrum array, and _Ball.from_half runs
+    the rest. The divergence follows on the ball entries. Nothing is
+    projected: _project_terms does that for the stepper and the operators,
+    and pressure_field takes the gradient part instead. advect=False skips
+    the advection term.
+
+    A slab is min(N, max(1, _SLAB // N^2)) x-planes, the last maybe fewer:
+    8 at N = 64, the whole grid at N <= 32. Products are pointwise and each
+    z line is transformed on its own, so slabs give the bits of whole
+    blocks; |u|^2 stays a full cube so that its max and sum keep their order.
 
     Every array of an evaluation but the terms it returns lives in a buffer
     of the instance, allocated at the first call and reused by every later
-    one: the grid values u, |u|^2 and the damping weight, one half-spectrum
-    array (the inverse's planes and the forward's rfft output), the x-line
-    and y-line arrays of the two transforms, and the product blocks with
-    their ball coefficients. Allocated and freed at each stage instead, they
-    let the allocator trim the top of the heap and fault it back in at the
-    next stage. The buffers are per-instance scratch: one kernel per thread.
+    one: the grid values u and |u|^2, one slab of three product blocks, one
+    half-spectrum array (the inverse's planes and the forward's z-pass
+    output), the x-line and y-line arrays of the two transforms, and the
+    blocks' ball coefficients. Allocated and freed at each stage instead,
+    they let the allocator trim the top of the heap and fault it back in at
+    the next stage. The buffers are per-instance scratch: one kernel per
+    thread.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams, *, advect: bool = True):
         self.grid = grid
         self.ball = grid.ball
         self.params = params
-        self.pairs = _PAIRS if advect else ()
+        self.advect = advect
         self.damped = params.alpha > 0.0
+        # the blocks, three to a forward transform; None stands for the damping blocks
+        self.groups = ([_PAIRS[:3], _PAIRS[3:]] if advect else []) + ([None] if self.damped else [])
         self.u = None  # the buffers, allocated by the first call
 
     def _allocate(self) -> None:
         ball, n = self.ball, self.grid.n_modes
-        n_blocks = len(self.pairs) + 3 * self.damped
         self.u = np.empty((3, n, n, n))
         self.mag_sq = np.empty((n, n, n))
-        self.weight = np.empty((n, n, n))
+        self.products = np.empty((3, min(n, max(1, _SLAB // n**2)), n, n))
         self.half = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
         self.planes = self.half[..., : ball.top + 1]
         self.x_lines = np.empty((3, n, ball.x_lines.shape[1]), dtype=np.complex128)
         self.y_lines = np.empty((3,) + ball.y_gather.shape, dtype=np.complex128)
-        self.blocks = np.empty((n_blocks, n, n, n))
-        self.hats = np.empty((n_blocks, ball.k_sq.size), dtype=np.complex128)
+        self.hats = np.empty((3 * len(self.groups), ball.k_sq.size), dtype=np.complex128)
+
+    def _slabs(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each slab's x-planes and the product buffer cut to their count."""
+        n, size = self.grid.n_modes, self.products.shape[1]
+        for x0 in range(0, n, size):
+            xs = slice(x0, min(x0 + size, n))
+            yield xs, self.products[:, : xs.stop - x0]
+
+    def _damping(self, xs: slice, products: np.ndarray) -> None:
+        """alpha |u|^(beta-1) u on a slab; its |u|^2 becomes |u|^(beta+1), which damp_rate sums."""
+        alpha, beta = self.params.alpha, self.params.beta
+        # the weight lives in products[2] until the last product overwrites it;
+        # 0^(beta-1) = 0 since beta > 1
+        weight, mag_sq = products[2], self.mag_sq[xs]
+        np.power(mag_sq, (beta - 1.0) / 2.0, out=weight)
+        mag_sq *= weight
+        weight *= alpha
+        for i in range(3):
+            np.multiply(weight, self.u[i, xs], out=products[i])
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
         if self.u is None:
             self._allocate()
-        ball, params, pairs, blocks = self.ball, self.params, self.pairs, self.blocks
-        u, mag_sq, weight = self.u, self.mag_sq, self.weight
+        ball, params, hats = self.ball, self.params, self.hats
+        u, mag_sq = self.u, self.mag_sq
         ball.to_physical(v, out=u, lines=self.x_lines, planes=self.planes)
-        # |u|^2 = (u_0^2 + u_1^2) + u_2^2, the weight buffer holding each square
-        np.square(u[0], out=mag_sq)
-        for i in (1, 2):
-            mag_sq += np.square(u[i], out=weight)
+        # |u|^2 = (u_0^2 + u_1^2) + u_2^2, the product buffer holding each square
+        for xs, products in self._slabs():
+            slab = mag_sq[xs]
+            np.square(u[0, xs], out=slab)
+            for i in (1, 2):
+                slab += np.square(u[i, xs], out=products[0])
         linf = float(np.sqrt(float(mag_sq.max())))
 
-        for b, (i, j) in enumerate(pairs):
-            np.multiply(u[i], u[j], out=blocks[b])
-        damp_rate = 0.0
-        if self.damped:
-            # |u|^(beta-1) u pointwise; 0^(beta-1) = 0 since beta > 1.
-            np.power(mag_sq, (params.beta - 1.0) / 2.0, out=weight)
-            mag_sq *= weight
-            damp_rate = 2.0 * params.alpha * float(mag_sq.sum()) * self.grid.cell_volume
-            weight *= params.alpha
-            for i in range(3):
-                np.multiply(weight, u[i], out=blocks[len(pairs) + i])
+        for g, group in enumerate(self.groups):
+            for xs, products in self._slabs():
+                if group is None:
+                    self._damping(xs, products)
+                else:
+                    for b, (i, j) in enumerate(group):
+                        np.multiply(u[i, xs], u[j, xs], out=products[b])
+                np.fft.rfft(products, axis=3, norm="forward", out=self.half[:, xs])
+            ball.from_half(self.half, out=hats[3 * g : 3 * g + 3], lines=self.y_lines)
 
-        hats = ball.from_physical(blocks, out=self.hats, half=self.half, lines=self.y_lines)
-        adv = None
-        if pairs:
+        adv = damp = None
+        damp_rate = 0.0
+        if self.advect:
             k = ball.k
             adv = np.empty_like(v)
             for comp, (b0, b1, b2) in enumerate(_BLOCKS):
@@ -254,8 +285,10 @@ class _Kernel:
                 acc = acc + k[1] * hats[b1]
                 acc = acc + k[2] * hats[b2]
                 adv[comp] = 1j * acc
-        # a copy, not a view: the stepper keeps each stage's terms to the end of the step
-        damp = hats[len(pairs):].copy() if self.damped else None
+        if self.damped:
+            # a copy, not a view: the stepper keeps each stage's terms to the end of the step
+            damp = hats[-3:].copy()
+            damp_rate = 2.0 * params.alpha * float(mag_sq.sum()) * self.grid.cell_volume
         visc_rate = 2.0 * params.nu * self.grid.volume * ball.norm_sq(v, ball.k_sq)
         return _NLTerms(adv, damp, visc_rate, damp_rate, linf)
 

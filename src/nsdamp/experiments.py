@@ -277,6 +277,7 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
         trajectory(u, params, stepper, cfg.t_end, t_start=t_start, output_every=cfg.output_every)
         for u in (u0, u0_twin)
     ]
+    del u0, pert, u0_twin  # each run's start-up reads its field, then drops it
 
     # both runs advance one block of samples in parallel, then the block is
     # compared pair by pair and dropped
@@ -393,6 +394,7 @@ def continuity_experiment(
     u0, t_start = build_initial(cfg)
     snapshots = trajectory(u0, cfg.phys(), cfg.stepper(), t_start + t0 + eps_sorted[0],
                            t_start=t_start, output_every=stride * dt)
+    del u0  # the start-up reads it, then drops it
     by_index = {s.step_count: s for s in snapshots if s.step_count in indices}
 
     constant = gronwall_constant(cfg.alpha, cfg.beta)
@@ -469,8 +471,10 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     validate_for_experiment(cfg, "decay")
     u0, t_start = build_initial(cfg)
     recorder = SeriesRecorder()
-    for _ in trajectory(u0, cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
-                        output_every=cfg.output_every, hooks=(recorder,)):
+    snapshots = trajectory(u0, cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
+                           output_every=cfg.output_every, hooks=(recorder,))
+    del u0  # the start-up reads it, then drops it
+    for _ in snapshots:
         pass
 
     energy = recorder.energy

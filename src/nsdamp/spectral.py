@@ -467,6 +467,11 @@ class _Ball:
     factors round differently from one 1/N^3 (about 4e-16 of the largest
     coefficient). The tests check them against SciPy's full transforms.
 
+    The forward goes three blocks at a time in two steps: the rfft along z
+    of every line, then from_half() for the rest. A caller that forms its
+    blocks slab by slab runs the z pass itself and never holds a whole
+    block cube (the stepper's kernel does).
+
     Built once per grid, as GridSpec.ball, and holding no reference back to
     it, so a grid and its ball are freed together. Every array is read-only;
     nothing here is scratch space, so threads may share one instance. A
@@ -550,22 +555,35 @@ class _Ball:
     def from_physical(self, blocks: np.ndarray, out=None, half=None, lines=None) -> np.ndarray:
         """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time.
 
-        out, half (3, N, N, N/2 + 1) and lines (3, len(y_gather), N), when
+        Each three blocks take the rfft along z into half (3, N, N, N/2 + 1),
+        then from_half. out, half and lines (3, len(y_gather), N), when
         given, receive the result and the passes' work; by default all three
         are allocated, half and lines afresh for each three blocks.
         """
         if out is None:
             out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
         for g in range(0, len(blocks), 3):
-            spec = np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward", out=half)
-            planes = spec[..., : self.top + 1]
-            np.fft.fft(planes, axis=1, norm="forward", out=planes)
-            # mode="clip": the default "raise" copies out before writing it
-            y = np.take(spec.reshape(len(spec), -1), self.y_gather, axis=1, out=lines, mode="clip")
-            del spec, planes  # two alive at once made the heap top trim and fault back in at each stage
-            np.fft.fft(y, axis=2, norm="forward", out=y)
-            np.take(y.reshape(len(y), -1), self.y_slot, axis=1, out=out[g : g + 3], mode="clip")
+            # passed, not named, so from_half can drop a fresh half spectrum early
+            self.from_half(np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward", out=half),
+                           out=out[g : g + 3], lines=lines)
         return out
+
+    def from_half(self, spec: np.ndarray, out: np.ndarray, lines=None) -> np.ndarray:
+        """Ball entries (k, n_ball) of z-transformed blocks: the rest of the forward transform.
+
+        spec (k, N, N, N/2 + 1) is the norm="forward" rfft along z of up to
+        three real blocks; its planes m3 <= top are overwritten by the x
+        pass. Then the y_lines are gathered, transformed along y and taken
+        at the ball entries, into out (k, n_ball). lines (k, len(y_gather),
+        N), when given, receives the y pass's work.
+        """
+        planes = spec[..., : self.top + 1]
+        np.fft.fft(planes, axis=1, norm="forward", out=planes)
+        # mode="clip": the default "raise" copies out before writing it
+        y = np.take(spec.reshape(len(spec), -1), self.y_gather, axis=1, out=lines, mode="clip")
+        del spec, planes  # two alive at once made the heap top trim and fault back in at each stage
+        np.fft.fft(y, axis=2, norm="forward", out=y)
+        return np.take(y.reshape(len(y), -1), self.y_slot, axis=1, out=out, mode="clip")
 
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
         """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""

@@ -11,6 +11,11 @@ independent oracle for the pseudo-spectral path.
 stepper's ball vectors: whole-spectrum ``irfftn`` and ``rfftn``, which the
 pruned ``_Ball`` transforms must reproduce.
 
+``unfused_kernel`` evaluates the stepper's nonlinear kernel with every
+product block a whole array of its own, all of them formed before
+``_Ball.from_physical`` transforms them, which the kernel's slab-by-slab
+products must reproduce bit for bit.
+
 ``fftn_random_solenoidal``, ``fftn_random_band_limited`` and
 ``fftn_product_law_ratio`` build the seeded random fields and the
 product-law ratio from the full ``fftn`` of the whole cube, which the
@@ -170,6 +175,39 @@ def full_forward(ball, blocks):
     index = np.ravel_multi_index(np.unravel_index(ball.full_index, (n, n, n)), (n, n, n // 2 + 1))
     hats = scipy.fft.rfftn(blocks, axes=(1, 2, 3), norm="forward")
     return np.take(hats.reshape(len(blocks), -1), index, axis=1)
+
+
+def unfused_kernel(grid, params, v, advect=True):
+    """The kernel's (adv, damp, visc_rate, damp_rate, linf) from whole product blocks.
+
+    The same pointwise formulas, in the same order, as the kernel, but each
+    block is a full (N, N, N) array and all of them exist before the
+    forward transform; adv is i xi_j (u_i u_j)-hat summed over j = 0, 1, 2.
+    """
+    ball = grid.ball
+    u = ball.to_physical(v)
+    mag_sq = (u[0] ** 2 + u[1] ** 2) + u[2] ** 2
+    linf = float(np.sqrt(float(mag_sq.max())))
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)] if advect else []
+    blocks = [u[i] * u[j] for i, j in pairs]
+    damp_rate = 0.0
+    if params.alpha > 0.0:
+        weight = mag_sq ** ((params.beta - 1.0) / 2.0)
+        damp_rate = 2.0 * params.alpha * float((mag_sq * weight).sum()) * grid.cell_volume
+        blocks += [params.alpha * weight * u[i] for i in range(3)]
+    hats = ball.from_physical(np.array(blocks))
+    adv = damp = None
+    if advect:
+        def block(i, j):
+            return hats[pairs.index((min(i, j), max(i, j)))]
+
+        k = ball.k
+        adv = np.stack([1j * (k[0] * block(i, 0) + k[1] * block(i, 1) + k[2] * block(i, 2))
+                        for i in range(3)])
+    if params.alpha > 0.0:
+        damp = hats[len(pairs):]
+    visc_rate = 2.0 * params.nu * grid.volume * ball.norm_sq(v, ball.k_sq)
+    return adv, damp, visc_rate, damp_rate, linf
 
 
 def fftn_random_solenoidal(grid, seed, amplitude=1.0):

@@ -17,6 +17,7 @@ from oracles import (
     full_inverse,
     linear_advection,
     project_hat,
+    unfused_kernel,
 )
 from nsdamp import dynamics
 from nsdamp.checkpoint import write_checkpoint
@@ -166,6 +167,27 @@ class TestBallTransforms:
         whole = ball.to_physical(v)
         for rows in (1, 2, 3):
             assert np.array_equal(ball.to_physical(v[:rows]), whole[:rows])
+
+    @pytest.mark.parametrize("n, planes", [(12, 5), (16, 3), (16, None)])
+    @pytest.mark.parametrize("alpha, advect", [(1.0, True), (1.0, False), (0.0, True)])
+    def test_kernel_slabs_give_the_bits_of_whole_blocks(self, monkeypatch, n, planes, alpha, advect):
+        # slabs of 5 planes at N = 12 (5, 5, 2) and of 3 at N = 16 (five of 3,
+        # then 1) end short; planes=None keeps the default, one slab
+        if planes is not None:
+            monkeypatch.setattr(dynamics, "_SLAB", planes * n**2)
+        grid = make_grid(n, TWO_PI)
+        params = PhysParams(nu=0.5, alpha=alpha, beta=10.0 / 3.0)
+        v = grid.ball.gather(random_solenoidal(grid, seed=n, amplitude=4.0).coeffs)
+        kernel = dynamics._Kernel(grid, params, advect=advect)
+        kernel(v)  # a warm call must not differ from the first
+        got = kernel(v)
+        assert len(kernel.products[0]) == (planes or n)
+        want = unfused_kernel(grid, params, v, advect)
+        for name, g, w in zip(got._fields, got, want):
+            if w is None:
+                assert g is None, name
+            else:
+                assert np.array_equal(g, w), name
 
     @pytest.mark.parametrize("n", [4, 6, 16])
     def test_ball_tables_are_read_only(self, n):

@@ -346,6 +346,18 @@ class TestMemory:
         kernel(v)
         assert self._peak(lambda: kernel(v)) < 6 * v.nbytes
 
+    def test_a_first_kernel_call_holds_no_cube_of_product_blocks(self):
+        # the products go, three blocks at a time, slab by slab into the
+        # forward's z pass: the first call at N = 32, buffers included, peaks
+        # at 2.60 cubes, where nine whole blocks and a weight cube took 3.76
+        n = 32
+        grid = make_grid(n, TWO_PI)
+        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
+        dynamics._Kernel(grid, kernel.params)(v)  # warm the per-grid caches outside the measurement
+        cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
+        assert cubes <= 3.0, cubes
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_trajectory_start_up_holds_no_cube_temporaries(self, n):
         # up to the first snapshot nothing cube-sized is allocated: the
@@ -362,8 +374,9 @@ class TestMemory:
                         reason="older CPython keeps a call's arguments on the caller's stack")
     def test_the_initial_field_is_released_after_start_up(self, monkeypatch):
         # only the start-up reads the initial field: trajectory, run and
-        # run_experiment each drop their reference to it before the first
-        # snapshot, so reference counting alone frees it
+        # every driver drop their references to it (and the twin to its
+        # perturbation) before the first snapshot, so reference counting
+        # alone frees it
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         refs, dead = [], []
 
@@ -398,6 +411,33 @@ class TestMemory:
             monkeypatch.setattr(experiments, "SeriesRecorder", Recorder)
             run_experiment(_cfg(**{"time.t_end": 4e-3, "ic.kind": "random-solenoidal"}), None)
             assert dead.pop()
+
+            # each run's own field and the twin's perturbation are dead at the run's first snapshot
+            def traced_solenoidal(*args, **kwargs):
+                pert = random_solenoidal(*args, **kwargs)
+                perts.append(weakref.ref(pert))
+                return pert
+
+            def traced_trajectory(initial, *args, **kwargs):
+                ref = weakref.ref(initial)
+                return checked(ref, trajectory(initial, *args, **kwargs))
+
+            def checked(ref, steps):
+                first = next(steps)
+                dead.append(ref() is None and all(r() is None for r in perts))
+                yield first
+                yield from steps
+
+            perts = []
+            monkeypatch.setattr(experiments, "random_solenoidal", traced_solenoidal)
+            monkeypatch.setattr(experiments, "trajectory", traced_trajectory)
+            monkeypatch.setattr(experiments, "SeriesRecorder", SeriesRecorder)
+            decay_experiment(self._cfg(4))
+            continuity_experiment(self._cfg(4), [0.02], t0=0.04)
+            # a Taylor-Green base: the other run may not have started, so its
+            # field must not be among the random ones
+            twin_experiment(_cfg(**{"time.t_end": 8e-3}), 1e-3)
+            assert dead == [True] * 4 and len(perts) == 3
         finally:
             gc.enable()
 
