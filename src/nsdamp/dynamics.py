@@ -29,6 +29,14 @@ vector (SolverState.vector), which the ledger's hooks read. Public arrays
 and checkpoints stay full (3, N, N, N) coefficient arrays: a snapshot's
 field, SolverState.u, is expanded from the vector on first access, and the
 expansion is Hermitian by construction.
+
+A snapshot also carries the collocation sums of its speed |u|
+(SolverState.pointwise: the max, the |u|^beta sums split at |u| = 1 and the
+|u|^(10/3) mass), the decay diagnostics' pointwise part. trajectory() runs
+each step's first-stage kernel call before it yields the step's start
+state, so the grid values that call transforms feed the snapshot too, and
+the final state takes the kernel's inverse alone: a run transforms each
+state once per stage and no more.
 """
 
 from __future__ import annotations
@@ -39,7 +47,15 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import _STATE_TOL, GridSpec, PhysParams, SpectralField, _Ball, _gradient_part
+from .spectral import (
+    _EMBED_P,
+    _STATE_TOL,
+    GridSpec,
+    PhysParams,
+    SpectralField,
+    _Ball,
+    _gradient_part,
+)
 
 __all__ = [
     "SolverState",
@@ -47,6 +63,7 @@ __all__ = [
     "CFLError",
     "BlowupError",
     "DuhamelNorms",
+    "PointwiseNorms",
     "advection",
     "damping",
     "tendency",
@@ -88,6 +105,26 @@ class DuhamelNorms(NamedTuple):
     drift: float  # relative L2 gap between heat + f + g and the state
 
 
+class PointwiseNorms(NamedTuple):
+    """Collocation sums of the speed |u| at one snapshot, dV the grid's cell volume."""
+
+    linf: float  # max |u| over the grid points
+    rate_e1: float  # sum of |u|^beta dV over the points with |u| <= 1
+    rate_e2: float  # sum of |u|^beta dV over the points with |u| > 1
+    embed_mass: float  # sum of |u|^(10/3) dV
+
+
+def _pointwise_norms(u: np.ndarray, dv: float, beta: float) -> PointwiseNorms:
+    """The PointwiseNorms of grid values u, shape (3, N, N, N)."""
+    mag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+    small = mag <= 1.0
+    powered = mag**beta
+    rate_e1 = dv * float(powered[small].sum())
+    rate_e2 = dv * float(powered[~small].sum())
+    embed_mass = dv * float((powered if beta == _EMBED_P else mag**_EMBED_P).sum())
+    return PointwiseNorms(float(mag.max(initial=0.0)), rate_e1, rate_e2, embed_mass)
+
+
 class SolverState:
     """Solution snapshot: time, field, parameters, and the running dissipation integrals.
 
@@ -101,6 +138,11 @@ class SolverState:
     (see vector) and builds u, the full (3, N, N, N) field, on first access,
     then keeps it: snap.u is snap.u. A state built from a field keeps that
     very object as u.
+
+    pointwise holds the speed's collocation sums (PointwiseNorms). A
+    snapshot of trajectory() carries them from the grid values the stepper
+    computes anyway; any other state takes them on first access from the
+    pruned inverse transform of its vector, and keeps them.
     """
 
     def __init__(self, t: float, u: SpectralField, params: PhysParams, step_count: int = 0,
@@ -110,18 +152,20 @@ class SolverState:
         self.grid: GridSpec = u.grid
         self._u: SpectralField | None = u
         self._vector: np.ndarray | None = None
+        self._pointwise: PointwiseNorms | None = None
 
     @classmethod
     def _of_vector(cls, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams,
                    step_count: int, cum_visc: float, cum_damp: float,
-                   duhamel: DuhamelNorms | None = None) -> "SolverState":
+                   duhamel: DuhamelNorms | None = None,
+                   pointwise: PointwiseNorms | None = None) -> "SolverState":
         """A snapshot holding ball vector v of grid; u is built when first asked for."""
         # read-only: trajectory() steps on from this very array after the yield
         v.flags.writeable = False
         state = cls.__new__(cls)
         state.t, state.params, state.step_count = t, params, step_count
         state.cum_visc, state.cum_damp, state.duhamel = cum_visc, cum_damp, duhamel
-        state.grid, state._u, state._vector = grid, None, v
+        state.grid, state._u, state._vector, state._pointwise = grid, None, v, pointwise
         return state
 
     @property
@@ -143,6 +187,15 @@ class SolverState:
         if self._vector is not None:
             return self._vector
         return self.grid.ball.gather(self._u.coeffs)
+
+    @property
+    def pointwise(self) -> PointwiseNorms:
+        """The speed's collocation sums; computed here, once, unless trajectory() supplied them."""
+        if self._pointwise is None:
+            grid = self.grid
+            self._pointwise = _pointwise_norms(grid.ball.to_physical(self.vector), grid.cell_volume,
+                                               self.params.beta)
+        return self._pointwise
 
 
 @dataclass(frozen=True)
@@ -185,8 +238,9 @@ _SLAB = 2**15
 class _Kernel:
     """J div(u x u) and alpha J |u|^(beta-1) u of ball vectors, plus ledger rates.
 
-    One pruned inverse transform of the state (_Ball.to_physical), then the
-    pruned forward transform of the product blocks, three at a time (the
+    One pruned inverse transform of the state (inverse(), whose grid values
+    stay in the buffer u until the next call), then the pruned forward
+    transform of the product blocks, three at a time (the
     stress blocks of _PAIRS[:3], of _PAIRS[3:], then the damping blocks):
     slab by slab of x-planes, the three products are formed and transformed
     along z straight into the half-spectrum array, and _Ball.from_half runs
@@ -204,11 +258,11 @@ class _Kernel:
     of the instance, allocated at the first call and reused by every later
     one: the grid values u and |u|^2, one slab of three product blocks, one
     half-spectrum array (the inverse's planes and the forward's z-pass
-    output), the x-line and y-line arrays of the two transforms, and the
-    blocks' ball coefficients. Allocated and freed at each stage instead,
-    they let the allocator trim the top of the heap and fault it back in at
-    the next stage. The buffers are per-instance scratch: one kernel per
-    thread.
+    output), one line array (the inverse's x_lines, then the forward's
+    y_lines, never live together), and the blocks' ball coefficients.
+    Allocated and freed at each stage instead, they let the allocator trim
+    the top of the heap and fault it back in at the next stage. The buffers
+    are per-instance scratch: one kernel per thread.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams, *, advect: bool = True):
@@ -228,8 +282,10 @@ class _Kernel:
         self.products = np.empty((3, min(n, max(1, _SLAB // n**2)), n, n))
         self.half = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
         self.planes = self.half[..., : ball.top + 1]
-        self.x_lines = np.empty((3, n, ball.x_lines.shape[1]), dtype=np.complex128)
-        self.y_lines = np.empty((3,) + ball.y_gather.shape, dtype=np.complex128)
+        x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3,) + ball.y_gather.shape
+        lines = np.empty(max(math.prod(x_shape), math.prod(y_shape)), dtype=np.complex128)
+        self.x_lines = lines[: math.prod(x_shape)].reshape(x_shape)
+        self.y_lines = lines[: math.prod(y_shape)].reshape(y_shape)
         self.hats = np.empty((3 * len(self.groups), ball.k_sq.size), dtype=np.complex128)
 
     def _slabs(self) -> Iterator[tuple[slice, np.ndarray]]:
@@ -251,12 +307,15 @@ class _Kernel:
         for i in range(3):
             np.multiply(weight, self.u[i, xs], out=products[i])
 
-    def __call__(self, v: np.ndarray) -> _NLTerms:
+    def inverse(self, v: np.ndarray) -> np.ndarray:
+        """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
         if self.u is None:
             self._allocate()
-        ball, params, hats = self.ball, self.params, self.hats
-        u, mag_sq = self.u, self.mag_sq
-        ball.to_physical(v, out=u, lines=self.x_lines, planes=self.planes)
+        return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes)
+
+    def __call__(self, v: np.ndarray) -> _NLTerms:
+        u = self.inverse(v)
+        ball, params, hats, mag_sq = self.ball, self.params, self.hats, self.mag_sq
         # |u|^2 = (u_0^2 + u_1^2) + u_2^2, the product buffer holding each square
         for xs, products in self._slabs():
             slab = mag_sq[xs]
@@ -470,32 +529,44 @@ class _Stepper:
                 f"alpha |u|_inf^(beta-1) = {p.alpha * linf ** (p.beta - 1.0):g})"
             )
 
-    def _rhs(self, v: np.ndarray, t: float) -> tuple[np.ndarray, _NLTerms]:
-        """(nonlinear right-hand side at (v, t), the kernel's terms, projected)."""
-        terms = self.kernel(v)
+    def _force(self, terms: _NLTerms, t: float) -> np.ndarray:
+        """The nonlinear right-hand side at time t from the kernel's terms, which it projects."""
         total = _project_terms(self.ball, terms)
         if self.forcing is not None:
             total = total + self.ball.gather(self.forcing(t))
-        return total, terms
+        return total
+
+    def _rhs(self, v: np.ndarray, t: float) -> tuple[np.ndarray, _NLTerms]:
+        """(nonlinear right-hand side at (v, t), the kernel's terms, projected)."""
+        terms = self.kernel(v)
+        return self._force(terms, t), terms
 
     def advance(
-        self, v: np.ndarray, t: float, duhamel: _Duhamel | None = None
+        self, v: np.ndarray, t: float, n1: _NLTerms, duhamel: _Duhamel | None = None
     ) -> tuple[np.ndarray, float, float]:
-        """One step from ball vector v at time t: (new v, visc increment, damp increment)."""
+        """One step from ball vector v at time t: (new v, visc increment, damp increment).
+
+        n1 is the first stage's kernel evaluation, self.kernel(v), which the
+        caller runs (trajectory() before it yields v's snapshot).
+        """
         dt = self.cfg.dt
         eh, ef = self.e_half, self.e_full
 
-        k1, n1 = self._rhs(v, t)
+        k1 = self._force(n1, t)
         self.check_cfl(n1.linf, dt)
 
+        # each stage state goes once its kernel has read it
         s2 = eh * (v + (dt / 2.0) * k1)
         k2, n2 = self._rhs(s2, t + dt / 2.0)
+        del s2
 
         s3 = eh * v + (dt / 2.0) * k2
         k3, n3 = self._rhs(s3, t + dt / 2.0)
+        del s3
 
         s4 = ef * v + dt * (eh * k3)
         k4, n4 = self._rhs(s4, t + dt)
+        del s4
 
         vnew = _combine(v, (k1, k2, k3, k4), eh, ef, dt)
         self.ball.project(vnew)
@@ -522,7 +593,8 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     alpha |u|_inf^(beta-1), 1e-30).
     """
     stepper = _Stepper(state.grid, state.params, cfg)
-    v, d_visc, d_damp = stepper.advance(state.vector, state.t)
+    v = state.vector
+    v, d_visc, d_damp = stepper.advance(v, state.t, stepper.kernel(v))
     return SolverState._of_vector(state.grid, v, state.t + cfg.dt, state.params,
                                   state.step_count + 1, state.cum_visc + d_visc,
                                   state.cum_damp + d_damp)
@@ -581,6 +653,12 @@ def trajectory(
     refused with a ValueError when any of its coefficients is non-finite or
     those entries are not Hermitian to 1e-10 (see _initial_vector).
 
+    Each step's first-stage kernel call runs before its start state is
+    yielded, and the snapshot's pointwise sums come from the grid values
+    that call leaves in the kernel's buffer; the final snapshot runs the
+    kernel's inverse alone. The projection, the forcing and the CFL check
+    of that stage run in the step itself, after the yield.
+
     Nothing runs until the first snapshot is requested, and only the
     snapshot being yielded is held: a caller that keeps none integrates in
     memory independent of the horizon and the cadence. The reference to the
@@ -611,8 +689,16 @@ def trajectory(
     v = _initial_vector(grid, initial.coeffs)
     del initial  # only its ball entries are needed from here on
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
+    kernel = stepper.kernel
     duhamel = _Duhamel(grid, v) if forcing is None else None
     cum_visc = cum_damp = 0.0
+
+    def start(i: int) -> _NLTerms | None:
+        """Step i + 1's first-stage kernel terms (None past the last); kernel.u gets v's grid values."""
+        if i < n_steps:
+            return kernel(v)
+        kernel.inverse(v)
+        return None
 
     def snapshot(i: int) -> SolverState:
         t = t_start + i * cfg.dt  # exact grid time, no accumulation
@@ -620,18 +706,22 @@ def trajectory(
         if norms is not None and norms.drift > _DUHAMEL_DRIFT_TOL:
             raise BlowupError(f"Duhamel split drifted from the state ({norms.drift:.3e} relative) "
                               f"at t = {t:g}")
-        snap = SolverState._of_vector(grid, v, t, params, i, cum_visc, cum_damp, norms)
+        pointwise = _pointwise_norms(kernel.u, grid.cell_volume, params.beta)
+        snap = SolverState._of_vector(grid, v, t, params, i, cum_visc, cum_damp, norms, pointwise)
         for hook in hooks:
             hook(snap)
         return snap
 
+    terms = start(0)
     yield snapshot(0)
     for i in range(1, n_steps + 1):
-        v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, duhamel)
+        v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, terms, duhamel)
+        del terms  # dropped before the next step's kernel call
         cum_visc += d_visc
         cum_damp += d_damp
         if not (np.isfinite(cum_visc) and np.isfinite(cum_damp)):
             raise BlowupError(f"non-finite values at t = {t_start + i * cfg.dt:g} (step {i})")
+        terms = start(i)
         if i % stride == 0 or i == n_steps:
             yield snapshot(i)
 

@@ -9,9 +9,11 @@ rebuilds them independently from the snapshots for cross-checking.
 
 The hooks ``record_energy`` and ``decay_snapshot`` read only a snapshot's
 ball vector (``SolverState.vector``, the half-spectrum ball entries in the
-layout of ``GridSpec.ball``), so a snapshot of the stepper is never
-expanded to its full field: weighted sums over the vector and its pruned
-inverse transform.
+layout of ``GridSpec.ball``) and its pointwise sums
+(``SolverState.pointwise``, taken by the stepper from its stage-1 grid
+values), so a snapshot of the stepper is never expanded to its full field
+and never transformed again: weighted sums over the vector, one power
+spectrum per ``decay_snapshot``.
 ``trapezoid_energy_records`` keeps to the full-cube norms of ``spectral``,
 so the cross-check does not take the ball path of the ledger it checks.
 """
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DuhamelNorms, SolverState
-from .spectral import PhysParams, grad_norm_sq, l2_norm, lp_norm_physical
+from .spectral import _EMBED_P, PhysParams, grad_norm_sq, l2_norm, lp_norm_physical
 
 __all__ = [
     "EnergyRecord",
@@ -41,9 +43,6 @@ __all__ = [
     "lbeta_spacetime_report",
     "write_series_csv",
 ]
-
-# Exponent of the space-time norm that the low-amplitude budget controls.
-_EMBED_P = 10.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -199,38 +198,25 @@ class DecayDiagnostics:
     embed_ratio: float
 
 
-def _pointwise_rates(u: np.ndarray, dv: float, beta: float) -> tuple[float, float, float, float]:
-    """(rate over |u|<=1, rate over |u|>1, sup |u|, integral of |u|^(10/3)) of grid values u."""
-    mag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
-    small = mag <= 1.0
-    powered = mag**beta
-    rate_e1 = dv * float(powered[small].sum())
-    rate_e2 = dv * float(powered[~small].sum())
-    embed_mass = dv * float((powered if beta == _EMBED_P else mag**_EMBED_P).sum())
-    return rate_e1, rate_e2, float(mag.max(initial=0.0)), embed_mass
-
-
 def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) -> DecayDiagnostics:
     """Fold one snapshot into the decay diagnostics.
 
     Pass accum=None to open the series (cumulative integrals start at zero).
-    The heat/f/g norms come from state.duhamel and are NaN when it is None,
-    keeping the CSV shape fixed.
+    The rates, linf and the embedding mass come from state.pointwise, the
+    norms from one power spectrum of state.vector. The heat/f/g norms come
+    from state.duhamel and are NaN when it is None, keeping the CSV shape
+    fixed.
     """
     grid = state.grid
     ball = grid.ball
-    v = state.vector
-    rate_e1, rate_e2, linf, embed_mass = _pointwise_rates(
-        ball.to_physical(v), grid.cell_volume, state.params.beta
+    pointwise = state.pointwise
+    multipliers = (None, ball.k_sq, ball.hminus2, ball.low_shell, ~ball.low_shell)
+    l2_sq, gsq, hminus2_sq, w1_sq, w2_sq = (
+        grid.volume * s for s in ball.norms_sq(state.vector, multipliers)
     )
-
-    def norm_sq(multiplier: np.ndarray | None = None) -> float:
-        return grid.volume * ball.norm_sq(v, multiplier)
-
-    l2 = math.sqrt(norm_sq())
-    gsq = norm_sq(ball.k_sq)
+    l2 = math.sqrt(l2_sq)
     denom = l2 ** (4.0 / 3.0) * gsq
-    embed_ratio = embed_mass / denom if denom > 1e-300 else 0.0
+    embed_ratio = pointwise.embed_mass / denom if denom > 1e-300 else 0.0
 
     if accum is None:
         lbeta_e1, lbeta_e2 = 0.0, 0.0
@@ -240,24 +226,24 @@ def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) ->
                 f"non-monotone time: snapshot at t = {state.t!r} after t = {accum.t!r}"
             )
         half_dt = 0.5 * (state.t - accum.t)
-        lbeta_e1 = accum.lbeta_E1 + half_dt * (accum.rate_e1 + rate_e1)
-        lbeta_e2 = accum.lbeta_E2 + half_dt * (accum.rate_e2 + rate_e2)
+        lbeta_e1 = accum.lbeta_E1 + half_dt * (accum.rate_e1 + pointwise.rate_e1)
+        lbeta_e2 = accum.lbeta_E2 + half_dt * (accum.rate_e2 + pointwise.rate_e2)
 
     split = state.duhamel or DuhamelNorms(*[math.nan] * 4)
 
     return DecayDiagnostics(
         t=state.t,
-        hminus2=math.sqrt(norm_sq(ball.hminus2)),
-        w1_l2=math.sqrt(norm_sq(ball.low_shell)),
-        w2_l2=math.sqrt(norm_sq(~ball.low_shell)),
+        hminus2=math.sqrt(hminus2_sq),
+        w1_l2=math.sqrt(w1_sq),
+        w2_l2=math.sqrt(w2_sq),
         lbeta_E1=lbeta_e1,
         lbeta_E2=lbeta_e2,
         heat_l2=split.heat_l2,
         f_hminus2=split.f_hminus2,
         g_hminus2=split.g_hminus2,
-        linf=linf,
-        rate_e1=rate_e1,
-        rate_e2=rate_e2,
+        linf=pointwise.linf,
+        rate_e1=pointwise.rate_e1,
+        rate_e2=pointwise.rate_e2,
         embed_ratio=embed_ratio,
     )
 

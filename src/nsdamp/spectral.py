@@ -58,6 +58,10 @@ _BALL_TOL = 1e-12
 #: relative tolerance of the state-space checks: validate() and the stepper's start-up.
 _STATE_TOL = 1e-10
 
+#: exponent of the embedding ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in
+#: three dimensions: the snapshots' pointwise mass and the decay diagnostics' floor on beta
+_EMBED_P = 10.0 / 3.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,7 +69,8 @@ class GridSpec:
 
     Attributes:
         n_modes: samples per axis N (even, >= 4); modes satisfy |m_i| < N/2.
-        box_length: side length L of the periodic box.
+        box_length: side length L of the periodic box; refused when |xi|^2
+            overflows at the (N/2, N/2, N/2) corner mode.
         cutoff_radius: radius R of the retained closed ball |xi| <= R; must
             not exceed the dealiasing bound (2/3) * (2 pi / L) * (N / 2).
     """
@@ -88,19 +93,31 @@ class GridSpec:
                 f"cutoff_radius {radius:g} exceeds the dealiasing bound "
                 f"(2/3)*(2*pi/L)*(N/2) = {bound:g}"
             )
+        # the largest |xi|^2, at the (N/2, N/2, N/2) corner, summed as in k_sq; float
+        # arithmetic overflows to inf quietly, where the tables' numpy squares would warn
+        corner = 2.0 * np.pi / length * (n // 2)
+        corner *= corner
+        if not math.isfinite(corner + corner + corner):
+            raise ValueError(f"box_length {length!r} makes |xi|^2 overflow at the grid's corner mode")
 
     # Derived arrays are cached on first use; they depend only on the three
-    # frozen scalars above, so caching is safe.
+    # frozen scalars above, so caching is safe. The full-cube tables serve
+    # validate(), leray_project, friedrichs_truncate and the full-cube norms;
+    # the ball, and with it a run, builds none of them.
 
     @cached_property
     def mode_numbers(self) -> np.ndarray:
         """Integer mode index along one axis, in FFT order 0..N/2-1, -N/2..-1."""
         return np.rint(np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes)).astype(np.int64)
 
+    def _axis_wavenumbers(self) -> np.ndarray:
+        """xi along one axis, (2 pi / L) m in FFT order, shape (N,)."""
+        return 2.0 * np.pi / self.box_length * self.mode_numbers
+
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """xi as an array of shape (3, N, N, N)."""
-        k1 = 2.0 * np.pi / self.box_length * self.mode_numbers
+        k1 = self._axis_wavenumbers()
         kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
         return np.stack([kx, ky, kz])
 
@@ -110,10 +127,14 @@ class GridSpec:
         k = self.wavenumbers
         return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
 
+    def _in_ball(self, k_sq: np.ndarray) -> np.ndarray:
+        """Which of the |xi|^2 values lie in the retained closed ball |xi| <= cutoff_radius."""
+        return k_sq <= self.cutoff_radius**2 * (1.0 + _BALL_TOL)
+
     @cached_property
     def ball_mask(self) -> np.ndarray:
         """Boolean mask of the retained closed ball |xi| <= cutoff_radius."""
-        return self.k_sq <= self.cutoff_radius**2 * (1.0 + _BALL_TOL)
+        return self._in_ball(self.k_sq)
 
     @cached_property
     def low_shell_mask(self) -> np.ndarray:
@@ -472,8 +493,11 @@ class _Ball:
     blocks slab by slab runs the z pass itself and never holds a whole
     block cube (the stepper's kernel does).
 
-    Built once per grid, as GridSpec.ball, and holding no reference back to
-    it, so a grid and its ball are freed together. Every array is read-only;
+    Built once per grid, as GridSpec.ball, from the 1-D mode numbers
+    broadcast over the (N, N, N/2 + 1) half spectrum, with |xi|^2 summed in
+    the order of GridSpec.k_sq: membership and every table have the bits of
+    the full-cube tables, which the ball never builds. It holds no
+    reference back to its grid, so a grid and its ball are freed together. Every array is read-only;
     nothing here is scratch space, so threads may share one instance. A
     caller that transforms often passes its own work arrays to the
     transforms (the stepper's kernel does); other callers let them allocate.
@@ -482,18 +506,23 @@ class _Ball:
     def __init__(self, grid: GridSpec):
         n = self.n_modes = grid.n_modes
         half = n // 2 + 1
-        m = grid.mode_numbers
-        mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
-        kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
-        ix, iy, iz = np.unravel_index(np.flatnonzero(kept), (n, n, half))
+        m, k1 = grid.mode_numbers, grid._axis_wavenumbers()
+        # |xi|^2 on the half spectrum, summed in the order of GridSpec.k_sq, so
+        # membership and every table below have the bits of the full-cube ones
+        sq = k1**2
+        k_sq = sq[:, None, None] + sq[None, :, None] + sq[None, None, :half]
+        mx, my, mz = m[:, None, None], m[None, :, None], m[None, None, :half]
+        kept = grid._in_ball(k_sq) & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
+        entries = np.flatnonzero(kept)
+        ix, iy, iz = np.unravel_index(entries, (n, n, half))
         self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
         conj = ((-ix) % n, (-iy) % n, (-iz) % n)
         self.conj_full_index = np.ravel_multi_index(conj, (n, n, n))[1:]
-        self.k = grid.wavenumbers[:, ix, iy, iz]
-        self.k_sq = grid.k_sq[ix, iy, iz]
+        self.k = np.stack([k1[ix], k1[iy], k1[iz]])
+        self.k_sq = k_sq.reshape(-1)[entries]
         self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
         self.hminus2 = _sobolev_weight(self.k_sq, -2.0, homogeneous=False)  # (1 + |xi|^2)^-2
-        self.low_shell = grid.low_shell_mask[ix, iy, iz]
+        self.low_shell = self.k_sq < 1.0  # as GridSpec.low_shell_mask
         self.weight = np.full(ix.size, 2.0)
         self.weight[0] = 1.0
         self.top = int(iz.max())
@@ -587,8 +616,13 @@ class _Ball:
 
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
         """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""
-        weight = self.weight if multiplier is None else self.weight * multiplier
-        return _weighted_sum(_power(v), weight)
+        return self.norms_sq(v, (multiplier,))[0]
+
+    def norms_sq(self, v: np.ndarray, multipliers) -> list[float]:
+        """norm_sq(v, multiplier) for each of the multipliers, from one power spectrum of v."""
+        power = _power(v)
+        return [_weighted_sum(power, self.weight if m is None else self.weight * m)
+                for m in multipliers]
 
     def project(self, v: np.ndarray) -> None:
         """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""

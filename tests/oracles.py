@@ -21,6 +21,10 @@ products must reproduce bit for bit.
 product-law ratio from the full ``fftn`` of the whole cube, which the
 package's ball transforms and half-spectrum sums must reproduce.
 
+``full_cube_ball_tables`` reads the cutoff ball's entries and tables off the
+grid's full-cube wavenumber, |xi|^2 and mask tables, which the ball's own
+construction from 1-D mode numbers must reproduce bit for bit.
+
 ``full_cube_ledger`` folds snapshots with the snapshot hooks' formulas over
 the whole (3, N, N, N) coefficient cube, which the hooks' ball sums and
 pruned inverse transform must reproduce.
@@ -161,6 +165,26 @@ def scatter(ball, v):
     out[:, ix, iy, iz] = v
     out[:, (-ix[plane]) % n, (-iy[plane]) % n, 0] = np.conj(v[:, plane])
     return out
+
+
+def full_cube_ball_tables(grid):
+    """The ball's entry indices and per-entry tables, read off GridSpec's full (N, N, N) tables."""
+    n = grid.n_modes
+    half = n // 2 + 1
+    m = grid.mode_numbers
+    mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
+    kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
+    ix, iy, iz = np.unravel_index(np.flatnonzero(kept), (n, n, half))
+    k_sq = grid.k_sq[ix, iy, iz]
+    return {
+        "full_index": np.ravel_multi_index((ix, iy, iz), (n, n, n)),
+        "conj_full_index": np.ravel_multi_index(((-ix) % n, (-iy) % n, (-iz) % n), (n, n, n))[1:],
+        "k": grid.wavenumbers[:, ix, iy, iz],
+        "k_sq": k_sq,
+        "k_sq_safe": np.where(k_sq == 0.0, 1.0, k_sq),
+        "hminus2": (1.0 + k_sq) ** -2.0,
+        "low_shell": grid.low_shell_mask[ix, iy, iz],
+    }
 
 
 def full_inverse(ball, v):

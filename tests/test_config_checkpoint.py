@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,21 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="invalid header"):
             read_checkpoint(path)
+
+    def test_overflowing_box_length_rejected_without_a_warning(self, tmp_path):
+        # a tiny positive L passes the finiteness checks, but |xi|^2 at the
+        # (N/2, N/2, N/2) corner overflows; the header is refused before any
+        # table squares it, so warnings turned into errors stay silent
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(SolverState(t=0.0, u=taylor_green(make_grid(8, TWO_PI)),
+                                     params=PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
+        blob = bytearray(path.read_bytes())
+        blob[12:20] = struct.pack("<d", 1e-300)  # box_length, header slot 1
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError, match="invalid header: box_length"):
+                read_checkpoint(path)
 
     def test_restart_matches_continuous_run(self, tmp_path):
         grid = make_grid(8, TWO_PI)

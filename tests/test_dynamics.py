@@ -13,6 +13,7 @@ from oracles import (
     cubic_damping_hat,
     direct_advection,
     direct_pressure,
+    full_cube_ball_tables,
     full_forward,
     full_inverse,
     linear_advection,
@@ -41,11 +42,13 @@ from nsdamp.ledger import SeriesRecorder
 from nsdamp.spectral import (
     PhysParams,
     SpectralField,
+    _Ball,
     friedrichs_truncate,
     hermitian_error,
     l2_inner,
     l2_norm,
     leray_project,
+    linf_norm,
     lp_norm_physical,
     make_grid,
     remove_mean,
@@ -189,6 +192,22 @@ class TestBallTransforms:
             else:
                 assert np.array_equal(g, w), name
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 32).map(lambda half: 2 * half),
+        length=st.floats(0.5, 30.0),
+        fraction=st.floats(0.25, 2.0 / 3.0, exclude_min=True),
+    )
+    def test_ball_tables_equal_the_full_cube_construction(self, n, length, fraction):
+        # the ball is built from 1-D mode numbers over the half spectrum; its
+        # entries and tables have the bits of those read off the full cube
+        grid = make_grid(n, length, fraction)
+        ball = grid.ball
+        for name, want in full_cube_ball_tables(grid).items():
+            got = getattr(ball, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("n", [4, 6, 16])
     def test_ball_tables_are_read_only(self, n):
         # threads share a grid, and with it its ball, so no table may be scratch space
@@ -234,6 +253,58 @@ class TestSnapshots:
             assert not snap.vector.flags.writeable  # trajectory() steps on from this array
             assert snap.u is snap.u
             assert np.array_equal(snap.u.coeffs, grid.ball.expand(snap.vector))
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_a_run_transforms_each_state_once(self, monkeypatch, steps):
+        # four kernel calls a step and one inverse of the final state: each
+        # snapshot's pointwise sums reuse the grid values of its first stage
+        grid = make_grid(8, TWO_PI)
+        u0 = random_solenoidal(grid, seed=7)
+        calls = []
+        inverse = _Ball.to_physical
+
+        def counted(ball, *args, **kwargs):
+            calls.append(ball)
+            return inverse(ball, *args, **kwargs)
+
+        monkeypatch.setattr(_Ball, "to_physical", counted)
+        recorder = SeriesRecorder()
+        snaps = run(u0, PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3), steps * 1e-3,
+                    output_every=1e-3, hooks=(recorder,))
+        assert len(snaps) == len(recorder.decay) == steps + 1
+        assert len(calls) == 4 * steps + 1
+
+    def test_step_gives_the_bits_of_the_first_step_of_a_run(self):
+        grid = make_grid(16, TWO_PI)
+        params, cfg = PhysParams(nu=0.5, alpha=1.0, beta=10.0 / 3.0), StepperConfig(dt=2e-3)
+        snaps = run(random_solenoidal(grid, seed=9, amplitude=3.0), params, cfg, 2e-3, output_every=2e-3)
+        stepped = step(snaps[0], cfg)
+        assert np.array_equal(stepped.vector, snaps[1].vector)
+        assert (stepped.t, stepped.step_count, stepped.cum_visc, stepped.cum_damp) == (
+            snaps[1].t, snaps[1].step_count, snaps[1].cum_visc, snaps[1].cum_damp)
+        # the stepper's stage-1 grid values and step()'s own inverse give the same sums
+        assert stepped.pointwise == snaps[1].pointwise
+
+    def test_a_cfl_failure_yields_the_snapshot_before_the_failing_step(self):
+        # a forced flow that grows as exp(3 t) outruns dt = 0.05 after a few steps
+        grid = make_grid(8, TWO_PI)
+        params, cfg = PhysParams(nu=0.4, alpha=0.5, beta=5.0), StepperConfig(dt=0.05)
+        target = SeparableTarget(taylor_green(grid), lambda t: math.exp(3.0 * t),
+                                 lambda t: 3.0 * math.exp(3.0 * t), params)
+        seen = []
+        steps = trajectory(target.field(0.0), params, cfg, 1.0, output_every=0.05,
+                           hooks=(seen.append,), forcing=manufactured_forcing(target, params))
+        snaps = []
+        with pytest.raises(CFLError) as failure:
+            for snap in steps:
+                snaps.append(snap)
+        assert 2 <= len(snaps) < 20 and seen == snaps
+        last = snaps[-1]
+        assert last.t == (len(snaps) - 1) * 0.05  # the failing step starts at the last snapshot
+        assert f"|u|_inf = {linf_norm(last.u):g}" in str(failure.value)
+        with pytest.raises(CFLError) as again:
+            step(last, cfg)
+        assert str(again.value) == str(failure.value)
 
     def test_state_built_from_a_field_keeps_it(self, tmp_path):
         # a field with an entry outside the ball keeps it, into the checkpoint too

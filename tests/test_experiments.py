@@ -346,6 +346,21 @@ class TestMemory:
         kernel(v)
         assert self._peak(lambda: kernel(v)) < 6 * v.nbytes
 
+    def test_the_kernels_two_line_arrays_share_one_buffer(self):
+        # the inverse's x-line array and the forward's y-line array are never live together
+        grid = make_grid(16, TWO_PI)
+        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        kernel(grid.ball.gather(random_solenoidal(grid, seed=16).coeffs))
+        assert np.shares_memory(kernel.x_lines, kernel.y_lines)
+
+    def test_a_run_builds_no_full_cube_table_of_its_grid(self, tmp_path):
+        # the ball comes from 1-D mode numbers, and the stepper, the hooks and
+        # the outputs read only the ball's tables
+        result = run_experiment(self._cfg(4), str(tmp_path))
+        held = vars(result.snapshots[-1].grid)
+        assert "ball" in held
+        assert not {"wavenumbers", "k_sq", "ball_mask", "low_shell_mask", "_k_sq_safe"} & held.keys()
+
     def test_a_first_kernel_call_holds_no_cube_of_product_blocks(self):
         # the products go, three blocks at a time, slab by slab into the
         # forward's z pass: the first call at N = 32, buffers included, peaks
@@ -360,10 +375,11 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_trajectory_start_up_holds_no_cube_temporaries(self, n):
-        # up to the first snapshot nothing cube-sized is allocated: the
-        # initial field is read through its ball entries, the snapshot holds
-        # its ball vector, and the kernel allocates its buffers at its first
-        # call, which comes after the first snapshot
+        # up to the first snapshot nothing cube-sized is allocated but the
+        # kernel's buffers: the initial field is read through its ball
+        # entries, the snapshot holds its ball vector, and its pointwise sums
+        # come from the kernel's inverse, whose first call allocates the
+        # buffers (2.9 cubes in all at N = 16 and 32)
         u0 = random_solenoidal(make_grid(n, TWO_PI), seed=n)
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         next(trajectory(u0, params, cfg, 0.0))  # warm the per-grid caches outside the measurement

@@ -1,10 +1,20 @@
 """Energy accounting, decay diagnostics, and the CSV schema."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import full_cube_ledger
-from nsdamp.dynamics import DuhamelNorms, SolverState, StepperConfig, run, trajectory
+from nsdamp.dynamics import (
+    DuhamelNorms,
+    SeparableTarget,
+    SolverState,
+    StepperConfig,
+    manufactured_forcing,
+    run,
+    trajectory,
+)
 from nsdamp.initial_conditions import random_solenoidal, taylor_green
 from nsdamp.ledger import (
     CSV_COLUMNS,
@@ -205,6 +215,32 @@ class TestHooksAgainstFullCube:
 
         assert hermitian_error(SpectralField(grid, c)) > 0.1
         assert fold(c) == fold(ball.expand(ball.gather(c)))
+
+
+class TestPointwiseFromTheStepper:
+    """A run's snapshots carry the speed's sums from the stepper's stage-1 grid values."""
+
+    @pytest.mark.parametrize("case", ["free", "zero-length", "forced"])
+    def test_decay_rows_equal_those_of_states_built_from_the_fields(self, case):
+        # snapshots at steps 0, 2 and 4 come with a next step, the final one at
+        # step 5 without; a state built from a field takes its own inverse
+        grid = make_grid(16, 8.0 * np.pi)
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=10.0 / 3.0), StepperConfig(dt=0.02)
+        u0, forcing = random_solenoidal(grid, seed=3, amplitude=2.0), None
+        if case == "forced":
+            target = SeparableTarget(u0, lambda t: 1.0 + t, lambda t: 1.0, params)
+            forcing = manufactured_forcing(target, params)
+        t_end = 0.0 if case == "zero-length" else 0.1
+        rec = SeriesRecorder()
+        snaps = run(u0, params, cfg, t_end, output_every=0.04, hooks=(rec,), forcing=forcing)
+        assert [s.step_count for s in snaps] == ([0] if case == "zero-length" else [0, 2, 4, 5])
+        prev = None
+        for snap, row in zip(snaps, rec.decay, strict=True):
+            state = SolverState(snap.t, snap.u, params, duhamel=snap.duhamel)
+            prev = decay_snapshot(state, prev)
+            got, want = (np.array(dataclasses.astuple(d)).tobytes() for d in (prev, row))
+            assert got == want  # bit for bit, the NaN Duhamel columns of the forced run too
+            assert state.pointwise == snap.pointwise
 
 
 class TestSpacetimeReport:
