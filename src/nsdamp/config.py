@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .dynamics import StepperConfig
+from .inequalities import gronwall_constant
 from .spectral import GridSpec, PhysParams, make_grid
 
 __all__ = [
@@ -195,8 +196,12 @@ def validate_for_experiment(cfg: ExperimentConfig, experiment: str) -> None:
     """Checks that only matter for a particular experiment driver."""
     if experiment in ("twin", "continuity", "decay") and not cfg.alpha > 0.0:
         raise ConfigError(f"{experiment} requires alpha > 0")
-    if experiment in ("twin", "continuity") and not cfg.beta > 3.0:
-        raise ConfigError("uniqueness requires beta > 3")
+    if experiment in ("twin", "continuity"):
+        if not cfg.beta > 3.0:
+            raise ConfigError("uniqueness requires beta > 3")
+        if not math.isfinite(gronwall_constant(cfg.alpha, cfg.beta)):  # any run would pass
+            raise ConfigError(f"growth constant (2/alpha)^(2/(beta-3))/2 overflows at alpha = "
+                              f"{cfg.alpha!r}, beta = {cfg.beta!r}: the {experiment} bound is vacuous")
     if experiment == "decay":
         if cfg.beta < 10.0 / 3.0 - 1e-12:
             raise ConfigError("decay requires beta >= 10/3")

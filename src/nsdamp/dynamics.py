@@ -47,15 +47,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import (
-    _EMBED_P,
-    _STATE_TOL,
-    GridSpec,
-    PhysParams,
-    SpectralField,
-    _Ball,
-    _gradient_part,
-)
+from .spectral import _EMBED_P, GridSpec, PhysParams, SpectralField, _Ball, _magnitudes
 
 __all__ = [
     "SolverState",
@@ -520,13 +512,15 @@ class _Stepper:
             raise BlowupError(f"non-finite field (|u|_inf = {linf!r})")
         p = self.params
         radius = self.grid.cutoff_radius
-        rate = max(linf * radius, p.alpha * linf ** (p.beta - 1.0), _CFL_FLOOR)
+        with np.errstate(over="ignore"):  # inf where Python floats raise OverflowError
+            damp = float(p.alpha * np.float64(linf) ** (p.beta - 1.0)) if p.alpha > 0.0 else 0.0
+        rate = max(linf * radius, damp, _CFL_FLOOR)
         if not np.isfinite(rate) or dt > _CFL_SAFETY / rate:
             raise CFLError(
                 f"dt = {dt:g} exceeds the stability budget safety/rate = "
                 f"{_CFL_SAFETY / rate if np.isfinite(rate) else 0.0:g} "
                 f"(|u|_inf = {linf:g}, cutoff_radius = {radius:g}, "
-                f"alpha |u|_inf^(beta-1) = {p.alpha * linf ** (p.beta - 1.0):g})"
+                f"alpha |u|_inf^(beta-1) = {damp:g})"
             )
 
     def _force(self, terms: _NLTerms, t: float) -> np.ndarray:
@@ -600,33 +594,11 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
                                   state.cum_damp + d_damp)
 
 
-def _initial_vector(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """The ball entries of an initial field, projected, with m = 0 zeroed.
-
-    Refused with SpectralField.validate's messages when any coefficient is
-    non-finite, or when the projected entries, relative to the largest of
-    them and of their projected conjugate partners, are not Hermitian or
-    not solenoidal. Support and zero mean hold by construction.
-    """
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("field contains non-finite coefficients")
-    ball = grid.ball
-    v = ball.gather(coeffs)
-    ball.project(v)
+def _initial_vector(initial: SpectralField) -> np.ndarray:
+    """The ball entries of an initial field, with m = 0 zeroed, once validate() accepts it."""
+    initial.validate()
+    v = initial.grid.ball.gather(initial.coeffs)
     v[:, 0] = 0.0
-    mirror = np.take(coeffs.reshape(3, -1), ball.conj_full_index, axis=1)
-    mirror -= _gradient_part(mirror, ball.k[:, 1:], ball.k_sq_safe[1:])  # P(-xi) = P(xi)
-    scale = max(float(np.abs(v).max()), float(np.abs(mirror).max(initial=0.0)))
-    if scale == 0.0:
-        return v
-    herm = float(np.abs(v[:, 1:] - np.conj(mirror)).max(initial=0.0)) / scale
-    if herm > _STATE_TOL:
-        raise ValueError(f"Hermitian symmetry violated: relative error {herm:.3e}")
-    div = ball.k[0] * v[0] + ball.k[1] * v[1] + ball.k[2] * v[2]
-    v_sq = ball.norm_sq(v)
-    err = math.sqrt(ball.norm_sq(div[np.newaxis]) / v_sq) / grid.cutoff_radius if v_sq else 0.0
-    if err > _STATE_TOL:
-        raise ValueError(f"field is not solenoidal: xi.u error is {err:.3e}")
     return v
 
 
@@ -649,9 +621,9 @@ def trajectory(
     is yielded; its duhamel is None when forcing is active, which makes the
     heat/f/g split meaningless. The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
-    The initial field enters through its ball entries, projected; it is
-    refused with a ValueError when any of its coefficients is non-finite or
-    those entries are not Hermitian to 1e-10 (see _initial_vector).
+    The initial field is refused with validate()'s ValueError when it lies
+    outside the state space, and otherwise enters through its ball entries
+    as they are, with m = 0 zeroed: a snapshot's field restarts bitwise.
 
     Each step's first-stage kernel call runs before its start state is
     yielded, and the snapshot's pointwise sums come from the grid values
@@ -686,7 +658,7 @@ def trajectory(
             )
 
     grid = initial.grid
-    v = _initial_vector(grid, initial.coeffs)
+    v = _initial_vector(initial)
     del initial  # only its ball entries are needed from here on
     stepper = _Stepper(grid, params, cfg, forcing=forcing)
     kernel = stepper.kernel
@@ -754,6 +726,8 @@ class SeparableTarget:
     a must stay positive and smooth; advection and damping then scale as
     a^2 and a^beta, so the forcing that makes u* an exact solution of the
     truncated system is a closed-form combination of precomputed fields.
+    U must pass validate() and vanish outside the ball to 1e-13 relative;
+    no full-cube table of the grid is read.
     """
 
     def __init__(
@@ -764,9 +738,8 @@ class SeparableTarget:
         params: PhysParams,
     ):
         base.validate()
-        outside = base.coeffs[:, ~base.grid.ball_mask]
-        scale = max(float(np.max(np.abs(base.coeffs))), 1e-300)
-        if outside.size and float(np.max(np.abs(outside))) > 1e-13 * scale:
+        scale, _, outside = _magnitudes(base)
+        if outside > 1e-13 * max(scale, 1e-300):
             raise ValueError("target not band-limited within grid")
         self.base = base.copy()
         self.amplitude = amplitude
@@ -774,7 +747,8 @@ class SeparableTarget:
         self.params = params
         self._adv = advection(base).coeffs
         self._damp = damping(base, params.alpha, params.beta).coeffs
-        self._visc = params.nu * base.grid.k_sq * base.coeffs
+        ball = base.grid.ball
+        self._visc = ball.expand((params.nu * ball.k_sq) * ball.gather(base.coeffs))
 
     def field(self, t: float) -> SpectralField:
         a = self.amplitude(t)

@@ -40,15 +40,7 @@ from .ledger import (
     lbeta_spacetime_report,
     write_series_csv,
 )
-from .spectral import (
-    GridSpec,
-    PhysParams,
-    SpectralField,
-    grad_norm_sq,
-    l2_inner,
-    l2_norm,
-    make_grid,
-)
+from .spectral import GridSpec, PhysParams, SpectralField, l2_norm, make_grid
 
 __all__ = [
     "RunResult",
@@ -269,6 +261,7 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     constant = gronwall_constant(cfg.alpha, cfg.beta)
 
     u0, t_start = build_initial(cfg)
+    ball, volume = u0.grid.ball, u0.grid.volume
     pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
     u0_twin = u0 + pert * delta
 
@@ -280,16 +273,16 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     del u0, pert, u0_twin  # each run's start-up reads its field, then drops it
 
     # both runs advance one block of samples in parallel, then the block is
-    # compared pair by pair and dropped
+    # compared pair by pair, on the snapshots' ball vectors, and dropped
     rows, bitwise = [], True
     while True:
         base, twin = _parallel([lambda r=r: list(islice(r, _TWIN_BLOCK)) for r in runs])
         if not base:
             break
         for b, tw in zip(base, twin):
-            w = b.u - tw.u  # one difference field at a time
-            rows.append((b.t, l2_norm(w), grad_norm_sq(w)))
-            bitwise = bitwise and delta == 0.0 and np.array_equal(b.u.coeffs, tw.u.coeffs)
+            w_sq, grad_sq = ball.norms_sq(b.vector - tw.vector, (None, ball.k_sq))
+            rows.append((b.t, math.sqrt(volume * w_sq), volume * grad_sq))
+            bitwise = bitwise and delta == 0.0 and np.array_equal(b.vector, tw.vector)
     times, w_l2, w_grad = np.array(rows).T
     cum_grad = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(times) * (w_grad[:-1] + w_grad[1:]))]
@@ -397,18 +390,20 @@ def continuity_experiment(
     del u0  # the start-up reads it, then drops it
     by_index = {s.step_count: s for s in snapshots if s.step_count in indices}
 
+    # the snapshots' ball vectors, measured with the ball's Parseval weights
     constant = gronwall_constant(cfg.alpha, cfg.beta)
-    u_start = by_index[0].u
-    u_t0 = by_index[i_t0].u
-    e0_sq = l2_norm(u_start) ** 2
+    ball, volume = by_index[0].grid.ball, by_index[0].grid.volume
+    v_start = by_index[0].vector
+    v_t0 = by_index[i_t0].vector
+    e0_sq = volume * ball.norm_sq(v_start)
 
     moduli, moduli_back, bounds = [], [], []
     for e in eps_sorted:
         i_e = _grid_index(e, dt, "eps")
-        u_eps = by_index[i_e].u
-        fwd = l2_norm(by_index[i_t0 + i_e].u - u_t0)
-        back = l2_norm(by_index[i_t0 - i_e].u - u_t0)
-        bound = 1.1 * 2.0 * (e0_sq - l2_inner(u_eps, u_start)) * math.exp(2.0 * constant * t0)
+        fwd = math.sqrt(volume * ball.norm_sq(by_index[i_t0 + i_e].vector - v_t0))
+        back = math.sqrt(volume * ball.norm_sq(by_index[i_t0 - i_e].vector - v_t0))
+        inner = volume * ball.inner(by_index[i_e].vector, v_start)
+        bound = 1.1 * 2.0 * (e0_sq - inner) * math.exp(2.0 * constant * t0)
         moduli.append(fwd)
         moduli_back.append(back)
         bounds.append(bound)

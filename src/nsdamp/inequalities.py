@@ -117,7 +117,8 @@ def gronwall_constant(alpha, beta):
         raise ValueError(f"growth constant requires beta > 3, got beta = {beta!r}")
     if np.any(alpha_arr <= 0.0):
         raise ValueError(f"growth constant requires alpha > 0, got alpha = {alpha!r}")
-    value = 0.5 * (2.0 / alpha_arr) ** (2.0 / (beta_arr - 3.0))
+    with np.errstate(over="ignore"):  # an overflow is inf, which callers refuse
+        value = 0.5 * (2.0 / alpha_arr) ** (2.0 / (beta_arr - 3.0))
     if value.ndim == 0:
         return float(value)
     return value

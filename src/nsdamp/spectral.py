@@ -55,7 +55,7 @@ __all__ = [
 #: regardless of how R was rounded ("closed ball" semantics in floats).
 _BALL_TOL = 1e-12
 
-#: relative tolerance of the state-space checks: validate() and the stepper's start-up.
+#: relative tolerance of validate(), the one state-space check (trajectory's start-up calls it).
 _STATE_TOL = 1e-10
 
 #: exponent of the embedding ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in
@@ -102,8 +102,8 @@ class GridSpec:
 
     # Derived arrays are cached on first use; they depend only on the three
     # frozen scalars above, so caching is safe. The full-cube tables serve
-    # validate(), leray_project, friedrichs_truncate and the full-cube norms;
-    # the ball, and with it a run, builds none of them.
+    # leray_project, friedrichs_truncate and the full-cube norms; the ball,
+    # validate(), and with them every driver, build none of them.
 
     @cached_property
     def mode_numbers(self) -> np.ndarray:
@@ -256,20 +256,19 @@ class SpectralField:
 
         Checks, each to 1e-10 relative to the coefficient scale: Hermitian
         symmetry, support inside the closed cutoff ball, zero mean, and
-        solenoidality.
+        solenoidality. Reads the ball's index tables and the 1-D axis
+        wavenumbers, never a full-cube table of the grid.
         """
-        scale = float(np.max(np.abs(self.coeffs)))
+        scale, mean, outside = _magnitudes(self)
         if scale == 0.0:
             return
-        if not np.all(np.isfinite(self.coeffs)):
+        if not math.isfinite(scale):  # max propagates NaN and inf
             raise ValueError("field contains non-finite coefficients")
-        herm = hermitian_error(self)
+        herm = _hermitian_gap(self.coeffs) / scale
         if herm > _STATE_TOL:
             raise ValueError(f"Hermitian symmetry violated: relative error {herm:.3e}")
-        outside = self.coeffs[:, ~self.grid.ball_mask]
-        if outside.size and float(np.max(np.abs(outside))) > _STATE_TOL * scale:
+        if outside > _STATE_TOL * scale:
             raise ValueError("coefficients outside the cutoff ball are not zero")
-        mean = float(np.max(np.abs(self.coeffs[:, 0, 0, 0])))
         if mean > _STATE_TOL * scale:
             raise ValueError(f"mean mode is not zero (|c(0)| = {mean:.3e})")
         div = divergence_error(self)
@@ -443,11 +442,33 @@ def linf_norm(f: SpectralField) -> float:
 # diagnostics
 
 
+def _magnitudes(f: SpectralField) -> tuple[float, float, float]:
+    """The largest |c| of f, the largest at m = 0 and the largest outside the cutoff ball.
+
+    One np.abs pass over the cube; its ball entries (GridSpec.ball) are
+    then zeroed in place, so the last maximum reads no full-cube mask.
+    """
+    mag = np.abs(f.coeffs)
+    scale, mean = float(mag.max()), float(mag[:, 0, 0, 0].max())
+    ball, flat = f.grid.ball, mag.reshape(3, -1)
+    flat[:, ball.full_index] = 0.0
+    flat[:, ball.conj_full_index] = 0.0
+    return scale, mean, float(flat.max())
+
+
+def _hermitian_gap(c: np.ndarray) -> float:
+    """max over the modes of |c(m) - conj(c(-m))|, from one rolled copy of c."""
+    gap = np.roll(c[:, ::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(1, 2, 3))
+    np.conjugate(gap, out=gap)
+    np.subtract(c, gap, out=gap)
+    return float(np.abs(gap).max())
+
+
 def divergence_error(f: SpectralField) -> float:
     """Relative size of xi . u: ||xi.u||_l2 / (R ||u||_l2), 0 for the zero field."""
-    k = f.grid.wavenumbers
-    div = k[0] * f.coeffs[0] + k[1] * f.coeffs[1] + k[2] * f.coeffs[2]
-    denom = f.grid.cutoff_radius * float(np.sqrt(_weighted_sum(_power(f.coeffs))))
+    k1, c = f.grid._axis_wavenumbers(), f.coeffs
+    div = k1[:, None, None] * c[0] + k1[None, :, None] * c[1] + k1[None, None, :] * c[2]
+    denom = f.grid.cutoff_radius * float(np.sqrt(_weighted_sum(_power(c))))
     if denom == 0.0:
         return 0.0
     return float(np.sqrt(_weighted_sum(_power(div[np.newaxis]))) / denom)
@@ -455,12 +476,10 @@ def divergence_error(f: SpectralField) -> float:
 
 def hermitian_error(f: SpectralField) -> float:
     """Relative deviation from c(-m) = conj(c(m))."""
-    c = f.coeffs
-    rev = np.roll(c[:, ::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(1, 2, 3))
-    scale = float(np.max(np.abs(c)))
+    scale = float(np.max(np.abs(f.coeffs)))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(c - np.conj(rev))) / scale)
+    return _hermitian_gap(f.coeffs) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +642,10 @@ class _Ball:
         power = _power(v)
         return [_weighted_sum(power, self.weight if m is None else self.weight * m)
                 for m in multipliers]
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """sum over the full cube of Re conj(a_m) b_m (no box volume factor), as l2_inner."""
+        return _weighted_sum((a.real * b.real + a.imag * b.imag).sum(axis=0), self.weight)
 
     def project(self, v: np.ndarray) -> None:
         """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""

@@ -25,6 +25,12 @@ package's ball transforms and half-spectrum sums must reproduce.
 grid's full-cube wavenumber, |xi|^2 and mask tables, which the ball's own
 construction from 1-D mode numbers must reproduce bit for bit.
 
+``reference_validate``, ``reference_hermitian_error`` and
+``reference_divergence_error`` are the state-space check as it read the
+grid's full-cube mask and wavenumber tables, with a separate finiteness
+pass, which the table-free ``SpectralField.validate`` must reproduce:
+the same verdicts and messages from bitwise-equal measures.
+
 ``full_cube_ledger`` folds snapshots with the snapshot hooks' formulas over
 the whole (3, N, N, N) coefficient cube, which the hooks' ball sums and
 pruned inverse transform must reproduce.
@@ -304,3 +310,53 @@ def full_cube_ledger(states):
             row["lbeta_E2"] = prev["lbeta_E2"] + half_dt * (prev["rate_e2"] + row["rate_e2"])
         rows.append(row)
     return rows
+
+
+#: validate()'s relative tolerance
+_STATE_TOL = 1e-10
+
+
+def reference_divergence_error(f):
+    """||xi.u||_l2 / (R ||u||_l2) from the grid's (3, N, N, N) wavenumber table."""
+    k = f.grid.wavenumbers
+    div = k[0] * f.coeffs[0] + k[1] * f.coeffs[1] + k[2] * f.coeffs[2]
+    denom = f.grid.cutoff_radius * float(np.sqrt((f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0).sum()))
+    if denom == 0.0:
+        return 0.0
+    return float(np.sqrt((div.real**2 + div.imag**2).sum()) / denom)
+
+
+def reference_hermitian_error(f):
+    """max |c(m) - conj(c(-m))| / max |c|, from one rolled copy and its conjugate."""
+    c = f.coeffs
+    rev = np.roll(c[:, ::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(1, 2, 3))
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(c - np.conj(rev))) / scale)
+
+
+def reference_support_and_mean(f):
+    """(largest |c| outside the grid's ball_mask, largest |c(0)|)."""
+    outside = f.coeffs[:, ~f.grid.ball_mask]
+    return float(np.max(np.abs(outside))), float(np.max(np.abs(f.coeffs[:, 0, 0, 0])))
+
+
+def reference_validate(f):
+    """Raise ValueError with validate()'s message if f leaves the state space."""
+    scale = float(np.max(np.abs(f.coeffs)))
+    if scale == 0.0:
+        return
+    if not np.all(np.isfinite(f.coeffs)):
+        raise ValueError("field contains non-finite coefficients")
+    herm = reference_hermitian_error(f)
+    if herm > _STATE_TOL:
+        raise ValueError(f"Hermitian symmetry violated: relative error {herm:.3e}")
+    outside, mean = reference_support_and_mean(f)
+    if outside > _STATE_TOL * scale:
+        raise ValueError("coefficients outside the cutoff ball are not zero")
+    if mean > _STATE_TOL * scale:
+        raise ValueError(f"mean mode is not zero (|c(0)| = {mean:.3e})")
+    div = reference_divergence_error(f)
+    if div > _STATE_TOL:
+        raise ValueError(f"field is not solenoidal: xi.u error is {div:.3e}")

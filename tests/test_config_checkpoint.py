@@ -200,6 +200,13 @@ class TestValidation:
         for experiment in ("twin", "continuity", "decay"):
             with pytest.raises(ConfigError, match=f"{experiment} requires alpha > 0"):
                 validate_for_experiment(undamped, experiment)
+        # (2/alpha)^(2/(beta-3))/2 = 2^20000 / 2 overflows: a bound that any run meets
+        vacuous = config_from_mapping(_base_mapping(**{"phys.beta": 3.0001}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for experiment in ("twin", "continuity"):
+                with pytest.raises(ConfigError, match=f"growth constant .* the {experiment} bound"):
+                    validate_for_experiment(vacuous, experiment)
 
 
 class TestCheckpoint:

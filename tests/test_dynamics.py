@@ -21,7 +21,7 @@ from oracles import (
     unfused_kernel,
 )
 from nsdamp import dynamics
-from nsdamp.checkpoint import write_checkpoint
+from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.dynamics import (
     BlowupError,
     CFLError,
@@ -536,6 +536,15 @@ class TestStepping:
         with pytest.raises(CFLError):
             step(state, StepperConfig(dt=0.1))
 
+    def test_cfl_rate_that_overflows_is_refused(self):
+        # |u|_inf^(beta-1) overflows a float at beta = 1000: the rate is inf, not an OverflowError
+        grid = make_grid(8, TWO_PI)
+        u0 = random_solenoidal(grid, seed=11, amplitude=1e3)
+        state = SolverState(t=0.0, u=u0, params=PhysParams(nu=1.0, alpha=1.0, beta=1000.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # the kernel's |u|^(beta-1) is inf too
+            with pytest.raises(CFLError, match=r"alpha \|u\|_inf\^\(beta-1\) = inf"):
+                step(state, StepperConfig(dt=1e-3))
+
     def test_blowup_detection(self):
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=12)
@@ -558,8 +567,7 @@ class TestStepping:
              "nan-mean", "inf"],
     )
     def test_bad_initial_field_refused_before_integrating(self, monkeypatch, entry, value, message):
-        # the Hermitian breaks perturb a component transverse to xi (y at
-        # m = (1, 0, 1), z at m = (1, 0, 0)): one along xi is projected away
+        # validate() refuses each broken field before the stepper runs
         def integrate(*args):
             raise AssertionError("the stepper ran")
 
@@ -575,19 +583,44 @@ class TestStepping:
         with pytest.raises(ValueError, match=message):
             run(u0, params, cfg, 0.01)
 
-    def test_longitudinal_part_of_initial_field_is_projected_away(self):
-        # a part along xi passes the start-up checks even where it breaks
-        # Hermitian symmetry: each entry and its conjugate partner are projected
+    def test_initial_field_outside_the_state_space_is_refused(self):
+        # the start-up projects nothing: whatever validate() refuses, trajectory refuses
         grid = make_grid(8, TWO_PI)
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         u0 = random_solenoidal(grid, seed=3)
-        bent = u0.copy()
-        bent.coeffs[:, 1, 0, 1] += 0.3 * np.array([1.0, 0.0, 1.0])  # m = (1, 0, 1)
-        bent.coeffs[:, 7, 0, 7] += 0.2j * np.array([1.0, 0.0, 1.0])  # m = (-1, 0, -1)
-        assert hermitian_error(bent) > 0.1
-        want = run(u0, params, cfg, 0.0)[0].u.coeffs
-        got = run(bent, params, cfg, 0.0)[0].u.coeffs
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        along = np.array([1.0, 0.0, 1.0])  # parallel to xi at m = (1, 0, 1) and at -m
+        bent = u0.copy()  # a part along xi, not Hermitian
+        bent.coeffs[:, 1, 0, 1] += 0.3 * along
+        bent.coeffs[:, 7, 0, 7] += 0.2j * along
+        longitudinal = u0.copy()  # a part along xi, Hermitian
+        longitudinal.coeffs[:, 1, 0, 1] += (0.3 + 0.2j) * along
+        longitudinal.coeffs[:, 7, 0, 7] += (0.3 - 0.2j) * along
+        leak = u0.copy()  # a Hermitian pair at m = +-(3, 3, 0), outside the ball
+        leak.coeffs[2, 3, 3, 0] += 0.1 + 0.1j
+        leak.coeffs[2, 5, 5, 0] += 0.1 - 0.1j
+        for field, message in (
+            (bent, "Hermitian symmetry violated"),
+            (longitudinal, "field is not solenoidal"),
+            (leak, "coefficients outside the cutoff ball are not zero"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run(field, params, cfg, 0.0)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("start", ["taylor-green", "random"])
+    def test_restart_from_a_checkpoint_is_bitwise(self, tmp_path, n, start):
+        # a snapshot is a state, so its checkpoint starts the same ball vector again
+        grid = make_grid(n, TWO_PI)
+        u0 = taylor_green(grid) if start == "taylor-green" else random_solenoidal(grid, seed=5)
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
+        cont = run(u0, params, cfg, 0.02, output_every=0.01)
+        assert cont[1].t == 0.01
+        path = tmp_path / "mid.ckpt"
+        write_checkpoint(cont[1], path)
+        resumed = read_checkpoint(path)
+        tail = run(resumed.u, resumed.params, cfg, 0.02, t_start=resumed.t, output_every=0.01)
+        assert tail[-1].t == cont[-1].t
+        assert np.array_equal(tail[-1].vector, cont[-1].vector)
 
     def test_accumulators_track_dissipation(self):
         grid = make_grid(8, TWO_PI)

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -198,8 +199,16 @@ class TestTwin:
             for u in (u0, u0 + pert * 1e-3)
         )
         times = np.array([s.t for s in base])
-        w_l2 = np.array([l2_norm(b.u - tw.u) for b, tw in zip(base, twin)])
-        w_grad = np.array([grad_norm_sq(b.u - tw.u) for b, tw in zip(base, twin)])
+        # the driver's ball sums of the vectors' difference, and the full-cube norms of the fields'
+        ball, volume = u0.grid.ball, u0.grid.volume
+        sums = np.array([ball.norms_sq(b.vector - tw.vector, (None, ball.k_sq))
+                         for b, tw in zip(base, twin)])
+        w_l2 = np.array([math.sqrt(volume * w_sq) for w_sq in sums[:, 0]])
+        w_grad = volume * sums[:, 1]
+        full_l2 = np.array([l2_norm(b.u - tw.u) for b, tw in zip(base, twin)])
+        full_grad = np.array([grad_norm_sq(b.u - tw.u) for b, tw in zip(base, twin)])
+        np.testing.assert_allclose(w_l2, full_l2, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(w_grad, full_grad, rtol=1e-15, atol=0.0)
         cum_grad = np.concatenate(
             [[0.0], np.cumsum(0.5 * np.diff(times) * (w_grad[:-1] + w_grad[1:]))]
         )
@@ -289,7 +298,7 @@ class TestMemory:
     """
 
     @staticmethod
-    def _cfg(steps: int):
+    def _cfg(steps: int, **over):
         return _cfg(
             **{
                 "grid.n_modes": 16,
@@ -299,6 +308,7 @@ class TestMemory:
                 "time.t_end": steps * 0.02,
                 "time.output_every": 0.02,
                 "ic.kind": "random-solenoidal",
+                **over,
             }
         )
 
@@ -353,13 +363,47 @@ class TestMemory:
         kernel(grid.ball.gather(random_solenoidal(grid, seed=16).coeffs))
         assert np.shares_memory(kernel.x_lines, kernel.y_lines)
 
-    def test_a_run_builds_no_full_cube_table_of_its_grid(self, tmp_path):
-        # the ball comes from 1-D mode numbers, and the stepper, the hooks and
-        # the outputs read only the ball's tables
+    def test_a_run_builds_no_full_cube_table_of_its_grid(self, tmp_path, monkeypatch):
+        # the ball comes from 1-D mode numbers, and validate(), the stepper,
+        # the hooks, the drivers and the outputs read only the ball's tables:
+        # a fresh run, a checkpoint-restarted run (its grid is the one the
+        # checkpoint reader validated), a twin pair and the manufactured-
+        # solution study of the refinement driver build none on their grids
         result = run_experiment(self._cfg(4), str(tmp_path))
-        held = vars(result.snapshots[-1].grid)
-        assert "ball" in held
-        assert not {"wavenumbers", "k_sq", "ball_mask", "low_shell_mask", "_k_sq_safe"} & held.keys()
+        grids = [result.snapshots[-1].grid]
+        restart = self._cfg(8, **{"ic.kind": "checkpoint", "ic.path": str(tmp_path / "final.ckpt")})
+        grids.append(run_experiment(restart, None).snapshots[-1].grid)
+
+        def recording(integrate):
+            def call(initial, *args, **kwargs):
+                grids.append(initial.grid)
+                return integrate(initial, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(experiments, "trajectory", recording(trajectory))
+        monkeypatch.setattr(experiments, "run", recording(run))
+        twin_experiment(self._cfg(4), 1e-3)
+        experiments._temporal_order_study()
+        assert len(grids) == 2 + 2 + 3
+        for grid in grids:
+            held = vars(grid)
+            assert "ball" in held
+            assert not {"wavenumbers", "k_sq", "ball_mask", "low_shell_mask", "_k_sq_safe"} & held.keys()
+
+    def test_the_twin_and_continuity_drivers_expand_no_snapshot(self, monkeypatch):
+        # they measure the snapshots' ball vectors: no snapshot builds its full field
+        kept = []
+
+        def recording(*args, **kwargs):
+            for snap in trajectory(*args, **kwargs):
+                kept.append(snap)
+                yield snap
+
+        monkeypatch.setattr(experiments, "trajectory", recording)
+        twin_experiment(self._cfg(4), 1e-3)
+        continuity_experiment(self._cfg(4), [0.02], t0=0.04)
+        assert len(kept) == 2 * 5 + 4  # the twin pair to t = 0.08, the ladder to t0 + eps = 0.06
+        assert all(snap._u is None for snap in kept)
 
     def test_a_first_kernel_call_holds_no_cube_of_product_blocks(self):
         # the products go, three blocks at a time, slab by slab into the
@@ -560,6 +604,16 @@ class TestCli:
         assert main(["continuity", str(cfg_file), "--t0", "0.05", "--eps", "0.02,0.01"]) == 0
         assert "modulus" in capsys.readouterr().out
 
+    def test_overflowing_cfl_rate_is_a_failed_run(self, tmp_path, cfg_file, capsys):
+        # alpha |u|_inf^(beta-1) overflows a float at beta = 1000: a CFLError, not a traceback
+        steep = tmp_path / "steep.cfg"
+        steep.write_text(cfg_file.read_text().replace("phys.beta = 4.0", "phys.beta = 1000.0")
+                         + "ic.amplitude = 1000.0\n")
+        with np.errstate(over="ignore", invalid="ignore"):  # the kernel's |u|^(beta-1) is inf too
+            assert main(["run", str(steep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: dt = ") and "Traceback" not in err
+
     def test_error_exit_codes(self, tmp_path, cfg_file, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2
         assert main(["twin", str(cfg_file)]) == 2  # missing --delta
@@ -571,6 +625,11 @@ class TestCli:
         endless = tmp_path / "endless.cfg"
         endless.write_text(cfg_file.read_text().replace("time.t_end = 0.1", "time.t_end = inf"))
         assert main(["run", str(endless)]) == 2
+        vacuous = tmp_path / "vacuous.cfg"  # growth constant 2^20000 / 2: inf
+        vacuous.write_text(cfg_file.read_text().replace("phys.beta = 4.0", "phys.beta = 3.0001"))
+        capsys.readouterr()
+        assert main(["twin", str(vacuous), "--delta", "1e-3"]) == 2
+        assert "growth constant" in capsys.readouterr().err
         # an unusable --out is refused before anything is integrated or printed
         occupied = tmp_path / "occupied"
         occupied.write_text("")

@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    reference_divergence_error,
+    reference_hermitian_error,
+    reference_support_and_mean,
+    reference_validate,
+)
+from nsdamp.initial_conditions import random_solenoidal
 from nsdamp.spectral import (
     GridSpec,
     SpectralField,
+    _magnitudes,
     divergence_error,
     friedrichs_truncate,
     grad_norm_sq,
@@ -221,6 +231,74 @@ class TestSplitAndChecks:
         f.coeffs[0, 3, 3, 0] = 1.0  # |xi| ~ 4.24, outside the ball
         with pytest.raises(ValueError):
             f.validate()
+
+    @staticmethod
+    def _verdict(check, f):
+        try:
+            check(f)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_validate_matches_the_full_cube_reference(self, data):
+        # fields near the 1e-10 tolerances: asymmetric entries, Hermitian
+        # out-of-ball pairs, a mean, a Hermitian longitudinal part, NaN or
+        # inf, on a solenoidal or a zero base; the table-free validate()
+        # must give the reference's verdict and message from the same bits
+        n = data.draw(st.sampled_from([6, 8]), label="n")
+        grid = make_grid(n, data.draw(st.sampled_from([TWO_PI, 5.0]), label="L"))
+        if data.draw(st.booleans(), label="zero base"):
+            c = np.zeros(grid.shape, dtype=np.complex128)
+        else:
+            seed = data.draw(st.integers(0, 20), label="seed")
+            c = random_solenoidal(grid, seed=seed, amplitude=data.draw(
+                st.sampled_from([1e-3, 1.0, 1e3]), label="amplitude")).coeffs
+        unit = float(np.abs(c).max()) or 1.0
+        inside = np.argwhere(grid.ball_mask)[1:]  # m = 0 excluded
+        outside = np.argwhere(~grid.ball_mask)
+
+        def draw_mode(modes, label):
+            return tuple(modes[data.draw(st.integers(0, len(modes) - 1), label=label)])
+
+        def any_mode():
+            return tuple(data.draw(st.integers(0, n - 1), label="mode index") for _ in range(3))
+
+        def mirror(m):
+            return tuple((-np.array(m)) % n)
+
+        for _ in range(data.draw(st.integers(0, 3), label="perturbations")):
+            kind = data.draw(st.sampled_from(
+                ["asymmetric", "outside pair", "mean", "longitudinal", "non-finite"]), label="kind")
+            size = unit * 10.0 ** data.draw(st.floats(-12.0, -8.0), label="log10 size")
+            z = size * np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi), label="phase"))
+            comp = data.draw(st.integers(0, 2), label="component")
+            if kind == "asymmetric":
+                c[(comp,) + any_mode()] += z
+            elif kind == "outside pair":
+                m = draw_mode(outside, "mode")
+                c[(comp,) + m] += z
+                c[(comp,) + mirror(m)] += np.conj(z)
+            elif kind == "mean":
+                c[comp, 0, 0, 0] += size
+            elif kind == "longitudinal":
+                m = draw_mode(inside, "mode")
+                xi = grid.wavenumbers[(slice(None),) + m]
+                along = xi / np.sqrt((xi**2).sum())
+                c[(slice(None),) + m] += z * along
+                c[(slice(None),) + mirror(m)] += np.conj(z) * along
+            else:
+                c[(comp,) + any_mode()] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+
+        f = SpectralField(grid, c)
+        assert self._verdict(SpectralField.validate, f) == self._verdict(reference_validate, f)
+        with np.errstate(invalid="ignore"):  # inf - inf in the non-finite cases
+            _, mean, beyond = _magnitudes(f)
+            got = [hermitian_error(f), beyond, mean, divergence_error(f)]
+            want = [reference_hermitian_error(f), *reference_support_and_mean(f),
+                    reference_divergence_error(f)]
+        np.testing.assert_array_equal(got, want)
 
     def test_remove_mean(self):
         grid = make_grid(8, TWO_PI)
