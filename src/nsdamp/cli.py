@@ -11,8 +11,10 @@ Subcommands mirror the experiment drivers one-to-one::
 
 Exit codes: 0 when every assertion passes, 1 on any violated bound or a
 run that fails mid-flight, 2 on malformed input (config file, flags,
-checkpoint).  Outputs land in <output.directory>/<subcommand>/ unless
---out overrides; runs leave series.csv, report.txt and final.ckpt.
+checkpoint), 3 on an internal error: any other exception, reported on one
+stderr line, so that a bug never reads as a violated bound.  Outputs land
+in <output.directory>/<subcommand>/ unless --out overrides; runs leave
+series.csv, report.txt and final.ckpt.
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CFLError, BlowupError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

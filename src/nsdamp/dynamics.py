@@ -209,7 +209,10 @@ class StepperConfig:
 
 
 class _NLTerms(NamedTuple):
-    """One evaluation of the nonlinear kernel: ball vectors truncated, not projected."""
+    """One evaluation of the nonlinear kernel: ball vectors truncated, not projected.
+
+    adv and damp are the kernel's buffers, overwritten by its next call.
+    """
 
     adv: np.ndarray | None  # J div(u x u) = i xi . (u x u)-hat; None when advect=False
     damp: np.ndarray | None  # alpha J |u|^(beta-1) u; None when alpha = 0
@@ -246,15 +249,19 @@ class _Kernel:
     z line is transformed on its own, so slabs give the bits of whole
     blocks; |u|^2 stays a full cube so that its max and sum keep their order.
 
-    Every array of an evaluation but the terms it returns lives in a buffer
-    of the instance, allocated at the first call and reused by every later
-    one: the grid values u and |u|^2, one slab of three product blocks, one
-    half-spectrum array (the inverse's planes and the forward's z-pass
-    output), one line array (the inverse's x_lines, then the forward's
-    y_lines, never live together), and the blocks' ball coefficients.
-    Allocated and freed at each stage instead, they let the allocator trim
-    the top of the heap and fault it back in at the next stage. The buffers
-    are per-instance scratch: one kernel per thread.
+    Every array of an evaluation lives in a buffer of the instance, the
+    terms it returns included: the grid values u and |u|^2, one slab of
+    three product blocks, one half-spectrum array (the inverse's planes and
+    the forward's z-pass output), one line array (the inverse's x_lines,
+    then the forward's y_lines, never live together), the blocks' ball
+    coefficients and adv. damp is a view of the damping blocks'
+    coefficients. So the terms of a call hold until the next call, which
+    overwrites them: a caller folds them in first (the stepper does, see
+    _Fold). inverse() allocates only u, the half-spectrum array and the
+    line array; the first call allocates the rest. Allocated and freed at
+    each stage instead, they let the allocator trim the top of the heap and
+    fault it back in at the next stage. The buffers are per-instance
+    scratch: one kernel per thread.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams, *, advect: bool = True):
@@ -265,20 +272,24 @@ class _Kernel:
         self.damped = params.alpha > 0.0
         # the blocks, three to a forward transform; None stands for the damping blocks
         self.groups = ([_PAIRS[:3], _PAIRS[3:]] if advect else []) + ([None] if self.damped else [])
-        self.u = None  # the buffers, allocated by the first call
+        self.u = self.hats = None  # the inverse's buffers, then the forward's, allocated on first use
 
-    def _allocate(self) -> None:
+    def _allocate_inverse(self) -> None:
         ball, n = self.ball, self.grid.n_modes
         self.u = np.empty((3, n, n, n))
-        self.mag_sq = np.empty((n, n, n))
-        self.products = np.empty((3, min(n, max(1, _SLAB // n**2)), n, n))
         self.half = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
         self.planes = self.half[..., : ball.top + 1]
         x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3,) + ball.y_gather.shape
         lines = np.empty(max(math.prod(x_shape), math.prod(y_shape)), dtype=np.complex128)
         self.x_lines = lines[: math.prod(x_shape)].reshape(x_shape)
         self.y_lines = lines[: math.prod(y_shape)].reshape(y_shape)
-        self.hats = np.empty((3 * len(self.groups), ball.k_sq.size), dtype=np.complex128)
+
+    def _allocate_forward(self) -> None:
+        n, n_ball = self.grid.n_modes, self.ball.k_sq.size
+        self.mag_sq = np.empty((n, n, n))
+        self.products = np.empty((3, min(n, max(1, _SLAB // n**2)), n, n))
+        self.hats = np.empty((3 * len(self.groups), n_ball), dtype=np.complex128)
+        self.adv = np.empty((3, n_ball), dtype=np.complex128) if self.advect else None
 
     def _slabs(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Each slab's x-planes and the product buffer cut to their count."""
@@ -302,11 +313,13 @@ class _Kernel:
     def inverse(self, v: np.ndarray) -> np.ndarray:
         """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
         if self.u is None:
-            self._allocate()
+            self._allocate_inverse()
         return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes)
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
         u = self.inverse(v)
+        if self.hats is None:
+            self._allocate_forward()
         ball, params, hats, mag_sq = self.ball, self.params, self.hats, self.mag_sq
         # |u|^2 = (u_0^2 + u_1^2) + u_2^2, the product buffer holding each square
         for xs, products in self._slabs():
@@ -326,36 +339,39 @@ class _Kernel:
                 np.fft.rfft(products, axis=3, norm="forward", out=self.half[:, xs])
             ball.from_half(self.half, out=hats[3 * g : 3 * g + 3], lines=self.y_lines)
 
-        adv = damp = None
+        adv, damp = self.adv, None
         damp_rate = 0.0
         if self.advect:
             k = ball.k
-            adv = np.empty_like(v)
             for comp, (b0, b1, b2) in enumerate(_BLOCKS):
-                acc = k[0] * hats[b0]
-                acc = acc + k[1] * hats[b1]
-                acc = acc + k[2] * hats[b2]
-                adv[comp] = 1j * acc
+                # 1j ((k0 h0 + k1 h1) + k2 h2), each operation in place in adv[comp]
+                acc = np.multiply(k[0], hats[b0], out=adv[comp])
+                np.add(acc, k[1] * hats[b1], out=acc)
+                np.add(acc, k[2] * hats[b2], out=acc)
+                np.multiply(1j, acc, out=acc)
         if self.damped:
-            # a copy, not a view: the stepper keeps each stage's terms to the end of the step
-            damp = hats[-3:].copy()
+            damp = hats[-3:]
             damp_rate = 2.0 * params.alpha * float(mag_sq.sum()) * self.grid.cell_volume
         visc_rate = 2.0 * params.nu * self.grid.volume * ball.norm_sq(v, ball.k_sq)
         return _NLTerms(adv, damp, visc_rate, damp_rate, linf)
 
 
-def _project_terms(ball: _Ball, terms: _NLTerms) -> np.ndarray:
-    """Project the kernel's terms in place (damping mean dropped); return -(adv + damp)."""
-    total = np.zeros(ball.k.shape, dtype=np.complex128)
+def _project_terms(ball: _Ball, terms: _NLTerms, out: np.ndarray) -> np.ndarray:
+    """Project the kernel's terms in place (damping mean dropped); out = -(adv + damp), returned.
+
+    out is zeroed, then each term subtracted: 0 - x, not -x, so a zero term
+    gives +0, as np.negative would not.
+    """
+    out.fill(0.0)
     if terms.adv is not None:
         ball.project(terms.adv)
         # divergence form vanishes at m = 0 already; projection leaves that alone.
-        total -= terms.adv
+        out -= terms.adv
     if terms.damp is not None:
         ball.project(terms.damp)
         terms.damp[:, 0] = 0.0  # comoving frame: drop the mean force
-        total -= terms.damp
-    return total
+        out -= terms.damp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +391,7 @@ def advection(u: SpectralField) -> SpectralField:
     ball = u.grid.ball
     params = PhysParams(nu=1.0, alpha=0.0, beta=2.0)  # alpha=0: damping skipped
     terms = _Kernel(u.grid, params)(ball.gather(u.coeffs))
-    _project_terms(ball, terms)
+    _project_terms(ball, terms, np.empty_like(terms.adv))
     return SpectralField(u.grid, ball.expand(terms.adv))
 
 
@@ -394,7 +410,7 @@ def damping(u: SpectralField, alpha: float, beta: float) -> SpectralField:
         return SpectralField(u.grid, np.zeros_like(u.coeffs))
     ball = u.grid.ball
     terms = _Kernel(u.grid, params, advect=False)(ball.gather(u.coeffs))
-    _project_terms(ball, terms)
+    _project_terms(ball, terms, np.empty_like(terms.damp))
     return SpectralField(u.grid, ball.expand(terms.damp))
 
 
@@ -409,7 +425,7 @@ def tendency(state: SolverState) -> SpectralField:
     """
     ball = state.grid.ball
     v = state.vector
-    out = _project_terms(ball, _Kernel(state.grid, state.params)(v))
+    out = _project_terms(ball, _Kernel(state.grid, state.params)(v), np.empty_like(v))
     out -= state.params.nu * ball.k_sq * v
     return SpectralField(state.grid, ball.expand(out))
 
@@ -435,16 +451,57 @@ def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
 # integrating-factor RK4
 
 
-def _combine(x, stages, e_half, e_full, dt: float):
-    """One integrating-factor RK4 step of x from its four stage terms.
+def _combine(x: float, stages: Sequence[float], dt: float) -> float:
+    """One RK4 step of a scalar unknown from its four stage rates: x + dt/6 (s1 + 2 (s2 + s3) + s4).
 
-    e_full x + dt/6 (e_full s1 + 2 e_half (s2 + s3) + s4), with e_half and
-    e_full the viscous factors over dt/2 and dt; the state, the Duhamel
-    parts (with -dt) and, with factors 1.0, the dissipation integrals all
-    advance by it.
+    The dissipation integrals advance by it: _Fold's combination with
+    viscous factors 1.0, which multiply exactly, so it rounds the same.
     """
     s1, s2, s3, s4 = stages
-    return e_full * x + (dt / 6.0) * (e_full * s1 + 2.0 * e_half * (s2 + s3) + s4)
+    return x + (dt / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+
+
+class _Fold:
+    """One integrating-factor RK4 combination of ball vectors, stage by stage.
+
+    The result is e_full x + h (e_full s1 + (2 e_half) (s2 + s3) + s4), with
+    e_half and e_full the viscous factors over dt/2 and dt and h = dt/6 (the
+    state) or -dt/6 (the Duhamel parts, whose forces enter with a minus
+    sign). add() takes s1, s2, s3 and s4 as the stages produce them, so no
+    stage term outlives the stage: e_full s1 starts the sum, s2 is held
+    until s3 arrives, then (2 e_half) (s2 + s3) and s4 are added; finish(x)
+    scales the sum by h and adds e_full x last. Every operation takes its
+    operands in the order of that expression, so the bits are those of
+    forming it whole. Two arrays are allocated per combination: the sum,
+    which finish() returns, and the held term, which takes e_full x.
+    """
+
+    def __init__(self, e_full: np.ndarray, two_e_half: np.ndarray, h: float):
+        self.e_full, self.two_e_half, self.h = e_full, two_e_half, h
+        self.stages = 0
+        self.sum = self.held = None
+
+    def add(self, s: np.ndarray) -> None:
+        """Fold in the next stage's term s, which may be overwritten once this returns."""
+        if self.stages == 0:
+            self.sum = self.e_full * s
+        elif self.stages == 1:
+            self.held = s.copy()
+        elif self.stages == 2:
+            held = self.held
+            np.add(held, s, out=held)
+            np.multiply(self.two_e_half, held, out=held)
+            np.add(self.sum, held, out=self.sum)
+        else:
+            np.add(self.sum, s, out=self.sum)
+        self.stages += 1
+
+    def finish(self, x: np.ndarray) -> np.ndarray:
+        """The combination of x and the four stage terms, a new array."""
+        total, held = self.sum, self.held
+        np.multiply(self.h, total, out=total)
+        np.multiply(self.e_full, x, out=held)
+        return np.add(held, total, out=total)
 
 
 class _Duhamel:
@@ -452,11 +509,12 @@ class _Duhamel:
 
     heat is the exact viscous semigroup applied to the initial ball vector
     v0; f and g accumulate the advection and damping contributions with the
-    same integrating-factor RK4 stage combination the state itself uses, so
-    heat + f + g rebuilds the state to roundoff at every step. advance()
-    takes the kernel terms of the four stages, whose projected forces
+    same integrating-factor RK4 combination the state itself uses, so
+    heat + f + g rebuilds the state to roundoff at every step. A step opens
+    with begin(), folds each stage's kernel terms with add() as the stepper
+    evaluates them, and ends with finish(). The terms' projected forces
     P J div(u x u) and P J alpha |u|^(beta-1) u enter the state with a minus
-    sign; their damp is None when alpha = 0.
+    sign; their damp is None when alpha = 0, and g then stays zero.
     """
 
     def __init__(self, grid: GridSpec, v0: np.ndarray):
@@ -465,15 +523,24 @@ class _Duhamel:
         self.heat = v0
         self.f = np.zeros_like(v0)
         self.g = np.zeros_like(v0)
+        self.folds = None
 
-    def advance(
-        self, e_half: np.ndarray, e_full: np.ndarray, dt: float, stages: Sequence[_NLTerms]
-    ) -> None:
+    def begin(self, e_full: np.ndarray, two_e_half: np.ndarray, dt: float) -> None:
         # the forces enter with a minus sign; -dt applies it without negated copies
-        self.heat = e_full * self.heat
-        self.f = _combine(self.f, [n.adv for n in stages], e_half, e_full, -dt)
-        if stages[0].damp is not None:
-            self.g = _combine(self.g, [n.damp for n in stages], e_half, e_full, -dt)
+        self.folds = (_Fold(e_full, two_e_half, -dt / 6.0), _Fold(e_full, two_e_half, -dt / 6.0))
+
+    def add(self, terms: _NLTerms) -> None:
+        self.folds[0].add(terms.adv)
+        if terms.damp is not None:
+            self.folds[1].add(terms.damp)
+
+    def finish(self) -> None:
+        f, g = self.folds
+        self.heat = f.e_full * self.heat
+        self.f = f.finish(self.f)
+        if g.stages:
+            self.g = g.finish(self.g)
+        self.folds = None
 
     def norms(self, v: np.ndarray) -> DuhamelNorms:
         """The split's norms, with its drift from the state's ball vector v."""
@@ -489,7 +556,12 @@ class _Duhamel:
 
 
 class _Stepper:
-    """Integrating-factor RK4 on ball vectors for one (grid, params, dt) combination."""
+    """Integrating-factor RK4 on ball vectors for one (grid, params, dt) combination.
+
+    force is the buffer of the nonlinear right-hand side (_force); each
+    stage state is formed in it too, since the stage's kernel reads the
+    state before _force overwrites it.
+    """
 
     def __init__(
         self,
@@ -506,6 +578,8 @@ class _Stepper:
         self.forcing = forcing
         self.e_half = np.exp(-params.nu * self.ball.k_sq * (cfg.dt / 2.0))
         self.e_full = self.e_half**2
+        self.two_e_half = 2.0 * self.e_half
+        self.force = np.empty(self.ball.k.shape, dtype=np.complex128)
 
     def check_cfl(self, linf: float, dt: float) -> None:
         if not np.isfinite(linf):
@@ -524,16 +598,11 @@ class _Stepper:
             )
 
     def _force(self, terms: _NLTerms, t: float) -> np.ndarray:
-        """The nonlinear right-hand side at time t from the kernel's terms, which it projects."""
-        total = _project_terms(self.ball, terms)
+        """The nonlinear right-hand side at time t from the kernel's terms, which it projects, in force."""
+        total = _project_terms(self.ball, terms, self.force)
         if self.forcing is not None:
-            total = total + self.ball.gather(self.forcing(t))
+            np.add(total, self.ball.gather(self.forcing(t)), out=total)
         return total
-
-    def _rhs(self, v: np.ndarray, t: float) -> tuple[np.ndarray, _NLTerms]:
-        """(nonlinear right-hand side at (v, t), the kernel's terms, projected)."""
-        terms = self.kernel(v)
-        return self._force(terms, t), terms
 
     def advance(
         self, v: np.ndarray, t: float, n1: _NLTerms, duhamel: _Duhamel | None = None
@@ -542,39 +611,59 @@ class _Stepper:
 
         n1 is the first stage's kernel evaluation, self.kernel(v), which the
         caller runs (trajectory() before it yields v's snapshot).
+
+        Each stage is folded into the step as soon as it is evaluated: its
+        force into the state's _Fold, its kernel terms into the Duhamel
+        parts' (duhamel.add) and its rates into two short lists. Then the
+        next stage state is formed in place in the force buffer, and the
+        kernel and _force overwrite the stage's terms and force. So a step
+        allocates a fixed number of ball vectors, whatever the horizon: each
+        _Fold's two (the state's, whose sum is the new state, and with the
+        Duhamel split f's and g's), the split's new heat, and short-lived
+        temporaries (e_half v, e_full v, one-component terms).
         """
         dt = self.cfg.dt
         eh, ef = self.e_half, self.e_full
+        state = _Fold(ef, self.two_e_half, dt / 6.0)
+        if duhamel is not None:
+            duhamel.begin(ef, self.two_e_half, dt)
+        visc, damp = [], []
 
-        k1 = self._force(n1, t)
+        def fold(terms: _NLTerms, t: float) -> np.ndarray:
+            k = self._force(terms, t)
+            state.add(k)
+            if duhamel is not None:
+                duhamel.add(terms)
+            visc.append(terms.visc_rate)
+            damp.append(terms.damp_rate)
+            return k
+
+        k = fold(n1, t)
         self.check_cfl(n1.linf, dt)
+        # s2 = eh (v + dt/2 k1)
+        np.multiply(dt / 2.0, k, out=k)
+        np.add(v, k, out=k)
+        np.multiply(eh, k, out=k)
+        k = fold(self.kernel(k), t + dt / 2.0)
+        # s3 = eh v + dt/2 k2
+        np.multiply(dt / 2.0, k, out=k)
+        np.add(eh * v, k, out=k)
+        k = fold(self.kernel(k), t + dt / 2.0)
+        # s4 = ef v + dt (eh k3)
+        np.multiply(eh, k, out=k)
+        np.multiply(dt, k, out=k)
+        np.add(ef * v, k, out=k)
+        fold(self.kernel(k), t + dt)
 
-        # each stage state goes once its kernel has read it
-        s2 = eh * (v + (dt / 2.0) * k1)
-        k2, n2 = self._rhs(s2, t + dt / 2.0)
-        del s2
-
-        s3 = eh * v + (dt / 2.0) * k2
-        k3, n3 = self._rhs(s3, t + dt / 2.0)
-        del s3
-
-        s4 = ef * v + dt * (eh * k3)
-        k4, n4 = self._rhs(s4, t + dt)
-        del s4
-
-        vnew = _combine(v, (k1, k2, k3, k4), eh, ef, dt)
+        vnew = state.finish(v)
         self.ball.project(vnew)
         vnew[:, 0] = 0.0
-
-        stages = (n1, n2, n3, n4)
         if duhamel is not None:
-            duhamel.advance(eh, ef, dt, stages)
+            duhamel.finish()
 
         # The stage evaluations already carry the dissipation rates at the
         # stage states, so the augmented RK4 quadrature is free.
-        d_visc = _combine(0.0, [n.visc_rate for n in stages], 1.0, 1.0, dt)
-        d_damp = _combine(0.0, [n.damp_rate for n in stages], 1.0, 1.0, dt)
-        return vnew, d_visc, d_damp
+        return vnew, _combine(0.0, visc, dt), _combine(0.0, damp, dt)
 
 
 def step(state: SolverState, cfg: StepperConfig) -> SolverState:
@@ -688,7 +777,6 @@ def trajectory(
     yield snapshot(0)
     for i in range(1, n_steps + 1):
         v, d_visc, d_damp = stepper.advance(v, t_start + (i - 1) * cfg.dt, terms, duhamel)
-        del terms  # dropped before the next step's kernel call
         cum_visc += d_visc
         cum_damp += d_damp
         if not (np.isfinite(cum_visc) and np.isfinite(cum_damp)):

@@ -255,12 +255,11 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     delta = 0 degenerates to a determinism check: the difference must be
     bitwise zero.
     """
-    validate_for_experiment(cfg, "twin")
     if delta < 0.0:
         raise ConfigError(f"delta must be nonnegative, got {delta!r}")
-    constant = gronwall_constant(cfg.alpha, cfg.beta)
-
     u0, t_start = build_initial(cfg)
+    validate_for_experiment(cfg, "twin", horizon=cfg.t_end - t_start)
+    constant = gronwall_constant(cfg.alpha, cfg.beta)
     ball, volume = u0.grid.ball, u0.grid.volume
     pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
     u0_twin = u0 + pert * delta
@@ -368,7 +367,7 @@ def continuity_experiment(
     and the forward modulus must decrease strictly along the eps ladder.
     Times are measured from the start of the run.
     """
-    validate_for_experiment(cfg, "continuity")
+    validate_for_experiment(cfg, "continuity", horizon=t0)
     if not epsilons:
         raise ConfigError("need at least one epsilon")
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)

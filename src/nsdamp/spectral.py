@@ -648,5 +648,15 @@ class _Ball:
         return _weighted_sum((a.real * b.real + a.imag * b.imag).sum(axis=0), self.weight)
 
     def project(self, v: np.ndarray) -> None:
-        """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged."""
-        v -= _gradient_part(v, self.k, self.k_sq_safe)
+        """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged.
+
+        v minus _gradient_part(v), with the same operations, one component
+        at a time: no temporary of v's size.
+        """
+        k = self.k
+        dot = k[0] * v[0]
+        dot += k[1] * v[1]
+        dot += k[2] * v[2]
+        dot /= self.k_sq_safe
+        for i in range(3):
+            v[i] -= k[i] * dot

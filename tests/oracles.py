@@ -31,6 +31,12 @@ grid's full-cube mask and wavenumber tables, with a separate finiteness
 pass, which the table-free ``SpectralField.validate`` must reproduce:
 the same verdicts and messages from bitwise-equal measures.
 
+``list_combine`` is the integrating-factor RK4 combination formed whole
+from all four stage terms, and ``list_form_step`` is a step that keeps
+every stage's force and kernel terms, as copies, until that combination
+forms the new state and the Duhamel parts; the stepper, which folds each
+stage in as it arrives, must reproduce both bit for bit.
+
 ``full_cube_ledger`` folds snapshots with the snapshot hooks' formulas over
 the whole (3, N, N, N) coefficient cube, which the hooks' ball sums and
 pruned inverse transform must reproduce.
@@ -39,7 +45,15 @@ pruned inverse transform must reproduce.
 import numpy as np
 import scipy.fft
 
-from nsdamp.spectral import SpectralField, friedrichs_truncate, l2_norm, leray_project, remove_mean
+from nsdamp.dynamics import _Kernel
+from nsdamp.spectral import (
+    SpectralField,
+    _gradient_part,
+    friedrichs_truncate,
+    l2_norm,
+    leray_project,
+    remove_mean,
+)
 
 
 def _support(coeffs):
@@ -238,6 +252,59 @@ def unfused_kernel(grid, params, v, advect=True):
         damp = hats[len(pairs):]
     visc_rate = 2.0 * params.nu * grid.volume * ball.norm_sq(v, ball.k_sq)
     return adv, damp, visc_rate, damp_rate, linf
+
+
+def list_combine(x, stages, e_half, e_full, dt):
+    """e_full x + dt/6 (e_full s1 + 2 e_half (s2 + s3) + s4), from the four stage terms at once."""
+    s1, s2, s3, s4 = stages
+    return e_full * x + (dt / 6.0) * (e_full * s1 + 2.0 * e_half * (s2 + s3) + s4)
+
+
+def list_form_step(grid, params, dt, v, heat, f, g):
+    """One integrating-factor RK4 step of the state v and its Duhamel split (heat, f, g).
+
+    Every stage's force and projected kernel terms are copies kept to the
+    end of the step, where list_combine forms the new state (projected,
+    m = 0 zeroed), f and g (with -dt) and the dissipation increments; the
+    projection subtracts the whole gradient part at once. Returns
+    (v, heat, f, g, d_visc, d_damp); g is returned as given when alpha = 0.
+    """
+    ball = grid.ball
+    kernel = _Kernel(grid, params)
+    e_half = np.exp(-params.nu * ball.k_sq * (dt / 2.0))
+    e_full = e_half**2
+
+    def project(x):
+        x -= _gradient_part(x, ball.k, ball.k_sq_safe)
+
+    def stage(x):
+        terms = kernel(x)
+        adv = terms.adv.copy()
+        damp = None if terms.damp is None else terms.damp.copy()
+        force = np.zeros(ball.k.shape, dtype=np.complex128)
+        project(adv)
+        force -= adv
+        if damp is not None:
+            project(damp)
+            damp[:, 0] = 0.0
+            force -= damp
+        return force, adv, damp, terms.visc_rate, terms.damp_rate
+
+    s1 = stage(v)
+    s2 = stage(e_half * (v + (dt / 2.0) * s1[0]))
+    s3 = stage(e_half * v + (dt / 2.0) * s2[0])
+    s4 = stage(e_full * v + dt * (e_half * s3[0]))
+    stages = (s1, s2, s3, s4)
+
+    def combine(part, x, e_half, e_full, dt):
+        return list_combine(x, [s[part] for s in stages], e_half, e_full, dt)
+
+    v_new = combine(0, v, e_half, e_full, dt)
+    project(v_new)
+    v_new[:, 0] = 0.0
+    g_new = g if s1[2] is None else combine(2, g, e_half, e_full, -dt)
+    return (v_new, e_full * heat, combine(1, f, e_half, e_full, -dt), g_new,
+            combine(3, 0.0, 1.0, 1.0, dt), combine(4, 0.0, 1.0, 1.0, dt))
 
 
 def fftn_random_solenoidal(grid, seed, amplitude=1.0):

@@ -207,6 +207,18 @@ class TestValidation:
             for experiment in ("twin", "continuity"):
                 with pytest.raises(ConfigError, match=f"growth constant .* the {experiment} bound"):
                     validate_for_experiment(vacuous, experiment)
+        # C = 8.0e59 is finite, but exp(2 C t) overflows past t = 4.4e-58: every later
+        # sample meets the bound; the horizon defaults to time.t_end
+        steep = config_from_mapping(_base_mapping(**{"phys.beta": 3.01}))
+        for experiment in ("twin", "continuity"):
+            for horizon in (None, 0.01):
+                with pytest.raises(ConfigError, match=rf"growth factor exp\(2 C t\) overflows by "
+                                                      rf"t = .* the {experiment} bound is vacuous"):
+                    validate_for_experiment(steep, experiment, horizon)
+            validate_for_experiment(steep, experiment, horizon=1e-60)  # no raise
+        validate_for_experiment(cfg_small, "twin", horizon=100.0)  # C = 2: exp(400) is finite
+        with pytest.raises(ConfigError, match="growth factor"):
+            validate_for_experiment(cfg_small, "continuity", horizon=200.0)  # exp(800) is not
 
 
 class TestCheckpoint:

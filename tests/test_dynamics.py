@@ -17,6 +17,8 @@ from oracles import (
     full_forward,
     full_inverse,
     linear_advection,
+    list_combine,
+    list_form_step,
     project_hat,
     unfused_kernel,
 )
@@ -704,14 +706,14 @@ class TestDuhamel:
 
     def test_drift_guard_fires(self, monkeypatch):
         # a split whose damping part never advances stops matching the state
-        advance = dynamics._Duhamel.advance
+        finish = dynamics._Duhamel.finish
 
-        def frozen_g(self, *args):
+        def frozen_g(self):
             g = self.g
-            advance(self, *args)
+            finish(self)
             self.g = g
 
-        monkeypatch.setattr(dynamics._Duhamel, "advance", frozen_g)
+        monkeypatch.setattr(dynamics._Duhamel, "finish", frozen_g)
         u0 = random_solenoidal(make_grid(8, TWO_PI), seed=30, amplitude=2.0)
         with pytest.raises(BlowupError, match=r"Duhamel split drifted .* at t = 0\.01$"):
             run(u0, PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=2e-3), 0.1,
@@ -724,6 +726,60 @@ class TestDuhamel:
         snaps = run(target.field(0.0), params, StepperConfig(dt=1e-2), 0.02,
                     forcing=manufactured_forcing(target, params))
         assert all(s.duhamel is None for s in snaps)
+
+
+class TestLowStorageStep:
+    @staticmethod
+    def _vectors(rng, shape, count):
+        """count random vectors of shape with signed zeros: a tenth of the entries zero in
+        every vector (-0 in all of them at half of those), another tenth in each alone."""
+        common = rng.random(shape) < 0.1
+        negative = common & (rng.random(shape) < 0.5)
+        out = []
+        for _ in range(count):
+            x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-3, 3)
+            for part in (x.real, x.imag):
+                zeros = common | (rng.random(shape) < 0.1)
+                part[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+                part[negative] = -0.0
+            out.append(x)
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fold_gives_the_bits_of_the_whole_combination(self, seed):
+        # the state's combination (dt) and the Duhamel parts' (-dt), folded
+        # stage by stage, against the list form; signed zeros included
+        rng = np.random.default_rng(seed)
+        ball = make_grid(8, TWO_PI).ball
+        dt = rng.uniform(1e-4, 0.1)
+        e_half = np.exp(-rng.uniform(0.1, 2.0) * ball.k_sq * (dt / 2.0))
+        e_full = e_half**2
+        for h in (dt, -dt):
+            x, *stages = self._vectors(rng, ball.k.shape, 5)
+            fold = dynamics._Fold(e_full, 2.0 * e_half, h / 6.0)
+            for s in stages:
+                fold.add(s.copy())
+            got = fold.finish(x)
+            want = list_combine(x, stages, e_half, e_full, h)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, alpha", [(8, 1.0), (12, 1.0), (12, 0.0)])
+    def test_step_gives_the_bits_of_the_list_form(self, n, alpha):
+        # three steps of the stepper and its Duhamel split against steps that
+        # keep every stage's terms and combine them whole at the end
+        grid = make_grid(n, TWO_PI)
+        params, dt = PhysParams(nu=0.7, alpha=alpha, beta=10.0 / 3.0), 2e-3
+        v = grid.ball.gather(random_solenoidal(grid, seed=n, amplitude=3.0).coeffs)
+        stepper = dynamics._Stepper(grid, params, StepperConfig(dt=dt))
+        duhamel = dynamics._Duhamel(grid, v)
+        want = (v, v, np.zeros_like(v), np.zeros_like(v))
+        for i in range(3):
+            got = stepper.advance(v, i * dt, stepper.kernel(v), duhamel)
+            want = list_form_step(grid, params, dt, *want[:4])
+            v = got[0]
+            for name, g, w in zip(("v", "heat", "f", "g"), (v, duhamel.heat, duhamel.f, duhamel.g), want):
+                assert g.tobytes() == w.tobytes(), (i, name)
+            assert got[1:] == want[4:]
 
 
 class TestManufactured:
