@@ -15,7 +15,7 @@ Time stepping is classical RK4 applied after the exact integrating-factor
 substitution v = exp(nu |xi|^2 t) u, so the viscous term is treated exactly
 and only the nonlinearity is discretized. The two dissipation integrals
 (2 nu int ||grad u||^2 and 2 alpha int int |u|^(beta+1)) ride along as
-augmented scalar unknowns integrated by the same RK4 stage combination,
+augmented scalar unknowns folded by the same RK4 stage combination (_Fold),
 which keeps the discrete energy ledger accurate to the scheme's own order.
 
 The stepper holds the state as a flat vector of the ball's coefficients in
@@ -451,32 +451,24 @@ def pressure_field(u: SpectralField, params: PhysParams) -> np.ndarray:
 # integrating-factor RK4
 
 
-def _combine(x: float, stages: Sequence[float], dt: float) -> float:
-    """One RK4 step of a scalar unknown from its four stage rates: x + dt/6 (s1 + 2 (s2 + s3) + s4).
-
-    The dissipation integrals advance by it: _Fold's combination with
-    viscous factors 1.0, which multiply exactly, so it rounds the same.
-    """
-    s1, s2, s3, s4 = stages
-    return x + (dt / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
-
-
 class _Fold:
-    """One integrating-factor RK4 combination of ball vectors, stage by stage.
+    """One integrating-factor RK4 combination of arrays, stage by stage.
 
     The result is e_full x + h (e_full s1 + (2 e_half) (s2 + s3) + s4), with
     e_half and e_full the viscous factors over dt/2 and dt and h = dt/6 (the
     state) or -dt/6 (the Duhamel parts, whose forces enter with a minus
-    sign). add() takes s1, s2, s3 and s4 as the stages produce them, so no
-    stage term outlives the stage: e_full s1 starts the sum, s2 is held
-    until s3 arrives, then (2 e_half) (s2 + s3) and s4 are added; finish(x)
-    scales the sum by h and adds e_full x last. Every operation takes its
+    sign). The dissipation integrals feel no viscous factor: they fold as one
+    2-vector with e_full = 1.0 and 2 e_half = 2.0, which multiply exactly.
+    add() takes s1, s2, s3 and s4 as the stages produce them, so no stage
+    term outlives the stage: e_full s1 starts the sum, s2 is held until s3
+    arrives, then (2 e_half) (s2 + s3) and s4 are added; finish(x) scales
+    the sum by h and adds e_full x last. Every operation takes its
     operands in the order of that expression, so the bits are those of
     forming it whole. Two arrays are allocated per combination: the sum,
     which finish() returns, and the held term, which takes e_full x.
     """
 
-    def __init__(self, e_full: np.ndarray, two_e_half: np.ndarray, h: float):
+    def __init__(self, e_full: np.ndarray | float, two_e_half: np.ndarray | float, h: float):
         self.e_full, self.two_e_half, self.h = e_full, two_e_half, h
         self.stages = 0
         self.sum = self.held = None
@@ -496,7 +488,7 @@ class _Fold:
             np.add(self.sum, s, out=self.sum)
         self.stages += 1
 
-    def finish(self, x: np.ndarray) -> np.ndarray:
+    def finish(self, x: np.ndarray | float) -> np.ndarray:
         """The combination of x and the four stage terms, a new array."""
         total, held = self.sum, self.held
         np.multiply(self.h, total, out=total)
@@ -614,28 +606,30 @@ class _Stepper:
 
         Each stage is folded into the step as soon as it is evaluated: its
         force into the state's _Fold, its kernel terms into the Duhamel
-        parts' (duhamel.add) and its rates into two short lists. Then the
-        next stage state is formed in place in the force buffer, and the
-        kernel and _force overwrite the stage's terms and force. So a step
-        allocates a fixed number of ball vectors, whatever the horizon: each
-        _Fold's two (the state's, whose sum is the new state, and with the
-        Duhamel split f's and g's), the split's new heat, and short-lived
-        temporaries (e_half v, e_full v, one-component terms).
+        parts' (duhamel.add) and its two rates into the dissipation
+        integrals' _Fold. Then the next stage state is formed in place in
+        the force buffer, and the kernel and _force overwrite the stage's
+        terms and force. So a step allocates a fixed number of ball vectors,
+        whatever the horizon: each vector _Fold's two (the state's, whose
+        sum is the new state, and with the Duhamel split f's and g's), the
+        split's new heat, and short-lived temporaries (e_half v, e_full v,
+        one-component terms).
         """
         dt = self.cfg.dt
         eh, ef = self.e_half, self.e_full
         state = _Fold(ef, self.two_e_half, dt / 6.0)
+        # the stage evaluations carry the dissipation rates at the stage
+        # states, so the augmented RK4 quadrature is free
+        rates = _Fold(1.0, 2.0, dt / 6.0)
         if duhamel is not None:
             duhamel.begin(ef, self.two_e_half, dt)
-        visc, damp = [], []
 
         def fold(terms: _NLTerms, t: float) -> np.ndarray:
             k = self._force(terms, t)
             state.add(k)
             if duhamel is not None:
                 duhamel.add(terms)
-            visc.append(terms.visc_rate)
-            damp.append(terms.damp_rate)
+            rates.add(np.array([terms.visc_rate, terms.damp_rate]))
             return k
 
         k = fold(n1, t)
@@ -660,10 +654,8 @@ class _Stepper:
         vnew[:, 0] = 0.0
         if duhamel is not None:
             duhamel.finish()
-
-        # The stage evaluations already carry the dissipation rates at the
-        # stage states, so the augmented RK4 quadrature is free.
-        return vnew, _combine(0.0, visc, dt), _combine(0.0, damp, dt)
+        d_visc, d_damp = rates.finish(0.0).tolist()
+        return vnew, d_visc, d_damp
 
 
 def step(state: SolverState, cfg: StepperConfig) -> SolverState:

@@ -253,16 +253,24 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
         |w(t)|^2 + 2 int_0^t |grad w|^2 <= 1.1 |w(0)|^2 exp(2 C t).
 
     delta = 0 degenerates to a determinism check: the difference must be
-    bitwise zero.
+    bitwise zero. A delta that is negative, not finite, or so small that
+    the perturbed start rounds back to u0 is refused with ConfigError
+    before anything is integrated.
     """
-    if delta < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {delta!r}")
+    if not 0.0 <= delta < math.inf:
+        raise ConfigError(f"delta must be nonnegative and finite, got {delta!r}")
     u0, t_start = build_initial(cfg)
     validate_for_experiment(cfg, "twin", horizon=cfg.t_end - t_start)
     constant = gronwall_constant(cfg.alpha, cfg.beta)
     ball, volume = u0.grid.ball, u0.grid.volume
     pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
     u0_twin = u0 + pert * delta
+    # |w(0)| as the comparison below takes it, from the ball entries with m = 0 zeroed
+    w_start = ball.gather((u0_twin - u0).coeffs)
+    w_start[:, 0] = 0.0
+    if delta > 0.0 and volume * ball.norm_sq(w_start) == 0.0:
+        raise ConfigError(f"delta = {delta!r} is too small: u0 + delta * p rounds to |w(0)| = 0, "
+                          "where the bound reads 0/0")
 
     params, stepper = cfg.phys(), cfg.stepper()
     runs = [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import _BALL_TOL, GridSpec, SpectralField, l2_norm
+from .spectral import GridSpec, SpectralField, _in_ball, l2_norm
 
 __all__ = ["taylor_green", "shear_mode", "random_solenoidal"]
 
@@ -13,11 +13,12 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
     """Classical Taylor-Green vortex scaled to the box.
 
     u = A (sin kx cos ky cos kz, -cos kx sin ky cos kz, 0) with k = 2 pi / L.
-    Lives on the eight modes (+-1, +-1, +-1); raises if the grid's cutoff
-    ball cannot hold them.
+    Lives on the eight modes (+-1, +-1, +-1); raises exactly when they are
+    not entries of the grid's cutoff ball.
     """
     k0 = 2.0 * np.pi / grid.box_length
-    if np.sqrt(3.0) * k0 > grid.cutoff_radius * (1.0 + 1e-12):
+    sq = k0 * k0  # |xi|^2 of the eight modes, formed and summed as in the ball's tables
+    if not _in_ball(sq + sq + sq, grid.cutoff_radius):
         raise ValueError(
             "grid too coarse for the Taylor-Green modes: need cutoff_radius >= sqrt(3)*2*pi/L"
         )
@@ -53,7 +54,7 @@ def _solenoidal_ball(grid: GridSpec, seed: int) -> np.ndarray:
     """
     ball = grid.ball
     v = ball.from_physical(np.random.default_rng(seed).standard_normal(grid.shape))
-    v *= ball.k_sq <= (grid.cutoff_radius / 2.0) ** 2 * (1.0 + _BALL_TOL)
+    v *= _in_ball(ball.k_sq, grid.cutoff_radius / 2.0)
     ball.project(v)
     v[:, 0] = 0.0
     return v

@@ -63,6 +63,11 @@ _STATE_TOL = 1e-10
 _EMBED_P = 10.0 / 3.0
 
 
+def _in_ball(k_sq: np.ndarray | float, radius: float) -> np.ndarray | bool:
+    """Which of the |xi|^2 values lie in the closed ball |xi| <= radius: the one membership rule."""
+    return k_sq <= radius**2 * (1.0 + _BALL_TOL)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic cube discretization with a sharp spectral cutoff.
@@ -127,14 +132,10 @@ class GridSpec:
         k = self.wavenumbers
         return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
 
-    def _in_ball(self, k_sq: np.ndarray) -> np.ndarray:
-        """Which of the |xi|^2 values lie in the retained closed ball |xi| <= cutoff_radius."""
-        return k_sq <= self.cutoff_radius**2 * (1.0 + _BALL_TOL)
-
     @cached_property
     def ball_mask(self) -> np.ndarray:
         """Boolean mask of the retained closed ball |xi| <= cutoff_radius."""
-        return self._in_ball(self.k_sq)
+        return _in_ball(self.k_sq, self.cutoff_radius)
 
     @cached_property
     def low_shell_mask(self) -> np.ndarray:
@@ -316,16 +317,20 @@ def to_spectral(samples: np.ndarray, grid: GridSpec) -> SpectralField:
 # Fourier-multiplier operators
 
 
-def _gradient_part(c: np.ndarray, k: np.ndarray, k_sq_safe: np.ndarray) -> np.ndarray:
-    """xi (xi . c) / |xi|^2 mode by mode, for c and k of shape (3, ...).
+def _project(c: np.ndarray, k: np.ndarray, k_sq_safe: np.ndarray) -> None:
+    """Leray projection of c in place, for c and k of shape (3, ...): c -= xi (xi . c) / |xi|^2.
 
-    The Leray projection is c minus this. k_sq_safe is |xi|^2 with the zero
-    mode replaced by 1, where xi = 0 makes the part zero. Shared by
-    leray_project and the stepper's ball vectors.
+    k_sq_safe is |xi|^2 with the zero mode replaced by 1, where xi = 0
+    leaves c unchanged. The gradient part is subtracted one component at a
+    time, so no temporary has c's size. leray_project and _Ball.project
+    both run it.
     """
-    dot = k[0] * c[0] + k[1] * c[1] + k[2] * c[2]
+    dot = k[0] * c[0]
+    dot += k[1] * c[1]
+    dot += k[2] * c[2]
     dot /= k_sq_safe
-    return k * dot[np.newaxis]
+    for i in range(3):
+        c[i] -= k[i] * dot
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -335,7 +340,8 @@ def leray_project(f: SpectralField) -> SpectralField:
     is the identity there). Idempotent, self-adjoint, and it commutes with
     any other Fourier multiplier, truncation included.
     """
-    out = f.coeffs - _gradient_part(f.coeffs, f.grid.wavenumbers, f.grid._k_sq_safe)
+    out = f.coeffs.copy()
+    _project(out, f.grid.wavenumbers, f.grid._k_sq_safe)
     return SpectralField(f.grid, out)
 
 
@@ -349,8 +355,7 @@ def friedrichs_truncate(f: SpectralField, radius: float | None = None) -> Spectr
         radius = f.grid.cutoff_radius
     if radius < 0.0:
         raise ValueError(f"truncation radius must be nonnegative, got {radius!r}")
-    mask = f.grid.k_sq <= radius**2 * (1.0 + _BALL_TOL)
-    return SpectralField(f.grid, f.coeffs * mask)
+    return SpectralField(f.grid, f.coeffs * _in_ball(f.grid.k_sq, radius))
 
 
 def remove_mean(f: SpectralField) -> SpectralField:
@@ -516,10 +521,10 @@ class _Ball:
     broadcast over the (N, N, N/2 + 1) half spectrum, with |xi|^2 summed in
     the order of GridSpec.k_sq: membership and every table have the bits of
     the full-cube tables, which the ball never builds. It holds no
-    reference back to its grid, so a grid and its ball are freed together. Every array is read-only;
-    nothing here is scratch space, so threads may share one instance. A
-    caller that transforms often passes its own work arrays to the
-    transforms (the stepper's kernel does); other callers let them allocate.
+    reference back to its grid, so a grid and its ball are freed together.
+    Every array is read-only; nothing here is scratch space, so threads may
+    share one instance. to_physical() and from_half() take a caller's work
+    arrays (the stepper's kernel passes its own); from_physical() allocates.
     """
 
     def __init__(self, grid: GridSpec):
@@ -531,7 +536,7 @@ class _Ball:
         sq = k1**2
         k_sq = sq[:, None, None] + sq[None, :, None] + sq[None, None, :half]
         mx, my, mz = m[:, None, None], m[None, :, None], m[None, None, :half]
-        kept = grid._in_ball(k_sq) & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
+        kept = _in_ball(k_sq, grid.cutoff_radius) & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
         entries = np.flatnonzero(kept)
         ix, iy, iz = np.unravel_index(entries, (n, n, half))
         self.full_index = np.ravel_multi_index((ix, iy, iz), (n, n, n))
@@ -600,20 +605,17 @@ class _Ball:
         np.fft.ifft(planes, axis=2, norm="forward", out=planes)
         return np.fft.irfft(planes, n=n, axis=3, norm="forward", out=out)
 
-    def from_physical(self, blocks: np.ndarray, out=None, half=None, lines=None) -> np.ndarray:
+    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
         """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time.
 
-        Each three blocks take the rfft along z into half (3, N, N, N/2 + 1),
-        then from_half. out, half and lines (3, len(y_gather), N), when
-        given, receive the result and the passes' work; by default all three
-        are allocated, half and lines afresh for each three blocks.
+        Each three blocks take the rfft along z, then from_half; the passes'
+        work arrays are allocated afresh for each three blocks.
         """
-        if out is None:
-            out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
+        out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
         for g in range(0, len(blocks), 3):
             # passed, not named, so from_half can drop a fresh half spectrum early
-            self.from_half(np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward", out=half),
-                           out=out[g : g + 3], lines=lines)
+            self.from_half(np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward"),
+                           out=out[g : g + 3])
         return out
 
     def from_half(self, spec: np.ndarray, out: np.ndarray, lines=None) -> np.ndarray:
@@ -648,15 +650,5 @@ class _Ball:
         return _weighted_sum((a.real * b.real + a.imag * b.imag).sum(axis=0), self.weight)
 
     def project(self, v: np.ndarray) -> None:
-        """Leray projection I - xi xi^T / |xi|^2 in place; m = 0 passes unchanged.
-
-        v minus _gradient_part(v), with the same operations, one component
-        at a time: no temporary of v's size.
-        """
-        k = self.k
-        dot = k[0] * v[0]
-        dot += k[1] * v[1]
-        dot += k[2] * v[2]
-        dot /= self.k_sq_safe
-        for i in range(3):
-            v[i] -= k[i] * dot
+        """Leray projection of ball vector v in place, by _project; m = 0 passes unchanged."""
+        _project(v, self.k, self.k_sq_safe)

@@ -31,6 +31,11 @@ grid's full-cube mask and wavenumber tables, with a separate finiteness
 pass, which the table-free ``SpectralField.validate`` must reproduce:
 the same verdicts and messages from bitwise-equal measures.
 
+``gradient_part`` is the gradient part xi (xi . c) / |xi|^2 formed as one
+whole (3, ...) array, which ``leray_project`` and the stepper's in-place,
+component-by-component projection must reproduce bit for bit when it is
+subtracted from c.
+
 ``list_combine`` is the integrating-factor RK4 combination formed whole
 from all four stage terms, and ``list_form_step`` is a step that keeps
 every stage's force and kernel terms, as copies, until that combination
@@ -48,7 +53,6 @@ import scipy.fft
 from nsdamp.dynamics import _Kernel
 from nsdamp.spectral import (
     SpectralField,
-    _gradient_part,
     friedrichs_truncate,
     l2_norm,
     leray_project,
@@ -254,6 +258,16 @@ def unfused_kernel(grid, params, v, advect=True):
     return adv, damp, visc_rate, damp_rate, linf
 
 
+def gradient_part(c, k, k_sq_safe):
+    """xi (xi . c) / |xi|^2 mode by mode, one array, for c and k of shape (3, ...).
+
+    k_sq_safe is |xi|^2 with the zero mode replaced by 1.
+    """
+    dot = k[0] * c[0] + k[1] * c[1] + k[2] * c[2]
+    dot /= k_sq_safe
+    return k * dot[np.newaxis]
+
+
 def list_combine(x, stages, e_half, e_full, dt):
     """e_full x + dt/6 (e_full s1 + 2 e_half (s2 + s3) + s4), from the four stage terms at once."""
     s1, s2, s3, s4 = stages
@@ -275,7 +289,7 @@ def list_form_step(grid, params, dt, v, heat, f, g):
     e_full = e_half**2
 
     def project(x):
-        x -= _gradient_part(x, ball.k, ball.k_sq_safe)
+        x -= gradient_part(x, ball.k, ball.k_sq_safe)
 
     def stage(x):
         terms = kernel(x)

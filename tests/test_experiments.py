@@ -29,7 +29,7 @@ from nsdamp.experiments import (
 )
 from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
 from nsdamp.ledger import SeriesRecorder
-from nsdamp.spectral import PhysParams, grad_norm_sq, l2_norm, make_grid
+from nsdamp.spectral import GridSpec, PhysParams, grad_norm_sq, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +104,19 @@ class TestBuildInitial:
             bad = _cfg(**{"ic.kind": "checkpoint", "ic.path": str(path), **over})
             with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
                 build_initial(bad)
+
+    @pytest.mark.parametrize("eps", [2e-13, 6e-13, 9.9e-13, 1.1e-12])
+    def test_taylor_green_refuses_exactly_when_the_ball_lacks_its_modes(self, eps):
+        # R = sqrt(3) (1 - eps) puts the eight modes (+-1, +-1, +-1) on the closed
+        # ball's edge: inside for eps below 5e-13, outside above
+        grid = GridSpec(n_modes=8, box_length=TWO_PI, cutoff_radius=math.sqrt(3.0) * (1.0 - eps))
+        inside = bool(grid.ball_mask[1, 1, 1])
+        assert inside == (eps < 5e-13)
+        if inside:
+            taylor_green(grid).validate()
+        else:
+            with pytest.raises(ValueError, match="Taylor-Green"):
+                taylor_green(grid)
 
 
 class TestRunExperiment:
@@ -219,10 +232,21 @@ class TestTwin:
             assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError, match="nonnegative"):
-            twin_experiment(_cfg(), -1.0)
+        for delta in (-1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="nonnegative and finite"):
+                twin_experiment(_cfg(), delta)
         with pytest.raises(ConfigError, match="uniqueness requires beta > 3"):
             twin_experiment(_cfg(**{"phys.beta": 2.5}), 1e-3)
+
+    def test_an_underflowing_delta_is_refused_before_integrating(self, monkeypatch):
+        # u0 + 1e-320 p rounds back to u0: |w(0)| = 0 would make every margin 0/0
+        def integrating(*args, **kwargs):
+            raise AssertionError("trajectory called")
+
+        monkeypatch.setattr(experiments, "trajectory", integrating)
+        cfg = _cfg(**{"ic.kind": "random-solenoidal", "ic.seed": 3})
+        with pytest.raises(ConfigError, match="delta = 1e-320"):
+            twin_experiment(cfg, 1e-320)
 
 
 class TestContinuity:
@@ -348,8 +372,8 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_a_warm_kernel_call_allocates_almost_nothing(self, n):
-        # past its first call the kernel allocates only the terms it returns
-        # and the divergence's ball-sized temporaries
+        # past its first call the kernel writes its terms into its own buffers
+        # and allocates only the divergence's ball-sized temporaries
         grid = make_grid(n, TWO_PI)
         kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
@@ -664,6 +688,11 @@ class TestCli:
             assert main(["continuity", str(steep), "--t0", "0.01", "--eps", "0.002,0.001"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("growth factor exp(2 C t) overflows" in line for line in err)
+        random = tmp_path / "random.cfg"  # u0 + 1e-320 p rounds back to u0: |w(0)| = 0
+        random.write_text(cfg_file.read_text().replace("taylor-green", "random-solenoidal"))
+        with np.errstate(divide="raise", invalid="raise"):  # refused before a 0/0 margin is formed
+            assert main(["twin", str(random), "--delta", "1e-320"]) == 2
+        assert "delta = 1e-320" in capsys.readouterr().err
         forever = tmp_path / "forever.cfg"  # 1e303 steps: past 2^53 the step times repeat
         forever.write_text(cfg_file.read_text().replace("time.t_end = 0.1", "time.t_end = 1e300"))
         assert main(["run", str(forever)]) == 2

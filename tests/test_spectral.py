@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    gradient_part,
     reference_divergence_error,
     reference_hermitian_error,
     reference_support_and_mean,
@@ -123,6 +124,16 @@ class TestProjection:
         assert p.coeffs[0, 1, 1, 0] == pytest.approx(0.5)
         assert p.coeffs[1, 1, 1, 0] == pytest.approx(-0.5)
         assert p.coeffs[2, 1, 1, 0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_leray_has_the_bits_of_the_whole_gradient_part(self, n):
+        # the in-place, component-by-component projection against c - xi (xi . c) / |xi|^2
+        grid = make_grid(n, TWO_PI)
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        want = c - gradient_part(c, grid.wavenumbers, grid._k_sq_safe)
+        got = leray_project(SpectralField(grid, c.copy())).coeffs
+        assert got.tobytes() == want.tobytes()
 
     def test_idempotent_and_divergence_free(self):
         grid = make_grid(16, TWO_PI)
