@@ -25,7 +25,7 @@ import sys
 from functools import partial
 
 from .checkpoint import CheckpointError
-from .config import ConfigError, load_config
+from .config import load_config
 from .dynamics import BlowupError, CFLError
 from .experiments import (
     continuity_experiment,
@@ -146,10 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # malformed input; ConfigError is a ValueError
+    except (ValueError, CheckpointError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, BlowupError) as exc:

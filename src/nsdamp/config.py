@@ -25,7 +25,7 @@ from typing import Any
 
 from .dynamics import StepperConfig
 from .inequalities import gronwall_constant
-from .spectral import GridSpec, PhysParams, make_grid
+from .spectral import _EMBED_P, GridSpec, PhysParams, make_grid
 
 __all__ = [
     "ConfigError",
@@ -229,7 +229,7 @@ def validate_for_experiment(cfg: ExperimentConfig, experiment: str,
             raise ConfigError(f"growth factor exp(2 C t) overflows by t = {horizon!r} at growth "
                               f"constant C = {constant:.3e}: the {experiment} bound is vacuous")
     if experiment == "decay":
-        if cfg.beta < 10.0 / 3.0 - 1e-12:
+        if cfg.beta < _EMBED_P - 1e-12:
             raise ConfigError("decay requires beta >= 10/3")
         if not cfg.box_length > 2.0 * math.pi:
             raise ConfigError(

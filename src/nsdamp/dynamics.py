@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -126,25 +127,23 @@ class SolverState:
     the run this state belongs to. duhamel is None under forcing and for
     states that trajectory() did not produce.
 
-    A snapshot of trajectory() or step() holds the stepper's ball vector
-    (see vector) and builds u, the full (3, N, N, N) field, on first access,
-    then keeps it: snap.u is snap.u. A state built from a field keeps that
-    very object as u.
-
-    pointwise holds the speed's collocation sums (PointwiseNorms). A
-    snapshot of trajectory() carries them from the grid values the stepper
-    computes anyway; any other state takes them on first access from the
-    pruned inverse transform of its vector, and keeps them.
+    Every state holds vector, its read-only ball entries (3, n_ball) in the
+    layout of grid.ball: a snapshot of trajectory() or step() the stepper's
+    own array, a state built from a field those of the field, gathered once
+    at construction (for a field outside the state space, not the field
+    itself). u, the full (3, N, N, N) field, and pointwise, the speed's
+    collocation sums (PointwiseNorms), are cached properties. A state built
+    from a field keeps that very object as u; a snapshot expands its vector
+    on first access (snap.u is snap.u). trajectory() supplies pointwise from
+    the grid values the stepper computes anyway; any other state takes it
+    on first access from the pruned inverse transform of its vector.
     """
 
     def __init__(self, t: float, u: SpectralField, params: PhysParams, step_count: int = 0,
                  cum_visc: float = 0.0, cum_damp: float = 0.0, duhamel: DuhamelNorms | None = None):
-        self.t, self.params, self.step_count = t, params, step_count
-        self.cum_visc, self.cum_damp, self.duhamel = cum_visc, cum_damp, duhamel
-        self.grid: GridSpec = u.grid
-        self._u: SpectralField | None = u
-        self._vector: np.ndarray | None = None
-        self._pointwise: PointwiseNorms | None = None
+        self._hold(u.grid, u.grid.ball.gather(u.coeffs), t, params, step_count, cum_visc, cum_damp,
+                   duhamel)
+        self.u = u
 
     @classmethod
     def _of_vector(cls, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams,
@@ -152,42 +151,29 @@ class SolverState:
                    duhamel: DuhamelNorms | None = None,
                    pointwise: PointwiseNorms | None = None) -> "SolverState":
         """A snapshot holding ball vector v of grid; u is built when first asked for."""
-        # read-only: trajectory() steps on from this very array after the yield
-        v.flags.writeable = False
         state = cls.__new__(cls)
-        state.t, state.params, state.step_count = t, params, step_count
-        state.cum_visc, state.cum_damp, state.duhamel = cum_visc, cum_damp, duhamel
-        state.grid, state._u, state._vector, state._pointwise = grid, None, v, pointwise
+        state._hold(grid, v, t, params, step_count, cum_visc, cum_damp, duhamel)
+        if pointwise is not None:
+            state.pointwise = pointwise
         return state
 
-    @property
+    def _hold(self, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams, step_count: int,
+              cum_visc: float, cum_damp: float, duhamel: DuhamelNorms | None) -> None:
+        # read-only: trajectory() steps on from a snapshot's very array after the yield
+        v.flags.writeable = False
+        self.grid, self.vector, self.t, self.params, self.step_count = grid, v, t, params, step_count
+        self.cum_visc, self.cum_damp, self.duhamel = cum_visc, cum_damp, duhamel
+
+    @cached_property
     def u(self) -> SpectralField:
         """The field, (3, N, N, N) coefficients; a snapshot expands its vector once, here."""
-        if self._u is None:
-            self._u = SpectralField(self.grid, self.grid.ball.expand(self._vector))
-        return self._u
+        return SpectralField(self.grid, self.grid.ball.expand(self.vector))
 
-    @property
-    def vector(self) -> np.ndarray:
-        """The field's ball entries, shape (3, n_ball), in the layout of grid.ball.
-
-        A snapshot returns the stepper's own array, which is read-only. A
-        state built from a field gathers them from u at each access: only
-        the ball's half-spectrum entries of u are read, so for a field
-        outside the state space this is not u itself.
-        """
-        if self._vector is not None:
-            return self._vector
-        return self.grid.ball.gather(self._u.coeffs)
-
-    @property
+    @cached_property
     def pointwise(self) -> PointwiseNorms:
         """The speed's collocation sums; computed here, once, unless trajectory() supplied them."""
-        if self._pointwise is None:
-            grid = self.grid
-            self._pointwise = _pointwise_norms(grid.ball.to_physical(self.vector), grid.cell_volume,
-                                               self.params.beta)
-        return self._pointwise
+        grid = self.grid
+        return _pointwise_norms(grid.ball.to_physical(self.vector), grid.cell_volume, self.params.beta)
 
 
 @dataclass(frozen=True)
@@ -573,7 +559,7 @@ class _Stepper:
         self.two_e_half = 2.0 * self.e_half
         self.force = np.empty(self.ball.k.shape, dtype=np.complex128)
 
-    def check_cfl(self, linf: float, dt: float) -> None:
+    def check_cfl(self, linf: float) -> None:
         if not np.isfinite(linf):
             raise BlowupError(f"non-finite field (|u|_inf = {linf!r})")
         p = self.params
@@ -581,9 +567,9 @@ class _Stepper:
         with np.errstate(over="ignore"):  # inf where Python floats raise OverflowError
             damp = float(p.alpha * np.float64(linf) ** (p.beta - 1.0)) if p.alpha > 0.0 else 0.0
         rate = max(linf * radius, damp, _CFL_FLOOR)
-        if not np.isfinite(rate) or dt > _CFL_SAFETY / rate:
+        if not np.isfinite(rate) or self.cfg.dt > _CFL_SAFETY / rate:
             raise CFLError(
-                f"dt = {dt:g} exceeds the stability budget safety/rate = "
+                f"dt = {self.cfg.dt:g} exceeds the stability budget safety/rate = "
                 f"{_CFL_SAFETY / rate if np.isfinite(rate) else 0.0:g} "
                 f"(|u|_inf = {linf:g}, cutoff_radius = {radius:g}, "
                 f"alpha |u|_inf^(beta-1) = {damp:g})"
@@ -633,7 +619,7 @@ class _Stepper:
             return k
 
         k = fold(n1, t)
-        self.check_cfl(n1.linf, dt)
+        self.check_cfl(n1.linf)
         # s2 = eh (v + dt/2 k1)
         np.multiply(dt / 2.0, k, out=k)
         np.add(v, k, out=k)

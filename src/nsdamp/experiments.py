@@ -589,6 +589,13 @@ class RefinementReport:
             + ", ".join(f"{r:.2f}" for r in self.ratios)
             + f" (need >= 4): {'ok' if self.spatial_ok else 'FAIL'}"
         )
+        # a factor over a zero or non-finite difference measures nothing, so it cannot pass
+        for na, nb, nc, d0, d1, r in zip(self.levels, self.levels[1:], self.levels[2:],
+                                         self.diffs, self.diffs[1:], self.ratios):
+            if not math.isfinite(r):
+                out.append(f"no shrink factor from |u_{na}(T) - u_{nb}(T)| = {d0:.6e} to "
+                           f"|u_{nb}(T) - u_{nc}(T)| = {d1:.6e}: the finer difference must be "
+                           f"positive and both finite: FAIL")
         out.append("")
         for dt, e in zip(self.dt_ladder, self.errors):
             out.append(f"manufactured solution, dt = {dt:g}: rel error {e:.6e}")
@@ -677,7 +684,7 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
         l2_norm(inject_field(ua, ub.grid) - ub) for ua, ub in zip(finals, finals[1:])
     ]
     ratios = [d0 / d1 if d1 > 0.0 else math.inf for d0, d1 in zip(diffs, diffs[1:])]
-    spatial_ok = all(r >= 4.0 for r in ratios)
+    spatial_ok = all(math.isfinite(r) and r >= 4.0 for r in ratios)
 
     ladder, errors, orders = _temporal_order_study()
     observed = min(orders)

@@ -317,6 +317,8 @@ class TestSnapshots:
         state = SolverState(t=0.0, u=u, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         assert state.u is u
         assert np.array_equal(state.vector, grid.ball.gather(c))
+        assert state.vector is state.vector  # gathered once, at construction
+        assert not state.vector.flags.writeable
         write_checkpoint(state, tmp_path / "s.ckpt")
         assert (tmp_path / "s.ckpt").read_bytes()[-c.nbytes:] == c.astype("<c16").tobytes()
 

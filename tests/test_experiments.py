@@ -444,7 +444,7 @@ class TestMemory:
         twin_experiment(self._cfg(4), 1e-3)
         continuity_experiment(self._cfg(4), [0.02], t0=0.04)
         assert len(kept) == 2 * 5 + 4  # the twin pair to t = 0.08, the ladder to t0 + eps = 0.06
-        assert all(snap._u is None for snap in kept)
+        assert all("u" not in vars(snap) for snap in kept)
 
     def test_a_first_kernel_call_holds_no_cube_of_product_blocks(self):
         # the products go, three blocks at a time, slab by slab into the
@@ -655,6 +655,17 @@ class TestCli:
             assert main(["run", str(steep)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: dt = ") and "Traceback" not in err
+
+    def test_a_zero_inter_level_difference_fails_refine(self, tmp_path, cfg_file, capsys):
+        # at amplitude 1e-300 every level ends in the same state: a shrink factor
+        # over a zero difference measures nothing, though inf >= 4 would hold
+        faint = tmp_path / "faint.cfg"
+        faint.write_text(cfg_file.read_text() + "ic.amplitude = 1e-300\n")
+        assert main(["refine", str(faint), "--levels", "8,16,32"]) == 1
+        out = capsys.readouterr().out
+        assert ("|u_16(T) - u_32(T)| = 0.000000e+00: the finer difference must be positive "
+                "and both finite: FAIL") in out
+        assert out.splitlines()[-1] == "verdict: FAIL"
 
     def test_an_internal_error_exits_3_on_one_line(self, cfg_file, capsys, monkeypatch):
         # an exception no exit code names is a bug, not a violated bound (1)
