@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import _EMBED_P, GridSpec, PhysParams, SpectralField, _Ball, _magnitudes
+from .spectral import (_EMBED_P, _SLAB, GridSpec, PhysParams, SpectralField, _Ball, _magnitudes,
+                       _slab_planes, _slabs)
 
 __all__ = [
     "SolverState",
@@ -108,14 +109,30 @@ class PointwiseNorms(NamedTuple):
 
 
 def _pointwise_norms(u: np.ndarray, dv: float, beta: float) -> PointwiseNorms:
-    """The PointwiseNorms of grid values u, shape (3, N, N, N)."""
-    mag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+    """The PointwiseNorms of grid values u, shape (3, N, N, N).
+
+    |u| is formed in place in one (N, N, N) array and raised to beta in
+    place once the max and the embed mass are taken; one more such array
+    holds each square, then |u|^(10/3), and one mask selects the points
+    with |u| <= 1, then, inverted in place, the others. Every value and sum
+    is that of the expressions written whole.
+    """
+    mag = u[0] ** 2
+    work = np.square(u[1])
+    mag += work
+    mag += np.square(u[2], out=work)
+    np.sqrt(mag, out=mag)
+    linf = float(mag.max(initial=0.0))
+    if beta != _EMBED_P:
+        embed_mass = dv * float(np.power(mag, _EMBED_P, out=work).sum())
+    del work
     small = mag <= 1.0
-    powered = mag**beta
-    rate_e1 = dv * float(powered[small].sum())
-    rate_e2 = dv * float(powered[~small].sum())
-    embed_mass = dv * float((powered if beta == _EMBED_P else mag**_EMBED_P).sum())
-    return PointwiseNorms(float(mag.max(initial=0.0)), rate_e1, rate_e2, embed_mass)
+    mag **= beta
+    if beta == _EMBED_P:
+        embed_mass = dv * float(mag.sum())
+    rate_e1 = dv * float(mag[small].sum())
+    rate_e2 = dv * float(mag[np.logical_not(small, out=small)].sum())
+    return PointwiseNorms(linf, rate_e1, rate_e2, embed_mass)
 
 
 class SolverState:
@@ -211,9 +228,6 @@ class _NLTerms(NamedTuple):
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 #: ... and, per component i, the blocks of u_i u_0, u_i u_1, u_i u_2
 _BLOCKS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
-#: values per block in one slab of x-planes: the three blocks' slab is at most
-#: 768 KiB, so the products are still in a 1-2 MiB L2 cache when the z pass reads them
-_SLAB = 2**15
 
 
 class _Kernel:
@@ -221,29 +235,31 @@ class _Kernel:
 
     One pruned inverse transform of the state (inverse(), whose grid values
     stay in the buffer u until the next call), then the pruned forward
-    transform of the product blocks, three at a time (the
-    stress blocks of _PAIRS[:3], of _PAIRS[3:], then the damping blocks):
-    slab by slab of x-planes, the three products are formed and transformed
-    along z straight into the half-spectrum array, and _Ball.from_half runs
-    the rest. The divergence follows on the ball entries. Nothing is
-    projected: _project_terms does that for the stepper and the operators,
-    and pressure_field takes the gradient part instead. advect=False skips
-    the advection term.
+    transform of the product blocks, three at a time (the stress blocks of
+    _PAIRS[:3], of _PAIRS[3:], then the damping blocks), by
+    _Ball.from_slabs: slab by slab of y-planes, the three products are
+    formed in the product buffer and handed to the forward's passes. The
+    divergence follows on the ball entries. Nothing is projected:
+    _project_terms does that for the stepper and the operators, and
+    pressure_field takes the gradient part instead. advect=False skips the
+    advection term.
 
-    A slab is min(N, max(1, _SLAB // N^2)) x-planes, the last maybe fewer:
-    8 at N = 64, the whole grid at N <= 32. Products are pointwise and each
-    z line is transformed on its own, so slabs give the bits of whole
-    blocks; |u|^2 stays a full cube so that its max and sum keep their order.
+    A slab is _slab_planes(N, _SLAB) planes, the last maybe fewer: 8 at
+    N = 64, the whole grid at N <= 32. Products are pointwise and each line
+    is transformed on its own, so slabs give the bits of whole blocks;
+    |u|^2 stays a full cube so that its max and sum keep their order.
 
     Every array of an evaluation lives in a buffer of the instance, the
     terms it returns included: the grid values u and |u|^2, one slab of
-    three product blocks, one half-spectrum array (the inverse's planes and
-    the forward's z-pass output), one line array (the inverse's x_lines,
-    then the forward's y_lines, never live together), the blocks' ball
-    coefficients and adv. damp is a view of the damping blocks'
-    coefficients. So the terms of a call hold until the next call, which
-    overwrites them: a caller folds them in first (the stepper does, see
-    _Fold). inverse() allocates only u, the half-spectrum array and the
+    three product blocks, one slab of half spectrum, held flat (the
+    inverse's planes, a slab of x-planes m3 <= top, then the forward's
+    z-pass output, a slab of y-planes shaped at each call), one line array
+    (the inverse's x_lines, then the forward's y_lines, never live
+    together), the blocks' ball coefficients and adv. No buffer has the
+    size of a half-spectrum cube (3, N, N, N/2 + 1). damp is a view of the
+    damping blocks' coefficients. So the terms of a call hold until the
+    next call, which overwrites them: a caller folds them in first (the
+    stepper does, see _Fold). inverse() allocates only u, the slab and the
     line array; the first call allocates the rest. Allocated and freed at
     each stage instead, they let the allocator trim the top of the heap and
     fault it back in at the next stage. The buffers are per-instance
@@ -262,10 +278,12 @@ class _Kernel:
 
     def _allocate_inverse(self) -> None:
         ball, n = self.ball, self.grid.n_modes
+        size = _slab_planes(n, _SLAB)
         self.u = np.empty((3, n, n, n))
-        self.half = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
-        self.planes = self.half[..., : ball.top + 1]
-        x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3,) + ball.y_gather.shape
+        # flat, the inverse's planes at its head and, per call, the forward's spec slab
+        self.slab = np.empty(3 * n * size * (n // 2 + 1), dtype=np.complex128)
+        self.planes = self.slab[: 3 * size * n * (ball.top + 1)].reshape(3, size, n, ball.top + 1)
+        x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3, n, ball.y_m1.size)
         lines = np.empty(max(math.prod(x_shape), math.prod(y_shape)), dtype=np.complex128)
         self.x_lines = lines[: math.prod(x_shape)].reshape(x_shape)
         self.y_lines = lines[: math.prod(y_shape)].reshape(y_shape)
@@ -273,28 +291,34 @@ class _Kernel:
     def _allocate_forward(self) -> None:
         n, n_ball = self.grid.n_modes, self.ball.k_sq.size
         self.mag_sq = np.empty((n, n, n))
-        self.products = np.empty((3, min(n, max(1, _SLAB // n**2)), n, n))
+        self.products = np.empty((3, len(self.planes[0]), n, n))
         self.hats = np.empty((3 * len(self.groups), n_ball), dtype=np.complex128)
         self.adv = np.empty((3, n_ball), dtype=np.complex128) if self.advect else None
 
-    def _slabs(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Each slab's x-planes and the product buffer cut to their count."""
-        n, size = self.grid.n_modes, self.products.shape[1]
-        for x0 in range(0, n, size):
-            xs = slice(x0, min(x0 + size, n))
-            yield xs, self.products[:, : xs.stop - x0]
+    def _products(self, group, ys: slice) -> np.ndarray:
+        """The group's three blocks on the y-planes ys, formed in the product buffer.
 
-    def _damping(self, xs: slice, products: np.ndarray) -> None:
-        """alpha |u|^(beta-1) u on a slab; its |u|^2 becomes |u|^(beta+1), which damp_rate sums."""
+        The buffer has room for S planes of N^2 values per block; a slab of
+        y-planes fills it as (N, S', N) arrays, whole (S', N) rows of each
+        x-plane of u.
+        """
+        n, size = self.grid.n_modes, ys.stop - ys.start
+        products = self.products.reshape(3, -1)[:, : n * size * n].reshape(3, n, size, n)
+        u = self.u[:, :, ys]
+        if group is not None:
+            for b, (i, j) in enumerate(group):
+                np.multiply(u[i], u[j], out=products[b])
+            return products
+        # alpha |u|^(beta-1) u; |u|^2 becomes |u|^(beta+1), which damp_rate sums. The weight
+        # lives in products[2] until the last product overwrites it; 0^(beta-1) = 0 as beta > 1
         alpha, beta = self.params.alpha, self.params.beta
-        # the weight lives in products[2] until the last product overwrites it;
-        # 0^(beta-1) = 0 since beta > 1
-        weight, mag_sq = products[2], self.mag_sq[xs]
+        weight, mag_sq = products[2], self.mag_sq[:, ys]
         np.power(mag_sq, (beta - 1.0) / 2.0, out=weight)
         mag_sq *= weight
         weight *= alpha
         for i in range(3):
-            np.multiply(weight, self.u[i, xs], out=products[i])
+            np.multiply(weight, u[i], out=products[i])
+        return products
 
     def inverse(self, v: np.ndarray) -> np.ndarray:
         """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
@@ -303,27 +327,24 @@ class _Kernel:
         return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes)
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
-        u = self.inverse(v)
+        self.inverse(v)
         if self.hats is None:
             self._allocate_forward()
-        ball, params, hats, mag_sq = self.ball, self.params, self.hats, self.mag_sq
-        # |u|^2 = (u_0^2 + u_1^2) + u_2^2, the product buffer holding each square
-        for xs, products in self._slabs():
+        ball, params, hats, n = self.ball, self.params, self.hats, self.grid.n_modes
+        # |u|^2 = (u_0^2 + u_1^2) + u_2^2 by slabs of x-planes, which are contiguous in u (a slab
+        # of y-planes reads it at twice the cost), the product buffer holding each square
+        u, mag_sq, square = self.u, self.mag_sq, self.products[0]
+        for xs in _slabs(n, len(square)):
             slab = mag_sq[xs]
             np.square(u[0, xs], out=slab)
             for i in (1, 2):
-                slab += np.square(u[i, xs], out=products[0])
+                slab += np.square(u[i, xs], out=square[: xs.stop - xs.start])
         linf = float(np.sqrt(float(mag_sq.max())))
 
+        spec = self.slab.reshape(3, n, len(square), n // 2 + 1)
         for g, group in enumerate(self.groups):
-            for xs, products in self._slabs():
-                if group is None:
-                    self._damping(xs, products)
-                else:
-                    for b, (i, j) in enumerate(group):
-                        np.multiply(u[i, xs], u[j, xs], out=products[b])
-                np.fft.rfft(products, axis=3, norm="forward", out=self.half[:, xs])
-            ball.from_half(self.half, out=hats[3 * g : 3 * g + 3], lines=self.y_lines)
+            ball.from_slabs(partial(self._products, group), 3, out=hats[3 * g : 3 * g + 3],
+                            spec=spec, lines=self.y_lines)
 
         adv, damp = self.adv, None
         damp_rate = 0.0

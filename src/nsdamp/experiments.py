@@ -466,12 +466,22 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     over the run tail (last half), both frequency-split norms small by the
     end, the space-time damping accumulators plateauing (final-decile
     increment at most 1% of the total), and the 5%-energy threshold being
-    crossed within the horizon.
+    crossed within the horizon. A start whose energy ||u0||^2 is zero, as
+    the ledger takes it (an amplitude so small that its squares underflow),
+    is refused with ConfigError before anything is integrated: every
+    threshold would be 0 and every check pass.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     validate_for_experiment(cfg, "decay")
     u0, t_start = build_initial(cfg)
+    # ||u0||^2 as the first energy record takes it, from the ball entries with m = 0 zeroed
+    ball = u0.grid.ball
+    start = ball.gather(u0.coeffs)
+    start[:, 0] = 0.0
+    if u0.grid.volume * ball.norm_sq(start) == 0.0:
+        raise ConfigError("the initial energy ||u0||^2 is 0, "
+                          "so every decay threshold would be 0 and pass vacuously")
     recorder = SeriesRecorder()
     snapshots = trajectory(u0, cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
                            output_every=cfg.output_every, hooks=(recorder,))

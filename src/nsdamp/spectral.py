@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -61,6 +62,20 @@ _STATE_TOL = 1e-10
 #: exponent of the embedding ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in
 #: three dimensions: the snapshots' pointwise mass and the decay diagnostics' floor on beta
 _EMBED_P = 10.0 / 3.0
+
+#: values per block in one slab of planes, the unit the ball's transforms stream in: three
+#: blocks' slab is at most 768 KiB, so it is still in a 1-2 MiB L2 cache when the next pass reads it
+_SLAB = 2**15
+
+
+def _slab_planes(n: int, values: int) -> int:
+    """Planes of N^2 values in a slab of about `values` values: 8 at N = 64 for _SLAB, N at N <= 32."""
+    return min(n, max(1, values // n**2))
+
+
+def _slabs(n: int, size: int) -> Iterator[slice]:
+    """Consecutive slabs of size planes covering 0..N-1, the last maybe fewer."""
+    return (slice(p, min(p + size, n)) for p in range(0, n, size))
 
 
 def _in_ball(k_sq: np.ndarray | float, radius: float) -> np.ndarray | bool:
@@ -258,7 +273,11 @@ class SpectralField:
         Checks, each to 1e-10 relative to the coefficient scale: Hermitian
         symmetry, support inside the closed cutoff ball, zero mean, and
         solenoidality. Reads the ball's index tables and the 1-D axis
-        wavenumbers, never a full-cube table of the grid.
+        wavenumbers, never a full-cube table of the grid. Its work arrays
+        hold one component at a time (the magnitudes, the Hermitian gap,
+        the power sums; the divergence is one component's size), so it
+        peaks below one cube of coefficients; maxima are exact and sums
+        run in the order of the whole-array expressions.
         """
         scale, mean, outside = _magnitudes(self)
         if scale == 0.0:
@@ -371,8 +390,21 @@ def remove_mean(f: SpectralField) -> SpectralField:
 
 
 def _power(c: np.ndarray) -> np.ndarray:
-    """|c|^2 mode by mode, summed over the leading component axis."""
-    return (c.real**2 + c.imag**2).sum(axis=0)
+    """|c|^2 mode by mode, summed over the leading component axis.
+
+    The components are added one at a time, each |c_i|^2 formed in one
+    work array, so no temporary has the size of c; every value has the
+    bits of (c.real**2 + c.imag**2).sum(axis=0).
+    """
+    power = c[0].real**2
+    power += c[0].imag**2
+    if len(c) > 1:
+        term = np.empty_like(power)
+        for comp in c[1:]:
+            np.square(comp.real, out=term)
+            term += comp.imag**2
+            power += term
+    return power
 
 
 def _weighted_sum(power: np.ndarray, weight: np.ndarray | None = None) -> float:
@@ -444,38 +476,50 @@ def linf_norm(f: SpectralField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
+# diagnostics: one component at a time, so no temporary has the size of the cube
 
 
 def _magnitudes(f: SpectralField) -> tuple[float, float, float]:
     """The largest |c| of f, the largest at m = 0 and the largest outside the cutoff ball.
 
-    One np.abs pass over the cube; its ball entries (GridSpec.ball) are
+    One np.abs pass per component; its ball entries (GridSpec.ball) are
     then zeroed in place, so the last maximum reads no full-cube mask.
+    Each maximum is exact and np.max propagates NaN, so taking them
+    component by component changes no bit.
     """
-    mag = np.abs(f.coeffs)
-    scale, mean = float(mag.max()), float(mag[:, 0, 0, 0].max())
-    ball, flat = f.grid.ball, mag.reshape(3, -1)
-    flat[:, ball.full_index] = 0.0
-    flat[:, ball.conj_full_index] = 0.0
-    return scale, mean, float(flat.max())
+    ball, found = f.grid.ball, []
+    for c in f.coeffs:
+        mag = np.abs(c)
+        flat = mag.reshape(-1)
+        scale, mean = mag.max(), flat[0]
+        flat[ball.full_index] = 0.0
+        flat[ball.conj_full_index] = 0.0
+        found.append((scale, mean, flat.max()))
+    scale, mean, outside = np.max(found, axis=0).tolist()
+    return scale, mean, outside
 
 
 def _hermitian_gap(c: np.ndarray) -> float:
-    """max over the modes of |c(m) - conj(c(-m))|, from one rolled copy of c."""
-    gap = np.roll(c[:, ::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(1, 2, 3))
-    np.conjugate(gap, out=gap)
-    np.subtract(c, gap, out=gap)
-    return float(np.abs(gap).max())
+    """max over the modes of |c(m) - conj(c(-m))|, from one rolled copy of a component at a time."""
+    gaps = []
+    for comp in c:
+        gap = np.roll(comp[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2))
+        np.conjugate(gap, out=gap)
+        np.subtract(comp, gap, out=gap)
+        gaps.append(np.abs(gap).max())
+    return float(np.max(gaps))
 
 
 def divergence_error(f: SpectralField) -> float:
     """Relative size of xi . u: ||xi.u||_l2 / (R ||u||_l2), 0 for the zero field."""
     k1, c = f.grid._axis_wavenumbers(), f.coeffs
-    div = k1[:, None, None] * c[0] + k1[None, :, None] * c[1] + k1[None, None, :] * c[2]
     denom = f.grid.cutoff_radius * float(np.sqrt(_weighted_sum(_power(c))))
     if denom == 0.0:
         return 0.0
+    # (k1 c0 + k2 c1) + k3 c2, summed in place
+    div = k1[:, None, None] * c[0]
+    div += k1[None, :, None] * c[1]
+    div += k1[None, None, :] * c[2]
     return float(np.sqrt(_weighted_sum(_power(div[np.newaxis]))) / denom)
 
 
@@ -512,10 +556,15 @@ class _Ball:
     factors round differently from one 1/N^3 (about 4e-16 of the largest
     coefficient). The tests check them against SciPy's full transforms.
 
-    The forward goes three blocks at a time in two steps: the rfft along z
-    of every line, then from_half() for the rest. A caller that forms its
-    blocks slab by slab runs the z pass itself and never holds a whole
-    block cube (the stepper's kernel does).
+    Both stream slab by slab, _slab_planes(N, _SLAB) planes at a time, so
+    neither holds a half-spectrum cube. The inverse's x pass leaves every
+    x-plane independent, and each slab of x-planes takes its y and z
+    passes into the grid values. The forward takes each slab of y-planes
+    through its z and x passes and gathers the slab's part of the y_lines,
+    whose y pass follows the last slab. from_slabs() takes the blocks one
+    slab at a time from the caller, so the stepper's kernel forms its
+    products a slab at a time and never holds a block cube;
+    from_physical() passes slabs of whole blocks.
 
     Built once per grid, as GridSpec.ball, from the 1-D mode numbers
     broadcast over the (N, N, N/2 + 1) half spectrum, with |xi|^2 summed in
@@ -523,8 +572,9 @@ class _Ball:
     the full-cube tables, which the ball never builds. It holds no
     reference back to its grid, so a grid and its ball are freed together.
     Every array is read-only; nothing here is scratch space, so threads may
-    share one instance. to_physical() and from_half() take a caller's work
-    arrays (the stepper's kernel passes its own); from_physical() allocates.
+    share one instance. to_physical() and from_slabs() take a caller's
+    work arrays, each at most a slab of half spectrum or one line array
+    (the stepper's kernel passes its own), and allocate those not given.
     """
 
     def __init__(self, grid: GridSpec):
@@ -559,12 +609,11 @@ class _Ball:
         self.x_lines = np.array(np.divmod(lines, planes))
         self.x_slot = ix * lines.size + line[: ix.size]
         self.x_mirror_slot = mirror_x * lines.size + line[ix.size:]
-        # forward: the y_lines (m1, m3) hold every entry; slot = line * N + m2, and
-        # y_gather[line, m2] is the line's mode in one component of the (N, N, N/2 + 1) rfft output
+        # forward: the y_lines (m1, m3) hold every entry; slot = m2 * len(y_lines) + line
         lines, line = np.unique(ix * planes + iz, return_inverse=True)
-        y1, y3 = np.divmod(lines, planes)
-        self.y_gather = (y1 * (n * half) + y3)[:, np.newaxis] + half * np.arange(n)
-        self.y_slot = line * n + iy
+        self.y_m1, self.y_m3 = np.divmod(lines, planes)
+        self.y_slot = iy * lines.size + line
+        self.y_gather = self.slab_gather(_slab_planes(n, _SLAB))
 
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
@@ -584,56 +633,88 @@ class _Ball:
         return out.reshape(lead + (n, n, n))
 
     def to_physical(self, v: np.ndarray, out=None, lines=None, planes=None) -> np.ndarray:
-        """Grid values (k, N, N, N) of a ball vector (k, n_ball): ifft on x_lines and y, irfft on z.
+        """Grid values (k, N, N, N) of a ball vector (k, n_ball): ifft on x_lines, then slab by slab.
 
-        out, lines (k, N, len(x_lines)) and planes (k, N, N, top + 1), when
-        given, receive the result and the two passes' work; by default all
-        three are allocated.
+        Each slab of x-planes is zeroed in planes, takes its x_lines'
+        values, and is transformed along y, then irfft along z straight
+        into out. out, lines (k, N, len(x_lines)) and planes (k, S, N,
+        top + 1), a slab of S x-planes, when given, receive the result and
+        the passes' work; by default all three are allocated.
         """
         n, comps = self.n_modes, len(v)
+        if out is None:
+            out = np.empty((comps, n, n, n))
         if lines is None:
             lines = np.empty((comps, n, self.x_lines.shape[1]), dtype=np.complex128)
         if planes is None:
-            planes = np.empty((comps, n, n, self.top + 1), dtype=np.complex128)
+            planes = np.empty((comps, _slab_planes(n, _SLAB), n, self.top + 1), dtype=np.complex128)
         lines[...] = 0.0
-        planes[...] = 0.0
         flat = lines.reshape(comps, -1)
         flat[:, self.x_slot] = v
         flat[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
         np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-        planes[:, :, self.x_lines[0], self.x_lines[1]] = lines
-        np.fft.ifft(planes, axis=2, norm="forward", out=planes)
-        return np.fft.irfft(planes, n=n, axis=3, norm="forward", out=out)
-
-    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
-        """Ball entries (k, n_ball) of real blocks (k, N, N, N), three blocks at a time.
-
-        Each three blocks take the rfft along z, then from_half; the passes'
-        work arrays are allocated afresh for each three blocks.
-        """
-        out = np.empty((len(blocks), self.k_sq.size), dtype=np.complex128)
-        for g in range(0, len(blocks), 3):
-            # passed, not named, so from_half can drop a fresh half spectrum early
-            self.from_half(np.fft.rfft(blocks[g : g + 3], axis=3, norm="forward"),
-                           out=out[g : g + 3])
+        for xs in _slabs(n, planes.shape[1]):
+            slab = planes[:, : xs.stop - xs.start]
+            slab[...] = 0.0
+            slab[:, :, self.x_lines[0], self.x_lines[1]] = lines[:, xs]
+            np.fft.ifft(slab, axis=2, norm="forward", out=slab)
+            np.fft.irfft(slab, n=n, axis=3, norm="forward", out=out[:, xs])
         return out
 
-    def from_half(self, spec: np.ndarray, out: np.ndarray, lines=None) -> np.ndarray:
-        """Ball entries (k, n_ball) of z-transformed blocks: the rest of the forward transform.
+    def from_physical(self, blocks: np.ndarray) -> np.ndarray:
+        """Ball entries (k, n_ball) of real blocks (k, N, N, N), by from_slabs; allocates its work.
 
-        spec (k, N, N, N/2 + 1) is the norm="forward" rfft along z of up to
-        three real blocks; its planes m3 <= top are overwritten by the x
-        pass. Then the y_lines are gathered, transformed along y and taken
-        at the ball entries, into out (k, n_ball). lines (k, len(y_gather),
-        N), when given, receives the y pass's work.
+        Each slab of y-planes is copied out contiguous (unless it is the
+        whole grid), so that its z pass is one call rather than one per x-plane.
         """
-        planes = spec[..., : self.top + 1]
-        np.fft.fft(planes, axis=1, norm="forward", out=planes)
-        # mode="clip": the default "raise" copies out before writing it
-        y = np.take(spec.reshape(len(spec), -1), self.y_gather, axis=1, out=lines, mode="clip")
-        del spec, planes  # two alive at once made the heap top trim and fault back in at each stage
-        np.fft.fft(y, axis=2, norm="forward", out=y)
-        return np.take(y.reshape(len(y), -1), self.y_slot, axis=1, out=out, mode="clip")
+        return self.from_slabs(lambda ys: np.ascontiguousarray(blocks[:, :, ys]), len(blocks))
+
+    def slab_gather(self, size: int) -> np.ndarray:
+        """(size, len(y_lines)): each y_line's mode on each y-plane of one component of a spec slab.
+
+        y_gather holds it for the slab of _SLAB values.
+        """
+        half = self.n_modes // 2 + 1
+        return np.add.outer(half * np.arange(size), (size * half) * self.y_m1 + self.y_m3)
+
+    def from_slabs(self, values, comps: int, out=None, spec=None, lines=None) -> np.ndarray:
+        """Ball entries (comps, n_ball) of real blocks that come slab by slab of y-planes.
+
+        values(ys) gives the blocks on the y-planes ys, (comps, N, S', N), a
+        view or a buffer of the caller's. Each slab takes the rfft along z
+        into spec (comps, N, S, N/2 + 1), the fft along x on its planes
+        m3 <= top (a line along x lies within a y-plane), and gives its
+        values on the y_lines to lines (comps, N, len(y_lines)), y along
+        axis 1. After the last slab the y_lines take the fft along y and out
+        (comps, n_ball) their ball entries. out, spec and lines are
+        allocated unless given; spec's S sets the slab, and the y_lines are
+        gathered through y_gather, or slab_gather(S) for another S.
+        """
+        n, half = self.n_modes, self.n_modes // 2 + 1
+        if out is None:
+            out = np.empty((comps, self.k_sq.size), dtype=np.complex128)
+        if spec is None:
+            spec = np.empty((comps, n, _slab_planes(n, _SLAB), half), dtype=np.complex128)
+        if lines is None:
+            lines = np.empty((comps, n, self.y_m1.size), dtype=np.complex128)
+        size = spec.shape[2]
+        gather = self.y_gather if len(self.y_gather) == size else self.slab_gather(size)
+        for ys in _slabs(n, size):
+            slab = spec[:, :, : ys.stop - ys.start]
+            np.fft.rfft(values(ys), axis=3, norm="forward", out=slab)
+            planes = slab[..., : self.top + 1]
+            np.fft.fft(planes, axis=1, norm="forward", out=planes)
+            rows = gather[: ys.stop - ys.start]
+            # mode="clip": the default "raise" copies out before writing it. A slab that is
+            # the whole grid fills lines in one take; the rows ys of a thinner one are
+            # contiguous only within a component
+            if size == n:
+                np.take(spec.reshape(comps, -1), rows, axis=1, out=lines, mode="clip")
+            else:
+                for c in range(comps):
+                    np.take(spec[c], rows, out=lines[c, ys], mode="clip")
+        np.fft.fft(lines, axis=1, norm="forward", out=lines)
+        return np.take(lines.reshape(comps, -1), self.y_slot, axis=1, out=out, mode="clip")
 
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:
         """sum over the full cube of multiplier(m) |c_m|^2 (no box volume factor)."""

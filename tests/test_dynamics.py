@@ -22,7 +22,7 @@ from oracles import (
     project_hat,
     unfused_kernel,
 )
-from nsdamp import dynamics
+from nsdamp import dynamics, spectral
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.dynamics import (
     BlowupError,
@@ -141,6 +141,28 @@ class TestBallTransforms:
 
     def test_pruned_transforms_equal_full_ones_at_n64(self):
         self.check_against_full_transforms(make_grid(64, TWO_PI), seed=64, n_blocks=9)
+
+    @pytest.mark.parametrize("n, planes", [(12, 5), (16, 3)])
+    def test_short_last_slabs_give_the_bits_of_one_whole_slab(self, monkeypatch, n, planes):
+        # slabs of 5 planes at N = 12 (5, 5, 2) and of 3 at N = 16 (five of 3,
+        # then 1) end short; by default a slab is the whole grid at N <= 32
+        grid = make_grid(n, TWO_PI)
+        ball = grid.ball
+        rng = np.random.default_rng(n)
+        shape = (3, ball.k_sq.size)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v[:, 0] = v[:, 0].real
+        blocks = rng.standard_normal((6,) + grid.shape[1:])
+        assert spectral._slab_planes(n, spectral._SLAB) == n
+        whole = ball.to_physical(v), ball.from_physical(blocks)
+        monkeypatch.setattr(spectral, "_SLAB", planes * n**2)
+        assert spectral._slab_planes(n, spectral._SLAB) == planes
+        inverse, forward = ball.to_physical(v), ball.from_physical(blocks)
+        assert np.array_equal(inverse, whole[0])
+        assert np.array_equal(forward, whole[1])
+        assert np.array_equal(inverse, full_inverse(ball, v))
+        if n & (n - 1) == 0:  # per-pass 1/N factors are exact powers of two
+            assert np.array_equal(forward, full_forward(ball, blocks))
 
     @pytest.mark.parametrize("op", ["advection", "damping", "tendency", "pressure_field", "step"])
     def test_operators_read_only_the_half_spectrum_ball_entries(self, op):

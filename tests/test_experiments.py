@@ -282,6 +282,18 @@ class TestDecay:
         with pytest.raises(ConfigError, match="box_length"):
             decay_experiment(_cfg(**{"phys.beta": 4.0}))
 
+    def test_a_zero_initial_energy_is_refused_before_integrating(self, monkeypatch):
+        # at amplitude 1e-300 the squares underflow: ||u0||^2 = 0 makes every
+        # threshold 0, and each check, the 5% crossing at t = 0 included, passed
+        def integrating(*args, **kwargs):
+            raise AssertionError("trajectory called")
+
+        monkeypatch.setattr(experiments, "trajectory", integrating)
+        cfg = _cfg(**{"grid.box_length": 8.0 * np.pi, "time.dt": 0.01, "time.output_every": 0.01,
+                      "ic.amplitude": 1e-300})
+        with pytest.raises(ConfigError, match=r"initial energy \|\|u0\|\|\^2 is 0"):
+            decay_experiment(cfg)
+
     def test_short_run_structure(self, tmp_path):
         cfg = _cfg(
             **{
@@ -458,14 +470,56 @@ class TestMemory:
         cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
         assert cubes <= 3.0, cubes
 
+    def test_a_first_kernel_call_at_n64_streams_its_transforms(self):
+        # the transforms stream slab by slab: the first call at N = 64,
+        # buffers included, peaks at 1.37 cubes, where the whole
+        # (3, N, N, N/2 + 1) half spectrum the kernel held took 1.81
+        n = 64
+        grid = make_grid(n, TWO_PI)
+        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
+        dynamics._Kernel(grid, kernel.params)(v)  # warm the per-grid caches outside the measurement
+        cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
+        assert cubes <= 1.5, cubes
+
+    def test_the_kernel_holds_no_half_spectrum_cube(self):
+        # its one slab of half spectrum is held flat and shaped per call
+        n = 64
+        grid = make_grid(n, TWO_PI)
+        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        kernel(grid.ball.gather(random_solenoidal(grid, seed=n).coeffs))
+        held = {name: a.shape for name, a in vars(kernel).items() if isinstance(a, np.ndarray)}
+        assert len(held) >= 8
+        assert not [name for name, shape in held.items() if shape[-1] == n // 2 + 1], held
+
+    def test_validate_takes_one_component_at_a_time(self):
+        # magnitudes, Hermitian gap and powers one component at a time: 0.75
+        # cubes at N = 32, where whole-array temporaries took 1.50
+        n = 32
+        u = random_solenoidal(make_grid(n, TWO_PI), seed=n)
+        u.validate()  # warm the per-grid caches outside the measurement
+        cubes = self._peak(u.validate) / (3 * n**3 * 16)
+        assert cubes <= 1.0, cubes
+
+    @pytest.mark.parametrize("beta", [4.0, 10.0 / 3.0])
+    def test_pointwise_norms_form_the_speed_in_place(self, beta):
+        # |u| in place, one work array and one mask: 0.35 cubes, where the
+        # expressions written whole took 0.52
+        n = 32
+        grid = make_grid(n, TWO_PI)
+        u = grid.ball.to_physical(grid.ball.gather(random_solenoidal(grid, seed=n).coeffs))
+        cubes = self._peak(lambda: dynamics._pointwise_norms(u, grid.cell_volume, beta)) / (3 * n**3 * 16)
+        assert cubes <= 0.4, cubes
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_trajectory_start_up_holds_no_cube_temporaries(self, n):
         # up to the first snapshot nothing cube-sized is allocated but the
         # kernel's buffers: the initial field is read through its ball
         # entries, the snapshot holds its ball vector, and its pointwise sums
         # come from the kernel's inverse, which allocates only its own
-        # buffers (2.15 cubes in all at N = 16, 2.09 at 32; 2.9 when it
-        # allocated the forward's too)
+        # buffers (1.98 cubes in all at N = 16, 1.92 at 32; 2.15 and 2.09
+        # before validate() took one component at a time, 2.9 when the
+        # inverse allocated the forward's buffers too)
         u0 = random_solenoidal(make_grid(n, TWO_PI), seed=n)
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         next(trajectory(u0, params, cfg, 0.0))  # warm the per-grid caches outside the measurement
@@ -704,6 +758,12 @@ class TestCli:
         with np.errstate(divide="raise", invalid="raise"):  # refused before a 0/0 margin is formed
             assert main(["twin", str(random), "--delta", "1e-320"]) == 2
         assert "delta = 1e-320" in capsys.readouterr().err
+        faint = tmp_path / "faint.cfg"  # ||u0||^2 underflows to 0: every decay threshold 0
+        faint.write_text(cfg_file.read_text().replace("grid.box_length = 6.283185307179586",
+                                                      "grid.box_length = 25.132741228718345")
+                         + "ic.amplitude = 1e-300\n")
+        assert main(["decay", str(faint)]) == 2
+        assert "initial energy ||u0||^2 is 0" in capsys.readouterr().err
         forever = tmp_path / "forever.cfg"  # 1e303 steps: past 2^53 the step times repeat
         forever.write_text(cfg_file.read_text().replace("time.t_end = 0.1", "time.t_end = 1e300"))
         assert main(["run", str(forever)]) == 2
