@@ -48,8 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import (_EMBED_P, _SLAB, GridSpec, PhysParams, SpectralField, _Ball, _magnitudes,
-                       _slab_planes, _slabs)
+from .spectral import _EMBED_P, GridSpec, PhysParams, SpectralField, _Ball, _magnitudes, _slabs
 
 __all__ = [
     "SolverState",
@@ -244,7 +243,7 @@ class _Kernel:
     pressure_field takes the gradient part instead. advect=False skips the
     advection term.
 
-    A slab is _slab_planes(N, _SLAB) planes, the last maybe fewer: 8 at
+    A slab is the ball's slab planes, the last maybe fewer: 8 at
     N = 64, the whole grid at N <= 32. Products are pointwise and each line
     is transformed on its own, so slabs give the bits of whole blocks;
     |u|^2 stays a full cube so that its max and sum keep their order.
@@ -278,7 +277,7 @@ class _Kernel:
 
     def _allocate_inverse(self) -> None:
         ball, n = self.ball, self.grid.n_modes
-        size = _slab_planes(n, _SLAB)
+        size = ball.slab
         self.u = np.empty((3, n, n, n))
         # flat, the inverse's planes at its head and, per call, the forward's spec slab
         self.slab = np.empty(3 * n * size * (n // 2 + 1), dtype=np.complex128)

@@ -129,6 +129,14 @@ def build_initial(cfg: ExperimentConfig) -> tuple[SpectralField, float]:
     return state.u, state.t
 
 
+def _start_energy(f: SpectralField) -> float:
+    """||f||^2 as a run's start measures it: over the ball entries of f, with m = 0 zeroed."""
+    ball = f.grid.ball
+    entries = ball.gather(f.coeffs)
+    entries[:, 0] = 0.0
+    return f.grid.volume * ball.norm_sq(entries)
+
+
 def _write_report(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -265,10 +273,8 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     ball, volume = u0.grid.ball, u0.grid.volume
     pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
     u0_twin = u0 + pert * delta
-    # |w(0)| as the comparison below takes it, from the ball entries with m = 0 zeroed
-    w_start = ball.gather((u0_twin - u0).coeffs)
-    w_start[:, 0] = 0.0
-    if delta > 0.0 and volume * ball.norm_sq(w_start) == 0.0:
+    # |w(0)| as the comparison below takes it
+    if delta > 0.0 and _start_energy(u0_twin - u0) == 0.0:
         raise ConfigError(f"delta = {delta!r} is too small: u0 + delta * p rounds to |w(0)| = 0, "
                           "where the bound reads 0/0")
 
@@ -475,11 +481,7 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
         os.makedirs(out_dir, exist_ok=True)
     validate_for_experiment(cfg, "decay")
     u0, t_start = build_initial(cfg)
-    # ||u0||^2 as the first energy record takes it, from the ball entries with m = 0 zeroed
-    ball = u0.grid.ball
-    start = ball.gather(u0.coeffs)
-    start[:, 0] = 0.0
-    if u0.grid.volume * ball.norm_sq(start) == 0.0:
+    if _start_energy(u0) == 0.0:  # as the first energy record takes it
         raise ConfigError("the initial energy ||u0||^2 is 0, "
                           "so every decay threshold would be 0 and pass vacuously")
     recorder = SeriesRecorder()

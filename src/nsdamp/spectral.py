@@ -68,11 +68,6 @@ _EMBED_P = 10.0 / 3.0
 _SLAB = 2**15
 
 
-def _slab_planes(n: int, values: int) -> int:
-    """Planes of N^2 values in a slab of about `values` values: 8 at N = 64 for _SLAB, N at N <= 32."""
-    return min(n, max(1, values // n**2))
-
-
 def _slabs(n: int, size: int) -> Iterator[slice]:
     """Consecutive slabs of size planes covering 0..N-1, the last maybe fewer."""
     return (slice(p, min(p + size, n)) for p in range(0, n, size))
@@ -556,8 +551,10 @@ class _Ball:
     factors round differently from one 1/N^3 (about 4e-16 of the largest
     coefficient). The tests check them against SciPy's full transforms.
 
-    Both stream slab by slab, _slab_planes(N, _SLAB) planes at a time, so
-    neither holds a half-spectrum cube. The inverse's x pass leaves every
+    Both stream slab by slab, so neither holds a half-spectrum cube. A
+    slab is slab planes, fixed when the ball is built from _SLAB values per
+    block (8 at N = 64, the whole grid at N <= 32), and the y_lines' gather
+    table y_gather is built for it. The inverse's x pass leaves every
     x-plane independent, and each slab of x-planes takes its y and z
     passes into the grid values. The forward takes each slab of y-planes
     through its z and x passes and gathers the slab's part of the y_lines,
@@ -601,6 +598,8 @@ class _Ball:
         self.weight[0] = 1.0
         self.top = int(iz.max())
         planes = self.top + 1
+        # planes of N^2 values in a slab of about _SLAB values: 8 at N = 64, N at N <= 32
+        self.slab = min(n, max(1, _SLAB // n**2))
         self.plane = np.flatnonzero(iz == 0)[1:]  # m3 = 0 entries other than m = 0
         # inverse: the x_lines hold every entry and m3 = 0 mirror; slot = m1 * len(x_lines) + line
         mirror_x, mirror_y = conj[0][self.plane], conj[1][self.plane]
@@ -613,7 +612,9 @@ class _Ball:
         lines, line = np.unique(ix * planes + iz, return_inverse=True)
         self.y_m1, self.y_m3 = np.divmod(lines, planes)
         self.y_slot = iy * lines.size + line
-        self.y_gather = self.slab_gather(_slab_planes(n, _SLAB))
+        # each y_line's mode on each y-plane of one component of a spec slab, (slab, len(y_lines))
+        rows = half * np.arange(self.slab)
+        self.y_gather = np.add.outer(rows, (self.slab * half) * self.y_m1 + self.y_m3)
 
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
@@ -637,9 +638,9 @@ class _Ball:
 
         Each slab of x-planes is zeroed in planes, takes its x_lines'
         values, and is transformed along y, then irfft along z straight
-        into out. out, lines (k, N, len(x_lines)) and planes (k, S, N,
-        top + 1), a slab of S x-planes, when given, receive the result and
-        the passes' work; by default all three are allocated.
+        into out. out, lines (k, N, len(x_lines)) and planes (k, slab, N,
+        top + 1), when given, receive the result and the passes' work; by
+        default all three are allocated.
         """
         n, comps = self.n_modes, len(v)
         if out is None:
@@ -647,13 +648,13 @@ class _Ball:
         if lines is None:
             lines = np.empty((comps, n, self.x_lines.shape[1]), dtype=np.complex128)
         if planes is None:
-            planes = np.empty((comps, _slab_planes(n, _SLAB), n, self.top + 1), dtype=np.complex128)
+            planes = np.empty((comps, self.slab, n, self.top + 1), dtype=np.complex128)
         lines[...] = 0.0
         flat = lines.reshape(comps, -1)
         flat[:, self.x_slot] = v
         flat[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
         np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-        for xs in _slabs(n, planes.shape[1]):
+        for xs in _slabs(n, self.slab):
             slab = planes[:, : xs.stop - xs.start]
             slab[...] = 0.0
             slab[:, :, self.x_lines[0], self.x_lines[1]] = lines[:, xs]
@@ -669,50 +670,34 @@ class _Ball:
         """
         return self.from_slabs(lambda ys: np.ascontiguousarray(blocks[:, :, ys]), len(blocks))
 
-    def slab_gather(self, size: int) -> np.ndarray:
-        """(size, len(y_lines)): each y_line's mode on each y-plane of one component of a spec slab.
-
-        y_gather holds it for the slab of _SLAB values.
-        """
-        half = self.n_modes // 2 + 1
-        return np.add.outer(half * np.arange(size), (size * half) * self.y_m1 + self.y_m3)
-
     def from_slabs(self, values, comps: int, out=None, spec=None, lines=None) -> np.ndarray:
         """Ball entries (comps, n_ball) of real blocks that come slab by slab of y-planes.
 
         values(ys) gives the blocks on the y-planes ys, (comps, N, S', N), a
         view or a buffer of the caller's. Each slab takes the rfft along z
-        into spec (comps, N, S, N/2 + 1), the fft along x on its planes
+        into spec (comps, N, slab, N/2 + 1), the fft along x on its planes
         m3 <= top (a line along x lies within a y-plane), and gives its
         values on the y_lines to lines (comps, N, len(y_lines)), y along
         axis 1. After the last slab the y_lines take the fft along y and out
         (comps, n_ball) their ball entries. out, spec and lines are
-        allocated unless given; spec's S sets the slab, and the y_lines are
-        gathered through y_gather, or slab_gather(S) for another S.
+        allocated unless given.
         """
         n, half = self.n_modes, self.n_modes // 2 + 1
         if out is None:
             out = np.empty((comps, self.k_sq.size), dtype=np.complex128)
         if spec is None:
-            spec = np.empty((comps, n, _slab_planes(n, _SLAB), half), dtype=np.complex128)
+            spec = np.empty((comps, n, self.slab, half), dtype=np.complex128)
         if lines is None:
             lines = np.empty((comps, n, self.y_m1.size), dtype=np.complex128)
-        size = spec.shape[2]
-        gather = self.y_gather if len(self.y_gather) == size else self.slab_gather(size)
-        for ys in _slabs(n, size):
+        for ys in _slabs(n, self.slab):
             slab = spec[:, :, : ys.stop - ys.start]
             np.fft.rfft(values(ys), axis=3, norm="forward", out=slab)
             planes = slab[..., : self.top + 1]
             np.fft.fft(planes, axis=1, norm="forward", out=planes)
-            rows = gather[: ys.stop - ys.start]
-            # mode="clip": the default "raise" copies out before writing it. A slab that is
-            # the whole grid fills lines in one take; the rows ys of a thinner one are
-            # contiguous only within a component
-            if size == n:
-                np.take(spec.reshape(comps, -1), rows, axis=1, out=lines, mode="clip")
-            else:
-                for c in range(comps):
-                    np.take(spec[c], rows, out=lines[c, ys], mode="clip")
+            # mode="clip": the default "raise" copies out before writing it; the rows ys
+            # of lines are contiguous only within a component
+            for c in range(comps):
+                np.take(spec[c], self.y_gather[: ys.stop - ys.start], out=lines[c, ys], mode="clip")
         np.fft.fft(lines, axis=1, norm="forward", out=lines)
         return np.take(lines.reshape(comps, -1), self.y_slot, axis=1, out=out, mode="clip")
 

@@ -153,11 +153,12 @@ class TestBallTransforms:
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         v[:, 0] = v[:, 0].real
         blocks = rng.standard_normal((6,) + grid.shape[1:])
-        assert spectral._slab_planes(n, spectral._SLAB) == n
+        assert ball.slab == n
         whole = ball.to_physical(v), ball.from_physical(blocks)
         monkeypatch.setattr(spectral, "_SLAB", planes * n**2)
-        assert spectral._slab_planes(n, spectral._SLAB) == planes
-        inverse, forward = ball.to_physical(v), ball.from_physical(blocks)
+        thin = spectral._Ball(grid)  # a ball sizes its slab when it is built
+        assert thin.slab == planes
+        inverse, forward = thin.to_physical(v), thin.from_physical(blocks)
         assert np.array_equal(inverse, whole[0])
         assert np.array_equal(forward, whole[1])
         assert np.array_equal(inverse, full_inverse(ball, v))
@@ -201,7 +202,7 @@ class TestBallTransforms:
         # slabs of 5 planes at N = 12 (5, 5, 2) and of 3 at N = 16 (five of 3,
         # then 1) end short; planes=None keeps the default, one slab
         if planes is not None:
-            monkeypatch.setattr(dynamics, "_SLAB", planes * n**2)
+            monkeypatch.setattr(spectral, "_SLAB", planes * n**2)
         grid = make_grid(n, TWO_PI)
         params = PhysParams(nu=0.5, alpha=alpha, beta=10.0 / 3.0)
         v = grid.ball.gather(random_solenoidal(grid, seed=n, amplitude=4.0).coeffs)

@@ -483,14 +483,18 @@ class TestMemory:
         assert cubes <= 1.5, cubes
 
     def test_the_kernel_holds_no_half_spectrum_cube(self):
-        # its one slab of half spectrum is held flat and shaped per call
+        # its one slab of half spectrum is 8 of the 64 y-planes; no other array
+        # it holds or views, but the grid values u, has a half-spectrum cube's size
         n = 64
         grid = make_grid(n, TWO_PI)
         kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         kernel(grid.ball.gather(random_solenoidal(grid, seed=n).coeffs))
-        held = {name: a.shape for name, a in vars(kernel).items() if isinstance(a, np.ndarray)}
+        cube = 3 * n * n * (n // 2 + 1)
+        assert kernel.slab.size == 3 * n * grid.ball.slab * (n // 2 + 1) == cube // 8
+        held = [(name, a) for name, a in vars(kernel).items() if isinstance(a, np.ndarray)]
         assert len(held) >= 8
-        assert not [name for name, shape in held.items() if shape[-1] == n // 2 + 1], held
+        sizes = {name: max(a.size, 0 if a.base is None else a.base.size) for name, a in held}
+        assert [name for name, size in sizes.items() if size >= cube] == ["u"], sizes
 
     def test_validate_takes_one_component_at_a_time(self):
         # magnitudes, Hermitian gap and powers one component at a time: 0.75
