@@ -25,7 +25,7 @@ from typing import Any
 
 from .dynamics import StepperConfig
 from .inequalities import gronwall_constant
-from .spectral import _EMBED_P, GridSpec, PhysParams, make_grid
+from .spectral import _EMBED_P, ConfigError, GridSpec, PhysParams, make_grid
 
 __all__ = [
     "ConfigError",
@@ -37,10 +37,6 @@ __all__ = [
     "config_from_mapping",
     "validate_for_experiment",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
 
 
 IC_KINDS = ("taylor-green", "random-solenoidal", "checkpoint")

@@ -48,7 +48,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import _EMBED_P, GridSpec, PhysParams, SpectralField, _Ball, _magnitudes, _slabs
+from .spectral import (_ALONE, _EMBED_P, GridSpec, PhysParams, SpectralField, _Ball, _Crew,
+                       _magnitudes, _on_driver_thread, _workers)
 
 __all__ = [
     "SolverState",
@@ -237,7 +238,7 @@ class _Kernel:
     transform of the product blocks, three at a time (the stress blocks of
     _PAIRS[:3], of _PAIRS[3:], then the damping blocks), by
     _Ball.from_slabs: slab by slab of y-planes, the three products are
-    formed in the product buffer and handed to the forward's passes. The
+    formed in a product buffer and handed to the forward's passes. The
     divergence follows on the ball entries. Nothing is projected:
     _project_terms does that for the stepper and the operators, and
     pressure_field takes the gradient part instead. advect=False skips the
@@ -248,21 +249,37 @@ class _Kernel:
     is transformed on its own, so slabs give the bits of whole blocks;
     |u|^2 stays a full cube so that its max and sum keep their order.
 
+    A call splits its slab loops over workers (spectral._Crew): one per
+    slab at most, and at most NSD_THREADS (unset, the CPU count), read
+    when the kernel is built, so a bad value is refused then. Each worker
+    takes a contiguous run of slabs, the calling thread the first: the
+    inverse's y and z passes, each slab followed by its |u|^2 fill, and
+    per forward group the products, the z and x passes and the take of
+    the y_lines; the x_lines' and the y_lines' passes split by runs of
+    lines. The entry takes, the
+    max and sum of |u|^2 and the divergence run on the calling thread, in
+    their serial order, so every bit is that of one worker. A grid of one
+    slab, a cap of 1, or a call on a driver's pool thread (see
+    experiments._parallel) runs on the calling thread alone and starts no
+    thread, so the two thread levels never nest.
+
     Every array of an evaluation lives in a buffer of the instance, the
-    terms it returns included: the grid values u and |u|^2, one slab of
-    three product blocks, one slab of half spectrum, held flat (the
-    inverse's planes, a slab of x-planes m3 <= top, then the forward's
-    z-pass output, a slab of y-planes shaped at each call), one line array
-    (the inverse's x_lines, then the forward's y_lines, never live
-    together), the blocks' ball coefficients and adv. No buffer has the
-    size of a half-spectrum cube (3, N, N, N/2 + 1). damp is a view of the
-    damping blocks' coefficients. So the terms of a call hold until the
-    next call, which overwrites them: a caller folds them in first (the
-    stepper does, see _Fold). inverse() allocates only u, the slab and the
-    line array; the first call allocates the rest. Allocated and freed at
-    each stage instead, they let the allocator trim the top of the heap and
+    terms it returns included: the grid values u and |u|^2, and per worker
+    one slab of three product blocks (products) and one slab of half
+    spectrum (slabs), held flat (the inverse's planes, a slab of x-planes
+    m3 <= top, then the forward's z-pass output, a slab of y-planes shaped
+    at each call); one line array (the inverse's x_lines, then the
+    forward's y_lines, never live together), the blocks' ball
+    coefficients and adv. No buffer has the size of a half-spectrum cube
+    (3, N, N, N/2 + 1). damp is a view of the damping blocks'
+    coefficients. So the terms of a call hold until the next call, which
+    overwrites them: a caller folds them in first (the stepper does, see
+    _Fold). inverse() allocates only u, the workers' slabs and the line
+    array; the first call allocates the rest. Allocated and freed at each
+    stage instead, they let the allocator trim the top of the heap and
     fault it back in at the next stage. The buffers are per-instance
-    scratch: one kernel per thread.
+    scratch: a kernel serves one call at a time, its workers each with
+    their own slabs.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams, *, advect: bool = True):
@@ -273,15 +290,13 @@ class _Kernel:
         self.damped = params.alpha > 0.0
         # the blocks, three to a forward transform; None stands for the damping blocks
         self.groups = ([_PAIRS[:3], _PAIRS[3:]] if advect else []) + ([None] if self.damped else [])
+        self.workers = _workers(len(range(0, grid.n_modes, self.ball.slab)))
         self.u = self.hats = None  # the inverse's buffers, then the forward's, allocated on first use
+        self.slabs, self.planes, self.products = [], [], []  # per worker, allocated on first use
 
     def _allocate_inverse(self) -> None:
         ball, n = self.ball, self.grid.n_modes
-        size = ball.slab
         self.u = np.empty((3, n, n, n))
-        # flat, the inverse's planes at its head and, per call, the forward's spec slab
-        self.slab = np.empty(3 * n * size * (n // 2 + 1), dtype=np.complex128)
-        self.planes = self.slab[: 3 * size * n * (ball.top + 1)].reshape(3, size, n, ball.top + 1)
         x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3, n, ball.y_m1.size)
         lines = np.empty(max(math.prod(x_shape), math.prod(y_shape)), dtype=np.complex128)
         self.x_lines = lines[: math.prod(x_shape)].reshape(x_shape)
@@ -290,19 +305,22 @@ class _Kernel:
     def _allocate_forward(self) -> None:
         n, n_ball = self.grid.n_modes, self.ball.k_sq.size
         self.mag_sq = np.empty((n, n, n))
-        self.products = np.empty((3, len(self.planes[0]), n, n))
         self.hats = np.empty((3 * len(self.groups), n_ball), dtype=np.complex128)
         self.adv = np.empty((3, n_ball), dtype=np.complex128) if self.advect else None
 
-    def _products(self, group, ys: slice) -> np.ndarray:
-        """The group's three blocks on the y-planes ys, formed in the product buffer.
+    def _crew(self) -> _Crew:
+        """The workers of one call: self.workers, or the calling thread alone on a driver's pool thread."""
+        return _ALONE if self.workers == 1 or _on_driver_thread() else _Crew(self.workers)
+
+    def _products(self, group, ys: slice, w: int) -> np.ndarray:
+        """The group's three blocks on the y-planes ys, formed in worker w's product buffer.
 
         The buffer has room for S planes of N^2 values per block; a slab of
         y-planes fills it as (N, S', N) arrays, whole (S', N) rows of each
         x-plane of u.
         """
         n, size = self.grid.n_modes, ys.stop - ys.start
-        products = self.products.reshape(3, -1)[:, : n * size * n].reshape(3, n, size, n)
+        products = self.products[w].reshape(3, -1)[:, : n * size * n].reshape(3, n, size, n)
         u = self.u[:, :, ys]
         if group is not None:
             for b, (i, j) in enumerate(group):
@@ -319,31 +337,49 @@ class _Kernel:
             np.multiply(weight, u[i], out=products[i])
         return products
 
-    def inverse(self, v: np.ndarray) -> np.ndarray:
-        """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
+    def _inverse(self, v: np.ndarray, crew: _Crew, then=None) -> np.ndarray:
+        ball, n = self.ball, self.grid.n_modes
         if self.u is None:
             self._allocate_inverse()
-        return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes)
+        while len(self.slabs) < crew.size:
+            # flat, the inverse's planes at its head and, per call, the forward's spec slab
+            slab = np.empty(3 * n * ball.slab * (n // 2 + 1), dtype=np.complex128)
+            shape = (3, ball.slab, n, ball.top + 1)
+            self.slabs.append(slab)
+            self.planes.append(slab[: math.prod(shape)].reshape(shape))
+        return ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=crew, then=then)
+
+    def inverse(self, v: np.ndarray) -> np.ndarray:
+        """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
+        with self._crew() as crew:
+            return self._inverse(v, crew)
+
+    def _fill(self, xs: slice, w: int) -> None:
+        """|u|^2 = (u_0^2 + u_1^2) + u_2^2 on the x-planes xs, worker w's product buffer holding each square.
+
+        The inverse calls it on each slab of x-planes as it lands in u:
+        they are contiguous in u, and still in cache.
+        """
+        slab, square = self.mag_sq[xs], self.products[w][0]
+        np.square(self.u[0, xs], out=slab)
+        for i in (1, 2):
+            slab += np.square(self.u[i, xs], out=square[: xs.stop - xs.start])
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
-        self.inverse(v)
-        if self.hats is None:
-            self._allocate_forward()
-        ball, params, hats, n = self.ball, self.params, self.hats, self.grid.n_modes
-        # |u|^2 = (u_0^2 + u_1^2) + u_2^2 by slabs of x-planes, which are contiguous in u (a slab
-        # of y-planes reads it at twice the cost), the product buffer holding each square
-        u, mag_sq, square = self.u, self.mag_sq, self.products[0]
-        for xs in _slabs(n, len(square)):
-            slab = mag_sq[xs]
-            np.square(u[0, xs], out=slab)
-            for i in (1, 2):
-                slab += np.square(u[i, xs], out=square[: xs.stop - xs.start])
-        linf = float(np.sqrt(float(mag_sq.max())))
+        ball, params, n = self.ball, self.params, self.grid.n_modes
+        with self._crew() as crew:
+            if self.hats is None:
+                self._allocate_forward()
+            while len(self.products) < crew.size:
+                self.products.append(np.empty((3, ball.slab, n, n)))
+            self._inverse(v, crew, then=self._fill)
+            hats, mag_sq = self.hats, self.mag_sq
+            linf = float(np.sqrt(float(mag_sq.max())))
 
-        spec = self.slab.reshape(3, n, len(square), n // 2 + 1)
-        for g, group in enumerate(self.groups):
-            ball.from_slabs(partial(self._products, group), 3, out=hats[3 * g : 3 * g + 3],
-                            spec=spec, lines=self.y_lines)
+            spec = [slab.reshape(3, n, ball.slab, n // 2 + 1) for slab in self.slabs[: crew.size]]
+            for g, group in enumerate(self.groups):
+                ball.from_slabs(partial(self._products, group), 3, out=hats[3 * g : 3 * g + 3],
+                                spec=spec, lines=self.y_lines, crew=crew)
 
         adv, damp = self.adv, None
         damp_rate = 0.0
@@ -579,9 +615,10 @@ class _Stepper:
         self.two_e_half = 2.0 * self.e_half
         self.force = np.empty(self.ball.k.shape, dtype=np.complex128)
 
-    def check_cfl(self, linf: float) -> None:
+    def check_cfl(self, linf: float, t: float) -> None:
+        """Refuse a stage at time t whose |u|_inf is not finite or needs a smaller dt."""
         if not np.isfinite(linf):
-            raise BlowupError(f"non-finite field (|u|_inf = {linf!r})")
+            raise BlowupError(f"non-finite field (|u|_inf = {linf!r}) at t = {t:g}")
         p = self.params
         radius = self.grid.cutoff_radius
         with np.errstate(over="ignore"):  # inf where Python floats raise OverflowError
@@ -592,7 +629,7 @@ class _Stepper:
                 f"dt = {self.cfg.dt:g} exceeds the stability budget safety/rate = "
                 f"{_CFL_SAFETY / rate if np.isfinite(rate) else 0.0:g} "
                 f"(|u|_inf = {linf:g}, cutoff_radius = {radius:g}, "
-                f"alpha |u|_inf^(beta-1) = {damp:g})"
+                f"alpha |u|_inf^(beta-1) = {damp:g}) at t = {t:g}"
             )
 
     def _force(self, terms: _NLTerms, t: float) -> np.ndarray:
@@ -639,7 +676,7 @@ class _Stepper:
             return k
 
         k = fold(n1, t)
-        self.check_cfl(n1.linf)
+        self.check_cfl(n1.linf, t)
         # s2 = eh (v + dt/2 k1)
         np.multiply(dt / 2.0, k, out=k)
         np.add(v, k, out=k)

@@ -24,10 +24,14 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,6 +75,92 @@ _SLAB = 2**15
 def _slabs(n: int, size: int) -> Iterator[slice]:
     """Consecutive slabs of size planes covering 0..N-1, the last maybe fewer."""
     return (slice(p, min(p + size, n)) for p in range(0, n, size))
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent experiment configuration (config.ConfigError, raised here by _workers too)."""
+
+
+#: per-thread flags: .driver is set on the threads of a driver's job pool (_driver_thread)
+_threads = threading.local()
+
+
+def _workers(jobs: int) -> int:
+    """Threads for jobs independent jobs: at most jobs, and at most NSD_THREADS (unset, the CPU count).
+
+    Both thread levels read it: a driver's pool of independent
+    integrations and a kernel's slab workers.
+    """
+    raw = os.environ.get("NSD_THREADS")
+    if raw is None:
+        cap = os.cpu_count() or 1
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ConfigError(f"NSD_THREADS must be an integer, got {raw!r}") from None
+        if cap < 1:
+            raise ConfigError(f"NSD_THREADS must be positive, got {raw!r}")
+    return max(1, min(jobs, cap))
+
+
+def _driver_thread() -> None:
+    """Mark the calling thread as a driver pool's: a kernel called on it runs on it alone."""
+    _threads.driver = True
+
+
+def _on_driver_thread() -> bool:
+    """Whether the calling thread belongs to a driver's job pool."""
+    return getattr(_threads, "driver", False)
+
+
+class _Crew:
+    """size workers that split the slab loops and line passes of the ball's transforms.
+
+    run(job) calls job(w) for every worker w and returns once all are done:
+    the calling thread takes w = 0, a pool of size - 1 threads the others,
+    each in a copy of the caller's context (NumPy's errstate included).
+    Worker w takes the contiguous run of slabs slabs(n, size, w) and the
+    run of lines share(count, w), the first worker the first run. A crew
+    of one starts no thread and runs its one job in order. Used as a
+    context manager, it joins its threads on exit.
+    """
+
+    def __init__(self, size: int = 1):
+        self.size = size
+        self.pool = ThreadPoolExecutor(max_workers=size - 1) if size > 1 else None
+
+    def __enter__(self) -> "_Crew":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def run(self, job: Callable[[int], None]) -> None:
+        if self.pool is None:
+            job(0)
+            return
+        futures = [self.pool.submit(contextvars.copy_context().run, job, w) for w in range(1, self.size)]
+        try:
+            job(0)
+        finally:
+            wait(futures)  # no worker may outlive the call whose buffers it writes
+        for future in futures:
+            future.result()
+
+    def share(self, count: int, w: int) -> slice:
+        """Worker w's contiguous run of count items."""
+        return slice(count * w // self.size, count * (w + 1) // self.size)
+
+    def slabs(self, n: int, size: int, w: int) -> list[slice]:
+        """Worker w's contiguous run of the slabs _slabs(n, size)."""
+        every = list(_slabs(n, size))
+        return every[self.share(len(every), w)]
+
+
+#: the crew of one, for the transforms called outside a kernel
+_ALONE = _Crew()
 
 
 def _in_ball(k_sq: np.ndarray | float, radius: float) -> np.ndarray | bool:
@@ -572,6 +662,9 @@ class _Ball:
     share one instance. to_physical() and from_slabs() take a caller's
     work arrays, each at most a slab of half spectrum or one line array
     (the stepper's kernel passes its own), and allocate those not given.
+    They also take a crew (_Crew) whose workers split their slab loops
+    and line passes, each worker with its own slab array; by default the
+    calling thread runs them alone.
     """
 
     def __init__(self, grid: GridSpec):
@@ -633,14 +726,18 @@ class _Ball:
         out[..., self.conj_full_index] = np.conj(v[..., 1:])
         return out.reshape(lead + (n, n, n))
 
-    def to_physical(self, v: np.ndarray, out=None, lines=None, planes=None) -> np.ndarray:
+    def to_physical(self, v: np.ndarray, out=None, lines=None, planes=None, crew=_ALONE,
+                    then=None) -> np.ndarray:
         """Grid values (k, N, N, N) of a ball vector (k, n_ball): ifft on x_lines, then slab by slab.
 
         Each slab of x-planes is zeroed in planes, takes its x_lines'
         values, and is transformed along y, then irfft along z straight
-        into out. out, lines (k, N, len(x_lines)) and planes (k, slab, N,
-        top + 1), when given, receive the result and the passes' work; by
-        default all three are allocated.
+        into out. out, lines (k, N, len(x_lines)) and planes, one (k, slab,
+        N, top + 1) array per worker of crew, when given, receive the
+        result and the passes' work; by default all three are allocated.
+        The crew's workers split the x pass by runs of lines and the slabs
+        by runs of slabs; then(xs, w), when given, is called by worker w
+        on each of its slabs xs once that slab is in out.
         """
         n, comps = self.n_modes, len(v)
         if out is None:
@@ -648,18 +745,29 @@ class _Ball:
         if lines is None:
             lines = np.empty((comps, n, self.x_lines.shape[1]), dtype=np.complex128)
         if planes is None:
-            planes = np.empty((comps, self.slab, n, self.top + 1), dtype=np.complex128)
+            planes = [np.empty((comps, self.slab, n, self.top + 1), dtype=np.complex128)
+                      for _ in range(crew.size)]
         lines[...] = 0.0
         flat = lines.reshape(comps, -1)
         flat[:, self.x_slot] = v
         flat[:, self.x_mirror_slot] = np.conj(v[:, self.plane])
-        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-        for xs in _slabs(n, self.slab):
-            slab = planes[:, : xs.stop - xs.start]
-            slab[...] = 0.0
-            slab[:, :, self.x_lines[0], self.x_lines[1]] = lines[:, xs]
-            np.fft.ifft(slab, axis=2, norm="forward", out=slab)
-            np.fft.irfft(slab, n=n, axis=3, norm="forward", out=out[:, xs])
+
+        def x_pass(w: int) -> None:
+            part = lines[..., crew.share(lines.shape[2], w)]
+            np.fft.ifft(part, axis=1, norm="forward", out=part)
+
+        def y_z_passes(w: int) -> None:
+            for xs in crew.slabs(n, self.slab, w):
+                slab = planes[w][:, : xs.stop - xs.start]
+                slab[...] = 0.0
+                slab[:, :, self.x_lines[0], self.x_lines[1]] = lines[:, xs]
+                np.fft.ifft(slab, axis=2, norm="forward", out=slab)
+                np.fft.irfft(slab, n=n, axis=3, norm="forward", out=out[:, xs])
+                if then is not None:
+                    then(xs, w)
+
+        crew.run(x_pass)
+        crew.run(y_z_passes)
         return out
 
     def from_physical(self, blocks: np.ndarray) -> np.ndarray:
@@ -668,37 +776,48 @@ class _Ball:
         Each slab of y-planes is copied out contiguous (unless it is the
         whole grid), so that its z pass is one call rather than one per x-plane.
         """
-        return self.from_slabs(lambda ys: np.ascontiguousarray(blocks[:, :, ys]), len(blocks))
+        return self.from_slabs(lambda ys, w: np.ascontiguousarray(blocks[:, :, ys]), len(blocks))
 
-    def from_slabs(self, values, comps: int, out=None, spec=None, lines=None) -> np.ndarray:
+    def from_slabs(self, values, comps: int, out=None, spec=None, lines=None, crew=_ALONE) -> np.ndarray:
         """Ball entries (comps, n_ball) of real blocks that come slab by slab of y-planes.
 
-        values(ys) gives the blocks on the y-planes ys, (comps, N, S', N), a
-        view or a buffer of the caller's. Each slab takes the rfft along z
-        into spec (comps, N, slab, N/2 + 1), the fft along x on its planes
-        m3 <= top (a line along x lies within a y-plane), and gives its
-        values on the y_lines to lines (comps, N, len(y_lines)), y along
-        axis 1. After the last slab the y_lines take the fft along y and out
-        (comps, n_ball) their ball entries. out, spec and lines are
-        allocated unless given.
+        values(ys, w) gives worker w the blocks on the y-planes ys, (comps,
+        N, S', N), a view or a buffer of the caller's. Each slab takes the
+        rfft along z into spec[w] (comps, N, slab, N/2 + 1), the fft along
+        x on its planes m3 <= top (a line along x lies within a y-plane),
+        and gives its values on the y_lines to lines (comps, N,
+        len(y_lines)), y along axis 1. After the last slab the y_lines take
+        the fft along y and out (comps, n_ball) their ball entries. out,
+        spec (one array per worker of crew) and lines are allocated unless
+        given. The crew's workers split the slabs by runs of slabs and the
+        y pass by runs of lines; the calling thread alone takes the entries.
         """
         n, half = self.n_modes, self.n_modes // 2 + 1
         if out is None:
             out = np.empty((comps, self.k_sq.size), dtype=np.complex128)
         if spec is None:
-            spec = np.empty((comps, n, self.slab, half), dtype=np.complex128)
+            spec = [np.empty((comps, n, self.slab, half), dtype=np.complex128) for _ in range(crew.size)]
         if lines is None:
             lines = np.empty((comps, n, self.y_m1.size), dtype=np.complex128)
-        for ys in _slabs(n, self.slab):
-            slab = spec[:, :, : ys.stop - ys.start]
-            np.fft.rfft(values(ys), axis=3, norm="forward", out=slab)
-            planes = slab[..., : self.top + 1]
-            np.fft.fft(planes, axis=1, norm="forward", out=planes)
-            # mode="clip": the default "raise" copies out before writing it; the rows ys
-            # of lines are contiguous only within a component
-            for c in range(comps):
-                np.take(spec[c], self.y_gather[: ys.stop - ys.start], out=lines[c, ys], mode="clip")
-        np.fft.fft(lines, axis=1, norm="forward", out=lines)
+
+        def z_x_passes(w: int) -> None:
+            for ys in crew.slabs(n, self.slab, w):
+                slab = spec[w][:, :, : ys.stop - ys.start]
+                np.fft.rfft(values(ys, w), axis=3, norm="forward", out=slab)
+                planes = slab[..., : self.top + 1]
+                np.fft.fft(planes, axis=1, norm="forward", out=planes)
+                # mode="clip": the default "raise" copies out before writing it; the rows ys
+                # of lines are contiguous only within a component
+                for c in range(comps):
+                    np.take(spec[w][c], self.y_gather[: ys.stop - ys.start], out=lines[c, ys],
+                            mode="clip")
+
+        def y_pass(w: int) -> None:
+            part = lines[..., crew.share(lines.shape[2], w)]
+            np.fft.fft(part, axis=1, norm="forward", out=part)
+
+        crew.run(z_x_passes)
+        crew.run(y_pass)
         return np.take(lines.reshape(comps, -1), self.y_slot, axis=1, out=out, mode="clip")
 
     def norm_sq(self, v: np.ndarray, multiplier: np.ndarray | None = None) -> float:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -209,13 +210,58 @@ class TestBallTransforms:
         kernel = dynamics._Kernel(grid, params, advect=advect)
         kernel(v)  # a warm call must not differ from the first
         got = kernel(v)
-        assert len(kernel.products[0]) == (planes or n)
+        assert len(kernel.products[0][0]) == (planes or n)
         want = unfused_kernel(grid, params, v, advect)
         for name, g, w in zip(got._fields, got, want):
             if w is None:
                 assert g is None, name
             else:
                 assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("n, planes", [(16, 3), (18, 4), (64, None)])
+    @pytest.mark.parametrize("beta", [4.0, 10.0 / 3.0])
+    def test_slab_workers_give_the_bits_of_one(self, monkeypatch, n, planes, beta):
+        # six slabs of 3 planes at N = 16 and five of 4 at N = 18 end short
+        # (N = 16 has no slab size that gives five); planes=None keeps the
+        # real slab, 8 planes at N = 64: 1, 2 and 3 workers take them in runs
+        if planes is not None:
+            monkeypatch.setattr(spectral, "_SLAB", planes * n**2)
+        grid = make_grid(n, TWO_PI)
+        params = PhysParams(nu=0.5, alpha=1.0, beta=beta)
+        v = grid.ball.gather(random_solenoidal(grid, seed=n, amplitude=4.0).coeffs)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often: a shared write would show
+        try:
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("NSD_THREADS", threads)
+                kernel = dynamics._Kernel(grid, params)
+                assert kernel.workers == int(threads)
+                terms = kernel(v)
+                calls.append((terms, kernel.u))
+                assert len(kernel.slabs) == len(kernel.products) == int(threads)
+                alone = dynamics._Kernel(grid, params)
+                assert np.array_equal(alone.inverse(v), kernel.u)
+        finally:
+            sys.setswitchinterval(interval)
+        (want, want_u), *others = calls
+        for got, got_u in others:
+            assert np.array_equal(got_u, want_u)
+            for name, g, w in zip(want._fields, got, want):
+                assert np.array_equal(g, w), name
+
+    def test_slab_workers_run_in_the_callers_errstate(self, monkeypatch):
+        # a worker takes a copy of the caller's context: the overflow of
+        # |u|^(beta-1) at beta = 1000 is ignored on every worker, as on one
+        monkeypatch.setenv("NSD_THREADS", "2")
+        monkeypatch.setattr(spectral, "_SLAB", 8 * 16**2)
+        grid = make_grid(16, TWO_PI)
+        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=1000.0))
+        assert kernel.workers == 2
+        v = grid.ball.gather(random_solenoidal(grid, seed=16, amplitude=1e3).coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = kernel(v)
+        assert not np.isfinite(terms.damp_rate)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -576,8 +622,8 @@ class TestStepping:
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=12)
         u0.coeffs[0, 1, 0, 0] = np.nan
-        state = SolverState(t=0.0, u=u0, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
-        with pytest.raises(BlowupError):
+        state = SolverState(t=0.5, u=u0, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        with pytest.raises(BlowupError, match=r"^non-finite field \(\|u\|_inf = nan\) at t = 0\.5$"):
             step(state, StepperConfig(dt=1e-3))
 
     @pytest.mark.parametrize(

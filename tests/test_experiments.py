@@ -6,14 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsdamp import cli, dynamics, experiments
+from nsdamp import cli, dynamics, experiments, spectral
 from nsdamp.checkpoint import write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
@@ -325,6 +327,37 @@ class TestDecay:
         assert (tmp_path / "d" / "report.txt").exists()
 
 
+    @pytest.mark.parametrize("series, field, index, value, check", [
+        ("energy", "l2_sq", 4, math.nan, "energy monotone nonincreasing"),
+        # l2[0] = inf makes the slack inf too, so no rise exceeds it
+        ("energy", "l2_sq", 0, math.inf, "energy monotone nonincreasing"),
+        ("decay", "hminus2", 5, math.nan, "low-regularity norm nonincreasing over tail"),
+        # the tail is records 4..8; an inf at its start only falls
+        ("decay", "hminus2", 4, math.inf, "low-regularity norm nonincreasing over tail"),
+        # a NaN final total read as 0, so the increment fraction was 0
+        ("decay", "lbeta_E1", 8, math.nan, "space-time accumulators plateau"),
+        # an inf at the final decile's start makes the increment -inf
+        ("decay", "lbeta_E1", 7, math.inf, "space-time accumulators plateau"),
+    ])
+    def test_a_check_fails_on_a_value_that_is_not_finite(self, monkeypatch, series, field, index,
+                                                          value, check):
+        # a comparison with NaN is False, and an inf can hide behind a slack or a
+        # difference: each check fails outright on a value it reads that is not finite
+        def corrupting(*args, hooks, **kwargs):
+            yield from trajectory(*args, hooks=hooks, **kwargs)
+            records = getattr(hooks[0], series)
+            records[index] = replace(records[index], **{field: value})
+
+        monkeypatch.setattr(experiments, "trajectory", corrupting)
+        cfg = _cfg(**{"grid.box_length": 8.0 * np.pi, "phys.beta": 10.0 / 3.0, "time.dt": 0.05,
+                      "time.t_end": 2.0, "time.output_every": 0.25, "ic.kind": "random-solenoidal"})
+        with np.errstate(invalid="ignore", over="ignore"):  # the other checks read the value too
+            rep = decay_experiment(cfg)
+        assert len(rep.recorder.energy) == 9
+        assert any(line.startswith(f"[FAIL] {check}:") for line in rep.lines()), rep.lines()
+        assert not rep.passed
+
+
 class TestMemory:
     """What the drivers and the stepper hold.
 
@@ -470,10 +503,12 @@ class TestMemory:
         cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
         assert cubes <= 3.0, cubes
 
-    def test_a_first_kernel_call_at_n64_streams_its_transforms(self):
-        # the transforms stream slab by slab: the first call at N = 64,
-        # buffers included, peaks at 1.37 cubes, where the whole
-        # (3, N, N, N/2 + 1) half spectrum the kernel held took 1.81
+    def test_a_first_kernel_call_at_n64_streams_its_transforms(self, monkeypatch):
+        # the transforms stream slab by slab: the first call at N = 64 on two
+        # workers, buffers included, peaks at 1.45 cubes (1.32 on one), where
+        # the whole (3, N, N, N/2 + 1) half spectrum the kernel held took 1.81;
+        # each further worker adds its two slabs, 0.13 cubes
+        monkeypatch.setenv("NSD_THREADS", "2")
         n = 64
         grid = make_grid(n, TWO_PI)
         kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
@@ -482,17 +517,24 @@ class TestMemory:
         cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
         assert cubes <= 1.5, cubes
 
-    def test_the_kernel_holds_no_half_spectrum_cube(self):
-        # its one slab of half spectrum is 8 of the 64 y-planes; no other array
-        # it holds or views, but the grid values u, has a half-spectrum cube's size
+    def test_the_kernel_holds_no_half_spectrum_cube(self, monkeypatch):
+        # each worker's slab of half spectrum is 8 of the 64 y-planes, and its
+        # product slab 8 of the 64 y-planes of three blocks; no other array it
+        # holds or views, but the grid values u, has a half-spectrum cube's size
+        monkeypatch.setenv("NSD_THREADS", "3")
         n = 64
         grid = make_grid(n, TWO_PI)
         kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         kernel(grid.ball.gather(random_solenoidal(grid, seed=n).coeffs))
         cube = 3 * n * n * (n // 2 + 1)
-        assert kernel.slab.size == 3 * n * grid.ball.slab * (n // 2 + 1) == cube // 8
+        assert len(kernel.slabs) == len(kernel.planes) == len(kernel.products) == 3
+        for slab, products in zip(kernel.slabs, kernel.products):
+            assert slab.size == 3 * n * grid.ball.slab * (n // 2 + 1) == cube // 8
+            assert products.size == 3 * grid.ball.slab * n * n == 3 * n**3 // 8
         held = [(name, a) for name, a in vars(kernel).items() if isinstance(a, np.ndarray)]
-        assert len(held) >= 8
+        held += [(f"{name}[{w}]", a) for name in ("slabs", "planes", "products")
+                 for w, a in enumerate(getattr(kernel, name))]
+        assert len(held) >= 15
         sizes = {name: max(a.size, 0 if a.base is None else a.base.size) for name, a in held}
         assert [name for name, size in sizes.items() if size >= cube] == ["u"], sizes
 
@@ -656,6 +698,55 @@ class TestThreadCap:
         with pytest.raises(ConfigError, match="positive"):
             twin_experiment(_cfg(), 0.0)
 
+    def test_a_run_refuses_a_bad_cap(self, monkeypatch, tmp_path):
+        # the kernel reads the cap when it is built, so a plain run refuses it
+        # too, one slab or many, with exit 2
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(canonical_text(_cfg(**{"time.t_end": 0.004})))
+        for raw, match in (("many", "NSD_THREADS must be an integer"), ("0", "must be positive")):
+            monkeypatch.setenv("NSD_THREADS", raw)
+            with pytest.raises(ConfigError, match=match):
+                run_experiment(_cfg(**{"time.t_end": 0.004}))
+            assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+
+    def test_the_two_thread_levels_never_nest(self, monkeypatch):
+        # the twin driver runs its two trajectories on pool threads; a kernel
+        # there splits no slabs, so no more than the cap's threads, plus the
+        # caller's, are ever alive while a kernel forms its products
+        monkeypatch.setenv("NSD_THREADS", "2")
+        monkeypatch.setattr(spectral, "_SLAB", 3 * 16**2)  # six slabs at N = 16
+        seen = []
+        products = dynamics._Kernel._products
+
+        def counting(self, *args):
+            seen.append(threading.active_count())
+            return products(self, *args)
+
+        monkeypatch.setattr(dynamics._Kernel, "_products", counting)
+        cfg = _cfg(**{"grid.n_modes": 16, "time.t_end": 0.02, "time.output_every": 0.01})
+        alone = threading.active_count()
+        grid = cfg.grid()
+        kernel = dynamics._Kernel(grid, cfg.phys())
+        kernel(grid.ball.gather(taylor_green(grid).coeffs))
+        assert kernel.workers == 2 and max(seen) == alone + 1  # the probe sees a kernel's worker
+        seen.clear()
+        twin_experiment(cfg, 1e-3)
+        assert seen and max(seen) <= alone + 2, max(seen)
+
+    def test_a_run_at_n64_gives_the_same_bytes_on_one_and_two_workers(self, monkeypatch, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(canonical_text(_cfg(**{
+            "grid.n_modes": 64, "time.dt": 1e-3, "time.t_end": 2e-3, "time.output_every": 1e-3,
+            "ic.kind": "random-solenoidal", "ic.seed": 7})))
+        digests = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NSD_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["run", str(cfg_file), "--out", str(out)]) == 0
+            digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("series.csv", "final.ckpt")])
+        assert digests[0] == digests[1]
+
     def test_serial_cap_matches_default(self, monkeypatch):
         cfg = _cfg(**{"time.t_end": 0.05})
         free = twin_experiment(cfg, 1e-3)
@@ -713,6 +804,18 @@ class TestCli:
             assert main(["run", str(steep)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: dt = ") and "Traceback" not in err
+
+    def test_a_failed_run_names_its_time(self, tmp_path, cfg_file, capsys):
+        # N = 8, dt = 0.01 and a random start at amplitude 400 break the CFL
+        # budget at the first step
+        fast = tmp_path / "fast.cfg"
+        fast.write_text(cfg_file.read_text().replace("time.dt = 2e-3", "time.dt = 0.01")
+                        .replace("ic.kind = taylor-green", "ic.kind = random-solenoidal")
+                        + "ic.amplitude = 400.0\n")
+        assert main(["run", str(fast)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: dt = 0.01 exceeds the stability budget"), err
+        assert err.rstrip().endswith(") at t = 0"), err
 
     def test_a_zero_inter_level_difference_fails_refine(self, tmp_path, cfg_file, capsys):
         # at amplitude 1e-300 every level ends in the same state: a shrink factor
