@@ -22,6 +22,7 @@ from .spectral import (
     SpectralField,
     _power,
     _sobolev_weight,
+    _wavenumbers,
     _weighted_sum,
     make_grid,
     sobolev_norm,
@@ -161,7 +162,8 @@ def interpolation_gap(f: SpectralField) -> float:
     returns 0 by convention.
     """
     _require_zero_mean(f, "interpolation gap")
-    weights = [_sobolev_weight(f.grid.k_sq, s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
+    k_sq = _wavenumbers(f.grid)[1]
+    weights = [_sobolev_weight(k_sq, s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
     lhs, rhs = _interpolation_sides(_power(f.coeffs), weights, f.grid.volume)
     return rhs - lhs
 
@@ -169,7 +171,7 @@ def interpolation_gap(f: SpectralField) -> float:
 def _product_weight(grid: GridSpec) -> np.ndarray:
     """|xi|^-1 on the rfft half spectrum, doubled on the planes that stand for their conjugates."""
     n = grid.n_modes
-    weight = _sobolev_weight(grid.k_sq[..., : n // 2 + 1], -0.5, homogeneous=True)
+    weight = _sobolev_weight(_wavenumbers(grid, n // 2 + 1)[1], -0.5, homogeneous=True)
     weight[..., 1 : n // 2] *= 2.0  # Parseval: these planes also stand for their conjugates
     return weight
 

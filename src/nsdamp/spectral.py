@@ -20,6 +20,10 @@ Conventions, fixed once for the whole package:
   the ball's entries of the rfft half spectrum, with its wavenumber and
   H^-2 / unit-shell tables, pruned transforms and Parseval-weighted sums.
   The stepper evolves such vectors and the ledger's hooks read them.
+* A grid caches only its mode_numbers and its ball. Every full-cube
+  operator takes xi and |xi|^2 from _wavenumbers, the one |xi|^2 rule:
+  the 1-D axis wavenumbers broadcast over the cube, never a stored
+  (N, N, N) table. GridSpec.ball_mask is built on each access.
 """
 
 from __future__ import annotations
@@ -44,16 +48,11 @@ __all__ = [
     "to_spectral",
     "leray_project",
     "friedrichs_truncate",
-    "remove_mean",
     "sobolev_norm",
     "lp_norm_physical",
-    "linf_norm",
     "l2_norm",
-    "l2_inner",
     "grad_norm_sq",
     "divergence_error",
-    "hermitian_error",
-    "zeros_like",
 ]
 
 #: relative slack on the |xi| <= R comparison so boundary shells are kept
@@ -168,6 +167,19 @@ def _in_ball(k_sq: np.ndarray | float, radius: float) -> np.ndarray | bool:
     return k_sq <= radius**2 * (1.0 + _BALL_TOL)
 
 
+def _wavenumbers(grid: GridSpec, planes: int | None = None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The one |xi|^2 rule: xi broadcast over the first planes z-planes of the cube, and |xi|^2 there.
+
+    Returns ((kx, ky, kz), k_sq): the axis wavenumbers (2 pi / L) m as
+    k1[:, None, None], k1[None, :, None] and k1[None, None, :planes], and a
+    fresh (N, N, planes) array (kx^2 + ky^2) + kz^2. planes defaults to the
+    whole cube; the ball takes the rfft half spectrum, N/2 + 1.
+    """
+    k1 = 2.0 * np.pi / grid.box_length * grid.mode_numbers
+    k = (k1[:, None, None], k1[None, :, None], k1[None, None, :planes])
+    return k, k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic cube discretization with a sharp spectral cutoff.
@@ -178,6 +190,11 @@ class GridSpec:
             overflows at the (N/2, N/2, N/2) corner mode.
         cutoff_radius: radius R of the retained closed ball |xi| <= R; must
             not exceed the dealiasing bound (2/3) * (2 pi / L) * (N / 2).
+
+    A grid caches two derived values, mode_numbers and ball, which depend
+    only on the three frozen scalars. It holds no full-cube table: the
+    full-cube operators broadcast the axis wavenumbers through
+    _wavenumbers, and ball_mask is built on each access.
     """
 
     n_modes: int
@@ -198,56 +215,22 @@ class GridSpec:
                 f"cutoff_radius {radius:g} exceeds the dealiasing bound "
                 f"(2/3)*(2*pi/L)*(N/2) = {bound:g}"
             )
-        # the largest |xi|^2, at the (N/2, N/2, N/2) corner, summed as in k_sq; float
-        # arithmetic overflows to inf quietly, where the tables' numpy squares would warn
+        # the largest |xi|^2, at the (N/2, N/2, N/2) corner, summed as in _wavenumbers; float
+        # arithmetic overflows to inf quietly, where its numpy squares would warn
         corner = 2.0 * np.pi / length * (n // 2)
         corner *= corner
         if not math.isfinite(corner + corner + corner):
             raise ValueError(f"box_length {length!r} makes |xi|^2 overflow at the grid's corner mode")
-
-    # Derived arrays are cached on first use; they depend only on the three
-    # frozen scalars above, so caching is safe. The full-cube tables serve
-    # leray_project, friedrichs_truncate and the full-cube norms; the ball,
-    # validate(), and with them every driver, build none of them.
 
     @cached_property
     def mode_numbers(self) -> np.ndarray:
         """Integer mode index along one axis, in FFT order 0..N/2-1, -N/2..-1."""
         return np.rint(np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes)).astype(np.int64)
 
-    def _axis_wavenumbers(self) -> np.ndarray:
-        """xi along one axis, (2 pi / L) m in FFT order, shape (N,)."""
-        return 2.0 * np.pi / self.box_length * self.mode_numbers
-
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """xi as an array of shape (3, N, N, N)."""
-        k1 = self._axis_wavenumbers()
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-        return np.stack([kx, ky, kz])
-
-    @cached_property
-    def k_sq(self) -> np.ndarray:
-        """|xi|^2, shape (N, N, N)."""
-        k = self.wavenumbers
-        return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-
-    @cached_property
+    @property
     def ball_mask(self) -> np.ndarray:
-        """Boolean mask of the retained closed ball |xi| <= cutoff_radius."""
-        return _in_ball(self.k_sq, self.cutoff_radius)
-
-    @cached_property
-    def low_shell_mask(self) -> np.ndarray:
-        """Boolean mask of |xi| < 1 (strict), the low-frequency block."""
-        return self.k_sq < 1.0
-
-    @cached_property
-    def _k_sq_safe(self) -> np.ndarray:
-        """|xi|^2 with the zero mode replaced by 1 (safe divisor)."""
-        out = self.k_sq.copy()
-        out[0, 0, 0] = 1.0
-        return out
+        """Boolean (N, N, N) mask of the retained closed ball |xi| <= cutoff_radius, built on each access."""
+        return _in_ball(_wavenumbers(self)[1], self.cutoff_radius)
 
     @cached_property
     def ball(self) -> "_Ball":
@@ -357,8 +340,8 @@ class SpectralField:
 
         Checks, each to 1e-10 relative to the coefficient scale: Hermitian
         symmetry, support inside the closed cutoff ball, zero mean, and
-        solenoidality. Reads the ball's index tables and the 1-D axis
-        wavenumbers, never a full-cube table of the grid. Its work arrays
+        solenoidality. Reads the ball's index tables and the broadcast axis
+        wavenumbers of _wavenumbers, never a full-cube table. Its work arrays
         hold one component at a time (the magnitudes, the Hermitian gap,
         the power sums; the divergence is one component's size), so it
         peaks below one cube of coefficients; maxima are exact and sums
@@ -379,10 +362,6 @@ class SpectralField:
         div = divergence_error(self)
         if div > _STATE_TOL:
             raise ValueError(f"field is not solenoidal: xi.u error is {div:.3e}")
-
-
-def zeros_like(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +400,14 @@ def to_spectral(samples: np.ndarray, grid: GridSpec) -> SpectralField:
 # Fourier-multiplier operators
 
 
-def _project(c: np.ndarray, k: np.ndarray, k_sq_safe: np.ndarray) -> None:
-    """Leray projection of c in place, for c and k of shape (3, ...): c -= xi (xi . c) / |xi|^2.
+def _project(c: np.ndarray, k, k_sq_safe: np.ndarray) -> None:
+    """Leray projection of c in place, for c of shape (3, ...): c -= xi (xi . c) / |xi|^2.
 
-    k_sq_safe is |xi|^2 with the zero mode replaced by 1, where xi = 0
-    leaves c unchanged. The gradient part is subtracted one component at a
-    time, so no temporary has c's size. leray_project and _Ball.project
-    both run it.
+    k holds xi's three components, each broadcastable to c[0] (the ball's
+    (3, n_ball) table or _wavenumbers' axes). k_sq_safe is |xi|^2 with the
+    zero mode replaced by 1, where xi = 0 leaves c unchanged. The gradient
+    part is subtracted one component at a time, so no temporary has c's
+    size. leray_project and _Ball.project both run it.
     """
     dot = k[0] * c[0]
     dot += k[1] * c[1]
@@ -445,7 +425,9 @@ def leray_project(f: SpectralField) -> SpectralField:
     any other Fourier multiplier, truncation included.
     """
     out = f.coeffs.copy()
-    _project(out, f.grid.wavenumbers, f.grid._k_sq_safe)
+    k, k_sq_safe = _wavenumbers(f.grid)
+    k_sq_safe[0, 0, 0] = 1.0
+    _project(out, k, k_sq_safe)
     return SpectralField(f.grid, out)
 
 
@@ -457,16 +439,9 @@ def friedrichs_truncate(f: SpectralField, radius: float | None = None) -> Spectr
     """
     if radius is None:
         radius = f.grid.cutoff_radius
-    if radius < 0.0:
+    if not radius >= 0.0:  # NaN too: it would keep no mode
         raise ValueError(f"truncation radius must be nonnegative, got {radius!r}")
-    return SpectralField(f.grid, f.coeffs * _in_ball(f.grid.k_sq, radius))
-
-
-def remove_mean(f: SpectralField) -> SpectralField:
-    """Zero the m = 0 coefficient (velocity frame choice)."""
-    out = f.coeffs.copy()
-    out[:, 0, 0, 0] = 0.0
-    return SpectralField(f.grid, out)
+    return SpectralField(f.grid, f.coeffs * _in_ball(_wavenumbers(f.grid)[1], radius))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +495,7 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
     L2 norm.
     inhomogeneous: sqrt(L^3 sum_m (1 + |xi|^2)^s |c|^2) (H^s, all modes).
     """
-    weight = _sobolev_weight(f.grid.k_sq, s, homogeneous)
+    weight = _sobolev_weight(_wavenumbers(f.grid)[1], s, homogeneous)
     total = _weighted_sum(_power(f.coeffs), weight)
     return float(np.sqrt(f.grid.volume * max(total, 0.0)))
 
@@ -530,16 +505,9 @@ def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt(f.grid.volume * _weighted_sum(_power(f.coeffs))))
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L2 inner product <f, g> = L^3 Re sum conj(c_f) c_g."""
-    f._check_same_grid(g)
-    a, b = f.coeffs, g.coeffs
-    return float(f.grid.volume * (a.real * b.real + a.imag * b.imag).sum())
-
-
 def grad_norm_sq(f: SpectralField) -> float:
     """||grad f||_L2^2 = L^3 sum |xi|^2 |c|^2."""
-    return f.grid.volume * _weighted_sum(_power(f.coeffs), f.grid.k_sq)
+    return f.grid.volume * _weighted_sum(_power(f.coeffs), _wavenumbers(f.grid)[1])
 
 
 def lp_norm_physical(f: SpectralField, p: float) -> float:
@@ -547,17 +515,13 @@ def lp_norm_physical(f: SpectralField, p: float) -> float:
 
     (sum_j |u(x_j)|^p dV)^(1/p) with dV the grid cell volume and |u| the
     Euclidean magnitude of the velocity vector. For p = 2 this matches the
-    coefficient norm to roundoff (discrete Parseval).
+    coefficient norm to roundoff (discrete Parseval). p must be finite:
+    the sum has no L^inf limit in floats.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p!r}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
     total = float((_speed_sq(f) ** (p / 2.0)).sum()) * f.grid.cell_volume
     return float(total ** (1.0 / p))
-
-
-def linf_norm(f: SpectralField) -> float:
-    """Max pointwise Euclidean magnitude on the collocation grid."""
-    return float(np.sqrt(float(_speed_sq(f).max())))
 
 
 # ---------------------------------------------------------------------------
@@ -597,23 +561,16 @@ def _hermitian_gap(c: np.ndarray) -> float:
 
 def divergence_error(f: SpectralField) -> float:
     """Relative size of xi . u: ||xi.u||_l2 / (R ||u||_l2), 0 for the zero field."""
-    k1, c = f.grid._axis_wavenumbers(), f.coeffs
+    c = f.coeffs
     denom = f.grid.cutoff_radius * float(np.sqrt(_weighted_sum(_power(c))))
     if denom == 0.0:
         return 0.0
+    k = _wavenumbers(f.grid)[0]  # its |xi|^2 is freed at once
     # (k1 c0 + k2 c1) + k3 c2, summed in place
-    div = k1[:, None, None] * c[0]
-    div += k1[None, :, None] * c[1]
-    div += k1[None, None, :] * c[2]
+    div = k[0] * c[0]
+    div += k[1] * c[1]
+    div += k[2] * c[2]
     return float(np.sqrt(_weighted_sum(_power(div[np.newaxis]))) / denom)
-
-
-def hermitian_error(f: SpectralField) -> float:
-    """Relative deviation from c(-m) = conj(c(m))."""
-    scale = float(np.max(np.abs(f.coeffs)))
-    if scale == 0.0:
-        return 0.0
-    return _hermitian_gap(f.coeffs) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +611,9 @@ class _Ball:
     from_physical() passes slabs of whole blocks.
 
     Built once per grid, as GridSpec.ball, from the 1-D mode numbers
-    broadcast over the (N, N, N/2 + 1) half spectrum, with |xi|^2 summed in
-    the order of GridSpec.k_sq: membership and every table have the bits of
-    the full-cube tables, which the ball never builds. It holds no
+    broadcast over the (N, N, N/2 + 1) half spectrum, with xi and |xi|^2
+    from _wavenumbers, the rule of every full-cube operator: membership and
+    every table have the bits of the full-cube operators' |xi|^2. It holds no
     reference back to its grid, so a grid and its ball are freed together.
     Every array is read-only; nothing here is scratch space, so threads may
     share one instance. to_physical() and from_slabs() take a caller's
@@ -670,11 +627,9 @@ class _Ball:
     def __init__(self, grid: GridSpec):
         n = self.n_modes = grid.n_modes
         half = n // 2 + 1
-        m, k1 = grid.mode_numbers, grid._axis_wavenumbers()
-        # |xi|^2 on the half spectrum, summed in the order of GridSpec.k_sq, so
-        # membership and every table below have the bits of the full-cube ones
-        sq = k1**2
-        k_sq = sq[:, None, None] + sq[None, :, None] + sq[None, None, :half]
+        m = grid.mode_numbers
+        (kx, _, _), k_sq = _wavenumbers(grid, half)
+        k1 = kx.reshape(-1)
         mx, my, mz = m[:, None, None], m[None, :, None], m[None, None, :half]
         kept = _in_ball(k_sq, grid.cutoff_radius) & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
         entries = np.flatnonzero(kept)
@@ -686,7 +641,7 @@ class _Ball:
         self.k_sq = k_sq.reshape(-1)[entries]
         self.k_sq_safe = np.where(self.k_sq == 0.0, 1.0, self.k_sq)
         self.hminus2 = _sobolev_weight(self.k_sq, -2.0, homogeneous=False)  # (1 + |xi|^2)^-2
-        self.low_shell = self.k_sq < 1.0  # as GridSpec.low_shell_mask
+        self.low_shell = self.k_sq < 1.0  # |xi| < 1 (strict), the low-frequency block
         self.weight = np.full(ix.size, 2.0)
         self.weight[0] = 1.0
         self.top = int(iz.max())
@@ -831,7 +786,7 @@ class _Ball:
                 for m in multipliers]
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """sum over the full cube of Re conj(a_m) b_m (no box volume factor), as l2_inner."""
+        """sum over the full cube of Re conj(a_m) b_m (no box volume factor)."""
         return _weighted_sum((a.real * b.real + a.imag * b.imag).sum(axis=0), self.weight)
 
     def project(self, v: np.ndarray) -> None:

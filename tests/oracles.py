@@ -22,12 +22,24 @@ product-law ratio from the full ``fftn`` of the whole cube, which the
 package's ball transforms and half-spectrum sums must reproduce.
 
 ``full_cube_ball_tables`` reads the cutoff ball's entries and tables off the
-grid's full-cube wavenumber, |xi|^2 and mask tables, which the ball's own
+full-cube wavenumber, |xi|^2 and mask tables below, which the ball's own
 construction from 1-D mode numbers must reproduce bit for bit.
 
+``cube_wavenumbers``, ``cube_k_sq``, ``cube_k_sq_safe``, ``cube_ball_mask``
+and ``cube_low_shell_mask`` are whole (N, N, N) tables built by
+``np.meshgrid`` of the axis wavenumbers, apart from the package's broadcast
+``spectral._wavenumbers``. The ``cube_*`` operators
+(``cube_leray_project``, ``cube_friedrichs_truncate``, ``cube_sobolev_norm``,
+``cube_grad_norm_sq``, ``cube_interpolation_gap``, ``cube_product_law_ratio``)
+are the public full-cube operators with their |xi|^2 read off those tables,
+which the package's operators must reproduce bit for bit.
+
+``hermitian_error``, ``l2_inner``, ``linf_norm``, ``remove_mean`` and
+``zeros_like`` are small field helpers that only the tests read.
+
 ``reference_validate``, ``reference_hermitian_error`` and
-``reference_divergence_error`` are the state-space check as it read the
-grid's full-cube mask and wavenumber tables, with a separate finiteness
+``reference_divergence_error`` are the state-space check read off the
+full-cube mask and wavenumber tables, with a separate finiteness
 pass, which the table-free ``SpectralField.validate`` must reproduce:
 the same verdicts and messages from bitwise-equal measures.
 
@@ -53,11 +65,130 @@ import scipy.fft
 from nsdamp.dynamics import _Kernel
 from nsdamp.spectral import (
     SpectralField,
+    _hermitian_gap,
+    _speed_sq,
     friedrichs_truncate,
     l2_norm,
     leray_project,
-    remove_mean,
+    to_physical,
 )
+
+
+def zeros_like(grid):
+    """The zero field on grid."""
+    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+
+
+def remove_mean(f):
+    """f with its m = 0 coefficient zeroed."""
+    out = f.coeffs.copy()
+    out[:, 0, 0, 0] = 0.0
+    return SpectralField(f.grid, out)
+
+
+def l2_inner(f, g):
+    """Real L2 inner product <f, g> = L^3 Re sum conj(c_f) c_g."""
+    f._check_same_grid(g)
+    a, b = f.coeffs, g.coeffs
+    return float(f.grid.volume * (a.real * b.real + a.imag * b.imag).sum())
+
+
+def linf_norm(f):
+    """Max pointwise Euclidean magnitude on the collocation grid."""
+    return float(np.sqrt(float(_speed_sq(f).max())))
+
+
+def hermitian_error(f):
+    """Relative deviation from c(-m) = conj(c(m)), by the gap validate() measures."""
+    scale = float(np.max(np.abs(f.coeffs)))
+    if scale == 0.0:
+        return 0.0
+    return _hermitian_gap(f.coeffs) / scale
+
+
+def cube_wavenumbers(grid):
+    """xi as an array of shape (3, N, N, N), from np.meshgrid of the axis wavenumbers."""
+    k1 = 2.0 * np.pi / grid.box_length * grid.mode_numbers
+    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+    return np.stack([kx, ky, kz])
+
+
+def cube_k_sq(grid):
+    """|xi|^2, shape (N, N, N)."""
+    k = cube_wavenumbers(grid)
+    return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+
+
+def cube_k_sq_safe(grid):
+    """|xi|^2 with the zero mode replaced by 1 (safe divisor)."""
+    out = cube_k_sq(grid)
+    out[0, 0, 0] = 1.0
+    return out
+
+
+def cube_ball_mask(grid, radius=None):
+    """Boolean mask of the closed ball |xi| <= radius (default the grid's cutoff), 1e-12 relative slack."""
+    radius = grid.cutoff_radius if radius is None else radius
+    return cube_k_sq(grid) <= radius**2 * (1.0 + 1e-12)
+
+
+def cube_low_shell_mask(grid):
+    """Boolean mask of |xi| < 1 (strict), the low-frequency block."""
+    return cube_k_sq(grid) < 1.0
+
+
+def _cube_power(c):
+    return (c.real**2 + c.imag**2).sum(axis=0)
+
+
+def _cube_sobolev_weight(k_sq, s, homogeneous):
+    if not homogeneous:
+        return (1.0 + k_sq) ** s
+    return np.power(k_sq, s, out=np.zeros_like(k_sq), where=k_sq > 0.0)
+
+
+def cube_leray_project(f):
+    """c - xi (xi . c) / |xi|^2 from the (3, N, N, N) wavenumber table."""
+    return SpectralField(f.grid, f.coeffs - gradient_part(f.coeffs, cube_wavenumbers(f.grid),
+                                                          cube_k_sq_safe(f.grid)))
+
+
+def cube_friedrichs_truncate(f, radius=None):
+    """f with every coefficient outside the closed ball |xi| <= radius zeroed."""
+    return SpectralField(f.grid, f.coeffs * cube_ball_mask(f.grid, radius))
+
+
+def cube_sobolev_norm(f, s, homogeneous=True):
+    """sqrt(L^3 sum w |c|^2), w = |xi|^(2s) off m = 0 or (1 + |xi|^2)^s, from the |xi|^2 table."""
+    weight = _cube_sobolev_weight(cube_k_sq(f.grid), s, homogeneous)
+    total = float((weight * _cube_power(f.coeffs)).sum())
+    return float(np.sqrt(f.grid.volume * max(total, 0.0)))
+
+
+def cube_grad_norm_sq(f):
+    """L^3 sum |xi|^2 |c|^2 from the |xi|^2 table."""
+    return f.grid.volume * float((cube_k_sq(f.grid) * _cube_power(f.coeffs)).sum())
+
+
+def cube_interpolation_gap(f):
+    """||f||_L2^(2/5) ||grad f||_L2^(3/5) - ||f||_(3/5) from the |xi|^2 table (0 for the zero field)."""
+    l2, lhs, grad = (cube_sobolev_norm(f, s) for s in (0.0, 0.6, 1.0))
+    if l2 == 0.0:
+        return 0.0
+    return l2 ** 0.4 * grad ** 0.6 - lhs
+
+
+def cube_product_law_ratio(f, g):
+    """||f (x) g||_(s = -1/2) / (||f||_L2 ||grad g||_L2), the products' half spectrum weighted from the table."""
+    grid = f.grid
+    n = grid.n_modes
+    den = cube_sobolev_norm(f, 0.0) * cube_sobolev_norm(g, 1.0)
+    weight = _cube_sobolev_weight(cube_k_sq(grid)[..., : n // 2 + 1], -0.5, homogeneous=True)
+    weight[..., 1 : n // 2] *= 2.0  # these planes also stand for their conjugates
+    prods = to_physical(f)[:, None] * to_physical(g)[None]
+    c = np.fft.rfftn(prods.reshape(9, n, n, n), axes=(1, 2, 3), norm="forward")
+    num_sq = grid.volume * float((weight * _cube_power(c)).sum())
+    return float(np.sqrt(max(num_sq, 0.0)) / den)
 
 
 def _support(coeffs):
@@ -130,16 +261,15 @@ def cubic_damping_hat(u, alpha):
 
 def project_hat(hat, grid):
     """Leray projection applied directly to a coefficient array."""
-    k = grid.wavenumbers
-    k_sq = grid.k_sq.copy()
-    k_sq[0, 0, 0] = 1.0
+    k = cube_wavenumbers(grid)
+    k_sq = cube_k_sq_safe(grid)
     dot = k[0] * hat[0] + k[1] * hat[1] + k[2] * hat[2]
     return np.stack([hat[i] - k[i] * dot / k_sq for i in range(3)])
 
 
 def divergence_hat(tensor_hat, grid):
     """d_i = i xi_j T[i, j] evaluated at each output mode."""
-    k = grid.wavenumbers
+    k = cube_wavenumbers(grid)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for i in range(3):
         for j in range(3):
@@ -151,7 +281,7 @@ def direct_advection(u):
     """Reference for the truncated, projected advection term."""
     grid = u.grid
     div = divergence_hat(quadratic_convolution(u), grid)
-    div *= grid.ball_mask
+    div *= cube_ball_mask(grid)
     return project_hat(div, grid)
 
 
@@ -170,11 +300,10 @@ def direct_pressure(u, alpha):
     total = divergence_hat(quadratic_convolution(u), grid)
     if alpha > 0.0:
         total = total + cubic_damping_hat(u, alpha)
-    total *= grid.ball_mask
-    k = grid.wavenumbers
+    total *= cube_ball_mask(grid)
+    k = cube_wavenumbers(grid)
     div = 1j * (k[0] * total[0] + k[1] * total[1] + k[2] * total[2])
-    k_sq = grid.k_sq.copy()
-    k_sq[0, 0, 0] = 1.0
+    k_sq = cube_k_sq_safe(grid)
     p_hat = -div / k_sq
     p_hat[0, 0, 0] = 0.0
     return p_hat
@@ -192,22 +321,22 @@ def scatter(ball, v):
 
 
 def full_cube_ball_tables(grid):
-    """The ball's entry indices and per-entry tables, read off GridSpec's full (N, N, N) tables."""
+    """The ball's entry indices and per-entry tables, read off the full (N, N, N) meshgrid tables."""
     n = grid.n_modes
     half = n // 2 + 1
     m = grid.mode_numbers
     mx, my, mz = np.meshgrid(m, m, m[:half], indexing="ij")
-    kept = grid.ball_mask[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
+    kept = cube_ball_mask(grid)[:, :, :half] & ((mz > 0) | (mx > 0) | ((mx == 0) & (my >= 0)))
     ix, iy, iz = np.unravel_index(np.flatnonzero(kept), (n, n, half))
-    k_sq = grid.k_sq[ix, iy, iz]
+    k_sq = cube_k_sq(grid)[ix, iy, iz]
     return {
         "full_index": np.ravel_multi_index((ix, iy, iz), (n, n, n)),
         "conj_full_index": np.ravel_multi_index(((-ix) % n, (-iy) % n, (-iz) % n), (n, n, n))[1:],
-        "k": grid.wavenumbers[:, ix, iy, iz],
+        "k": cube_wavenumbers(grid)[:, ix, iy, iz],
         "k_sq": k_sq,
         "k_sq_safe": np.where(k_sq == 0.0, 1.0, k_sq),
         "hminus2": (1.0 + k_sq) ** -2.0,
-        "low_shell": grid.low_shell_mask[ix, iy, iz],
+        "low_shell": cube_low_shell_mask(grid)[ix, iy, iz],
     }
 
 
@@ -342,7 +471,7 @@ def fftn_product_law_ratio(f, g):
     fp, gp = (scipy.fft.ifftn(h.coeffs, axes=(1, 2, 3), norm="forward").real for h in (f, g))
     c = scipy.fft.fftn(fp[:, None] * gp[None], axes=(2, 3, 4), norm="forward")
     power = (c.real**2 + c.imag**2).sum(axis=(0, 1))
-    k_sq = grid.k_sq
+    k_sq = cube_k_sq(grid)
     num = grid.volume * float((power[k_sq > 0.0] / np.sqrt(k_sq[k_sq > 0.0])).sum())
     f_sq = grid.volume * float((np.abs(f.coeffs) ** 2).sum())
     g_grad_sq = grid.volume * float((k_sq * np.abs(g.coeffs) ** 2).sum())
@@ -360,6 +489,7 @@ def full_cube_ledger(states):
         grid, c = s.grid, s.u.coeffs
         n = grid.n_modes
         power = (c.real**2 + c.imag**2).sum(axis=0)
+        k_sq, low_shell = cube_k_sq(grid), cube_low_shell_mask(grid)
 
         def norm_sq(weight=1.0):
             return grid.volume * float((weight * power).sum())
@@ -372,9 +502,9 @@ def full_cube_ledger(states):
         row = {
             "t": s.t,
             "l2_sq": norm_sq(),
-            "hminus2": np.sqrt(norm_sq((1.0 + grid.k_sq) ** -2.0)),
-            "w1_l2": np.sqrt(norm_sq(grid.low_shell_mask)),
-            "w2_l2": np.sqrt(norm_sq(~grid.low_shell_mask)),
+            "hminus2": np.sqrt(norm_sq((1.0 + k_sq) ** -2.0)),
+            "w1_l2": np.sqrt(norm_sq(low_shell)),
+            "w2_l2": np.sqrt(norm_sq(~low_shell)),
             "linf": float(mag.max(initial=0.0)),
             "rate_e1": dv * float(powered[small].sum()),
             "rate_e2": dv * float(powered[~small].sum()),
@@ -382,7 +512,7 @@ def full_cube_ledger(states):
             "lbeta_E2": 0.0,
         }
         embed_mass = dv * float((mag ** (10.0 / 3.0)).sum())
-        denom = np.sqrt(norm_sq()) ** (4.0 / 3.0) * norm_sq(grid.k_sq)
+        denom = np.sqrt(norm_sq()) ** (4.0 / 3.0) * norm_sq(k_sq)
         row["embed_ratio"] = embed_mass / denom if denom > 1e-300 else 0.0
         if rows:
             prev = rows[-1]
@@ -398,8 +528,8 @@ _STATE_TOL = 1e-10
 
 
 def reference_divergence_error(f):
-    """||xi.u||_l2 / (R ||u||_l2) from the grid's (3, N, N, N) wavenumber table."""
-    k = f.grid.wavenumbers
+    """||xi.u||_l2 / (R ||u||_l2) from the (3, N, N, N) wavenumber table."""
+    k = cube_wavenumbers(f.grid)
     div = k[0] * f.coeffs[0] + k[1] * f.coeffs[1] + k[2] * f.coeffs[2]
     denom = f.grid.cutoff_radius * float(np.sqrt((f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0).sum()))
     if denom == 0.0:
@@ -418,8 +548,8 @@ def reference_hermitian_error(f):
 
 
 def reference_support_and_mean(f):
-    """(largest |c| outside the grid's ball_mask, largest |c(0)|)."""
-    outside = f.coeffs[:, ~f.grid.ball_mask]
+    """(largest |c| outside the closed cutoff ball, largest |c(0)|)."""
+    outside = f.coeffs[:, ~cube_ball_mask(f.grid)]
     return float(np.max(np.abs(outside))), float(np.max(np.abs(f.coeffs[:, 0, 0, 0])))
 
 

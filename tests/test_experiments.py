@@ -472,9 +472,7 @@ class TestMemory:
         experiments._temporal_order_study()
         assert len(grids) == 2 + 2 + 3
         for grid in grids:
-            held = vars(grid)
-            assert "ball" in held
-            assert not {"wavenumbers", "k_sq", "ball_mask", "low_shell_mask", "_k_sq_safe"} & held.keys()
+            assert vars(grid).keys() == {"n_modes", "box_length", "cutoff_radius", "mode_numbers", "ball"}
 
     def test_the_twin_and_continuity_drivers_expand_no_snapshot(self, monkeypatch):
         # they measure the snapshots' ball vectors: no snapshot builds its full field

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import fftn_product_law_ratio, fftn_random_band_limited, fftn_random_solenoidal
+from oracles import cube_k_sq, fftn_product_law_ratio, fftn_random_band_limited, fftn_random_solenoidal
 
 from nsdamp import inequalities, initial_conditions
 from nsdamp.inequalities import (
@@ -198,7 +198,7 @@ def test_the_suites_ball_sums_equal_the_public_functions(n):
     grid = make_grid(n, 2.0 * np.pi)
     ball, rng = grid.ball, np.random.default_rng(n)
     interpolation_weights = _ball_sobolev_weights(grid, _INTERPOLATION_ORDERS)
-    cube_weights = [_sobolev_weight(grid.k_sq, s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
+    cube_weights = [_sobolev_weight(cube_k_sq(grid), s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
     l2_weight, grad_weight = _ball_sobolev_weights(grid, (0.0, 1.0))
     product_weight = _product_weight(grid)
     for projected in (True, False, True, False):

@@ -62,6 +62,20 @@ def test_no_module_keeps_an_unused_import():
     assert not unused
 
 
+def test_no_module_builds_a_meshgrid():
+    # np.meshgrid builds full-cube tables; the package broadcasts the axis
+    # wavenumbers through spectral._wavenumbers instead
+    calls = []
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "meshgrid":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls
+
+
 def test_a_run_and_the_oracle_suites_import_no_scipy(tmp_path):
     # numpy.fft runs every transform; SciPy is only the tests' reference
     script = f"""

@@ -6,12 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cube_ball_mask,
+    cube_friedrichs_truncate,
+    cube_grad_norm_sq,
+    cube_interpolation_gap,
+    cube_k_sq_safe,
+    cube_leray_project,
+    cube_product_law_ratio,
+    cube_sobolev_norm,
+    cube_wavenumbers,
     gradient_part,
+    hermitian_error,
+    l2_inner,
+    linf_norm,
     reference_divergence_error,
     reference_hermitian_error,
     reference_support_and_mean,
     reference_validate,
+    remove_mean,
+    zeros_like,
 )
+from nsdamp.inequalities import interpolation_gap, product_law_ratio
 from nsdamp.initial_conditions import random_solenoidal
 from nsdamp.spectral import (
     GridSpec,
@@ -20,18 +35,13 @@ from nsdamp.spectral import (
     divergence_error,
     friedrichs_truncate,
     grad_norm_sq,
-    hermitian_error,
-    l2_inner,
     l2_norm,
     leray_project,
-    linf_norm,
     lp_norm_physical,
     make_grid,
-    remove_mean,
     sobolev_norm,
     to_physical,
     to_spectral,
-    zeros_like,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -131,7 +141,7 @@ class TestProjection:
         grid = make_grid(n, TWO_PI)
         rng = np.random.default_rng(n)
         c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        want = c - gradient_part(c, grid.wavenumbers, grid._k_sq_safe)
+        want = c - gradient_part(c, cube_wavenumbers(grid), cube_k_sq_safe(grid))
         got = leray_project(SpectralField(grid, c.copy())).coeffs
         assert got.tobytes() == want.tobytes()
 
@@ -162,6 +172,13 @@ class TestProjection:
         cut = friedrichs_truncate(raw)
         assert np.all(cut.coeffs[:, ~grid.ball_mask] == 0.0)
         np.testing.assert_array_equal(cut.coeffs[:, grid.ball_mask], raw.coeffs[:, grid.ball_mask])
+
+    @pytest.mark.parametrize("radius", [float("nan"), -1.0])
+    def test_truncation_refuses_a_radius_that_keeps_no_mode(self, radius):
+        # every comparison with NaN is False, so a NaN radius would zero the field
+        grid = make_grid(8, TWO_PI)
+        with pytest.raises(ValueError, match="truncation radius must be nonnegative"):
+            friedrichs_truncate(_random_field(grid, seed=6), radius)
 
 
 class TestNorms:
@@ -214,6 +231,13 @@ class TestNorms:
             assert lp_norm_physical(f, p) == pytest.approx(c_amp * L ** (3.0 / p), rel=1e-12)
         assert linf_norm(f) == pytest.approx(c_amp, rel=1e-12)
         assert grad_norm_sq(f) == pytest.approx(c_amp**2 * L**3, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [float("inf"), float("nan"), 0.5])
+    def test_lp_norm_refuses_p_outside_one_to_infinity(self, p):
+        # at p = inf the sum becomes inf ** 0 or 0 ** 0 = 1.0 for every field
+        f = _random_field(make_grid(8, TWO_PI), seed=7)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            lp_norm_physical(f, p)
 
     def test_inner_product_polarization(self):
         grid = make_grid(8, TWO_PI)
@@ -295,7 +319,7 @@ class TestSplitAndChecks:
                 c[comp, 0, 0, 0] += size
             elif kind == "longitudinal":
                 m = draw_mode(inside, "mode")
-                xi = grid.wavenumbers[(slice(None),) + m]
+                xi = cube_wavenumbers(grid)[(slice(None),) + m]
                 along = xi / np.sqrt((xi**2).sum())
                 c[(slice(None),) + m] += z * along
                 c[(slice(None),) + mirror(m)] += np.conj(z) * along
@@ -317,6 +341,52 @@ class TestSplitAndChecks:
         f.coeffs[:, 0, 0, 0] = 2.0
         g = remove_mean(f)
         assert np.all(g.coeffs[:, 0, 0, 0] == 0.0)
+
+
+class TestOneWavenumberRule:
+    """The full-cube operators broadcast the axis wavenumbers; the grid keeps no cube."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_operators_have_the_bits_of_the_meshgrid_tables(self, data):
+        n = data.draw(st.sampled_from([4, 6, 8, 12, 16]), label="n")
+        length = data.draw(st.floats(0.1, 100.0), label="L")
+        fraction = data.draw(st.floats(0.05, 2.0 / 3.0), label="cutoff fraction")
+        grid = make_grid(n, length, fraction)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        f, g = (SpectralField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+                for _ in range(2))
+        f, g = remove_mean(f), remove_mean(g)
+        radius = grid.cutoff_radius
+
+        assert np.array_equal(grid.ball_mask, cube_ball_mask(grid))
+        assert np.array_equal(leray_project(f).coeffs, cube_leray_project(f).coeffs)
+        for r in (radius, radius / 2.0):
+            assert np.array_equal(friedrichs_truncate(f, r).coeffs, cube_friedrichs_truncate(f, r).coeffs)
+        for s in (-2.0, -0.5, 0.0, 0.6, 1.0, 2.0):
+            for homogeneous in (True, False):
+                assert sobolev_norm(f, s, homogeneous) == cube_sobolev_norm(f, s, homogeneous)
+        assert grad_norm_sq(f) == cube_grad_norm_sq(f)
+        assert divergence_error(f) == reference_divergence_error(f)
+        assert interpolation_gap(f) == cube_interpolation_gap(f)
+        assert product_law_ratio(f, g) == cube_product_law_ratio(f, g)
+
+    def test_the_operators_leave_only_mode_numbers_and_the_ball_on_the_grid(self):
+        grid = make_grid(32, TWO_PI)
+        f = _random_field(grid, seed=61, solenoidal=True)
+        g = _random_field(grid, seed=62, solenoidal=True)
+        leray_project(f)
+        friedrichs_truncate(f)
+        friedrichs_truncate(f, grid.cutoff_radius / 2.0)
+        for homogeneous in (True, False):
+            sobolev_norm(f, 0.6, homogeneous)
+        grad_norm_sq(f)
+        divergence_error(f)
+        f.validate()
+        interpolation_gap(f)
+        product_law_ratio(f, g)
+        assert grid.ball_mask.any()
+        assert vars(grid).keys() == {"n_modes", "box_length", "cutoff_radius", "mode_numbers", "ball"}
 
 
 def test_field_arithmetic():
