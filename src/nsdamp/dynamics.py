@@ -260,7 +260,7 @@ class _Kernel:
     max and sum of |u|^2 and the divergence run on the calling thread, in
     their serial order, so every bit is that of one worker. A grid of one
     slab, a cap of 1, or a call on a driver's pool thread (see
-    experiments._parallel) runs on the calling thread alone and starts no
+    spectral._parallel) runs on the calling thread alone and starts no
     thread, so the two thread levels never nest.
 
     Every array of an evaluation lives in a buffer of the instance, the

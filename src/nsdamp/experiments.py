@@ -6,19 +6,19 @@ checks the bound it exists to certify, and returns a report object with a
 raised; genuinely malformed inputs raise ``ConfigError``.
 
 Independent jobs inside one driver (the two twin runs, refinement levels
-and the dt ladder) run on a thread pool; the FFT backend releases
-the GIL, so this scales on multicore boxes and degrades to serial on one
-core.  NSD_THREADS caps the pool, and also the slab workers of a kernel
-call outside it (see dynamics._Kernel); a kernel on a pool thread splits
-no slabs, so the two levels never nest.  Each job owns its state and
-writes nothing shared, so results are bitwise independent of scheduling.
+and the dt ladder) run on a thread pool (spectral._parallel); the FFT
+backend releases the GIL, so this scales on multicore boxes and degrades
+to serial on one core.  NSD_THREADS caps the pool, and also the slab
+workers of a kernel call outside it (see dynamics._Kernel); a kernel on a
+pool thread splits no slabs, so the two levels never nest.  Each job owns
+its state and writes nothing shared, so results are bitwise independent
+of scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -42,7 +42,7 @@ from .ledger import (
     lbeta_spacetime_report,
     write_series_csv,
 )
-from .spectral import GridSpec, PhysParams, SpectralField, _driver_thread, _workers, l2_norm, make_grid
+from .spectral import GridSpec, PhysParams, SpectralField, _parallel, l2_norm, make_grid
 
 __all__ = [
     "RunResult",
@@ -63,17 +63,6 @@ ENERGY_TOL = 1e-6
 
 #: samples each twin run advances per pool job before the pair is compared
 _TWIN_BLOCK = 16
-
-
-def _parallel(jobs):
-    """Run zero-argument callables on the thread pool, preserving order.
-
-    The pool's threads are driver threads: a kernel called on one splits
-    no slabs, so the two thread levels never nest.
-    """
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs)), initializer=_driver_thread) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 def inject_field(f: SpectralField, fine: GridSpec) -> SpectralField:

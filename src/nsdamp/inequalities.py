@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_conditions import _solenoidal_ball
+from .initial_conditions import _noise, _solenoidal
 from .spectral import (
     GridSpec,
     SpectralField,
+    _parallel,
     _power,
     _sobolev_weight,
     _wavenumbers,
@@ -46,6 +47,8 @@ __all__ = [
 
 _MAG_CAP = 100.0  # vector-component cap: keeps |x|^(beta+2) in double range
 _TS_CAP = 1e3  # cap for the a^p / b^q values in the Young sampler
+#: random fields per pruned transform in the interpolation and product-law suites
+_CHUNK = 16
 
 
 def monotonicity_gap(x, y, beta):
@@ -222,6 +225,11 @@ class OracleRow:
     note: str = ""
 
 
+def _require_samples(count: int, name: str) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count!r}")
+
+
 def _heavy_magnitudes(rng: np.random.Generator, shape, cap: float) -> np.ndarray:
     """Mixture of |normal| and capped inverse-uniform magnitudes."""
     normal = np.abs(rng.standard_normal(shape))
@@ -243,6 +251,7 @@ def monotonicity_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
     y = permuted x (equal norms, distinct vectors) are forced explicitly
     rather than left to chance.
     """
+    _require_samples(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
     x = _heavy_vectors(rng, n_samples, 8)
     y = _heavy_vectors(rng, n_samples, 8)
@@ -278,6 +287,7 @@ def young_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
     use that family with beta in (3, 8]; the rest are generic conjugate
     pairs.  Equality rows (t = s) and zero rows are forced explicitly.
     """
+    _require_samples(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
     half = n_samples // 2
 
@@ -334,19 +344,49 @@ def gronwall_suite() -> OracleRow:
     )
 
 
-def _random_band_limited(grid: GridSpec, rng: np.random.Generator, projected: bool) -> np.ndarray:
-    """Ball vector of a random zero-mean field with a random scale in [0.1, 10).
+class _RandomFields:
+    """Random zero-mean fields of one grid, drawn one at a time and transformed _CHUNK at a time.
 
-    projected: random_solenoidal's field before it is expanded, scaled by its
-    ball norm.  Otherwise white noise on the whole ball, not projected.
+    draw() takes a field's white noise, then its scale in [0.1, 10), from
+    rng; a projected field's noise is random_solenoidal's, from a drawn
+    seed. take() returns the ball vectors (m, 3, n_ball) of the m fields
+    drawn since the last take, from one pruned forward transform. A
+    projected field is then _solenoidal's, scaled by its own ball norm;
+    the others are the noise on the whole ball with m = 0 zeroed. Each
+    transform line and operation acts on one field, so a field in a chunk
+    has the bits it has alone.
     """
-    ball = grid.ball
-    if projected:
-        v = _solenoidal_ball(grid, int(rng.integers(2**31)))
-        return v * (float(rng.uniform(0.1, 10.0)) / np.sqrt(grid.volume * ball.norm_sq(v)))
-    v = ball.from_physical(rng.standard_normal((3,) + grid.shape[1:]))
-    v[:, 0] = 0.0
-    return v * float(rng.uniform(0.1, 10.0))
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.noise = np.empty((_CHUNK,) + grid.shape)
+        self.projected: list[bool] = []
+        self.scales: list[float] = []
+
+    def draw(self, rng: np.random.Generator, projected: bool) -> None:
+        out = self.noise[len(self.scales)]
+        if projected:
+            _noise(self.grid, int(rng.integers(2**31)), out=out)
+        else:
+            rng.standard_normal(self.grid.shape, out=out)
+        self.projected.append(projected)
+        self.scales.append(float(rng.uniform(0.1, 10.0)))
+
+    def take(self) -> np.ndarray:
+        grid, ball, m = self.grid, self.grid.ball, len(self.scales)
+        v = ball.from_physical(self.noise[:m].reshape((3 * m,) + grid.shape[1:]))
+        v = v.reshape(m, 3, -1)
+        projected = np.array(self.projected)
+        solenoidal = v[projected]
+        _solenoidal(grid, solenoidal)
+        v[projected] = solenoidal
+        v[:, :, 0] = 0.0
+        for field, scale, p in zip(v, self.scales, self.projected):
+            if p:
+                scale /= np.sqrt(grid.volume * ball.norm_sq(field))
+            field *= scale
+        self.projected, self.scales = [], []
+        return v
 
 
 def _ball_sobolev_weights(grid: GridSpec, orders) -> list[np.ndarray]:
@@ -363,17 +403,23 @@ def interpolation_suite(n_fields: int = 1000, seed: int = 0) -> OracleRow:
     relative to the right-hand side; the floor is -1e-10.  The fields stay
     ball vectors throughout.
     """
+    _require_samples(n_fields, "n_fields")
     rng = np.random.default_rng(seed)
     grids = [make_grid(8, 2.0 * np.pi), make_grid(16, 4.0 * np.pi)]
     weights = [_ball_sobolev_weights(grid, _INTERPOLATION_ORDERS) for grid in grids]
+    fields = [_RandomFields(grid) for grid in grids]
     worst = np.inf
-    for i in range(n_fields):
-        grid = grids[i % 2]
-        v = _random_band_limited(grid, rng, projected=(i % 4 < 2))
-        lhs, rhs = _interpolation_sides(_power(v), weights[i % 2], grid.volume)
-        if rhs == 0.0:
-            continue
-        worst = min(worst, (rhs - lhs) / rhs)
+    for start in range(0, n_fields, 2 * _CHUNK):  # even starts: field i is entry (i - start) // 2
+        chunk = range(start, min(start + 2 * _CHUNK, n_fields))
+        for i in chunk:
+            fields[i % 2].draw(rng, projected=(i % 4 < 2))
+        vectors = [f.take() for f in fields[: len(chunk)]]  # a chunk of one field draws on grid 0 alone
+        for i in chunk:
+            v = vectors[i % 2][(i - start) // 2]
+            lhs, rhs = _interpolation_sides(_power(v), weights[i % 2], grids[i % 2].volume)
+            if rhs == 0.0:
+                continue
+            worst = min(worst, (rhs - lhs) / rhs)
 
     # single-shell equality case: cos(x) in the y component
     grid = grids[0]
@@ -401,18 +447,24 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
     regressions in the product computation are visible.  The fields are
     ball vectors; only the products are transformed over the whole cube.
     """
+    _require_samples(n_pairs, "n_pairs")
     rng = np.random.default_rng(seed)
     grid = make_grid(16, 2.0 * np.pi)
     ball = grid.ball
     l2_weight, grad_weight = _ball_sobolev_weights(grid, (0.0, 1.0))
     weight = _product_weight(grid)
+    fields = _RandomFields(grid)
     ratios = []
-    for i in range(n_pairs):
-        v = _random_band_limited(grid, rng, projected=(i % 2 == 0))
-        w = _random_band_limited(grid, rng, projected=(i % 2 == 1))
-        den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
-        ratios.append(_product_ratio(ball.to_physical(v), ball.to_physical(w), den, weight,
-                                     grid.volume))
+    for start in range(0, n_pairs, _CHUNK // 2):
+        for i in range(start, min(start + _CHUNK // 2, n_pairs)):
+            fields.draw(rng, projected=(i % 2 == 0))
+            fields.draw(rng, projected=(i % 2 == 1))
+        vectors = fields.take()
+        samples = ball.to_physical(vectors.reshape(-1, vectors.shape[-1]))
+        samples = samples.reshape(vectors.shape[:2] + grid.shape[1:])
+        for v, w, fp, gp in zip(vectors[::2], vectors[1::2], samples[::2], samples[1::2]):
+            den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
+            ratios.append(_product_ratio(fp, gp, den, weight, grid.volume))
     arr = np.asarray(ratios)
     finite = bool(np.isfinite(arr).all()) and bool((arr > 0.0).all())
     return OracleRow(
@@ -426,12 +478,22 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
 
 
 def verify_suite(seed: int = 0, fast: bool = False) -> list[OracleRow]:
-    """All oracle suites in table order; fast mode trims the sample counts."""
+    """All oracle suites in table order; fast mode trims the sample counts.
+
+    Monotonicity, Young and Gronwall run on the calling thread first; then
+    interpolation and product law run side by side as two _parallel jobs
+    (at most NSD_THREADS of them at once, and a ConfigError when it is not
+    a positive integer). The vectorized suites finish before the chunked
+    ones start, so their peak memory never adds to the chunks'. Every
+    row's bits are independent of the thread count.
+    """
     scale = 10 if fast else 1
     return [
         monotonicity_suite(100_000 // scale, seed=seed),
         young_suite(100_000 // scale, seed=seed),
         gronwall_suite(),
-        interpolation_suite(1000 // scale, seed=seed),
-        product_law_suite(200 // scale, seed=seed),
+        *_parallel([
+            lambda: interpolation_suite(1000 // scale, seed=seed),
+            lambda: product_law_suite(200 // scale, seed=seed),
+        ]),
     ]

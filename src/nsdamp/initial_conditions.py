@@ -47,17 +47,22 @@ def shear_mode(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
-def _solenoidal_ball(grid: GridSpec, seed: int) -> np.ndarray:
-    """Ball vector of seeded white noise truncated to |xi| <= R/2, projected, m = 0 zeroed.
+def _noise(grid: GridSpec, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Seeded white noise on the grid, (3, N, N, N): random_solenoidal's draw, into out when given."""
+    return np.random.default_rng(seed).standard_normal(grid.shape, out=out)
 
-    Not normalized. random_solenoidal expands it; the oracle suites keep it.
+
+def _solenoidal(grid: GridSpec, v: np.ndarray) -> None:
+    """Truncate ball vectors v (..., 3, n_ball) to |xi| <= R/2, project them and zero m = 0, in place.
+
+    Not normalized. random_solenoidal applies it to the ball vector of its
+    noise; the oracle suites to a chunk of fields at once, which gives each
+    field the bits it gets alone (every operation is entrywise).
     """
     ball = grid.ball
-    v = ball.from_physical(np.random.default_rng(seed).standard_normal(grid.shape))
     v *= _in_ball(ball.k_sq, grid.cutoff_radius / 2.0)
-    ball.project(v)
-    v[:, 0] = 0.0
-    return v
+    ball.project(np.moveaxis(v, -2, 0))
+    v[..., 0] = 0.0
 
 
 def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> SpectralField:
@@ -67,7 +72,9 @@ def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Spec
     The half-radius support leaves room for the quadratic term to populate
     the rest of the ball before truncation bites.
     """
-    f = SpectralField(grid, grid.ball.expand(_solenoidal_ball(grid, seed)))
+    v = grid.ball.from_physical(_noise(grid, seed))
+    _solenoidal(grid, v)
+    f = SpectralField(grid, grid.ball.expand(v))
     norm = l2_norm(f)
     if norm == 0.0:
         raise ValueError("random field collapsed to zero after projection")

@@ -113,6 +113,20 @@ def _on_driver_thread() -> bool:
     return getattr(_threads, "driver", False)
 
 
+def _parallel(jobs: list[Callable[[], object]]) -> list:
+    """Run zero-argument callables on a driver pool of _workers(len(jobs)) threads; their results in order.
+
+    Each job runs in a copy of the caller's context (NumPy's errstate
+    included), as _Crew's workers do. The pool's threads are driver
+    threads: a kernel called on one splits no slabs, so the two thread
+    levels never nest. The experiments run their independent
+    integrations on it, verify_suite its two sampling suites.
+    """
+    with ThreadPoolExecutor(max_workers=_workers(len(jobs)), initializer=_driver_thread) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs]
+        return [f.result() for f in futures]
+
+
 class _Crew:
     """size workers that split the slab loops and line passes of the ball's transforms.
 
@@ -494,7 +508,10 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
     skipped; for the zero-mean fields the solver works with, s = 0 is the
     L2 norm.
     inhomogeneous: sqrt(L^3 sum_m (1 + |xi|^2)^s |c|^2) (H^s, all modes).
+    s must be finite.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"Sobolev order s must be finite, got {s!r}")
     weight = _sobolev_weight(_wavenumbers(f.grid)[1], s, homogeneous)
     total = _weighted_sum(_power(f.coeffs), weight)
     return float(np.sqrt(f.grid.volume * max(total, 0.0)))

@@ -21,6 +21,11 @@ products must reproduce bit for bit.
 product-law ratio from the full ``fftn`` of the whole cube, which the
 package's ball transforms and half-spectrum sums must reproduce.
 
+``loop_interpolation_suite`` and ``loop_product_law_suite`` are the
+interpolation and product-law suites drawing, transforming and measuring
+one field at a time (``loop_random_band_limited``), which the suites'
+chunked draws and transforms must reproduce row for row, bit for bit.
+
 ``full_cube_ball_tables`` reads the cutoff ball's entries and tables off the
 full-cube wavenumber, |xi|^2 and mask tables below, which the ball's own
 construction from 1-D mode numbers must reproduce bit for bit.
@@ -63,13 +68,25 @@ import numpy as np
 import scipy.fft
 
 from nsdamp.dynamics import _Kernel
+from nsdamp.inequalities import (
+    _INTERPOLATION_ORDERS,
+    OracleRow,
+    _ball_sobolev_weights,
+    _interpolation_sides,
+    _norm,
+    _product_ratio,
+    _product_weight,
+)
 from nsdamp.spectral import (
     SpectralField,
     _hermitian_gap,
+    _in_ball,
+    _power,
     _speed_sq,
     friedrichs_truncate,
     l2_norm,
     leray_project,
+    make_grid,
     to_physical,
 )
 
@@ -463,6 +480,81 @@ def fftn_random_band_limited(grid, rng):
     samples = rng.standard_normal(grid.shape)
     f = friedrichs_truncate(SpectralField(grid, scipy.fft.fftn(samples, axes=(1, 2, 3), norm="forward")))
     return remove_mean(f) * float(rng.uniform(0.1, 10.0))
+
+
+def loop_random_band_limited(grid, rng, projected):
+    """Ball vector of one random zero-mean field with a random scale in [0.1, 10), alone.
+
+    projected: random_solenoidal's field before it is expanded, scaled by
+    its ball norm. Otherwise white noise on the whole ball, not projected.
+    """
+    ball = grid.ball
+    if projected:
+        noise = np.random.default_rng(int(rng.integers(2**31))).standard_normal(grid.shape)
+        v = ball.from_physical(noise)
+        v *= _in_ball(ball.k_sq, grid.cutoff_radius / 2.0)
+        ball.project(v)
+        v[:, 0] = 0.0
+        return v * (float(rng.uniform(0.1, 10.0)) / np.sqrt(grid.volume * ball.norm_sq(v)))
+    v = ball.from_physical(rng.standard_normal((3,) + grid.shape[1:]))
+    v[:, 0] = 0.0
+    return v * float(rng.uniform(0.1, 10.0))
+
+
+def loop_interpolation_suite(n_fields, seed):
+    """interpolation_suite with each field drawn, transformed and measured alone."""
+    rng = np.random.default_rng(seed)
+    grids = [make_grid(8, 2.0 * np.pi), make_grid(16, 4.0 * np.pi)]
+    weights = [_ball_sobolev_weights(grid, _INTERPOLATION_ORDERS) for grid in grids]
+    worst = np.inf
+    for i in range(n_fields):
+        grid = grids[i % 2]
+        v = loop_random_band_limited(grid, rng, projected=(i % 4 < 2))
+        lhs, rhs = _interpolation_sides(_power(v), weights[i % 2], grid.volume)
+        if rhs == 0.0:
+            continue
+        worst = min(worst, (rhs - lhs) / rhs)
+
+    grid = grids[0]
+    n = grid.n_modes
+    v = np.zeros((3, grid.ball.k_sq.size), dtype=np.complex128)
+    v[1, grid.ball.full_index == np.ravel_multi_index((1, 0, 0), (n, n, n))] = 0.5
+    lhs, rhs = _interpolation_sides(_power(v), weights[0], grid.volume)
+    worst = min(worst, (rhs - lhs) / rhs)
+    return OracleRow(
+        name="interpolation",
+        samples=n_fields + 1,
+        worst=float(worst),
+        threshold=-1e-10,
+        passed=worst >= -1e-10,
+        note="gap relative to the product side",
+    )
+
+
+def loop_product_law_suite(n_pairs, seed):
+    """product_law_suite with each field drawn and transformed, and each pair measured, alone."""
+    rng = np.random.default_rng(seed)
+    grid = make_grid(16, 2.0 * np.pi)
+    ball = grid.ball
+    l2_weight, grad_weight = _ball_sobolev_weights(grid, (0.0, 1.0))
+    weight = _product_weight(grid)
+    ratios = []
+    for i in range(n_pairs):
+        v = loop_random_band_limited(grid, rng, projected=(i % 2 == 0))
+        w = loop_random_band_limited(grid, rng, projected=(i % 2 == 1))
+        den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
+        ratios.append(_product_ratio(ball.to_physical(v), ball.to_physical(w), den, weight,
+                                     grid.volume))
+    arr = np.asarray(ratios)
+    finite = bool(np.isfinite(arr).all()) and bool((arr > 0.0).all())
+    return OracleRow(
+        name="product-law",
+        samples=n_pairs,
+        worst=float(arr.max()),
+        threshold=np.inf,
+        passed=finite,
+        note=f"ratio range [{arr.min():.4f}, {arr.max():.4f}] (diagnostic, no asserted constant)",
+    )
 
 
 def fftn_product_law_ratio(f, g):

@@ -745,6 +745,14 @@ class TestThreadCap:
                             for name in ("series.csv", "final.ckpt")])
         assert digests[0] == digests[1]
 
+    def test_pool_jobs_run_in_the_callers_errstate(self, monkeypatch):
+        # each job runs in a copy of the caller's context, as a kernel's slab
+        # workers do; a fresh pool thread would run under NumPy's default errstate
+        monkeypatch.setenv("NSD_THREADS", "2")
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                spectral._parallel([lambda: None, lambda: np.ones(2) / np.zeros(2)])
+
     def test_serial_cap_matches_default(self, monkeypatch):
         cfg = _cfg(**{"time.t_end": 0.05})
         free = twin_experiment(cfg, 1e-3)
@@ -835,7 +843,7 @@ class TestCli:
         assert main(["run", str(cfg_file)]) == 3
         assert capsys.readouterr().err == "internal error: KeyError: 'snapshots'\n"
 
-    def test_error_exit_codes(self, tmp_path, cfg_file, capsys):
+    def test_error_exit_codes(self, tmp_path, cfg_file, capsys, monkeypatch):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2
         assert main(["twin", str(cfg_file)]) == 2  # missing --delta
         assert main(["continuity", str(cfg_file), "--t0", "0.05", "--eps", "0.013"]) == 2
@@ -883,3 +891,8 @@ class TestCli:
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err.startswith("error: ")
         capsys.readouterr()
+        # verify runs its sampling suites on the pool, so it refuses a bad cap too
+        monkeypatch.setenv("NSD_THREADS", "0")
+        assert main(["verify", "--fast"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: NSD_THREADS must be positive, got '0'\n"

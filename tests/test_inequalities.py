@@ -1,24 +1,39 @@
 """Inequality oracles: frozen hand values, degenerate corners, random suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import cube_k_sq, fftn_product_law_ratio, fftn_random_band_limited, fftn_random_solenoidal
+from oracles import (
+    cube_k_sq,
+    fftn_product_law_ratio,
+    fftn_random_band_limited,
+    fftn_random_solenoidal,
+    loop_interpolation_suite,
+    loop_product_law_suite,
+)
 
 from nsdamp import inequalities, initial_conditions
 from nsdamp.inequalities import (
+    _CHUNK,
     _INTERPOLATION_ORDERS,
     _ball_sobolev_weights,
     _interpolation_sides,
     _norm,
     _product_ratio,
     _product_weight,
-    _random_band_limited,
+    _RandomFields,
     gronwall_constant,
+    gronwall_suite,
     interpolation_gap,
+    interpolation_suite,
     monotonicity_gap,
+    monotonicity_suite,
     product_law_ratio,
+    product_law_suite,
     verify_suite,
     young_gap,
+    young_suite,
 )
 from nsdamp.initial_conditions import random_solenoidal
 from nsdamp.spectral import SpectralField, _power, _sobolev_weight, make_grid
@@ -156,6 +171,13 @@ def test_product_law_ratio_finite_and_positive():
     assert np.isfinite(r) and r > 0.0
 
 
+def _random_band_limited(grid, rng, projected):
+    """Ball vector of the suites' random field drawn alone, a chunk of one."""
+    fields = _RandomFields(grid)
+    fields.draw(rng, projected)
+    return fields.take()[0]
+
+
 @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64])
 def test_random_fields_equal_the_fftn_construction(n):
     # the package takes the ball's pruned forward transform of the noise; the
@@ -201,9 +223,12 @@ def test_the_suites_ball_sums_equal_the_public_functions(n):
     cube_weights = [_sobolev_weight(cube_k_sq(grid), s, homogeneous=True) for s in _INTERPOLATION_ORDERS]
     l2_weight, grad_weight = _ball_sobolev_weights(grid, (0.0, 1.0))
     product_weight = _product_weight(grid)
+    fields = _RandomFields(grid)  # one chunk of eight fields, as the suites draw them
     for projected in (True, False, True, False):
-        v = _random_band_limited(grid, rng, projected)
-        w = _random_band_limited(grid, rng, not projected)
+        fields.draw(rng, projected)
+        fields.draw(rng, not projected)
+    vectors = fields.take()
+    for v, w in zip(vectors[::2], vectors[1::2]):
         f, g = (SpectralField(grid, ball.expand(x)) for x in (v, w))
 
         sides = _interpolation_sides(_power(v), interpolation_weights, grid.volume)
@@ -244,3 +269,52 @@ def test_verify_suite_seed_stability():
     b = verify_suite(seed=7, fast=True)
     for ra, rb in zip(a, b):
         assert ra.worst == rb.worst
+
+
+def _fields(row):
+    return (row.name, row.samples, row.worst.hex(), row.threshold, row.passed, row.note)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_chunked_suites_give_the_rows_of_one_field_at_a_time(monkeypatch, threads):
+    # chunks of _CHUNK fields, the last one short, and a chunk of one field
+    monkeypatch.setenv("NSD_THREADS", threads)
+    assert 37 % _CHUNK and 2 * 21 % _CHUNK
+    for seed in (0, 1, 7):
+        for n_fields in (1, 37):
+            assert _fields(interpolation_suite(n_fields, seed)) == _fields(
+                loop_interpolation_suite(n_fields, seed))
+        for n_pairs in (1, 21):
+            assert _fields(product_law_suite(n_pairs, seed)) == _fields(
+                loop_product_law_suite(n_pairs, seed))
+        ref = [monotonicity_suite(10_000, seed), young_suite(10_000, seed), gronwall_suite(),
+               loop_interpolation_suite(100, seed), loop_product_law_suite(20, seed)]
+        assert [_fields(r) for r in verify_suite(seed, fast=True)] == [_fields(r) for r in ref]
+
+
+@pytest.mark.parametrize("suite,name", [
+    (monotonicity_suite, "n_samples"),
+    (young_suite, "n_samples"),
+    (interpolation_suite, "n_fields"),
+    (product_law_suite, "n_pairs"),
+])
+@pytest.mark.parametrize("count", [0, -3])
+def test_the_suites_refuse_fewer_than_one_sample(suite, name, count):
+    # interpolation_suite(-3) passed with samples=-2; the others met an empty reduction
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {count}"):
+        suite(count)
+
+
+def test_verify_suite_peaks_at_the_monotonicity_suite(monkeypatch):
+    # the vectorized suites run before the chunked ones go to the pool, so no
+    # chunk buffer adds to the monotonicity suite's 37.4 MiB peak
+    monkeypatch.setenv("NSD_THREADS", "2")
+    peaks = []
+    for call in (lambda: monotonicity_suite(100_000, seed=0), lambda: verify_suite(0, fast=False)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20, [p / 2**20 for p in peaks]

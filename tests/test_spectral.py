@@ -239,6 +239,14 @@ class TestNorms:
         with pytest.raises(ValueError, match="p must be finite and >= 1"):
             lp_norm_physical(f, p)
 
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+    def test_sobolev_norm_refuses_a_non_finite_order(self, s, homogeneous):
+        # nan gave a nan norm, and inf a RuntimeWarning from inf * 0
+        f = _random_field(make_grid(8, TWO_PI), seed=7)
+        with pytest.raises(ValueError, match="Sobolev order s must be finite"):
+            sobolev_norm(f, s, homogeneous)
+
     def test_inner_product_polarization(self):
         grid = make_grid(8, TWO_PI)
         f = _random_field(grid, seed=11)
