@@ -25,7 +25,7 @@ def main():
     print(f"modulus strictly decreasing: {rep.monotone}")
     print(f"both shifts under the bound: {rep.bound_ok}")
     print(f"bound itself shrinking with eps: {rep.bounds_shrink}")
-    print(f"verdict: {'pass' if rep.passed else 'FAIL'}")
+    print(rep.certificate.verdict)
     return 0 if rep.passed else 1
 
 

@@ -30,8 +30,9 @@ cfg = config_from_mapping({
 
 rep = decay_experiment(cfg)
 
-for name, ok, detail in rep.checks:
-    print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
+for check in rep.certificate.checks:
+    print(f"[{'ok' if check.passed else 'FAIL'}] {check.name}: {check.value:.4e} "
+          f"against bound {check.bound:.4e}")
 print(f"\n5% energy threshold crossed at t = {rep.threshold_time}")
 for line in rep.spacetime_lines:
     print(line)
@@ -40,5 +41,5 @@ e = rep.recorder.energy
 print(f"\n{'t':>5} {'energy':>12} {'H^-2':>12}")
 for r, d in list(zip(e, rep.recorder.decay))[::5]:
     print(f"{r.t:5.1f} {r.l2_sq:12.6e} {d.hminus2:12.6e}")
-print(f"verdict: {'pass' if rep.passed else 'FAIL'}")
+print(rep.certificate.verdict)
 raise SystemExit(0 if rep.passed else 1)

@@ -38,7 +38,7 @@ def main():
         print(f"  |u_{n}(T) - u_{2 * n}(T)| = {d:.6e}")
     ratios = ", ".join(f"{r:.1f}x" for r in rep.ratios)
     print(f"  shrink per doubling: {ratios} ({'ok' if rep.spatial_ok else 'FAIL'}, want >= 4x)")
-    print(f"verdict: {'pass' if rep.passed else 'FAIL'}")
+    print(rep.certificate.verdict)
     return 0 if rep.passed else 1
 
 

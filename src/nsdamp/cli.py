@@ -9,12 +9,14 @@ Subcommands mirror the experiment drivers one-to-one::
     nsdamp decay <config>
     nsdamp refine <config> --levels <list>
 
-Exit codes: 0 when every assertion passes, 1 on any violated bound or a
-run that fails mid-flight, 2 on malformed input (config file, flags,
+Exit codes: 0 when every check passes, 1 on any failed check (a check
+passes only on finite numbers, see nsdamp.certificate) or a run that fails
+mid-flight, 2 on malformed input (config file, flags,
 checkpoint), 3 on an internal error: any other exception, reported on one
 stderr line, so that a bug never reads as a violated bound.  Outputs land
-in <output.directory>/<subcommand>/ unless --out overrides; runs leave
-series.csv, report.txt and final.ckpt.
+in <output.directory>/<subcommand>/ unless --out overrides: every
+subcommand but verify prints its report, writes it to report.txt there and
+names the directory; run adds series.csv and final.ckpt, decay series.csv.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import os
 import sys
 from functools import partial
 
+from .certificate import Certificate, verdict_word, write_report
 from .checkpoint import CheckpointError
 from .config import load_config
 from .dynamics import BlowupError, CFLError
@@ -87,55 +90,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(lines: list[str], out_dir: str) -> None:
-    text = "\n".join(lines)
-    print(text)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def _cmd_verify(args) -> int:
-    rows = verify_suite(seed=args.seed, fast=args.fast)
+def _verify_table(rows) -> list[str]:
     name_w = max(len(r.name) for r in rows)
-    print(f"{'oracle':<{name_w}}  {'samples':>8}  {'worst':>12}  {'threshold':>10}  verdict")
-    for r in rows:
-        print(
-            f"{r.name:<{name_w}}  {r.samples:>8d}  {r.worst:>12.3e}  "
-            f"{r.threshold:>10.1e}  {'pass' if r.passed else 'FAIL'}  ({r.note})"
-        )
-    return 0 if all(r.passed for r in rows) else 1
+    return [f"{'oracle':<{name_w}}  {'samples':>8}  {'worst':>12}  {'threshold':>10}  verdict"] + [
+        f"{r.name:<{name_w}}  {r.samples:>8d}  {r.worst:>12.3e}  "
+        f"{r.threshold:>10.1e}  {verdict_word(r.passed)}  ({r.note})"
+        for r in rows
+    ]
 
 
 def _dispatch(args) -> int:
+    out = None
     if args.command == "verify":
-        return _cmd_verify(args)
-
-    cfg = load_config(args.config)
-    out = args.out if args.out is not None else os.path.join(cfg.output_directory, args.command)
-    try:  # before integrating: an unusable directory is malformed input
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot use output directory {out!r}: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "run":
-        result = run_experiment(cfg, out_dir=out)
-        print("\n".join(result.lines()))
-        print(f"outputs in {out}")
-        return 0 if result.passed else 1
-    if args.command == "twin":
-        report = twin_experiment(cfg, args.delta)
-    elif args.command == "continuity":
-        report = continuity_experiment(cfg, args.eps, args.t0)
-    elif args.command == "decay":
-        report = decay_experiment(cfg, out_dir=out)
-        print("\n".join(report.lines()))
-        print(f"outputs in {out}")
-        return 0 if report.passed else 1
+        rows = verify_suite(seed=args.seed, fast=args.fast)
+        # the table gives each row's verdict, so it closes on no verdict line of its own
+        passed, lines = Certificate([r.check for r in rows], ()).passed, _verify_table(rows)
     else:
-        report = refinement_experiment(cfg, args.levels)
-    _emit(report.lines(), out)
-    return 0 if report.passed else 1
+        cfg = load_config(args.config)
+        out = args.out if args.out is not None else os.path.join(cfg.output_directory, args.command)
+        try:  # before integrating: an unusable directory is malformed input
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot use output directory {out!r}: {exc}", file=sys.stderr)
+            return 2
+        if args.command == "run":
+            report = run_experiment(cfg, out_dir=out)
+        elif args.command == "twin":
+            report = twin_experiment(cfg, args.delta)
+        elif args.command == "continuity":
+            report = continuity_experiment(cfg, args.eps, args.t0)
+        elif args.command == "decay":
+            report = decay_experiment(cfg, out_dir=out)
+        else:
+            report = refinement_experiment(cfg, args.levels)
+        passed, lines = report.passed, report.lines()
+
+    print("\n".join(lines))
+    if out is not None:
+        write_report(out, lines)
+        print(f"outputs in {out}")
+    return 0 if passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,9 +1,11 @@
 """Experiment drivers: each one turns a certified property into a run.
 
 A driver takes an ``ExperimentConfig`` (plus its own knobs), runs the solver,
-checks the bound it exists to certify, and returns a report object with a
-``passed`` flag and printable ``lines()``.  Violations are reported, not
-raised; genuinely malformed inputs raise ``ConfigError``.
+checks the bound it exists to certify, and returns a report whose ``passed``
+and ``lines()`` are its ``Certificate``'s: one ``Check`` per comparison, each
+passing only on finite numbers (see ``certificate``).  Violations are
+reported, not raised; genuinely malformed inputs raise ``ConfigError``.
+The command line writes ``report.txt``; the drivers write only data.
 
 Independent jobs inside one driver (the two twin runs, refinement levels
 and the dt ladder) run on a thread pool (spectral._parallel); the FFT
@@ -24,6 +26,7 @@ from itertools import islice
 
 import numpy as np
 
+from .certificate import Certificate, Certified, Check
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import ConfigError, ExperimentConfig, canonical_text, validate_for_experiment
 from .dynamics import (
@@ -118,44 +121,23 @@ def _start_energy(f: SpectralField) -> float:
     return f.grid.volume * ball.norm_sq(entries)
 
 
-def _write_report(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # plain run
 
 
 @dataclass
-class RunResult:
+class RunResult(Certified):
     config: ExperimentConfig
     snapshots: list[SolverState]
     recorder: SeriesRecorder
-    passed: bool
-    energy_line: str
-
-    def lines(self) -> list[str]:
-        last = self.recorder.energy[-1]
-        return [
-            "# run",
-            "",
-            canonical_text(self.config).rstrip(),
-            "",
-            f"snapshots: {len(self.snapshots)}",
-            f"final t = {last.t:.6g}, |u|^2 = {last.l2_sq:.12e}",
-            f"cumulative viscous dissipation = {last.cum_visc:.12e}",
-            f"cumulative damping dissipation = {last.cum_damp:.12e}",
-            self.energy_line,
-            f"verdict: {'pass' if self.passed else 'FAIL'}",
-        ]
+    certificate: Certificate
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
-    """Integrate per config, write series.csv / final.ckpt / report.txt.
+    """Integrate per config; write series.csv and final.ckpt into out_dir when given.
 
     Passes when the run completes and the energy budget closes to the
-    package tolerance at every snapshot.
+    package tolerance at every snapshot, in both directions.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -164,33 +146,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     start = list(build_initial(cfg))
     t_start = start.pop()
     recorder = SeriesRecorder()
-    snapshots = run(
-        start.pop(),
-        cfg.phys(),
-        cfg.stepper(),
-        cfg.t_end,
-        t_start=t_start,
-        output_every=cfg.output_every,
-        hooks=(recorder,),
-    )
-    report = check_energy_inequality(recorder.energy, ENERGY_TOL)
+    snapshots = run(start.pop(), cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
+                    output_every=cfg.output_every, hooks=(recorder,))
+    energy = recorder.energy
+    report = check_energy_inequality(energy, ENERGY_TOL)
     # two-sided check: the truncated system balances exactly, so a large
-    # negative residual is as suspicious as a positive one
-    worst_abs = max(abs(r.residual) for r in recorder.energy)
-    scale = abs(recorder.energy[0].baseline) or 1.0
-    balanced = worst_abs <= ENERGY_TOL * scale
-    result = RunResult(
-        config=cfg,
-        snapshots=snapshots,
-        recorder=recorder,
-        passed=report.passed and balanced,
-        energy_line=report.describe() + f"; worst |residual|/baseline = {worst_abs / scale:.3e}",
-    )
+    # negative residual is as suspicious as a positive one; np.max keeps a
+    # NaN residual that max() would skip after a larger one
+    worst_abs = float(np.max(np.abs([r.residual for r in energy])))
+    scale = abs(energy[0].baseline) or 1.0
+    last = energy[-1]
+    body = [
+        "# run",
+        "",
+        canonical_text(cfg).rstrip(),
+        "",
+        f"snapshots: {len(snapshots)}",
+        f"final t = {last.t:.6g}, |u|^2 = {last.l2_sq:.12e}",
+        f"cumulative viscous dissipation = {last.cum_visc:.12e}",
+        f"cumulative damping dissipation = {last.cum_damp:.12e}",
+        report.describe() + f"; worst |residual|/baseline = {worst_abs / scale:.3e}",
+    ]
+    balance = Check("two-sided energy balance", worst_abs / scale, ENERGY_TOL,
+                    worst_abs <= ENERGY_TOL * scale)
     if out_dir is not None:
-        write_series_csv(os.path.join(out_dir, "series.csv"), recorder.energy, recorder.decay)
+        write_series_csv(os.path.join(out_dir, "series.csv"), energy, recorder.decay)
         write_checkpoint(snapshots[-1], os.path.join(out_dir, "final.ckpt"))
-        _write_report(os.path.join(out_dir, "report.txt"), result.lines())
-    return result
+    return RunResult(cfg, snapshots, recorder, Certificate([report.check, balance], body))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +180,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
 
 
 @dataclass
-class TwinReport:
+class TwinReport(Certified):
     delta: float
     constant: float
     w0_l2: float
@@ -209,28 +191,7 @@ class TwinReport:
     margin_max: float  # max lhs / rhs
     bitwise_zero: bool
     first_violation: float | None
-    passed: bool
-
-    def lines(self) -> list[str]:
-        out = [
-            "# twin separation",
-            "",
-            f"delta = {self.delta:g}, growth constant = {self.constant:.6g}",
-            f"initial separation |w(0)| = {self.w0_l2:.6e}",
-        ]
-        if self.delta == 0.0:
-            out.append(
-                "identical seeds: difference is "
-                + ("bitwise zero at every sample" if self.bitwise_zero else "NOT bitwise zero")
-            )
-        else:
-            out.append(f"samples: {self.times.size}")
-            out.append(f"max (|w|^2 + 2 int |grad w|^2) / bound = {self.margin_max:.6e}")
-            out.append(f"max |w(t)| / (|w(0)| e^(C t)) = {self.ratio_max:.6e}")
-            if self.first_violation is not None:
-                out.append(f"FIRST VIOLATION at t = {self.first_violation:g}")
-        out.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
-        return out
+    certificate: Certificate
 
 
 def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
@@ -241,6 +202,8 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
 
         |w(t)|^2 + 2 int_0^t |grad w|^2 <= 1.1 |w(0)|^2 exp(2 C t).
 
+    Its check is the largest ratio of the two sides against 1, so a NaN
+    side, which no comparison flags as a violation, fails it.
     delta = 0 degenerates to a determinism check: the difference must be
     bitwise zero. A delta that is negative, not finite, or so small that
     the perturbed start rounds back to u0 is refused with ConfigError
@@ -286,28 +249,34 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     w0 = w_l2[0]
     rhs = 1.1 * w0**2 * np.exp(2.0 * constant * tau)
 
+    body = [
+        "# twin separation",
+        "",
+        f"delta = {delta:g}, growth constant = {constant:.6g}",
+        f"initial separation |w(0)| = {w0:.6e}",
+    ]
     if delta == 0.0:
         ratio_max = margin_max = 0.0
-        first, passed = None, bitwise
+        first = None
+        check = Check("bitwise zero difference", float(w_l2.max()), 0.0, bitwise)
+        body.append("identical seeds: difference is "
+                    + ("bitwise zero at every sample" if bitwise else "NOT bitwise zero"))
     else:
         violations = lhs > rhs
         ratio_max = float((w_l2 / (w0 * np.exp(constant * tau))).max())
         margin_max = float((lhs / rhs).max())
         first = float(times[np.argmax(violations)]) if bool(violations.any()) else None
-        passed = not bool(violations.any())
-    return TwinReport(
-        delta=delta,
-        constant=constant,
-        w0_l2=w0,
-        times=times,
-        lhs=lhs,
-        rhs=rhs,
-        ratio_max=ratio_max,
-        margin_max=margin_max,
-        bitwise_zero=bitwise,
-        first_violation=first,
-        passed=passed,
-    )
+        check = Check("separation bound", margin_max, 1.0, not bool(violations.any()))
+        body += [
+            f"samples: {times.size}",
+            f"max (|w|^2 + 2 int |grad w|^2) / bound = {margin_max:.6e}",
+            f"max |w(t)| / (|w(0)| e^(C t)) = {ratio_max:.6e}",
+        ]
+        if first is not None:
+            body.append(f"FIRST VIOLATION at t = {first:g}")
+    return TwinReport(delta=delta, constant=constant, w0_l2=w0, times=times, lhs=lhs, rhs=rhs,
+                      ratio_max=ratio_max, margin_max=margin_max, bitwise_zero=bitwise,
+                      first_violation=first, certificate=Certificate([check], body))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +291,7 @@ def _grid_index(t: float, dt: float, what: str) -> int:
 
 
 @dataclass
-class ContinuityReport:
+class ContinuityReport(Certified):
     t0: float
     epsilons: list[float]  # descending
     moduli: list[float]  # |u(t0+eps) - u(t0)|
@@ -332,22 +301,13 @@ class ContinuityReport:
     monotone: bool
     bound_ok: bool
     bounds_shrink: bool
-    passed: bool
+    certificate: Certificate
 
-    def lines(self) -> list[str]:
-        out = [
-            "# continuity modulus",
-            "",
-            f"t0 = {self.t0:g}, growth constant = {self.constant:.6g}",
-            f"{'eps':>10} {'|shift fwd|':>14} {'|shift back|':>14} {'bound sqrt':>14}",
-        ]
-        for e, m, mb, b in zip(self.epsilons, self.moduli, self.moduli_back, self.bounds):
-            out.append(f"{e:>10g} {m:>14.6e} {mb:>14.6e} {math.sqrt(b):>14.6e}")
-        out.append(f"modulus strictly decreasing along the ladder: {self.monotone}")
-        out.append(f"shift bound holds (both directions): {self.bound_ok}")
-        out.append(f"bound shrinks toward zero with eps: {self.bounds_shrink}")
-        out.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
-        return out
+
+def _falls(name: str, epsilons: list[float], values: list[float]) -> list[Check]:
+    """Checks that values, one per eps of the descending ladder, fall strictly with eps."""
+    return [Check(f"{name} at eps = {e1:g} below eps = {e0:g}", v1, v0, v0 > v1)
+            for e0, e1, v0, v1 in zip(epsilons, epsilons[1:], values, values[1:])]
 
 
 def continuity_experiment(
@@ -359,8 +319,9 @@ def continuity_experiment(
 
         |u(t0 +- eps) - u(t0)|^2 <= 1.1 * 2 (|u0|^2 - <u(eps), u0>) e^{2 C t0}
 
-    and the forward modulus must decrease strictly along the eps ladder.
-    Times are measured from the start of the run.
+    and the forward modulus must decrease strictly along the eps ladder, as
+    the bound must. Each comparison is one check; times are measured from
+    the start of the run.
     """
     validate_for_experiment(cfg, "continuity", horizon=t0)
     if not epsilons:
@@ -391,7 +352,7 @@ def continuity_experiment(
     v_t0 = by_index[i_t0].vector
     e0_sq = volume * ball.norm_sq(v_start)
 
-    moduli, moduli_back, bounds = [], [], []
+    moduli, moduli_back, bounds, bound_checks = [], [], [], []
     for e in eps_sorted:
         i_e = _grid_index(e, dt, "eps")
         fwd = math.sqrt(volume * ball.norm_sq(by_index[i_t0 + i_e].vector - v_t0))
@@ -401,24 +362,30 @@ def continuity_experiment(
         moduli.append(fwd)
         moduli_back.append(back)
         bounds.append(bound)
+        bound_checks += [Check(f"{way} shift bound at eps = {e:g}", m**2, bound, m**2 <= bound)
+                         for way, m in (("forward", fwd), ("backward", back))]
 
-    monotone = all(a > b for a, b in zip(moduli, moduli[1:]))
-    bound_ok = all(
-        m**2 <= b and mb**2 <= b for m, mb, b in zip(moduli, moduli_back, bounds)
-    )
-    bounds_shrink = all(a > b for a, b in zip(bounds, bounds[1:]))
+    monotone_checks = _falls("forward modulus", eps_sorted, moduli)
+    shrink_checks = _falls("shift bound", eps_sorted, bounds)
+    monotone, bound_ok, bounds_shrink = (all(c.passed for c in checks) for checks in
+                                         (monotone_checks, bound_checks, shrink_checks))
+    body = [
+        "# continuity modulus",
+        "",
+        f"t0 = {t0:g}, growth constant = {constant:.6g}",
+        f"{'eps':>10} {'|shift fwd|':>14} {'|shift back|':>14} {'bound sqrt':>14}",
+    ]
+    for e, m, mb, b in zip(eps_sorted, moduli, moduli_back, bounds):
+        body.append(f"{e:>10g} {m:>14.6e} {mb:>14.6e} {math.sqrt(b):>14.6e}")
+    body += [
+        f"modulus strictly decreasing along the ladder: {monotone}",
+        f"shift bound holds (both directions): {bound_ok}",
+        f"bound shrinks toward zero with eps: {bounds_shrink}",
+    ]
     return ContinuityReport(
-        t0=t0,
-        epsilons=eps_sorted,
-        moduli=moduli,
-        moduli_back=moduli_back,
-        bounds=bounds,
-        constant=constant,
-        monotone=monotone,
-        bound_ok=bound_ok,
-        bounds_shrink=bounds_shrink,
-        passed=monotone and bound_ok and bounds_shrink,
-    )
+        t0=t0, epsilons=eps_sorted, moduli=moduli, moduli_back=moduli_back, bounds=bounds,
+        constant=constant, monotone=monotone, bound_ok=bound_ok, bounds_shrink=bounds_shrink,
+        certificate=Certificate(bound_checks + monotone_checks + shrink_checks, body))
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +393,17 @@ def continuity_experiment(
 
 
 @dataclass
-class DecayReport:
-    checks: list[tuple[str, bool, str]]
+class DecayReport(Certified):
     threshold_time: float | None
     spacetime_lines: list[str]
-    passed: bool
+    certificate: Certificate
     recorder: SeriesRecorder = field(repr=False)
 
-    def lines(self) -> list[str]:
-        out = ["# large-time decay", ""]
-        for name, ok, detail in self.checks:
-            out.append(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
-        if self.threshold_time is not None:
-            out.append(f"energy fell below 5% of initial at t = {self.threshold_time:g}")
-        else:
-            out.append("energy never fell below 5% of initial within the horizon")
-        out.extend(self.spacetime_lines)
-        out.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
-        return out
+
+def _rises(x: np.ndarray) -> np.ndarray:
+    """The steps x[i] - x[i - 1], led by x[0] - x[0]: 0, or NaN when x[0] is not finite,
+    so that an inf first entry, which only falls to the next, still shows."""
+    return np.diff(x, prepend=x[:1])
 
 
 def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> DecayReport:
@@ -456,7 +416,8 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     crossed within the horizon. A start whose energy ||u0||^2 is zero, as
     the ledger takes it (an amplitude so small that its squares underflow),
     is refused with ConfigError before anything is integrated: every
-    threshold would be 0 and every check pass.
+    threshold would be 0 and every check pass. series.csv goes into out_dir
+    when given.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -476,86 +437,59 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     diags = recorder.decay
     l2 = np.sqrt([r.l2_sq for r in energy])
     slack = 1e-12 * l2[0]
+    small = 0.05 * l2[0]
+    rows: list[tuple[Check, str]] = []  # each check and the detail its line prints
 
-    checks: list[tuple[str, bool, str]] = []
-
-    # a comparison with NaN is False: the monotonicity and plateau checks fail outright on a value
-    # they read that is not finite
-    rises = np.diff(l2) > slack
-    checks.append(
-        (
-            "energy monotone nonincreasing",
-            bool(np.isfinite(l2).all()) and not bool(rises.any()),
-            f"max rise {float(np.diff(l2).max(initial=0.0)):.3e}",
-        )
-    )
+    rise = float(_rises(l2).max())
+    rows.append((Check("energy monotone nonincreasing", rise, slack, rise <= slack),
+                 f"max rise {rise:.3e}"))
 
     h = np.array([d.hminus2 for d in diags])
-    tail = h[h.size // 2 :]
-    tail_rises = np.diff(tail) > slack
-    checks.append(
-        (
-            "low-regularity norm nonincreasing over tail",
-            bool(np.isfinite(tail).all()) and math.isfinite(slack) and not bool(tail_rises.any()),
-            f"max tail rise {float(np.diff(tail).max(initial=0.0)):.3e}",
-        )
-    )
+    tail_rise = float(_rises(h[h.size // 2 :]).max())
+    rows.append((Check("low-regularity norm nonincreasing over tail", tail_rise, slack,
+                       tail_rise <= slack), f"max tail rise {tail_rise:.3e}"))
 
     w1_final = diags[-1].w1_l2
     w2_final = diags[-1].w2_l2
-    small = 0.05 * l2[0]
-    checks.append(
-        (
-            "both frequency bands small by the end",
-            w1_final <= small and w2_final <= small,
-            f"w1 = {w1_final:.4e}, w2 = {w2_final:.4e}, threshold {small:.4e}",
-        )
-    )
+    band = float(np.maximum(w1_final, w2_final))
+    rows.append((Check("both frequency bands small by the end", band, small, band <= small),
+                 f"w1 = {w1_final:.4e}, w2 = {w2_final:.4e}, threshold {small:.4e}"))
 
     totals = np.array([d.lbeta_E1 + d.lbeta_E2 for d in diags])
-    if totals[-1] > 0.0:
-        decile_start = totals[int(round(0.9 * (totals.size - 1)))]
-        decile_frac = (totals[-1] - decile_start) / totals[-1]
-    else:
-        decile_frac = 0.0
-    checks.append(
-        (
-            "space-time accumulators plateau",
-            bool(np.isfinite(totals).all()) and decile_frac <= 0.01,
-            f"final-decile increment fraction {decile_frac:.4e}",
-        )
-    )
+    decile_start = totals[int(round(0.9 * (totals.size - 1)))]
+    # a total that is not finite makes the fraction NaN or inf, not an empty accumulator's 0
+    decile_frac = (totals[-1] - decile_start) / totals[-1] if totals[-1] != 0.0 else 0.0
+    rows.append((Check("space-time accumulators plateau", decile_frac, 0.01, decile_frac <= 0.01),
+                 f"final-decile increment fraction {decile_frac:.4e}"))
 
     below = np.flatnonzero(l2 <= small)
     threshold_time = float(energy[below[0]].t) if below.size else None
-    checks.append(
-        (
-            "5% energy threshold crossed",
-            threshold_time is not None,
-            f"at t = {threshold_time:g}" if threshold_time is not None else "never",
-        )
-    )
+    rows.append((Check("5% energy threshold crossed", float(l2.min()), small,
+                       threshold_time is not None),
+                 f"at t = {threshold_time:g}" if threshold_time is not None else "never"))
 
     try:
         sp = lbeta_spacetime_report(diags, energy, cfg.phys())
         spacetime_lines = [sp.describe()]
-        spacetime_ok = True
+        # its tail increment against its peak: a total past the first that is not finite makes the
+        # peak so
+        spacetime = Check("space-time report", sp.tail_increment, sp.peak_increment, True)
     except ValueError as exc:
         spacetime_lines = [f"space-time report unavailable: {exc}"]
-        spacetime_ok = False
-    checks.append(("space-time report", spacetime_ok, spacetime_lines[0]))
+        spacetime = Check("space-time report", math.nan, math.nan, False)
+    rows.append((spacetime, spacetime_lines[0]))
 
-    report = DecayReport(
-        checks=checks,
-        threshold_time=threshold_time,
-        spacetime_lines=spacetime_lines,
-        passed=all(ok for _, ok, _ in checks),
-        recorder=recorder,
-    )
+    body = ["# large-time decay", ""]
+    body += [f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {detail}" for c, detail in rows]
+    if threshold_time is not None:
+        body.append(f"energy fell below 5% of initial at t = {threshold_time:g}")
+    else:
+        body.append("energy never fell below 5% of initial within the horizon")
+    body.extend(spacetime_lines)
     if out_dir is not None:
         write_series_csv(os.path.join(out_dir, "series.csv"), energy, diags)
-        _write_report(os.path.join(out_dir, "report.txt"), report.lines())
-    return report
+    return DecayReport(threshold_time, spacetime_lines, Certificate([c for c, _ in rows], body),
+                       recorder)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +497,7 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
 
 
 @dataclass
-class RefinementReport:
+class RefinementReport(Certified):
     levels: list[int]
     diffs: list[float]  # |u_N(T) - u_2N(T)| between adjacent levels
     ratios: list[float]
@@ -573,34 +507,7 @@ class RefinementReport:
     orders: list[float]
     observed_order: float
     temporal_ok: bool
-    passed: bool
-
-    def lines(self) -> list[str]:
-        out = ["# refinement", ""]
-        for (na, nb), d in zip(zip(self.levels, self.levels[1:]), self.diffs):
-            out.append(f"|u_{na}(T) - u_{nb}(T)| = {d:.6e}")
-        out.append(
-            "inter-level shrink factors: "
-            + ", ".join(f"{r:.2f}" for r in self.ratios)
-            + f" (need >= 4): {'ok' if self.spatial_ok else 'FAIL'}"
-        )
-        # a factor over a zero or non-finite difference measures nothing, so it cannot pass
-        for na, nb, nc, d0, d1, r in zip(self.levels, self.levels[1:], self.levels[2:],
-                                         self.diffs, self.diffs[1:], self.ratios):
-            if not math.isfinite(r):
-                out.append(f"no shrink factor from |u_{na}(T) - u_{nb}(T)| = {d0:.6e} to "
-                           f"|u_{nb}(T) - u_{nc}(T)| = {d1:.6e}: the finer difference must be "
-                           f"positive and both finite: FAIL")
-        out.append("")
-        for dt, e in zip(self.dt_ladder, self.errors):
-            out.append(f"manufactured solution, dt = {dt:g}: rel error {e:.6e}")
-        out.append(
-            "observed temporal order: "
-            + ", ".join(f"{o:.3f}" for o in self.orders)
-            + f" (need >= 3.7): {'ok' if self.temporal_ok else 'FAIL'}"
-        )
-        out.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
-        return out
+    certificate: Certificate
 
 
 def _temporal_order_study() -> tuple[list[float], list[float], list[float]]:
@@ -678,22 +585,30 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     diffs = [
         l2_norm(inject_field(ua, ub.grid) - ub) for ua, ub in zip(finals, finals[1:])
     ]
+    # a factor over a zero finer difference is inf, and fails its check like a NaN one
     ratios = [d0 / d1 if d1 > 0.0 else math.inf for d0, d1 in zip(diffs, diffs[1:])]
-    spatial_ok = all(math.isfinite(r) and r >= 4.0 for r in ratios)
-
+    spatial = [Check(f"shrink factor |u_{na}(T) - u_{nb}(T)| / |u_{nb}(T) - u_{nc}(T)|", r, 4.0,
+                     r >= 4.0)
+               for na, nb, nc, r in zip(levels, levels[1:], levels[2:], ratios)]
     ladder, errors, orders = _temporal_order_study()
-    observed = min(orders)
-    temporal_ok = observed >= 3.7
+    temporal = [Check(f"temporal order from dt = {a:g} to {b:g}", o, 3.7, o >= 3.7)
+                for a, b, o in zip(ladder, ladder[1:], orders)]
+    spatial_ok, temporal_ok = (all(c.passed for c in checks) for checks in (spatial, temporal))
 
+    body = ["# refinement", ""]
+    for na, nb, d in zip(levels, levels[1:], diffs):
+        body.append(f"|u_{na}(T) - u_{nb}(T)| = {d:.6e}")
+    body += [
+        "inter-level shrink factors: " + ", ".join(f"{r:.2f}" for r in ratios)
+        + f" (need >= 4): {'ok' if spatial_ok else 'FAIL'}",
+        "",
+    ]
+    for dt, e in zip(ladder, errors):
+        body.append(f"manufactured solution, dt = {dt:g}: rel error {e:.6e}")
+    body.append("observed temporal order: " + ", ".join(f"{o:.3f}" for o in orders)
+                + f" (need >= 3.7): {'ok' if temporal_ok else 'FAIL'}")
     return RefinementReport(
-        levels=list(levels),
-        diffs=diffs,
-        ratios=ratios,
-        spatial_ok=spatial_ok,
-        dt_ladder=ladder,
-        errors=errors,
-        orders=orders,
-        observed_order=observed,
-        temporal_ok=temporal_ok,
-        passed=spatial_ok and temporal_ok,
-    )
+        levels=list(levels), diffs=diffs, ratios=ratios, spatial_ok=spatial_ok, dt_ladder=ladder,
+        errors=errors, orders=orders, temporal_ok=temporal_ok,
+        observed_order=float(np.min(orders)),  # a NaN order, where min() would skip one
+        certificate=Certificate(spatial + temporal, body))

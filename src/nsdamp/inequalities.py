@@ -7,7 +7,9 @@ on.  The random suites use heavy-tailed magnitudes on purpose: the worst
 roundoff in these estimates lives at the near-degenerate corners x ~ y and
 |x| >> |y|, not at typical Gaussian samples.
 
-``verify_suite`` bundles the suites into one pass/fail table for the CLI.
+Each suite returns an ``OracleRow`` that carries its ``Check``: the worst
+observed gap against its floor.  ``verify_suite`` bundles the suites into one
+pass/fail table for the CLI.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import Check
 from .initial_conditions import _noise, _solenoidal
 from .spectral import (
     GridSpec,
@@ -215,14 +218,24 @@ def product_law_ratio(f: SpectralField, g: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class OracleRow:
-    """One row of the verification table: worst observed gap vs its floor."""
+    """One row of the verification table: worst observed gap vs its floor, and its check."""
 
     name: str
     samples: int
     worst: float
     threshold: float
-    passed: bool
+    check: Check
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.check.passed
+
+
+def _row(name: str, samples: int, worst: float, threshold: float, ok: bool,
+         note: str = "") -> OracleRow:
+    """A row whose check is worst against threshold, ok the suite's comparison of the two."""
+    return OracleRow(name, samples, worst, threshold, Check(name, worst, threshold, ok), note)
 
 
 def _require_samples(count: int, name: str) -> None:
@@ -269,13 +282,7 @@ def monotonicity_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
 
     gaps = monotonicity_gap(x, y, beta)
     worst = float(gaps.min())
-    return OracleRow(
-        name="monotonicity",
-        samples=n_samples,
-        worst=worst,
-        threshold=-1e-12,
-        passed=worst >= -1e-12,
-    )
+    return _row("monotonicity", n_samples, worst, -1e-12, worst >= -1e-12)
 
 
 def young_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
@@ -311,13 +318,7 @@ def young_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
 
     gaps = young_gap(a, b, p, q)
     worst = float(gaps.min())
-    return OracleRow(
-        name="young",
-        samples=n_samples,
-        worst=worst,
-        threshold=-1e-12,
-        passed=worst >= -1e-12,
-    )
+    return _row("young", n_samples, worst, -1e-12, worst >= -1e-12)
 
 
 def gronwall_suite() -> OracleRow:
@@ -334,14 +335,8 @@ def gronwall_suite() -> OracleRow:
     below_two = alphas < 2.0
     margin_beta = float((grid[below_two, :-1] - grid[below_two, 1:]).min())
     worst = min(margin_alpha, margin_beta)
-    return OracleRow(
-        name="gronwall-monotone",
-        samples=grid.size,
-        worst=worst,
-        threshold=0.0,
-        passed=worst > 0.0,
-        note=f"min decrease along alpha {margin_alpha:.3e}, along beta {margin_beta:.3e}",
-    )
+    return _row("gronwall-monotone", grid.size, worst, 0.0, worst > 0.0,
+                f"min decrease along alpha {margin_alpha:.3e}, along beta {margin_beta:.3e}")
 
 
 class _RandomFields:
@@ -429,22 +424,19 @@ def interpolation_suite(n_fields: int = 1000, seed: int = 0) -> OracleRow:
     lhs, rhs = _interpolation_sides(_power(v), weights[0], grid.volume)
     worst = min(worst, (rhs - lhs) / rhs)
 
-    return OracleRow(
-        name="interpolation",
-        samples=n_fields + 1,
-        worst=float(worst),
-        threshold=-1e-10,
-        passed=worst >= -1e-10,
-        note="gap relative to the product side",
-    )
+    return _row("interpolation", n_fields + 1, float(worst), -1e-10, worst >= -1e-10,
+                "gap relative to the product side")
 
 
 def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
     """Spread of the product-law ratio across random pairs at fixed resolution.
 
     No universal constant is asserted -- the pass condition is only that the
-    ratio stays finite and positive; the observed maximum is reported so
-    regressions in the product computation are visible.  The fields are
+    ratio stays finite and positive: the check is the largest ratio against
+    bound 0, holding when the smallest is positive, so a NaN or inf ratio
+    makes its value not finite.  The threshold column reads inf.  The
+    observed maximum is reported so regressions in the product computation
+    are visible.  The fields are
     ball vectors; only the products are transformed over the whole cube.
     """
     _require_samples(n_pairs, "n_pairs")
@@ -466,14 +458,10 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
             den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
             ratios.append(_product_ratio(fp, gp, den, weight, grid.volume))
     arr = np.asarray(ratios)
-    finite = bool(np.isfinite(arr).all()) and bool((arr > 0.0).all())
+    worst = float(arr.max())
     return OracleRow(
-        name="product-law",
-        samples=n_pairs,
-        worst=float(arr.max()),
-        threshold=np.inf,
-        passed=finite,
-        note=f"ratio range [{arr.min():.4f}, {arr.max():.4f}] (diagnostic, no asserted constant)",
+        "product-law", n_pairs, worst, np.inf, Check("product-law", worst, 0.0, arr.min() > 0.0),
+        f"ratio range [{arr.min():.4f}, {arr.max():.4f}] (diagnostic, no asserted constant)",
     )
 
 

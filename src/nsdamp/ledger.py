@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .certificate import Check, verdict_word
 from .dynamics import DuhamelNorms, SolverState
 from .spectral import _EMBED_P, PhysParams, grad_norm_sq, l2_norm, lp_norm_physical
 
@@ -65,17 +66,22 @@ class EnergyRecord:
 
 @dataclass(frozen=True)
 class EnergyInequalityReport:
-    passed: bool
+    """The worst residual's check against the budget tol * |baseline|, and where it fell."""
+
+    check: Check
     tol: float
     baseline: float
     worst_t: float
-    worst_residual: float
+
+    @property
+    def passed(self) -> bool:
+        return self.check.passed
 
     def describe(self) -> str:
-        status = "pass" if self.passed else "FAIL"
         return (
-            f"energy inequality {status}: worst residual {self.worst_residual:.3e} "
-            f"at t = {self.worst_t:g} (budget {self.tol:.1e} * baseline {self.baseline:.6g})"
+            f"energy inequality {verdict_word(self.passed)}: worst residual "
+            f"{self.check.value:.3e} at t = {self.worst_t:g} "
+            f"(budget {self.tol:.1e} * baseline {self.baseline:.6g})"
         )
 
 
@@ -154,19 +160,20 @@ def check_energy_inequality(series: Sequence[EnergyRecord], tol: float) -> Energ
     A dissipative scheme can only lose energy to the budget, so a residual
     above the tolerance means the accounting (or the solver) is wrong.  A
     violation is returned as a failing report naming the worst time, not
-    raised, so callers can fold many runs into one table.
+    raised, so callers can fold many runs into one table.  The worst record
+    is the first NaN residual if there is one, where max() would skip a NaN
+    that follows a larger residual.
     """
     if not series:
         raise ValueError("empty energy series")
-    worst = max(series, key=lambda r: r.residual)
+    worst = series[int(np.argmax([r.residual for r in series]))]
     baseline = series[0].baseline
     budget = tol * abs(baseline) if baseline != 0.0 else tol
     return EnergyInequalityReport(
-        passed=bool(worst.residual <= budget),
+        check=Check("energy inequality", worst.residual, budget, worst.residual <= budget),
         tol=tol,
         baseline=baseline,
         worst_t=worst.t,
-        worst_residual=worst.residual,
     )
 
 

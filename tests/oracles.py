@@ -24,7 +24,9 @@ package's ball transforms and half-spectrum sums must reproduce.
 ``loop_interpolation_suite`` and ``loop_product_law_suite`` are the
 interpolation and product-law suites drawing, transforming and measuring
 one field at a time (``loop_random_band_limited``), which the suites'
-chunked draws and transforms must reproduce row for row, bit for bit.
+chunked draws and transforms must reproduce row for row, bit for bit. Their
+checks state the pass rules directly, ``worst >= floor`` and, for the product
+law, every ratio finite and positive, which the suites' checks must match.
 
 ``full_cube_ball_tables`` reads the cutoff ball's entries and tables off the
 full-cube wavenumber, |xi|^2 and mask tables below, which the ball's own
@@ -67,6 +69,7 @@ pruned inverse transform must reproduce.
 import numpy as np
 import scipy.fft
 
+from nsdamp.certificate import Check
 from nsdamp.dynamics import _Kernel
 from nsdamp.inequalities import (
     _INTERPOLATION_ORDERS,
@@ -526,7 +529,7 @@ def loop_interpolation_suite(n_fields, seed):
         samples=n_fields + 1,
         worst=float(worst),
         threshold=-1e-10,
-        passed=worst >= -1e-10,
+        check=Check("interpolation", float(worst), -1e-10, worst >= -1e-10),
         note="gap relative to the product side",
     )
 
@@ -552,7 +555,7 @@ def loop_product_law_suite(n_pairs, seed):
         samples=n_pairs,
         worst=float(arr.max()),
         threshold=np.inf,
-        passed=finite,
+        check=Check("product-law", float(arr.max()), 0.0, finite),
         note=f"ratio range [{arr.min():.4f}, {arr.max():.4f}] (diagnostic, no asserted constant)",
     )
 

@@ -158,7 +158,7 @@ def test_05_large_time_decay():
     )
     rep = decay_experiment(cfg)
     elapsed = time.perf_counter() - t0
-    failed = [name for name, ok, _ in rep.checks if not ok]
+    failed = [check.name for check in rep.certificate.checks if not check.passed]
     _certify(
         "large-time decay",
         rep.passed and rep.threshold_time is not None and rep.threshold_time <= 20.0 and elapsed <= 600.0,

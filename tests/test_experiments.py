@@ -11,6 +11,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,8 +129,9 @@ class TestRunExperiment:
         res1 = run_experiment(cfg, out_dir=str(a))
         res2 = run_experiment(cfg, out_dir=str(b))
         assert res1.passed and res2.passed
-        for name in ("series.csv", "final.ckpt", "report.txt"):
+        for name in ("series.csv", "final.ckpt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert res1.lines() == res2.lines()
         text = "\n".join(res1.lines())
         assert "grid.n_modes = 8" in text  # canonical config echo
         assert "verdict: pass" in text
@@ -186,6 +188,26 @@ class TestRunExperiment:
             digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
                             for name in ("series.csv", "final.ckpt")])
         assert digests[0] == digests[1]
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_residual_that_is_not_finite_fails_both_budget_checks(self, monkeypatch, value):
+        # max() skipped a NaN residual that follows a larger finite one, in the
+        # energy inequality's worst record and in the two-sided balance alike
+        def corrupting(*args, hooks, **kwargs):
+            snapshots = run(*args, hooks=hooks, **kwargs)
+            energy = hooks[0].energy
+            energy[2] = replace(energy[2], residual=1e-12)
+            energy[5] = replace(energy[5], residual=value)
+            return snapshots
+
+        monkeypatch.setattr(experiments, "run", corrupting)
+        res = run_experiment(_cfg())
+        assert not res.passed
+        lines = res.lines()
+        for check in ("energy inequality", "two-sided energy balance"):
+            assert any(line.startswith(f"FAIL {check}: {value}") for line in lines), lines
+        assert lines[-1] == "verdict: FAIL"
 
 
 class TestTwin:
@@ -251,6 +273,24 @@ class TestTwin:
             twin_experiment(cfg, 1e-320)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_separation_that_is_not_finite_fails(self, monkeypatch, value):
+        # lhs > rhs is False at a NaN, so no sample was a violation and the bound passed
+        runs = []
+
+        def corrupting(*args, **kwargs):
+            runs.append(trajectory(*args, **kwargs))
+            twin = len(runs) == 2
+            return (SimpleNamespace(t=s.t, vector=np.full_like(s.vector, value))
+                    if twin and s.step_count == 50 else s for s in runs[-1])
+
+        monkeypatch.setattr(experiments, "trajectory", corrupting)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the gradient weights
+            rep = twin_experiment(_cfg(), 1e-3)
+        assert not rep.passed
+        assert any(line.startswith("FAIL separation bound: ") for line in rep.lines()), rep.lines()
+
+
 class TestContinuity:
     def test_ladder_pass(self):
         cfg = _cfg(**{"time.dt": 2.5e-3})
@@ -275,6 +315,24 @@ class TestContinuity:
         cfg = _cfg(**{"time.dt": 2.5e-3})
         with pytest.raises(ConfigError, match=fragment):
             continuity_experiment(cfg, eps, t0=t0)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_shift_that_is_not_finite_fails_its_checks(self, monkeypatch, value):
+        # u(t0 + eps) at eps = 0.025 (step 40 + 10) reads NaN or inf
+        def corrupting(*args, **kwargs):
+            return (SimpleNamespace(t=s.t, step_count=50, grid=s.grid,
+                                    vector=np.full_like(s.vector, value))
+                    if s.step_count == 50 else s for s in trajectory(*args, **kwargs))
+
+        monkeypatch.setattr(experiments, "trajectory", corrupting)
+        cfg = _cfg(**{"time.dt": 2.5e-3})
+        rep = continuity_experiment(cfg, [0.05, 0.025, 0.0125], t0=0.1)
+        assert not rep.passed and not rep.bound_ok
+        lines = rep.lines()
+        assert any(line.startswith("FAIL forward shift bound at eps = 0.025: ") for line in lines)
+        assert any(line.startswith("FAIL forward modulus at eps = 0.0125 below eps = 0.025: ")
+                   for line in lines), lines
 
 
 class TestDecay:
@@ -308,7 +366,7 @@ class TestDecay:
             }
         )
         rep = decay_experiment(cfg, out_dir=str(tmp_path / "d"))
-        names = [name for name, _, _ in rep.checks]
+        names = [check.name for check in rep.certificate.checks]
         assert names == [
             "energy monotone nonincreasing",
             "low-regularity norm nonincreasing over tail",
@@ -319,12 +377,11 @@ class TestDecay:
         ]
         # the horizon is deliberately too short to decay to 5%: the
         # monotonicity checks hold, the threshold check honestly fails
-        by_name = {name: ok for name, ok, _ in rep.checks}
+        by_name = {check.name: check.passed for check in rep.certificate.checks}
         assert by_name["energy monotone nonincreasing"]
         assert not by_name["5% energy threshold crossed"]
         assert not rep.passed
         assert (tmp_path / "d" / "series.csv").exists()
-        assert (tmp_path / "d" / "report.txt").exists()
 
 
     @pytest.mark.parametrize("series, field, index, value, check", [
@@ -355,6 +412,7 @@ class TestDecay:
             rep = decay_experiment(cfg)
         assert len(rep.recorder.energy) == 9
         assert any(line.startswith(f"[FAIL] {check}:") for line in rep.lines()), rep.lines()
+        assert any(line.startswith(f"FAIL {check}: ") for line in rep.lines()), rep.lines()
         assert not rep.passed
 
 
@@ -687,6 +745,39 @@ class TestRefinement:
         assert "refinement" in rep.lines()[0]
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_temporal_order_that_is_not_finite_fails(self, monkeypatch, value):
+        # min([4.0, nan]) is 4.0: the order line read "ok" and the verdict pass
+        ladder, errors = [2e-2, 1e-2, 5e-3], [1e-6, 6e-8, 4e-9]
+        monkeypatch.setattr(experiments, "_temporal_order_study",
+                            lambda: (ladder, errors, [4.0, value]))
+        cfg = _cfg(**{"phys.nu": 0.02, "phys.alpha": 0.5, "time.dt": 5e-3, "time.t_end": 0.02})
+        rep = refinement_experiment(cfg, [8, 16, 32])
+        assert rep.spatial_ok and not rep.temporal_ok and not rep.passed
+        lines = rep.lines()
+        assert f"observed temporal order: 4.000, {value:.3f} (need >= 3.7): FAIL" in lines
+        assert f"FAIL temporal order from dt = 0.01 to 0.005: {value}" in "\n".join(lines)
+        assert lines[-1] == "verdict: FAIL"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_an_inter_level_difference_that_is_not_finite_fails(self, monkeypatch, value):
+        # |u_16(T) - u_32(T)| reads NaN or inf: the factor over it is inf or 0
+        norms = []
+
+        def corrupting(f):
+            norms.append(l2_norm(f))
+            return value if len(norms) == 2 else norms[-1]
+
+        monkeypatch.setattr(experiments, "l2_norm", corrupting)
+        monkeypatch.setattr(experiments, "_temporal_order_study",
+                            lambda: ([2e-2, 1e-2, 5e-3], [1e-6, 6e-8, 4e-9], [4.0, 4.0]))
+        cfg = _cfg(**{"phys.nu": 0.02, "phys.alpha": 0.5, "time.dt": 5e-3, "time.t_end": 0.02})
+        rep = refinement_experiment(cfg, [8, 16, 32])
+        assert not rep.spatial_ok and rep.temporal_ok and not rep.passed
+        name = "shrink factor |u_8(T) - u_16(T)| / |u_16(T) - u_32(T)|"
+        assert any(line.startswith(f"FAIL {name}: ") for line in rep.lines()), rep.lines()
+
+
 class TestThreadCap:
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("NSD_THREADS", "many")
@@ -830,9 +921,8 @@ class TestCli:
         faint.write_text(cfg_file.read_text() + "ic.amplitude = 1e-300\n")
         assert main(["refine", str(faint), "--levels", "8,16,32"]) == 1
         out = capsys.readouterr().out
-        assert ("|u_16(T) - u_32(T)| = 0.000000e+00: the finer difference must be positive "
-                "and both finite: FAIL") in out
-        assert out.splitlines()[-1] == "verdict: FAIL"
+        assert "FAIL shrink factor |u_8(T) - u_16(T)| / |u_16(T) - u_32(T)|: inf" in out
+        assert out.splitlines()[-2] == "verdict: FAIL"
 
     def test_an_internal_error_exits_3_on_one_line(self, cfg_file, capsys, monkeypatch):
         # an exception no exit code names is a bug, not a violated bound (1)

@@ -1,6 +1,7 @@
 """The package namespace re-exports every module's public names, once each,
 no module reaches into the stepper's private names or keeps an unused
-import, and the package runs without SciPy."""
+import, one function renders the verdict line and one writes report.txt,
+and the package runs without SciPy."""
 
 import ast
 import importlib
@@ -74,6 +75,43 @@ def test_no_module_builds_a_meshgrid():
                 if name == "meshgrid":
                     calls.append(f"{path.name}:{node.lineno}")
     assert not calls
+
+
+class _LiteralSites(ast.NodeVisitor):
+    """The functions whose code, not their docstrings, holds a string literal containing text."""
+
+    def __init__(self, module: str, text: str):
+        self.scope, self.text, self.found = [module], text, set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Expr(self, node):  # a bare string is a docstring
+        if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
+            self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and self.text in node.value:
+            self.found.add(".".join(self.scope))
+
+
+def _literal_sites(text: str) -> set[str]:
+    found = set()
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        sites = _LiteralSites(path.stem, text)
+        sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= sites.found
+    return found
+
+
+def test_one_function_renders_the_verdict_line_and_one_writes_the_report():
+    # a second copy of the verdict rule, or a second writer, drifts from the first
+    assert _literal_sites("verdict:") == {"certificate.Certificate.verdict"}
+    assert _literal_sites("report.txt") == {"certificate.write_report"}
 
 
 def test_a_run_and_the_oracle_suites_import_no_scipy(tmp_path):
