@@ -48,8 +48,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import (_ALONE, _EMBED_P, GridSpec, PhysParams, SpectralField, _Ball, _Crew,
-                       _magnitudes, _on_driver_thread, _workers)
+from .spectral import (_ALONE, _EMBED_P, ConfigError, GridSpec, PhysParams, SpectralField, _Ball,
+                       _Crew, _magnitudes, _on_driver_thread, _speed_sq, _workers)
 
 __all__ = [
     "SolverState",
@@ -75,7 +75,7 @@ _CFL_FLOOR = 1e-30
 #: fraction of the stability limit 1 / rate that a step may use.
 _CFL_SAFETY = 0.9
 
-#: relative tolerance for "this time lies on the dt grid" checks.
+#: relative tolerance of StepperConfig.steps, the one "this time lies on the dt grid" rule.
 _GRID_ALIGN_TOL = 1e-8
 
 #: Duhamel reconstruction drift that aborts a run (roundoff sits near 1e-13).
@@ -111,16 +111,14 @@ class PointwiseNorms(NamedTuple):
 def _pointwise_norms(u: np.ndarray, dv: float, beta: float) -> PointwiseNorms:
     """The PointwiseNorms of grid values u, shape (3, N, N, N).
 
-    |u| is formed in place in one (N, N, N) array and raised to beta in
-    place once the max and the embed mass are taken; one more such array
-    holds each square, then |u|^(10/3), and one mask selects the points
-    with |u| <= 1, then, inverted in place, the others. Every value and sum
-    is that of the expressions written whole.
+    |u|^2 is formed by _speed_sq in one (N, N, N) array, then |u| in place,
+    raised to beta in place once the max and the embed mass are taken; one
+    more such array holds each square, then |u|^(10/3), and one mask
+    selects the points with |u| <= 1, then, inverted in place, the others.
+    Every value and sum is that of the expressions written whole.
     """
-    mag = u[0] ** 2
-    work = np.square(u[1])
-    mag += work
-    mag += np.square(u[2], out=work)
+    work = np.empty_like(u[0])
+    mag = _speed_sq(u, work=work)
     np.sqrt(mag, out=mag)
     linf = float(mag.max(initial=0.0))
     if beta != _EMBED_P:
@@ -206,6 +204,21 @@ class StepperConfig:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
+    def steps(self, t: float, name: str) -> int:
+        """The number of steps of dt in the time t, the argument name: the one dt-grid rule.
+
+        t must be finite and lie within 1e-8 max(|t|, dt) of a positive
+        multiple of dt; otherwise a ConfigError (a ValueError) names it,
+        and names dt by its config key, time.dt.
+        """
+        if not math.isfinite(t):
+            raise ConfigError(f"{name} must be finite, got {t!r}")
+        ratio = t / self.dt
+        n = round(ratio) if math.isfinite(ratio) else 0
+        if n < 1 or abs(n * self.dt - t) > _GRID_ALIGN_TOL * max(abs(t), self.dt):
+            raise ConfigError(f"{name} = {t!r} is not a positive multiple of time.dt = {self.dt!r}")
+        return n
+
 
 # ---------------------------------------------------------------------------
 # the nonlinear kernel
@@ -251,17 +264,18 @@ class _Kernel:
 
     A call splits its slab loops over workers (spectral._Crew): one per
     slab at most, and at most NSD_THREADS (unset, the CPU count), read
-    when the kernel is built, so a bad value is refused then. Each worker
-    takes a contiguous run of slabs, the calling thread the first: the
-    inverse's y and z passes, each slab followed by its |u|^2 fill, and
-    per forward group the products, the z and x passes and the take of
-    the y_lines; the x_lines' and the y_lines' passes split by runs of
-    lines. The entry takes, the
-    max and sum of |u|^2 and the divergence run on the calling thread, in
-    their serial order, so every bit is that of one worker. A grid of one
-    slab, a cap of 1, or a call on a driver's pool thread (see
-    spectral._parallel) runs on the calling thread alone and starts no
-    thread, so the two thread levels never nest.
+    when the kernel is built, so a bad value is refused then; a kernel
+    built on a driver's pool thread (see spectral._parallel), as every
+    kernel of a driver's job is, has one. Each worker takes a contiguous
+    run of slabs, the calling thread the first: the inverse's y and z
+    passes, each slab followed by its |u|^2 fill, and per forward group
+    the products, the z and x passes and the take of the y_lines; the
+    x_lines' and the y_lines' passes split by runs of lines. The entry
+    takes, the max and sum of |u|^2 and the divergence run on the calling
+    thread, in their serial order, so every bit is that of one worker. A
+    kernel of one worker (a grid of one slab, a cap of 1, or a driver's
+    job) runs on the calling thread alone and starts no thread, so the
+    two thread levels never nest.
 
     Every array of an evaluation lives in a buffer of the instance, the
     terms it returns included: the grid values u and |u|^2, and per worker
@@ -274,10 +288,10 @@ class _Kernel:
     (3, N, N, N/2 + 1). damp is a view of the damping blocks'
     coefficients. So the terms of a call hold until the next call, which
     overwrites them: a caller folds them in first (the stepper does, see
-    _Fold). inverse() allocates only u, the workers' slabs and the line
-    array; the first call allocates the rest. Allocated and freed at each
-    stage instead, they let the allocator trim the top of the heap and
-    fault it back in at the next stage. The buffers are per-instance
+    _Fold). The constructor allocates every buffer, the per-worker ones
+    for its workers, and no call allocates one. Allocated and freed at
+    each stage instead, they let the allocator trim the top of the heap
+    and fault it back in at the next stage. The buffers are per-instance
     scratch: a kernel serves one call at a time, its workers each with
     their own slabs.
     """
@@ -290,27 +304,25 @@ class _Kernel:
         self.damped = params.alpha > 0.0
         # the blocks, three to a forward transform; None stands for the damping blocks
         self.groups = ([_PAIRS[:3], _PAIRS[3:]] if advect else []) + ([None] if self.damped else [])
-        self.workers = _workers(len(range(0, grid.n_modes, self.ball.slab)))
-        self.u = self.hats = None  # the inverse's buffers, then the forward's, allocated on first use
-        self.slabs, self.planes, self.products = [], [], []  # per worker, allocated on first use
-
-    def _allocate_inverse(self) -> None:
-        ball, n = self.ball, self.grid.n_modes
-        self.u = np.empty((3, n, n, n))
+        ball, n, n_ball = self.ball, grid.n_modes, self.ball.k_sq.size
+        self.workers = 1 if _on_driver_thread() else _workers(len(range(0, n, ball.slab)))
+        self.u, self.mag_sq = np.empty((3, n, n, n)), np.empty((n, n, n))
         x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3, n, ball.y_m1.size)
         lines = np.empty(max(math.prod(x_shape), math.prod(y_shape)), dtype=np.complex128)
         self.x_lines = lines[: math.prod(x_shape)].reshape(x_shape)
         self.y_lines = lines[: math.prod(y_shape)].reshape(y_shape)
-
-    def _allocate_forward(self) -> None:
-        n, n_ball = self.grid.n_modes, self.ball.k_sq.size
-        self.mag_sq = np.empty((n, n, n))
         self.hats = np.empty((3 * len(self.groups), n_ball), dtype=np.complex128)
-        self.adv = np.empty((3, n_ball), dtype=np.complex128) if self.advect else None
+        self.adv = np.empty((3, n_ball), dtype=np.complex128) if advect else None
+        # per worker: flat, the inverse's planes at its head and, per call, the forward's spec slab
+        plane_shape = (3, ball.slab, n, ball.top + 1)
+        self.slabs = [np.empty(3 * n * ball.slab * (n // 2 + 1), dtype=np.complex128)
+                      for _ in range(self.workers)]
+        self.planes = [slab[: math.prod(plane_shape)].reshape(plane_shape) for slab in self.slabs]
+        self.products = [np.empty((3, ball.slab, n, n)) for _ in range(self.workers)]
 
     def _crew(self) -> _Crew:
-        """The workers of one call: self.workers, or the calling thread alone on a driver's pool thread."""
-        return _ALONE if self.workers == 1 or _on_driver_thread() else _Crew(self.workers)
+        """The workers of one call: self.workers, the calling thread alone when that is one."""
+        return _ALONE if self.workers == 1 else _Crew(self.workers)
 
     def _products(self, group, ys: slice, w: int) -> np.ndarray:
         """The group's three blocks on the y-planes ys, formed in worker w's product buffer.
@@ -337,46 +349,28 @@ class _Kernel:
             np.multiply(weight, u[i], out=products[i])
         return products
 
-    def _inverse(self, v: np.ndarray, crew: _Crew, then=None) -> np.ndarray:
-        ball, n = self.ball, self.grid.n_modes
-        if self.u is None:
-            self._allocate_inverse()
-        while len(self.slabs) < crew.size:
-            # flat, the inverse's planes at its head and, per call, the forward's spec slab
-            slab = np.empty(3 * n * ball.slab * (n // 2 + 1), dtype=np.complex128)
-            shape = (3, ball.slab, n, ball.top + 1)
-            self.slabs.append(slab)
-            self.planes.append(slab[: math.prod(shape)].reshape(shape))
-        return ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=crew, then=then)
-
     def inverse(self, v: np.ndarray) -> np.ndarray:
         """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
         with self._crew() as crew:
-            return self._inverse(v, crew)
+            return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=crew)
 
     def _fill(self, xs: slice, w: int) -> None:
-        """|u|^2 = (u_0^2 + u_1^2) + u_2^2 on the x-planes xs, worker w's product buffer holding each square.
+        """|u|^2 on the x-planes xs by _speed_sq, worker w's product buffer holding each square.
 
         The inverse calls it on each slab of x-planes as it lands in u:
         they are contiguous in u, and still in cache.
         """
-        slab, square = self.mag_sq[xs], self.products[w][0]
-        np.square(self.u[0, xs], out=slab)
-        for i in (1, 2):
-            slab += np.square(self.u[i, xs], out=square[: xs.stop - xs.start])
+        _speed_sq(self.u[:, xs], out=self.mag_sq[xs], work=self.products[w][0, : xs.stop - xs.start])
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
         ball, params, n = self.ball, self.params, self.grid.n_modes
         with self._crew() as crew:
-            if self.hats is None:
-                self._allocate_forward()
-            while len(self.products) < crew.size:
-                self.products.append(np.empty((3, ball.slab, n, n)))
-            self._inverse(v, crew, then=self._fill)
+            ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=crew,
+                             then=self._fill)
             hats, mag_sq = self.hats, self.mag_sq
             linf = float(np.sqrt(float(mag_sq.max())))
 
-            spec = [slab.reshape(3, n, ball.slab, n // 2 + 1) for slab in self.slabs[: crew.size]]
+            spec = [slab.reshape(3, n, ball.slab, n // 2 + 1) for slab in self.slabs]
             for g, group in enumerate(self.groups):
                 ball.from_slabs(partial(self._products, group), 3, out=hats[3 * g : 3 * g + 3],
                                 spec=spec, lines=self.y_lines, crew=crew)
@@ -739,9 +733,11 @@ def trajectory(
 ) -> Iterator[SolverState]:
     """Integrate from t_start to t_end, yielding snapshots at the output cadence.
 
-    t_end - t_start and output_every must sit on the dt grid (validated), and
-    snapshots are scheduled by step index, so reruns and restarts land on
-    bitwise-identical times. Hooks are called with each snapshot before it
+    t_end - t_start must be zero or, as output_every must be, a positive
+    multiple of dt; StepperConfig.steps refuses any other value, one that
+    is not finite included, with a ConfigError (a ValueError) that names
+    it. Snapshots are scheduled by step index, so reruns and restarts land
+    on bitwise-identical times. Hooks are called with each snapshot before it
     is yielded; its duhamel is None when forcing is active, which makes the
     heat/f/g split meaningless. The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
@@ -753,7 +749,9 @@ def trajectory(
     yielded, and the snapshot's pointwise sums come from the grid values
     that call leaves in the kernel's buffer; the final snapshot runs the
     kernel's inverse alone. The projection, the forcing and the CFL check
-    of that stage run in the step itself, after the yield.
+    of that stage run in the step itself, after the yield. A run of no
+    steps builds no kernel, and its snapshot takes its pointwise sums when
+    they are first read.
 
     Nothing runs until the first snapshot is requested, and only the
     snapshot being yielded is held: a caller that keeps none integrates in
@@ -764,36 +762,30 @@ def trajectory(
     heat + f + g drifts from the state, and CFLError on a stability
     violation; each carries a time in its message.
     """
-    if t_end < t_start:
-        raise ValueError(f"t_end = {t_end!r} precedes t_start = {t_start!r}")
     span = t_end - t_start
-    n_steps = int(round(span / cfg.dt))
-    if abs(n_steps * cfg.dt - span) > _GRID_ALIGN_TOL * max(span, cfg.dt):
-        raise ValueError(
-            f"t_end - t_start = {span!r} is not an integer multiple of dt = {cfg.dt!r}"
-        )
+    n_steps = cfg.steps(span, "t_end - t_start") if span else 0
     if output_every is None:
-        stride = max(1, n_steps // 100) if n_steps else 1
+        stride = max(1, n_steps // 100)
     else:
-        stride = int(round(output_every / cfg.dt))
-        if stride < 1 or abs(stride * cfg.dt - output_every) > _GRID_ALIGN_TOL * output_every:
-            raise ValueError(
-                f"output_every = {output_every!r} is not a positive multiple of dt = {cfg.dt!r}"
-            )
+        stride = cfg.steps(output_every, "output_every")
 
     grid = initial.grid
     v = _initial_vector(initial)
     del initial  # only its ball entries are needed from here on
-    stepper = _Stepper(grid, params, cfg, forcing=forcing)
-    kernel = stepper.kernel
+    # the split before the kernel's buffers: built after them, its arrays raised the peak RSS of
+    # a 4-step run at N = 64 by 2.7 MiB (where the allocator placed them)
     duhamel = _Duhamel(grid, v) if forcing is None else None
+    # a run of no steps builds no stepper, so no kernel: its snapshot takes its pointwise sums when read
+    stepper = _Stepper(grid, params, cfg, forcing=forcing) if n_steps else None
+    kernel = None if stepper is None else stepper.kernel
     cum_visc = cum_damp = 0.0
 
     def start(i: int) -> _NLTerms | None:
         """Step i + 1's first-stage kernel terms (None past the last); kernel.u gets v's grid values."""
         if i < n_steps:
             return kernel(v)
-        kernel.inverse(v)
+        if kernel is not None:
+            kernel.inverse(v)
         return None
 
     def snapshot(i: int) -> SolverState:
@@ -802,7 +794,7 @@ def trajectory(
         if norms is not None and norms.drift > _DUHAMEL_DRIFT_TOL:
             raise BlowupError(f"Duhamel split drifted from the state ({norms.drift:.3e} relative) "
                               f"at t = {t:g}")
-        pointwise = _pointwise_norms(kernel.u, grid.cell_volume, params.beta)
+        pointwise = None if kernel is None else _pointwise_norms(kernel.u, grid.cell_volume, params.beta)
         snap = SolverState._of_vector(grid, v, t, params, i, cum_visc, cum_damp, norms, pointwise)
         for hook in hooks:
             hook(snap)

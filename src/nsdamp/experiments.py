@@ -283,13 +283,6 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
 # continuity modulus
 
 
-def _grid_index(t: float, dt: float, what: str) -> int:
-    i = int(round(t / dt))
-    if i <= 0 or abs(i * dt - t) > 1e-8 * max(abs(t), dt):
-        raise ConfigError(f"{what} = {t!r} is not a positive multiple of time.dt = {dt!r}")
-    return i
-
-
 @dataclass
 class ContinuityReport(Certified):
     t0: float
@@ -329,19 +322,21 @@ def continuity_experiment(
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
     if len(eps_sorted) != len(epsilons):
         raise ConfigError(f"duplicate epsilons in {epsilons!r}")
-    dt = cfg.dt
-    i_t0 = _grid_index(t0, dt, "t0")
+    stepper = cfg.stepper()
+    i_t0 = stepper.steps(t0, "t0")
     indices = {0, i_t0}  # the start, t0, each eps and t0 +- eps
+    i_eps = []
     for e in eps_sorted:
         if not 0.0 < e < t0:
             raise ConfigError(f"epsilon must lie in (0, t0); got eps = {e!r}, t0 = {t0!r}")
-        i_e = _grid_index(e, dt, "eps")
+        i_e = stepper.steps(e, "eps")
+        i_eps.append(i_e)
         indices.update((i_e, i_t0 - i_e, i_t0 + i_e))
     stride = math.gcd(*indices)
 
     u0, t_start = build_initial(cfg)
-    snapshots = trajectory(u0, cfg.phys(), cfg.stepper(), t_start + t0 + eps_sorted[0],
-                           t_start=t_start, output_every=stride * dt)
+    snapshots = trajectory(u0, cfg.phys(), stepper, t_start + t0 + eps_sorted[0],
+                           t_start=t_start, output_every=stride * cfg.dt)
     del u0  # the start-up reads it, then drops it
     by_index = {s.step_count: s for s in snapshots if s.step_count in indices}
 
@@ -353,8 +348,7 @@ def continuity_experiment(
     e0_sq = volume * ball.norm_sq(v_start)
 
     moduli, moduli_back, bounds, bound_checks = [], [], [], []
-    for e in eps_sorted:
-        i_e = _grid_index(e, dt, "eps")
+    for e, i_e in zip(eps_sorted, i_eps):
         fwd = math.sqrt(volume * ball.norm_sq(by_index[i_t0 + i_e].vector - v_t0))
         back = math.sqrt(volume * ball.norm_sq(by_index[i_t0 - i_e].vector - v_t0))
         inner = volume * ball.inner(by_index[i_e].vector, v_start)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .spectral import GridSpec, SpectralField, _in_ball, l2_norm
 
-__all__ = ["taylor_green", "shear_mode", "random_solenoidal"]
+__all__ = ["taylor_green", "random_solenoidal"]
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
@@ -31,19 +31,6 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
             for s3 in (1, -1):
                 coeffs[0, s1, s2, s3] = -1j * amplitude * s1 / 8.0
                 coeffs[1, s1, s2, s3] = 1j * amplitude * s2 / 8.0
-    return SpectralField(grid, coeffs)
-
-
-def shear_mode(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
-    """Single-mode shear flow u = (A sin(2 pi y / L), 0, 0).
-
-    Solenoidal by structure and annihilated by the advection term, so with
-    alpha = 0 it evolves by the exact heat factor. Useful as a closed-form
-    reference.
-    """
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[0, 0, 1, 0] = -0.5j * amplitude
-    coeffs[0, 0, -1, 0] = 0.5j * amplitude
     return SpectralField(grid, coeffs)
 
 

@@ -104,7 +104,7 @@ def _workers(jobs: int) -> int:
 
 
 def _driver_thread() -> None:
-    """Mark the calling thread as a driver pool's: a kernel called on it runs on it alone."""
+    """Mark the calling thread as a driver pool's: a kernel built on it has one worker, itself."""
     _threads.driver = True
 
 
@@ -118,7 +118,7 @@ def _parallel(jobs: list[Callable[[], object]]) -> list:
 
     Each job runs in a copy of the caller's context (NumPy's errstate
     included), as _Crew's workers do. The pool's threads are driver
-    threads: a kernel called on one splits no slabs, so the two thread
+    threads: a kernel built on one splits no slabs, so the two thread
     levels never nest. The experiments run their independent
     integrations on it, verify_suite its two sampling suites.
     """
@@ -495,10 +495,18 @@ def _sobolev_weight(k_sq: np.ndarray, s: float, homogeneous: bool) -> np.ndarray
     return np.power(k_sq, s, out=np.zeros_like(k_sq), where=k_sq > 0.0)
 
 
-def _speed_sq(f: SpectralField) -> np.ndarray:
-    """|u|^2 = sum_i u_i^2 at the collocation points, shape (N, N, N)."""
-    u = to_physical(f)
-    return u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+def _speed_sq(u: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """|u|^2 = (u_0^2 + u_1^2) + u_2^2 of grid values u (3, ...): the one speed rule.
+
+    Formed in place in out, each later square in work; either is allocated
+    when not given, so a caller may pass slabs of its own buffers. Every
+    value has the bits of u[0]**2 + u[1]**2 + u[2]**2.
+    """
+    out = np.square(u[0], out=out)
+    work = np.square(u[1], out=work)
+    out += work
+    out += np.square(u[2], out=work)
+    return out
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = True) -> float:
@@ -537,7 +545,7 @@ def lp_norm_physical(f: SpectralField, p: float) -> float:
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p!r}")
-    total = float((_speed_sq(f) ** (p / 2.0)).sum()) * f.grid.cell_volume
+    total = float((_speed_sq(to_physical(f)) ** (p / 2.0)).sum()) * f.grid.cell_volume
     return float(total ** (1.0 / p))
 
 

@@ -41,8 +41,16 @@ and ``cube_low_shell_mask`` are whole (N, N, N) tables built by
 are the public full-cube operators with their |xi|^2 read off those tables,
 which the package's operators must reproduce bit for bit.
 
-``hermitian_error``, ``l2_inner``, ``linf_norm``, ``remove_mean`` and
-``zeros_like`` are small field helpers that only the tests read.
+``hermitian_error``, ``l2_inner``, ``linf_norm``, ``remove_mean``,
+``shear_mode`` and ``zeros_like`` are small fields and field helpers that
+only the tests read; ``linf_norm`` forms |u|^2 as one whole-array
+expression of its own.
+
+``kernel_fill_speed_sq``, ``pointwise_speed_sq`` and ``whole_speed_sq``
+are the three forms |u|^2 took before ``spectral._speed_sq`` became the
+one rule: the kernel's fill of a slab of x-planes, the pointwise norms'
+in-place sum and the whole-array sum of ``lp_norm_physical``, which the
+rule must reproduce bit for bit.
 
 ``reference_validate``, ``reference_hermitian_error`` and
 ``reference_divergence_error`` are the state-space check read off the
@@ -85,7 +93,6 @@ from nsdamp.spectral import (
     _hermitian_gap,
     _in_ball,
     _power,
-    _speed_sq,
     friedrichs_truncate,
     l2_norm,
     leray_project,
@@ -115,7 +122,43 @@ def l2_inner(f, g):
 
 def linf_norm(f):
     """Max pointwise Euclidean magnitude on the collocation grid."""
-    return float(np.sqrt(float(_speed_sq(f).max())))
+    u = to_physical(f)
+    return float(np.sqrt(float((u[0] ** 2 + u[1] ** 2 + u[2] ** 2).max())))
+
+
+def shear_mode(grid, amplitude=1.0):
+    """Single-mode shear flow u = (A sin(2 pi y / L), 0, 0).
+
+    Solenoidal by structure and annihilated by the advection term, so with
+    alpha = 0 it evolves by the exact heat factor: a closed-form reference.
+    """
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[0, 0, 1, 0] = -0.5j * amplitude
+    coeffs[0, 0, -1, 0] = 0.5j * amplitude
+    return SpectralField(grid, coeffs)
+
+
+def kernel_fill_speed_sq(u, xs):
+    """|u|^2 on the x-planes xs as the kernel's slab fill formed it: squares added in place."""
+    slab = np.square(u[0, xs])
+    square = np.empty_like(slab)
+    for i in (1, 2):
+        slab += np.square(u[i, xs], out=square)
+    return slab
+
+
+def pointwise_speed_sq(u):
+    """|u|^2 as the snapshots' pointwise norms formed it: u_0^2, then each square added in place."""
+    mag = u[0] ** 2
+    work = np.square(u[1])
+    mag += work
+    mag += np.square(u[2], out=work)
+    return mag
+
+
+def whole_speed_sq(u):
+    """|u|^2 as lp_norm_physical formed it: one whole-array expression."""
+    return u[0] ** 2 + u[1] ** 2 + u[2] ** 2
 
 
 def hermitian_error(f):

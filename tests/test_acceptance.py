@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from oracles import direct_advection, direct_pressure
+from oracles import direct_advection, direct_pressure, shear_mode
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.config import config_from_mapping
 from nsdamp.dynamics import StepperConfig, advection, pressure_field, run
@@ -23,7 +23,7 @@ from nsdamp.experiments import (
     run_experiment,
     twin_experiment,
 )
-from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
+from nsdamp.initial_conditions import random_solenoidal, taylor_green
 from nsdamp.inequalities import verify_suite
 from nsdamp.ledger import SeriesRecorder
 from nsdamp.spectral import (

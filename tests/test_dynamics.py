@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import sys
 import weakref
 
@@ -27,6 +28,7 @@ from oracles import (
     list_form_step,
     project_hat,
     remove_mean,
+    shear_mode,
     unfused_kernel,
 )
 from nsdamp import dynamics, spectral
@@ -46,7 +48,7 @@ from nsdamp.dynamics import (
     tendency,
     trajectory,
 )
-from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
+from nsdamp.initial_conditions import random_solenoidal, taylor_green
 from nsdamp.ledger import SeriesRecorder
 from nsdamp.spectral import (
     PhysParams,
@@ -594,6 +596,48 @@ class TestStepping:
             run(u0, params, StepperConfig(dt=0.02), 0.1, output_every=0.03)
         with pytest.raises(ValueError):
             run(u0, params, StepperConfig(dt=0.02), 0.11)
+
+    @pytest.mark.parametrize("times, name", [
+        ({"t_end": math.nan}, "t_end - t_start"),
+        ({"t_end": math.inf}, "t_end - t_start"),
+        ({"t_start": math.nan}, "t_end - t_start"),
+        ({"t_start": -math.inf}, "t_end - t_start"),
+        ({"output_every": math.nan}, "output_every"),
+        ({"output_every": math.inf}, "output_every"),
+    ])
+    def test_a_time_that_is_not_finite_is_refused_by_name(self, times, name):
+        u0 = taylor_green(make_grid(8, TWO_PI), amplitude=0.1)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        times = {"t_end": 0.1, **times}
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite, got -?(nan|inf)$"):
+            run(u0, params, StepperConfig(dt=0.02), **times)
+
+    @pytest.mark.parametrize("slip, ok", [(0.9e-8, True), (-0.9e-8, True), (1.1e-8, False), (-1.1e-8, False)])
+    def test_one_rule_puts_every_time_on_the_dt_grid(self, slip, ok):
+        # the span, the cadence and the continuity ladder's times, within or
+        # beyond 1e-8 of a multiple of dt, all by StepperConfig.steps
+        cfg = StepperConfig(dt=0.02)
+        for steps in (1, 5, 400):
+            t = steps * 0.02 * (1.0 + slip)
+            if ok:
+                assert cfg.steps(t, "t") == steps
+            else:
+                with pytest.raises(ValueError, match=r"^t = .* is not a positive multiple of time.dt = 0.02$"):
+                    cfg.steps(t, "t")
+        for t in (0.0, -0.02, 1e-12, 0.009):
+            with pytest.raises(ValueError, match="is not a positive multiple"):
+                cfg.steps(t, "t")
+        assert cfg.steps(1e300, "t") == round(1e300 / 0.02)
+        with pytest.raises(ValueError, match="is not a positive multiple"):
+            StepperConfig(dt=1e-300).steps(1e300, "t")  # 1e600 steps: t / dt overflows
+        u0 = taylor_green(make_grid(8, TWO_PI), amplitude=0.1)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        for times in ({"t_end": 0.1 * (1.0 + slip)}, {"t_end": 0.1, "output_every": 0.04 * (1.0 + slip)}):
+            if ok:
+                assert run(u0, params, cfg, **times)[-1].step_count == 5
+            else:
+                with pytest.raises(ValueError, match="is not a positive multiple of time.dt"):
+                    run(u0, params, cfg, **times)
 
     def test_determinism_bitwise(self):
         grid = make_grid(8, TWO_PI)

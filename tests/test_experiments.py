@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import shear_mode
 from nsdamp import cli, dynamics, experiments, spectral
 from nsdamp.checkpoint import write_checkpoint
 from nsdamp.cli import main
@@ -30,7 +31,7 @@ from nsdamp.experiments import (
     run_experiment,
     twin_experiment,
 )
-from nsdamp.initial_conditions import random_solenoidal, shear_mode, taylor_green
+from nsdamp.initial_conditions import random_solenoidal, taylor_green
 from nsdamp.ledger import SeriesRecorder
 from nsdamp.spectral import GridSpec, PhysParams, grad_norm_sq, l2_norm, make_grid
 
@@ -316,6 +317,12 @@ class TestContinuity:
         with pytest.raises(ConfigError, match=fragment):
             continuity_experiment(cfg, eps, t0=t0)
 
+    @pytest.mark.parametrize("t0", [math.nan, -math.inf])
+    def test_a_t0_that_is_not_finite_is_refused_by_name(self, t0):
+        cfg = _cfg(**{"time.dt": 2.5e-3})
+        with pytest.raises(ConfigError, match=r"^t0 must be finite, got -?(nan|inf)$"):
+            continuity_experiment(cfg, [0.05], t0=t0)
+
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_a_shift_that_is_not_finite_fails_its_checks(self, monkeypatch, value):
@@ -494,7 +501,7 @@ class TestMemory:
         stepper = dynamics._Stepper(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-4))
         v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
         duhamel = dynamics._Duhamel(grid, v)
-        for i in range(2):  # warm: the first step allocates the kernel's buffers
+        for i in range(2):  # warm: two steps first; the kernel's buffers are built with the stepper
             v = stepper.advance(v, i * 1e-4, stepper.kernel(v), duhamel)[0]
         first = stepper.kernel(v)
         vectors = self._peak(lambda: stepper.advance(v, 2e-4, first, duhamel)) / v.nbytes
@@ -549,28 +556,30 @@ class TestMemory:
 
     def test_a_first_kernel_call_holds_no_cube_of_product_blocks(self):
         # the products go, three blocks at a time, slab by slab into the
-        # forward's z pass: the first call at N = 32, buffers included, peaks
-        # at 2.60 cubes, where nine whole blocks and a weight cube took 3.76
+        # forward's z pass: building a kernel at N = 32 and its first call,
+        # buffers included, peak at 2.24 cubes, where nine whole blocks and a
+        # weight cube took 3.76
         n = 32
         grid = make_grid(n, TWO_PI)
-        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
         v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
-        dynamics._Kernel(grid, kernel.params)(v)  # warm the per-grid caches outside the measurement
-        cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
+        dynamics._Kernel(grid, params)(v)  # warm the per-grid caches outside the measurement
+        cubes = self._peak(lambda: dynamics._Kernel(grid, params)(v)) / (3 * n**3 * 16)
         assert cubes <= 3.0, cubes
 
     def test_a_first_kernel_call_at_n64_streams_its_transforms(self, monkeypatch):
-        # the transforms stream slab by slab: the first call at N = 64 on two
-        # workers, buffers included, peaks at 1.45 cubes (1.32 on one), where
-        # the whole (3, N, N, N/2 + 1) half spectrum the kernel held took 1.81;
-        # each further worker adds its two slabs, 0.13 cubes
+        # the transforms stream slab by slab: building a kernel at N = 64 on
+        # two workers and its first call, buffers included, peak at 1.45
+        # cubes (1.32 on one), where the whole (3, N, N, N/2 + 1) half
+        # spectrum the kernel held took 1.81; each further worker adds its
+        # two slabs, 0.13 cubes
         monkeypatch.setenv("NSD_THREADS", "2")
         n = 64
         grid = make_grid(n, TWO_PI)
-        kernel = dynamics._Kernel(grid, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
         v = grid.ball.gather(random_solenoidal(grid, seed=n).coeffs)
-        dynamics._Kernel(grid, kernel.params)(v)  # warm the per-grid caches outside the measurement
-        cubes = self._peak(lambda: kernel(v)) / (3 * n**3 * 16)
+        dynamics._Kernel(grid, params)(v)  # warm the per-grid caches outside the measurement
+        cubes = self._peak(lambda: dynamics._Kernel(grid, params)(v)) / (3 * n**3 * 16)
         assert cubes <= 1.5, cubes
 
     def test_the_kernel_holds_no_half_spectrum_cube(self, monkeypatch):
@@ -615,13 +624,12 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_trajectory_start_up_holds_no_cube_temporaries(self, n):
-        # up to the first snapshot nothing cube-sized is allocated but the
-        # kernel's buffers: the initial field is read through its ball
-        # entries, the snapshot holds its ball vector, and its pointwise sums
-        # come from the kernel's inverse, which allocates only its own
-        # buffers (1.98 cubes in all at N = 16, 1.92 at 32; 2.15 and 2.09
-        # before validate() took one component at a time, 2.9 when the
-        # inverse allocated the forward's buffers too)
+        # a run of no steps allocates nothing cube-sized: the initial field
+        # is read through its ball entries, the snapshot holds its ball
+        # vector, and with no step to take no kernel is built (1.02 cubes in
+        # all at N = 16, 0.75 at 32; 1.98 and 1.92 when the kernel's inverse
+        # gave the pointwise sums, 2.95 and 2.89 with its buffers built
+        # whole)
         u0 = random_solenoidal(make_grid(n, TWO_PI), seed=n)
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         next(trajectory(u0, params, cfg, 0.0))  # warm the per-grid caches outside the measurement
@@ -891,6 +899,12 @@ class TestCli:
     def test_continuity(self, tmp_path, cfg_file, capsys):
         assert main(["continuity", str(cfg_file), "--t0", "0.05", "--eps", "0.02,0.01"]) == 0
         assert "modulus" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t0", ["nan", "-inf"])
+    def test_a_t0_that_is_not_finite_is_malformed_input(self, cfg_file, capsys, t0):
+        # refused by name before anything is integrated, not as a failed float conversion
+        assert main(["continuity", str(cfg_file), f"--t0={t0}", "--eps", "0.01"]) == 2
+        assert capsys.readouterr().err == f"error: t0 must be finite, got {float(t0)!r}\n"
 
     def test_overflowing_cfl_rate_is_a_failed_run(self, tmp_path, cfg_file, capsys):
         # alpha |u|_inf^(beta-1) overflows a float at beta = 1000: a CFLError, not a traceback

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import cube_low_shell_mask, full_cube_ledger, hermitian_error
+from oracles import cube_low_shell_mask, full_cube_ledger, hermitian_error, shear_mode
 from nsdamp.dynamics import (
     DuhamelNorms,
     SeparableTarget,
@@ -149,7 +149,6 @@ class TestDecayDiagnostics:
         grid = make_grid(8, TWO_PI)
         u = random_solenoidal(grid, seed=2)  # not single-shell: sanity only
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
-        from nsdamp.initial_conditions import shear_mode
 
         d = decay_snapshot(SolverState(t=0.0, u=shear_mode(grid), params=params))
         assert d.hminus2 == pytest.approx(0.5 * l2_norm(shear_mode(grid)), rel=1e-12)

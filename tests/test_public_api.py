@@ -1,7 +1,7 @@
 """The package namespace re-exports every module's public names, once each,
 no module reaches into the stepper's private names or keeps an unused
-import, one function renders the verdict line and one writes report.txt,
-and the package runs without SciPy."""
+import, one function renders the verdict line, one writes report.txt and
+one puts a time on the dt grid, and the package runs without SciPy."""
 
 import ast
 import importlib
@@ -77,8 +77,9 @@ def test_no_module_builds_a_meshgrid():
     assert not calls
 
 
-class _LiteralSites(ast.NodeVisitor):
-    """The functions whose code, not their docstrings, holds a string literal containing text."""
+class _Sites(ast.NodeVisitor):
+    """The functions whose code, not their docstrings, reads the name text or holds a string
+    literal containing it."""
 
     def __init__(self, module: str, text: str):
         self.scope, self.text, self.found = [module], text, set()
@@ -98,11 +99,15 @@ class _LiteralSites(ast.NodeVisitor):
         if isinstance(node.value, str) and self.text in node.value:
             self.found.add(".".join(self.scope))
 
+    def visit_Name(self, node):
+        if node.id == self.text and isinstance(node.ctx, ast.Load):
+            self.found.add(".".join(self.scope))
 
-def _literal_sites(text: str) -> set[str]:
+
+def _sites(text: str) -> set[str]:
     found = set()
     for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
-        sites = _LiteralSites(path.stem, text)
+        sites = _Sites(path.stem, text)
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         found |= sites.found
     return found
@@ -110,8 +115,14 @@ def _literal_sites(text: str) -> set[str]:
 
 def test_one_function_renders_the_verdict_line_and_one_writes_the_report():
     # a second copy of the verdict rule, or a second writer, drifts from the first
-    assert _literal_sites("verdict:") == {"certificate.Certificate.verdict"}
-    assert _literal_sites("report.txt") == {"certificate.write_report"}
+    assert _sites("verdict:") == {"certificate.Certificate.verdict"}
+    assert _sites("report.txt") == {"certificate.write_report"}
+
+
+def test_one_function_puts_a_time_on_the_dt_grid():
+    # the span and the cadence of a trajectory and the continuity ladder's
+    # times all take StepperConfig.steps, the one reader of the tolerance
+    assert _sites("_GRID_ALIGN_TOL") == {"dynamics.StepperConfig.steps"}
 
 
 def test_a_run_and_the_oracle_suites_import_no_scipy(tmp_path):

@@ -17,13 +17,16 @@ from oracles import (
     cube_wavenumbers,
     gradient_part,
     hermitian_error,
+    kernel_fill_speed_sq,
     l2_inner,
     linf_norm,
+    pointwise_speed_sq,
     reference_divergence_error,
     reference_hermitian_error,
     reference_support_and_mean,
     reference_validate,
     remove_mean,
+    whole_speed_sq,
     zeros_like,
 )
 from nsdamp.inequalities import interpolation_gap, product_law_ratio
@@ -32,6 +35,7 @@ from nsdamp.spectral import (
     GridSpec,
     SpectralField,
     _magnitudes,
+    _speed_sq,
     divergence_error,
     friedrichs_truncate,
     grad_norm_sq,
@@ -395,6 +399,30 @@ class TestOneWavenumberRule:
         product_law_ratio(f, g)
         assert grid.ball_mask.any()
         assert vars(grid).keys() == {"n_modes", "box_length", "cutoff_radius", "mode_numbers", "ball"}
+
+
+class TestOneSpeedRule:
+    """_speed_sq is the one |u|^2: the kernel's slab fill, the pointwise norms and lp_norm_physical."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_the_rule_has_the_bits_of_the_three_forms_it_replaced(self, data):
+        # grid values from subnormal to overflowing squares, on whole cubes
+        # and on a slab of x-planes written into the slabs of buffers, as the
+        # kernel passes them
+        n = data.draw(st.sampled_from([4, 6, 8, 12, 16]), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = 10.0 ** data.draw(st.sampled_from([-170, -3, 0, 3, 154, 160]), label="log10 scale")
+        u = scale * rng.standard_normal((3, n, n, n))
+        start = data.draw(st.integers(0, n - 1), label="slab start")
+        xs = slice(start, data.draw(st.integers(start + 1, n), label="slab stop"))
+        mag_sq, work = np.full((n, n, n), np.nan), np.full((3, n, n, n), np.nan)
+        with np.errstate(over="ignore"):
+            whole = _speed_sq(u)
+            assert whole.tobytes() == whole_speed_sq(u).tobytes() == pointwise_speed_sq(u).tobytes()
+            slab = _speed_sq(u[:, xs], out=mag_sq[xs], work=work[0, : xs.stop - xs.start])
+            assert np.shares_memory(slab, mag_sq)
+            assert slab.tobytes() == kernel_fill_speed_sq(u, xs).tobytes() == whole[xs].tobytes()
 
 
 def test_field_arithmetic():
