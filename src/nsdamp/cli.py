@@ -57,6 +57,15 @@ _floats = partial(_comma_list, float, "reals")
 _ints = partial(_comma_list, int, "integers")
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value-taking flag joined to its next token, so argparse takes "-1e-3" as its value."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in "--out --seed --delta --t0 --eps --levels".split() else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsdamp",
@@ -135,7 +144,7 @@ def _dispatch(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -24,11 +24,11 @@ space with real-to-complex transforms; everything spectral works on those
 vectors only, and its transforms skip every FFT line that holds no ball
 entry. The layout, with its tables, transforms and weighted sums, belongs
 to the grid (GridSpec.ball, see spectral._Ball). trajectory() starts from
-the initial field's ball entries, and each snapshot holds the stepper's
-vector (SolverState.vector), which the ledger's hooks read. Public arrays
-and checkpoints stay full (3, N, N, N) coefficient arrays: a snapshot's
-field, SolverState.u, is expanded from the vector on first access, and the
-expansion is Hermitian by construction.
+a state's vector or a field's ball entries, and each snapshot holds the
+stepper's vector (SolverState.vector), which the ledger's hooks read. Full
+(3, N, N, N) coefficient arrays are only where a field enters or leaves the
+public API: a snapshot's field, SolverState.u, is expanded from the vector
+on first access, and the expansion is Hermitian by construction.
 
 A snapshot also carries the collocation sums of its speed |u|
 (SolverState.pointwise: the max, the |u|^beta sums split at |u| = 1 and the
@@ -143,12 +143,12 @@ class SolverState:
     states that trajectory() did not produce.
 
     Every state holds vector, its read-only ball entries (3, n_ball) in the
-    layout of grid.ball: a snapshot of trajectory() or step() the stepper's
-    own array, a state built from a field those of the field, gathered once
+    layout of grid.ball: for a snapshot, the stepper's own array; for
+    from_vector(), the array given; for a field, the field's, gathered once
     at construction (for a field outside the state space, not the field
     itself). u, the full (3, N, N, N) field, and pointwise, the speed's
     collocation sums (PointwiseNorms), are cached properties. A state built
-    from a field keeps that very object as u; a snapshot expands its vector
+    from a field keeps that very object as u; any other expands its vector
     on first access (snap.u is snap.u). trajectory() supplies pointwise from
     the grid values the stepper computes anyway; any other state takes it
     on first access from the pruned inverse transform of its vector.
@@ -161,11 +161,11 @@ class SolverState:
         self.u = u
 
     @classmethod
-    def _of_vector(cls, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams,
-                   step_count: int, cum_visc: float, cum_damp: float,
-                   duhamel: DuhamelNorms | None = None,
-                   pointwise: PointwiseNorms | None = None) -> "SolverState":
-        """A snapshot holding ball vector v of grid; u is built when first asked for."""
+    def from_vector(cls, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams,
+                    step_count: int = 0, cum_visc: float = 0.0, cum_damp: float = 0.0,
+                    duhamel: DuhamelNorms | None = None,
+                    pointwise: PointwiseNorms | None = None) -> "SolverState":
+        """A state holding ball vector v (3, n_ball) of grid, made read-only; u is built on first access."""
         state = cls.__new__(cls)
         state._hold(grid, v, t, params, step_count, cum_visc, cum_damp, duhamel)
         if pointwise is not None:
@@ -181,7 +181,7 @@ class SolverState:
 
     @cached_property
     def u(self) -> SpectralField:
-        """The field, (3, N, N, N) coefficients; a snapshot expands its vector once, here."""
+        """The field, (3, N, N, N) coefficients; a state not built from one expands its vector once, here."""
         return SpectralField(self.grid, self.grid.ball.expand(self.vector))
 
     @cached_property
@@ -707,21 +707,13 @@ def step(state: SolverState, cfg: StepperConfig) -> SolverState:
     stepper = _Stepper(state.grid, state.params, cfg)
     v = state.vector
     v, d_visc, d_damp = stepper.advance(v, state.t, stepper.kernel(v))
-    return SolverState._of_vector(state.grid, v, state.t + cfg.dt, state.params,
-                                  state.step_count + 1, state.cum_visc + d_visc,
-                                  state.cum_damp + d_damp)
-
-
-def _initial_vector(initial: SpectralField) -> np.ndarray:
-    """The ball entries of an initial field, with m = 0 zeroed, once validate() accepts it."""
-    initial.validate()
-    v = initial.grid.ball.gather(initial.coeffs)
-    v[:, 0] = 0.0
-    return v
+    return SolverState.from_vector(state.grid, v, state.t + cfg.dt, state.params,
+                                   state.step_count + 1, state.cum_visc + d_visc,
+                                   state.cum_damp + d_damp)
 
 
 def trajectory(
-    initial: SpectralField,
+    initial: SpectralField | SolverState,
     params: PhysParams,
     cfg: StepperConfig,
     t_end: float,
@@ -741,9 +733,9 @@ def trajectory(
     is yielded; its duhamel is None when forcing is active, which makes the
     heat/f/g split meaningless. The final state is always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
-    The initial field is refused with validate()'s ValueError when it lies
-    outside the state space, and otherwise enters through its ball entries
-    as they are, with m = 0 zeroed: a snapshot's field restarts bitwise.
+    The start is a state, whose vector is taken as it is (not its time or accumulators), or
+    a field, taken by its ball entries once validate() accepts it (its ValueError refuses
+    any other); m = 0 is zeroed on a copy. A snapshot, or its field, restarts bitwise.
 
     Each step's first-stage kernel call runs before its start state is
     yielded, and the snapshot's pointwise sums come from the grid values
@@ -756,7 +748,7 @@ def trajectory(
     Nothing runs until the first snapshot is requested, and only the
     snapshot being yielded is held: a caller that keeps none integrates in
     memory independent of the horizon and the cadence. The reference to the
-    initial field is dropped once its ball entries are read.
+    start is dropped once its ball entries are read.
 
     Raises BlowupError on non-finite values or when the split's
     heat + f + g drifts from the state, and CFLError on a stability
@@ -770,7 +762,12 @@ def trajectory(
         stride = cfg.steps(output_every, "output_every")
 
     grid = initial.grid
-    v = _initial_vector(initial)
+    if isinstance(initial, SolverState):
+        v = initial.vector.copy()
+    else:
+        initial.validate()
+        v = grid.ball.gather(initial.coeffs)
+    v[:, 0] = 0.0
     del initial  # only its ball entries are needed from here on
     # the split before the kernel's buffers: built after them, its arrays raised the peak RSS of
     # a 4-step run at N = 64 by 2.7 MiB (where the allocator placed them)
@@ -795,7 +792,7 @@ def trajectory(
             raise BlowupError(f"Duhamel split drifted from the state ({norms.drift:.3e} relative) "
                               f"at t = {t:g}")
         pointwise = None if kernel is None else _pointwise_norms(kernel.u, grid.cell_volume, params.beta)
-        snap = SolverState._of_vector(grid, v, t, params, i, cum_visc, cum_damp, norms, pointwise)
+        snap = SolverState.from_vector(grid, v, t, params, i, cum_visc, cum_damp, norms, pointwise)
         for hook in hooks:
             hook(snap)
         return snap
@@ -814,7 +811,7 @@ def trajectory(
 
 
 def run(
-    initial: SpectralField,
+    initial: SpectralField | SolverState,
     params: PhysParams,
     cfg: StepperConfig,
     t_end: float,
@@ -842,7 +839,7 @@ class SeparableTarget:
     a^2 and a^beta, so the forcing that makes u* an exact solution of the
     truncated system is a closed-form combination of precomputed fields.
     U must pass validate() and vanish outside the ball to 1e-13 relative;
-    no full-cube table of the grid is read.
+    no full-cube table of the grid is read. vector holds U's ball entries.
     """
 
     def __init__(
@@ -863,11 +860,11 @@ class SeparableTarget:
         self._adv = advection(base).coeffs
         self._damp = damping(base, params.alpha, params.beta).coeffs
         ball = base.grid.ball
-        self._visc = ball.expand((params.nu * ball.k_sq) * ball.gather(base.coeffs))
+        self.vector = ball.gather(base.coeffs)
+        self._visc = ball.expand((params.nu * ball.k_sq) * self.vector)
 
     def field(self, t: float) -> SpectralField:
-        a = self.amplitude(t)
-        return SpectralField(self.base.grid, a * self.base.coeffs)
+        return SpectralField(self.base.grid, self.amplitude(t) * self.base.coeffs)
 
     def forcing(self, t: float) -> np.ndarray:
         a = self.amplitude(t)

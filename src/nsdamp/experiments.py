@@ -5,7 +5,9 @@ checks the bound it exists to certify, and returns a report whose ``passed``
 and ``lines()`` are its ``Certificate``'s: one ``Check`` per comparison, each
 passing only on finite numbers (see ``certificate``).  Violations are
 reported, not raised; genuinely malformed inputs raise ``ConfigError``.
-The command line writes ``report.txt``; the drivers write only data.
+The command line writes ``report.txt``; the drivers write only data.  They
+start, perturb, inject and difference ball vectors (``SolverState.vector``,
+measured by ``GridSpec.ball``'s sums) and build no full field.
 
 Independent jobs inside one driver (the two twin runs, refinement levels
 and the dt ladder) run on a thread pool (spectral._parallel); the FFT
@@ -37,7 +39,7 @@ from .dynamics import (
     run,
     trajectory,
 )
-from .initial_conditions import random_solenoidal, taylor_green
+from .initial_conditions import _random_vector, _taylor_green_vector, taylor_green
 from .inequalities import gronwall_constant
 from .ledger import (
     SeriesRecorder,
@@ -45,7 +47,7 @@ from .ledger import (
     lbeta_spacetime_report,
     write_series_csv,
 )
-from .spectral import GridSpec, PhysParams, SpectralField, _parallel, l2_norm, make_grid
+from .spectral import GridSpec, PhysParams, _parallel, make_grid
 
 __all__ = [
     "RunResult",
@@ -58,7 +60,6 @@ __all__ = [
     "continuity_experiment",
     "decay_experiment",
     "refinement_experiment",
-    "inject_field",
     "build_initial",
 ]
 
@@ -68,57 +69,43 @@ ENERGY_TOL = 1e-6
 _TWIN_BLOCK = 16
 
 
-def inject_field(f: SpectralField, fine: GridSpec) -> SpectralField:
-    """Embed a field into a finer grid (same box), matching mode numbers.
-
-    The fine grid must hold every mode of the coarse one; unmatched fine
-    modes are zero.  Used to start refinement levels from one coarse field
-    and to difference states across levels.
-    """
-    if fine.n_modes < f.grid.n_modes:
-        raise ValueError(
-            f"cannot inject {f.grid.n_modes}^3 modes into a coarser {fine.n_modes}^3 grid"
-        )
-    if abs(fine.box_length - f.grid.box_length) > 1e-12 * f.grid.box_length:
-        raise ValueError("grids cover different boxes")
-    idx = f.grid.mode_numbers % fine.n_modes
-    coeffs = np.zeros(fine.shape, dtype=np.complex128)
-    coeffs[np.ix_(range(3), idx, idx, idx)] = f.coeffs
-    return SpectralField(fine, coeffs)
-
-
-def build_initial(cfg: ExperimentConfig) -> tuple[SpectralField, float]:
-    """Initial field and start time for a config (checkpoint restarts resume)."""
+def build_initial(cfg: ExperimentConfig) -> SolverState:
+    """The start of a run per config, a state holding only its ball vector: at t = 0 for an analytic
+    kind, else at the checkpoint's time, its field's entries (validated by the reader), m = 0 zeroed."""
     grid = cfg.grid()
-    if cfg.ic_kind == "taylor-green":
-        return taylor_green(grid, cfg.ic_amplitude), 0.0
-    if cfg.ic_kind == "random-solenoidal":
-        return random_solenoidal(grid, seed=cfg.ic_seed, amplitude=cfg.ic_amplitude), 0.0
+    if cfg.ic_kind != "checkpoint":
+        v = (_taylor_green_vector(grid, cfg.ic_amplitude) if cfg.ic_kind == "taylor-green"
+             else _random_vector(grid, cfg.ic_seed, cfg.ic_amplitude))
+        return SolverState.from_vector(grid, v, 0.0, cfg.phys())
 
     state = read_checkpoint(cfg.ic_path)
-    g = state.grid
-    if g.n_modes != grid.n_modes:
-        raise ConfigError(
-            f"grid.n_modes = {grid.n_modes} does not match checkpoint value {g.n_modes}"
-        )
     for key, want, got in (
-        ("grid.box_length", grid.box_length, g.box_length),
-        ("grid.cutoff_fraction (via radius)", grid.cutoff_radius, g.cutoff_radius),
+        ("grid.n_modes", grid.n_modes, state.grid.n_modes),
+        ("grid.box_length", grid.box_length, state.grid.box_length),
+        ("grid.cutoff_fraction (via radius)", grid.cutoff_radius, state.grid.cutoff_radius),
         ("phys.nu", cfg.nu, state.params.nu),
         ("phys.alpha", cfg.alpha, state.params.alpha),
         ("phys.beta", cfg.beta, state.params.beta),
     ):
         if abs(want - got) > 1e-12 * max(abs(want), abs(got), 1.0):
             raise ConfigError(f"{key} = {want!r} does not match checkpoint value {got!r}")
-    return state.u, state.t
+    v = state.vector.copy()
+    v[:, 0] = 0.0
+    return SolverState.from_vector(state.grid, v, state.t, state.params)
 
 
-def _start_energy(f: SpectralField) -> float:
-    """||f||^2 as a run's start measures it: over the ball entries of f, with m = 0 zeroed."""
-    ball = f.grid.ball
-    entries = ball.gather(f.coeffs)
-    entries[:, 0] = 0.0
-    return f.grid.volume * ball.norm_sq(entries)
+def _injection(coarse: GridSpec, fine: GridSpec) -> np.ndarray:
+    """Positions in fine.ball of coarse.ball's entries (same box and cutoff): the one injection rule."""
+    n, m = coarse.n_modes, fine.n_modes
+    modes = coarse.mode_numbers[np.array(np.unravel_index(coarse.ball.full_index, (n, n, n)))]
+    return np.searchsorted(fine.ball.full_index, np.ravel_multi_index(modes % m, (m, m, m)))
+
+
+def _inject(v: np.ndarray, index: np.ndarray, fine: GridSpec) -> np.ndarray:
+    """The ball vector of fine holding v's entries at index (an _injection), zero elsewhere."""
+    out = np.zeros((3, fine.ball.k_sq.size), dtype=np.complex128)
+    out[:, index] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +128,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    # the field is popped into the call, not named here, so that once the
-    # run's start-up has read it nothing keeps it alive
-    start = list(build_initial(cfg))
-    t_start = start.pop()
+    start = [build_initial(cfg)]  # popped into the run: once its start-up copied it, nothing holds it
+    t_start = start[0].t
     recorder = SeriesRecorder()
     snapshots = run(start.pop(), cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
                     output_every=cfg.output_every, hooks=(recorder,))
@@ -211,23 +196,22 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     """
     if not 0.0 <= delta < math.inf:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta!r}")
-    u0, t_start = build_initial(cfg)
-    validate_for_experiment(cfg, "twin", horizon=cfg.t_end - t_start)
+    start = build_initial(cfg)
+    validate_for_experiment(cfg, "twin", horizon=cfg.t_end - start.t)
     constant = gronwall_constant(cfg.alpha, cfg.beta)
-    ball, volume = u0.grid.ball, u0.grid.volume
-    pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
-    u0_twin = u0 + pert * delta
-    # |w(0)| as the comparison below takes it
-    if delta > 0.0 and _start_energy(u0_twin - u0) == 0.0:
+    grid, ball, volume = start.grid, start.grid.ball, start.grid.volume
+    v_twin = start.vector + _random_vector(grid, cfg.ic_seed + 1) * delta
+    # |w(0)| as the comparison below takes it; both starts are zero at m = 0
+    if delta > 0.0 and volume * ball.norm_sq(v_twin - start.vector) == 0.0:
         raise ConfigError(f"delta = {delta!r} is too small: u0 + delta * p rounds to |w(0)| = 0, "
                           "where the bound reads 0/0")
 
     params, stepper = cfg.phys(), cfg.stepper()
     runs = [
-        trajectory(u, params, stepper, cfg.t_end, t_start=t_start, output_every=cfg.output_every)
-        for u in (u0, u0_twin)
+        trajectory(s, params, stepper, cfg.t_end, t_start=start.t, output_every=cfg.output_every)
+        for s in (start, SolverState.from_vector(grid, v_twin, start.t, params))
     ]
-    del u0, pert, u0_twin  # each run's start-up reads its field, then drops it
+    del start, v_twin  # each run's start-up copies its vector
 
     # both runs advance one block of samples in parallel, then the block is
     # compared pair by pair, on the snapshots' ball vectors, and dropped
@@ -334,10 +318,10 @@ def continuity_experiment(
         indices.update((i_e, i_t0 - i_e, i_t0 + i_e))
     stride = math.gcd(*indices)
 
-    u0, t_start = build_initial(cfg)
-    snapshots = trajectory(u0, cfg.phys(), stepper, t_start + t0 + eps_sorted[0],
-                           t_start=t_start, output_every=stride * cfg.dt)
-    del u0  # the start-up reads it, then drops it
+    start = build_initial(cfg)
+    snapshots = trajectory(start, cfg.phys(), stepper, start.t + t0 + eps_sorted[0],
+                           t_start=start.t, output_every=stride * cfg.dt)
+    del start  # the start-up copies its vector
     by_index = {s.step_count: s for s in snapshots if s.step_count in indices}
 
     # the snapshots' ball vectors, measured with the ball's Parseval weights
@@ -416,14 +400,14 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     validate_for_experiment(cfg, "decay")
-    u0, t_start = build_initial(cfg)
-    if _start_energy(u0) == 0.0:  # as the first energy record takes it
+    start = build_initial(cfg)
+    if start.grid.volume * start.grid.ball.norm_sq(start.vector) == 0.0:  # as the first record
         raise ConfigError("the initial energy ||u0||^2 is 0, "
                           "so every decay threshold would be 0 and pass vacuously")
     recorder = SeriesRecorder()
-    snapshots = trajectory(u0, cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
+    snapshots = trajectory(start, cfg.phys(), cfg.stepper(), cfg.t_end, t_start=start.t,
                            output_every=cfg.output_every, hooks=(recorder,))
-    del u0  # the start-up reads it, then drops it
+    del start  # the start-up copies its vector
     for _ in snapshots:
         pass
 
@@ -513,10 +497,9 @@ def _temporal_order_study() -> tuple[list[float], list[float], list[float]]:
     the roundoff floor so the Richardson estimate is clean.
     """
     grid = make_grid(16, 2.0 * np.pi)
-    base = taylor_green(grid, amplitude=0.3)
     params = PhysParams(nu=0.4, alpha=0.5, beta=5.0)
     target = SeparableTarget(
-        base,
+        taylor_green(grid, amplitude=0.3),
         lambda t: 1.0 + 0.4 * math.sin(2.0 * t),
         lambda t: 0.8 * math.cos(2.0 * t),
         params,
@@ -524,18 +507,13 @@ def _temporal_order_study() -> tuple[list[float], list[float], list[float]]:
     forcing = manufactured_forcing(target, params)
     horizon = 0.5
     ladder = [2e-2, 1e-2, 5e-3]
+    start = SolverState.from_vector(grid, target.amplitude(0.0) * target.vector, 0.0, params)
+    exact = target.amplitude(horizon) * target.vector
 
     def _error(dt: float) -> float:
-        snaps = run(
-            target.field(0.0),
-            params,
-            StepperConfig(dt=dt),
-            horizon,
-            forcing=forcing,
-            output_every=horizon,
-        )
-        exact = target.field(horizon)
-        return l2_norm(snaps[-1].u - exact) / l2_norm(exact)
+        *_, last = run(start, params, StepperConfig(dt=dt), horizon, forcing=forcing,
+                       output_every=horizon)
+        return math.sqrt(grid.ball.norm_sq(last.vector - exact) / grid.ball.norm_sq(exact))
 
     errors = _parallel([lambda d=d: _error(d) for d in ladder])
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
@@ -558,27 +536,19 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     if cfg.ic_kind == "checkpoint":
         raise ConfigError("refinement requires an analytic initial condition")
 
-    coarse_cfg = replace(cfg, n_modes=levels[0])
-    u0_coarse, _ = build_initial(coarse_cfg)
+    start = build_initial(replace(cfg, n_modes=levels[0]))
     params, stepper = cfg.phys(), cfg.stepper()
-
-    def _level(n: int) -> SpectralField:
-        grid = make_grid(n, cfg.box_length, cfg.cutoff_fraction)
-        u0 = u0_coarse if n == levels[0] else inject_field(u0_coarse, grid)
-        snaps = run(
-            u0,
-            params,
-            stepper,
-            cfg.t_end,
-            output_every=cfg.t_end,
-        )
-        return snaps[-1].u
-
-    finals = _parallel([lambda n=n: _level(n) for n in levels])
-
-    diffs = [
-        l2_norm(inject_field(ua, ub.grid) - ub) for ua, ub in zip(finals, finals[1:])
-    ]
+    grids = [start.grid] + [make_grid(n, cfg.box_length, cfg.cutoff_fraction) for n in levels[1:]]
+    # each level's start is the previous level's, injected; each map serves a start and a difference
+    maps = [_injection(a, b) for a, b in zip(grids, grids[1:])]
+    starts = [start.vector]
+    for grid, index in zip(grids[1:], maps):
+        starts.append(_inject(starts[-1], index, grid))
+    finals = _parallel([lambda g=g, v=v: run(SolverState.from_vector(g, v, 0.0, params), params,
+                                             stepper, cfg.t_end, output_every=cfg.t_end)[-1].vector
+                        for g, v in zip(grids, starts)])
+    diffs = [math.sqrt(g.volume * g.ball.norm_sq(_inject(va, index, g) - vb))
+             for g, index, va, vb in zip(grids[1:], maps, finals, finals[1:])]
     # a factor over a zero finer difference is inf, and fails its check like a NaN one
     ratios = [d0 / d1 if d1 > 0.0 else math.inf for d0, d1 in zip(diffs, diffs[1:])]
     spatial = [Check(f"shrink factor |u_{na}(T) - u_{nb}(T)| / |u_{nb}(T) - u_{nc}(T)|", r, 4.0,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import Check
-from .initial_conditions import _noise, _solenoidal
+from .initial_conditions import _noise, _normalise, _solenoidal
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -378,8 +378,9 @@ class _RandomFields:
         v[:, :, 0] = 0.0
         for field, scale, p in zip(v, self.scales, self.projected):
             if p:
-                scale /= np.sqrt(grid.volume * ball.norm_sq(field))
-            field *= scale
+                _normalise(grid, field, scale)
+            else:
+                field *= scale
         self.projected, self.scales = [], []
         return v
 

@@ -1,12 +1,30 @@
-"""Initial velocity fields: all band-limited, solenoidal, and zero-mean."""
+"""Initial velocity fields, band-limited, solenoidal and zero-mean: expansions of ball vectors."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, _in_ball, l2_norm
+from .spectral import GridSpec, SpectralField, _in_ball
 
 __all__ = ["taylor_green", "random_solenoidal"]
+
+
+def _taylor_green_vector(grid: GridSpec, amplitude: float = 1.0) -> np.ndarray:
+    """taylor_green's ball vector (3, n_ball)."""
+    k0 = 2.0 * np.pi / grid.box_length
+    sq = k0 * k0  # |xi|^2 of the eight modes, formed and summed as in the ball's tables
+    if not _in_ball(sq + sq + sq, grid.cutoff_radius):
+        raise ValueError("grid too coarse for the Taylor-Green modes: need cutoff_radius >= sqrt(3)*2*pi/L")
+    # exact, no FFT roundoff: sin x cos y cos z has weight -i s1 / 8 at the corners (s1, s2, s3) =
+    # (+-1, +-1, +-1), the second component +i s2 / 8; the ball holds the four with m3 = 1
+    ball, n = grid.ball, grid.n_modes
+    v = np.zeros(ball.k.shape, dtype=np.complex128)
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            entry = ball.full_index == np.ravel_multi_index((s1 % n, s2 % n, 1), (n, n, n))
+            v[0, entry] = -1j * amplitude * s1 / 8.0
+            v[1, entry] = 1j * amplitude * s2 / 8.0
+    return v
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
@@ -16,22 +34,7 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
     Lives on the eight modes (+-1, +-1, +-1); raises exactly when they are
     not entries of the grid's cutoff ball.
     """
-    k0 = 2.0 * np.pi / grid.box_length
-    sq = k0 * k0  # |xi|^2 of the eight modes, formed and summed as in the ball's tables
-    if not _in_ball(sq + sq + sq, grid.cutoff_radius):
-        raise ValueError(
-            "grid too coarse for the Taylor-Green modes: need cutoff_radius >= sqrt(3)*2*pi/L"
-        )
-    # Exact coefficients: sin x cos y cos z expands into the eight corners
-    # (+-1, +-1, +-1) with weight -i s1 / 8 (and +i s2 / 8 for the second
-    # component), so the field is placed directly without FFT roundoff.
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                coeffs[0, s1, s2, s3] = -1j * amplitude * s1 / 8.0
-                coeffs[1, s1, s2, s3] = 1j * amplitude * s2 / 8.0
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, grid.ball.expand(_taylor_green_vector(grid, amplitude)))
 
 
 def _noise(grid: GridSpec, seed: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -52,6 +55,22 @@ def _solenoidal(grid: GridSpec, v: np.ndarray) -> None:
     v[..., 0] = 0.0
 
 
+def _normalise(grid: GridSpec, v: np.ndarray, amplitude: float) -> None:
+    """Scale ball vector v in place to the L2 norm amplitude, by its ball Parseval norm: the one rule."""
+    norm = np.sqrt(grid.volume * grid.ball.norm_sq(v))
+    if norm == 0.0:
+        raise ValueError("random field collapsed to zero after projection")
+    v *= amplitude / norm
+
+
+def _random_vector(grid: GridSpec, seed: int, amplitude: float = 1.0) -> np.ndarray:
+    """random_solenoidal's ball vector (3, n_ball)."""
+    v = grid.ball.from_physical(_noise(grid, seed))
+    _solenoidal(grid, v)
+    _normalise(grid, v, amplitude)
+    return v
+
+
 def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> SpectralField:
     """Seeded random field: white noise, truncated to |xi| <= R/2, projected,
     zero-meaned, and normalized so the L2 norm equals `amplitude`.
@@ -59,11 +78,4 @@ def random_solenoidal(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Spec
     The half-radius support leaves room for the quadratic term to populate
     the rest of the ball before truncation bites.
     """
-    v = grid.ball.from_physical(_noise(grid, seed))
-    _solenoidal(grid, v)
-    f = SpectralField(grid, grid.ball.expand(v))
-    norm = l2_norm(f)
-    if norm == 0.0:
-        raise ValueError("random field collapsed to zero after projection")
-    f.coeffs *= amplitude / norm
-    return f
+    return SpectralField(grid, grid.ball.expand(_random_vector(grid, seed, amplitude)))

@@ -4,8 +4,7 @@ Everything here is a pure fold over solver snapshots: the stepper hands over
 immutable states, each with the norms of its heat/f/g split, and this module
 turns them into records, checks, and report rows.  The dissipation integrals
 in ``EnergyRecord`` come straight from the accumulators the stepper integrates
-alongside the field (scheme-order accurate); ``trapezoid_energy_records``
-rebuilds them independently from the snapshots for cross-checking.
+alongside the field (scheme-order accurate).
 
 The hooks ``record_energy`` and ``decay_snapshot`` read only a snapshot's
 ball vector (``SolverState.vector``, the half-spectrum ball entries in the
@@ -14,8 +13,6 @@ layout of ``GridSpec.ball``) and its pointwise sums
 values), so a snapshot of the stepper is never expanded to its full field
 and never transformed again: weighted sums over the vector, one power
 spectrum per ``decay_snapshot``.
-``trapezoid_energy_records`` keeps to the full-cube norms of ``spectral``,
-so the cross-check does not take the ball path of the ledger it checks.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from .certificate import Check, verdict_word
 from .dynamics import DuhamelNorms, SolverState
-from .spectral import _EMBED_P, PhysParams, grad_norm_sq, l2_norm, lp_norm_physical
+from .spectral import _EMBED_P, PhysParams
 
 __all__ = [
     "EnergyRecord",
@@ -38,7 +35,6 @@ __all__ = [
     "SeriesRecorder",
     "CSV_COLUMNS",
     "record_energy",
-    "trapezoid_energy_records",
     "check_energy_inequality",
     "decay_snapshot",
     "lbeta_spacetime_report",
@@ -105,53 +101,6 @@ def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> Energ
         residual=total - baseline,
         baseline=baseline,
     )
-
-
-def trapezoid_energy_records(states: Sequence[SolverState]) -> list[EnergyRecord]:
-    """Rebuild the budget from snapshots alone, trapezoid rule at the cadence.
-
-    Independent of the stepper's internal accumulators: the dissipation rates
-    2 nu ||grad u||^2 and 2 alpha ||u||^(beta+1) are re-evaluated from each
-    snapshot field.  Quadrature error is O(cadence^2), so this is the coarse
-    cross-check, not the primary ledger.
-    """
-    if not states:
-        raise ValueError("empty snapshot sequence")
-    times = [s.t for s in states]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("snapshot times must be strictly increasing")
-
-    visc_rates = []
-    damp_rates = []
-    for s in states:
-        p = s.params
-        visc_rates.append(2.0 * p.nu * grad_norm_sq(s.u))
-        if p.alpha > 0.0:
-            damp_rates.append(2.0 * p.alpha * lp_norm_physical(s.u, p.beta + 1.0) ** (p.beta + 1.0))
-        else:
-            damp_rates.append(0.0)
-
-    # the opening row too reads the full-cube norms, not the ledger's record_energy
-    records = []
-    cum_visc, cum_damp = states[0].cum_visc, states[0].cum_damp
-    baseline = l2_norm(states[0].u) ** 2 + cum_visc + cum_damp
-    for i in range(len(states)):
-        if i:
-            half_dt = 0.5 * (times[i] - times[i - 1])
-            cum_visc += half_dt * (visc_rates[i - 1] + visc_rates[i])
-            cum_damp += half_dt * (damp_rates[i - 1] + damp_rates[i])
-        l2_sq = l2_norm(states[i].u) ** 2
-        records.append(
-            EnergyRecord(
-                t=times[i],
-                l2_sq=l2_sq,
-                cum_visc=cum_visc,
-                cum_damp=cum_damp,
-                residual=l2_sq + cum_visc + cum_damp - baseline,
-                baseline=baseline,
-            )
-        )
-    return records
 
 
 def check_energy_inequality(series: Sequence[EnergyRecord], tol: float) -> EnergyInequalityReport:

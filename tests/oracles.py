@@ -71,7 +71,17 @@ stage in as it arrives, must reproduce both bit for bit.
 
 ``full_cube_ledger`` folds snapshots with the snapshot hooks' formulas over
 the whole (3, N, N, N) coefficient cube, which the hooks' ball sums and
-pruned inverse transform must reproduce.
+pruned inverse transform must reproduce. ``trapezoid_energy_records``
+rebuilds the energy budget from the snapshots' full fields alone, by the
+trapezoid rule at the cadence: the coarse, independent cross-check of the
+stepper's accumulators.
+
+``inject_field`` embeds a field's coefficient cube in a finer grid's, mode
+for mode, which the refinement driver's injection of ball vectors must
+reproduce bit for bit. ``cube_taylor_green`` and ``cube_random_solenoidal``
+are the initial fields built as cubes: the Taylor-Green corners set in the
+cube, and the random field's ball vector expanded and normalised by the
+full-cube L2 norm, which the ball-vector starts must reproduce.
 """
 
 import numpy as np
@@ -79,6 +89,7 @@ import scipy.fft
 
 from nsdamp.certificate import Check
 from nsdamp.dynamics import _Kernel
+from nsdamp.initial_conditions import _noise, _solenoidal
 from nsdamp.inequalities import (
     _INTERPOLATION_ORDERS,
     OracleRow,
@@ -88,14 +99,17 @@ from nsdamp.inequalities import (
     _product_ratio,
     _product_weight,
 )
+from nsdamp.ledger import EnergyRecord
 from nsdamp.spectral import (
     SpectralField,
     _hermitian_gap,
     _in_ball,
     _power,
     friedrichs_truncate,
+    grad_norm_sq,
     l2_norm,
     leray_project,
+    lp_norm_physical,
     make_grid,
     to_physical,
 )
@@ -709,3 +723,88 @@ def reference_validate(f):
     div = reference_divergence_error(f)
     if div > _STATE_TOL:
         raise ValueError(f"field is not solenoidal: xi.u error is {div:.3e}")
+
+
+def trapezoid_energy_records(states):
+    """Rebuild the budget from snapshots alone, trapezoid rule at the cadence.
+
+    Independent of the stepper's internal accumulators: the dissipation rates
+    2 nu ||grad u||^2 and 2 alpha ||u||^(beta+1) are re-evaluated from each
+    snapshot field.  Quadrature error is O(cadence^2), so this is the coarse
+    cross-check, not the primary ledger.
+    """
+    if not states:
+        raise ValueError("empty snapshot sequence")
+    times = [s.t for s in states]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("snapshot times must be strictly increasing")
+
+    visc_rates = []
+    damp_rates = []
+    for s in states:
+        p = s.params
+        visc_rates.append(2.0 * p.nu * grad_norm_sq(s.u))
+        if p.alpha > 0.0:
+            damp_rates.append(2.0 * p.alpha * lp_norm_physical(s.u, p.beta + 1.0) ** (p.beta + 1.0))
+        else:
+            damp_rates.append(0.0)
+
+    # the opening row too reads the full-cube norms, not the ledger's record_energy
+    records = []
+    cum_visc, cum_damp = states[0].cum_visc, states[0].cum_damp
+    baseline = l2_norm(states[0].u) ** 2 + cum_visc + cum_damp
+    for i in range(len(states)):
+        if i:
+            half_dt = 0.5 * (times[i] - times[i - 1])
+            cum_visc += half_dt * (visc_rates[i - 1] + visc_rates[i])
+            cum_damp += half_dt * (damp_rates[i - 1] + damp_rates[i])
+        l2_sq = l2_norm(states[i].u) ** 2
+        records.append(
+            EnergyRecord(
+                t=times[i],
+                l2_sq=l2_sq,
+                cum_visc=cum_visc,
+                cum_damp=cum_damp,
+                residual=l2_sq + cum_visc + cum_damp - baseline,
+                baseline=baseline,
+            )
+        )
+    return records
+
+
+def inject_field(f, fine):
+    """Embed a field into a finer grid (same box), matching mode numbers.
+
+    The fine grid must hold every mode of the coarse one; unmatched fine
+    modes are zero.
+    """
+    if fine.n_modes < f.grid.n_modes:
+        raise ValueError(
+            f"cannot inject {f.grid.n_modes}^3 modes into a coarser {fine.n_modes}^3 grid"
+        )
+    if abs(fine.box_length - f.grid.box_length) > 1e-12 * f.grid.box_length:
+        raise ValueError("grids cover different boxes")
+    idx = f.grid.mode_numbers % fine.n_modes
+    coeffs = np.zeros(fine.shape, dtype=np.complex128)
+    coeffs[np.ix_(range(3), idx, idx, idx)] = f.coeffs
+    return SpectralField(fine, coeffs)
+
+
+def cube_taylor_green(grid, amplitude=1.0):
+    """The Taylor-Green field with its eight corner coefficients set in the cube."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            for s3 in (1, -1):
+                coeffs[0, s1, s2, s3] = -1j * amplitude * s1 / 8.0
+                coeffs[1, s1, s2, s3] = 1j * amplitude * s2 / 8.0
+    return SpectralField(grid, coeffs)
+
+
+def cube_random_solenoidal(grid, seed, amplitude=1.0):
+    """random_solenoidal's ball vector expanded to the cube, then normalised by the cube's L2 norm."""
+    v = grid.ball.from_physical(_noise(grid, seed))
+    _solenoidal(grid, v)
+    f = SpectralField(grid, grid.ball.expand(v))
+    f.coeffs *= amplitude / l2_norm(f)
+    return f

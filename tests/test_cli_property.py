@@ -13,6 +13,12 @@ this process:
 ``inf`` by design, so it is not drawn. The refinement driver's
 manufactured-solution study takes no config either; it is computed once and
 handed to every refine example.
+
+A second property draws a value-taking flag and a value that begins with
+"-" or that argparse would not read as a number (negative numbers, exponent
+forms, ``nan`` and infinities) and passes it both as ``--flag value`` and
+as ``--flag=value``: the two spellings exit with the same code and print
+the same ``error:`` lines.
 """
 
 import contextlib
@@ -96,6 +102,16 @@ def _config_text(mapping: dict) -> str:
                    for key, value in mapping.items() if value is not None)
 
 
+def _main(argv: list[str], study) -> tuple[int, str, str]:
+    """cli.main(argv) with the given manufactured-solution study: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_temporal_order_study", lambda: study)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_the_exit_code_agrees_with_the_printed_report(workdir, study, data):
@@ -104,12 +120,7 @@ def test_the_exit_code_agrees_with_the_printed_report(workdir, study, data):
     config = f"{out}/exp.cfg"
     with open(config, "w", encoding="utf-8") as fh:
         fh.write(_config_text(mapping))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_temporal_order_study", lambda: study)
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, config, "--out", f"{out}/o", *flags])
-    printed, err = stdout.getvalue(), stderr.getvalue()
+    code, printed, err = _main([command, config, "--out", f"{out}/o", *flags], study)
     report = f"{command} {' '.join(flags)}\n{_config_text(mapping)}\n{printed}{err}"
 
     assert code in (0, 1, 2), report
@@ -120,3 +131,72 @@ def test_the_exit_code_agrees_with_the_printed_report(workdir, study, data):
         assert re.search(r"^FAIL ", printed, re.MULTILINE) or err.startswith("run failed: "), report
     else:
         assert err.startswith("error: "), report
+
+
+#: flag values argparse would not hand to a flag: negative numbers, exponent forms, nan, infinities
+VALUES = (
+    st.integers(-10**6, -1).map(str)
+    | st.floats(max_value=-1e-300, allow_infinity=False).map(repr)
+    | st.floats(1e-6, 1e-2).map(lambda x: f"{x:e}")  # a short run at most
+    | st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+inf", "-Infinity", "-0.0", "-1E+2"])
+)
+
+#: (subcommand, the flag drawn, the other flags it needs); the configs take 4 steps of 1e-3
+FLAGS = [
+    ("run", "--out", []),
+    ("twin", "--delta", []),
+    ("continuity", "--t0", ["--eps", "1e-3"]),
+    ("continuity", "--eps", ["--t0", "3e-3"]),
+    ("refine", "--levels", []),
+    ("verify", "--seed", []),
+]
+
+
+@pytest.fixture(scope="module")
+def flag_config(workdir):
+    path = workdir / "flags.cfg"
+    path.write_text("grid.n_modes = 8\ngrid.box_length = 6.283185307179586\nphys.alpha = 1.0\n"
+                    "phys.beta = 4.0\ntime.dt = 0.001\ntime.t_end = 0.004\n"
+                    "ic.kind = taylor-green\n", encoding="utf-8")
+    return str(path)
+
+
+def _spellings(command, flag, others, value, config, out):
+    """argv with flag given value as "--flag value" and as "--flag=value"."""
+    head = [command] if command == "verify" else [command, config]
+    if flag != "--out" and command != "verify":
+        head += ["--out", out]
+    return [head + others + [flag, value], head + others + [f"{flag}={value}"]]
+
+
+def _errors(err: str) -> list[str]:
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(choice=st.sampled_from(FLAGS), value=VALUES)
+def test_a_flag_value_reads_the_same_in_both_spellings(workdir, study, flag_config, choice, value):
+    command, flag, others = choice
+    out = tempfile.mkdtemp(dir=workdir)
+    if flag == "--levels":
+        value = f"{value},16,32"
+    with contextlib.chdir(workdir):  # a drawn --out value is a directory name here
+        (code_a, _, err_a), (code_b, _, err_b) = (
+            _main(argv, study) for argv in _spellings(command, flag, others, value, flag_config, out))
+    assert code_a == code_b, (command, flag, value, err_a, err_b)
+    assert _errors(err_a) == _errors(err_b), (command, flag, value)
+    assert "expected one argument" not in err_a, (command, flag, value)
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["twin", "--delta", "-1e-3"], "error: delta must be nonnegative and finite, got -0.001"),
+    (["continuity", "--t0", "-inf", "--eps", "1e-3"], "error: t0 must be finite, got -inf"),
+])
+def test_a_negative_value_reaches_the_driver(workdir, study, flag_config, argv, refusal):
+    # argparse read "-1e-3" and "-inf" as options and stopped with "expected one argument"
+    command, flag, value, *rest = argv
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        code, printed, err = _main([command, flag_config, "--out", f"{workdir}/neg", *spelling, *rest],
+                                   study)
+        assert (code, err.splitlines()) == (2, [refusal]), err
+

@@ -741,6 +741,24 @@ class TestStepping:
         assert tail[-1].t == cont[-1].t
         assert np.array_equal(tail[-1].vector, cont[-1].vector)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("start", ["taylor-green", "random"])
+    def test_a_snapshot_and_its_field_start_the_same_run(self, n, start):
+        # trajectory takes a state's vector as it is and a field's ball
+        # entries once validate() accepts them: from a mid-run snapshot and
+        # from its .u the snapshots' vectors and energy records agree bit for bit
+        grid = make_grid(n, TWO_PI)
+        u0 = taylor_green(grid) if start == "taylor-green" else random_solenoidal(grid, seed=5)
+        params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
+        mid = run(u0, params, cfg, 0.01, output_every=0.01)[-1]
+        tails = []
+        for initial in (mid, mid.u):
+            rec = SeriesRecorder()
+            snaps = run(initial, params, cfg, 0.02, t_start=mid.t, output_every=2e-3, hooks=(rec,))
+            tails.append(([s.vector.tobytes() for s in snaps], rec.energy, rec.decay))
+        assert len(tails[0][0]) == 6
+        assert tails[0] == tails[1]
+
     def test_accumulators_track_dissipation(self):
         grid = make_grid(8, TWO_PI)
         u0 = taylor_green(grid)

@@ -16,9 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import shear_mode
+from oracles import cube_random_solenoidal, cube_taylor_green, inject_field, shear_mode
 from nsdamp import cli, dynamics, experiments, spectral
-from nsdamp.checkpoint import write_checkpoint
+from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
 from nsdamp.dynamics import SolverState, StepperConfig, run, trajectory
@@ -26,14 +26,12 @@ from nsdamp.experiments import (
     build_initial,
     continuity_experiment,
     decay_experiment,
-    inject_field,
     refinement_experiment,
     run_experiment,
     twin_experiment,
 )
 from nsdamp.initial_conditions import random_solenoidal, taylor_green
-from nsdamp.ledger import SeriesRecorder
-from nsdamp.spectral import GridSpec, PhysParams, grad_norm_sq, l2_norm, make_grid
+from nsdamp.spectral import GridSpec, PhysParams, SpectralField, grad_norm_sq, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +54,20 @@ def _cfg(**over):
 
 
 class TestInjection:
+    @pytest.mark.parametrize("coarse_n, fine_n", [(8, 16), (16, 32), (8, 32)])
+    @pytest.mark.parametrize("box", [TWO_PI, 4.0 * TWO_PI])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
+    def test_ball_injection_equals_the_cube_reference(self, coarse_n, fine_n, box, fraction):
+        # the driver's index map between the balls moves a vector's entries as
+        # inject_field moves the expanded cube's coefficients, bit for bit
+        coarse, fine = make_grid(coarse_n, box, fraction), make_grid(fine_n, box, fraction)
+        rng = np.random.default_rng(coarse_n + fine_n)
+        shape = coarse.ball.k.shape
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = fine.ball.gather(inject_field(SpectralField(coarse, coarse.ball.expand(v)), fine).coeffs)
+        got = experiments._inject(v, experiments._injection(coarse, fine), fine)
+        assert got.tobytes() == want.tobytes()
+
     def test_preserves_modes_and_norm(self):
         coarse = make_grid(8, TWO_PI)
         fine = make_grid(16, TWO_PI)
@@ -78,12 +90,36 @@ class TestInjection:
 
 class TestBuildInitial:
     def test_analytic_kinds(self):
-        u, t0 = build_initial(_cfg())
-        assert t0 == 0.0
-        assert l2_norm(u) > 0.0
-        u2, _ = build_initial(_cfg(**{"ic.kind": "random-solenoidal", "ic.seed": 3}))
-        u3, _ = build_initial(_cfg(**{"ic.kind": "random-solenoidal", "ic.seed": 3}))
-        assert np.array_equal(u2.coeffs, u3.coeffs)
+        start = build_initial(_cfg())
+        assert start.t == 0.0
+        assert l2_norm(start.u) > 0.0
+        u2 = build_initial(_cfg(**{"ic.kind": "random-solenoidal", "ic.seed": 3}))
+        u3 = build_initial(_cfg(**{"ic.kind": "random-solenoidal", "ic.seed": 3}))
+        assert np.array_equal(u2.vector, u3.vector)
+
+    @pytest.mark.parametrize("n, box, seed", [(32, TWO_PI, 0), (32, TWO_PI, 1), (16, TWO_PI, 16),
+                                              (32, 4.0 * TWO_PI, 7)])
+    def test_the_start_is_the_cube_built_field(self, tmp_path, n, box, seed):
+        # each kind's start expands to the field the cube construction builds:
+        # the Taylor-Green corners set in the cube, the random field normalised
+        # by the full-cube norm (which the ball's norm matches bitwise at these
+        # grids and seeds), a checkpoint's field as read; and its vector is
+        # those fields' ball entries, which a run from them reads, bit for bit
+        over = {"grid.n_modes": n, "grid.box_length": box, "ic.seed": seed}
+        grid = make_grid(n, box)
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(SolverState(t=0.5, u=cube_random_solenoidal(grid, seed),
+                                     params=PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
+        for kind, want in (("taylor-green", cube_taylor_green(grid)),
+                           ("random-solenoidal", cube_random_solenoidal(grid, seed)),
+                           ("checkpoint", read_checkpoint(path).u)):
+            path_key = {"ic.path": str(path)} if kind == "checkpoint" else {}
+            start = build_initial(_cfg(**over, **{"ic.kind": kind, **path_key}))
+            assert start.t == (0.5 if kind == "checkpoint" else 0.0)
+            assert start.grid == grid and not start.vector.flags.writeable
+            # equal values: the zeros' signs differ where conj(0) or 0 * scale wrote them
+            assert np.array_equal(start.u.coeffs, want.coeffs)
+            assert start.vector.tobytes() == grid.ball.gather(want.coeffs).tobytes()
 
     def test_checkpoint_consistency_guard(self, tmp_path):
         grid = make_grid(8, TWO_PI)
@@ -96,9 +132,9 @@ class TestBuildInitial:
         write_checkpoint(state, path)
 
         good = _cfg(**{"ic.kind": "checkpoint", "ic.path": str(path)})
-        u, t0 = build_initial(good)
-        assert t0 == 0.5
-        assert np.array_equal(u.coeffs, state.u.coeffs)
+        start = build_initial(good)
+        assert start.t == 0.5
+        assert np.array_equal(start.u.coeffs, state.u.coeffs)
 
         for key, over in (
             ("grid.n_modes", {"grid.n_modes": 16}),
@@ -108,6 +144,20 @@ class TestBuildInitial:
             bad = _cfg(**{"ic.kind": "checkpoint", "ic.path": str(path), **over})
             with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
                 build_initial(bad)
+
+    def test_a_checkpoint_restart_validates_its_field_once(self, tmp_path, monkeypatch):
+        # read_checkpoint validates the field; the run starts from the state's
+        # vector and does not validate it again
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(SolverState(t=0.5, u=random_solenoidal(make_grid(8, TWO_PI), seed=1),
+                                     params=PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
+        calls = []
+        validate = SpectralField.validate
+        monkeypatch.setattr(SpectralField, "validate", lambda f: calls.append(f) or validate(f))
+        result = run_experiment(_cfg(**{"ic.kind": "checkpoint", "ic.path": str(path),
+                                        "time.t_end": 0.508}))
+        assert result.passed and result.snapshots[0].t == 0.5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("eps", [2e-13, 6e-13, 9.9e-13, 1.1e-12])
     def test_taylor_green_refuses_exactly_when_the_ball_lacks_its_modes(self, eps):
@@ -230,7 +280,7 @@ class TestTwin:
         # 101 samples: several whole blocks and a partial last one
         cfg = _cfg(**{"time.output_every": 2e-3})
         rep = twin_experiment(cfg, 1e-3)
-        u0, _ = build_initial(cfg)
+        u0 = build_initial(cfg).u
         pert = random_solenoidal(u0.grid, seed=cfg.ic_seed + 1, amplitude=1.0)
         base, twin = (
             run(u, cfg.phys(), cfg.stepper(), cfg.t_end, output_every=cfg.output_every)
@@ -638,27 +688,16 @@ class TestMemory:
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps a call's arguments on the caller's stack")
-    def test_the_initial_field_is_released_after_start_up(self, monkeypatch):
-        # only the start-up reads the initial field: trajectory, run and
-        # every driver drop their references to it (and the twin to its
-        # perturbation) before the first snapshot, so reference counting
-        # alone frees it
+    def test_the_initial_field_is_released_after_start_up(self):
+        # only the start-up reads the initial field: trajectory and run drop
+        # their references to it before the first snapshot, so reference
+        # counting alone frees it
         params, cfg = PhysParams(nu=1.0, alpha=1.0, beta=4.0), StepperConfig(dt=1e-3)
         refs, dead = [], []
 
         def first_snapshot(snap):
             if not dead:
                 dead.append(refs[-1]() is None)
-
-        class Recorder(SeriesRecorder):
-            def __call__(self, snap):
-                first_snapshot(snap)
-                super().__call__(snap)
-
-        def traced_build(c):
-            u0, t_start = build_initial(c)
-            refs.append(weakref.ref(u0))
-            return u0, t_start
 
         gc.disable()
         try:
@@ -672,41 +711,40 @@ class TestMemory:
             refs.append(weakref.ref(fields[0]))
             run(fields.pop(), params, cfg, 2e-3, hooks=(first_snapshot,))
             assert dead.pop()
-
-            monkeypatch.setattr(experiments, "build_initial", traced_build)
-            monkeypatch.setattr(experiments, "SeriesRecorder", Recorder)
-            run_experiment(_cfg(**{"time.t_end": 4e-3, "ic.kind": "random-solenoidal"}), None)
-            assert dead.pop()
-
-            # each run's own field and the twin's perturbation are dead at the run's first snapshot
-            def traced_solenoidal(*args, **kwargs):
-                pert = random_solenoidal(*args, **kwargs)
-                perts.append(weakref.ref(pert))
-                return pert
-
-            def traced_trajectory(initial, *args, **kwargs):
-                ref = weakref.ref(initial)
-                return checked(ref, trajectory(initial, *args, **kwargs))
-
-            def checked(ref, steps):
-                first = next(steps)
-                dead.append(ref() is None and all(r() is None for r in perts))
-                yield first
-                yield from steps
-
-            perts = []
-            monkeypatch.setattr(experiments, "random_solenoidal", traced_solenoidal)
-            monkeypatch.setattr(experiments, "trajectory", traced_trajectory)
-            monkeypatch.setattr(experiments, "SeriesRecorder", SeriesRecorder)
-            decay_experiment(self._cfg(4))
-            continuity_experiment(self._cfg(4), [0.02], t0=0.04)
-            # a Taylor-Green base: the other run may not have started, so its
-            # field must not be among the random ones
-            twin_experiment(_cfg(**{"time.t_end": 8e-3}), 1e-3)
-            assert dead == [True] * 4 and len(perts) == 3
         finally:
             gc.enable()
 
+    def test_no_driver_expands_a_field_before_its_first_snapshot(self, monkeypatch):
+        # every driver starts, perturbs and injects ball vectors: until a
+        # run's first snapshot, nothing has called _Ball.expand, the one way
+        # to a full (3, N, N, N) field of a ball vector
+        expanded, seen = [], []
+        expand = spectral._Ball.expand
+
+        def traced_expand(ball, v):
+            expanded.append(v.shape)
+            return expand(ball, v)
+
+        def traced_trajectory(*args, **kwargs):
+            steps = trajectory(*args, **kwargs)
+            first = next(steps)
+            seen.append(list(expanded))
+            yield first
+            yield from steps
+
+        monkeypatch.setattr(spectral._Ball, "expand", traced_expand)
+        monkeypatch.setattr(experiments, "trajectory", traced_trajectory)
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: list(traced_trajectory(*a, **k)))
+        monkeypatch.setattr(experiments, "_temporal_order_study",
+                            lambda: ([2e-2, 1e-2, 5e-3], [1e-6, 6e-8, 4e-9], [4.0, 4.0]))
+        for kind in ("taylor-green", "random-solenoidal"):
+            run_experiment(_cfg(**{"time.t_end": 4e-3, "ic.kind": kind}), None)
+            decay_experiment(self._cfg(4, **{"ic.kind": kind}))
+            continuity_experiment(self._cfg(4, **{"ic.kind": kind}), [0.02], t0=0.04)
+            twin_experiment(_cfg(**{"time.t_end": 8e-3, "ic.kind": kind}), 1e-3)
+            refinement_experiment(_cfg(**{"time.t_end": 4e-3, "ic.kind": kind}), [8, 16, 32])
+        assert len(seen) == 2 * 8 and seen == [[]] * 16, seen
+        assert not expanded  # and none of these drivers expands a field at all
 
 class TestRefinement:
     def test_level_validation(self):
@@ -770,13 +808,17 @@ class TestRefinement:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_an_inter_level_difference_that_is_not_finite_fails(self, monkeypatch, value):
         # |u_16(T) - u_32(T)| reads NaN or inf: the factor over it is inf or 0
-        norms = []
+        injected = []
+        inject = experiments._inject
 
-        def corrupting(f):
-            norms.append(l2_norm(f))
-            return value if len(norms) == 2 else norms[-1]
+        def corrupting(v, index, fine):
+            out = inject(v, index, fine)
+            injected.append(fine.n_modes)
+            if len(injected) == 4:  # after the two starts, the second difference's injection
+                out[0, 1] = value
+            return out
 
-        monkeypatch.setattr(experiments, "l2_norm", corrupting)
+        monkeypatch.setattr(experiments, "_inject", corrupting)
         monkeypatch.setattr(experiments, "_temporal_order_study",
                             lambda: ([2e-2, 1e-2, 5e-3], [1e-6, 6e-8, 4e-9], [4.0, 4.0]))
         cfg = _cfg(**{"phys.nu": 0.02, "phys.alpha": 0.5, "time.dt": 5e-3, "time.t_end": 0.02})
@@ -784,6 +826,7 @@ class TestRefinement:
         assert not rep.spatial_ok and rep.temporal_ok and not rep.passed
         name = "shrink factor |u_8(T) - u_16(T)| / |u_16(T) - u_32(T)|"
         assert any(line.startswith(f"FAIL {name}: ") for line in rep.lines()), rep.lines()
+        assert injected == [16, 32, 16, 32]
 
 
 class TestThreadCap:

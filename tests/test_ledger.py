@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import cube_low_shell_mask, full_cube_ledger, hermitian_error, shear_mode
+from oracles import (
+    cube_low_shell_mask,
+    full_cube_ledger,
+    hermitian_error,
+    shear_mode,
+    trapezoid_energy_records,
+)
 from nsdamp.dynamics import (
     DuhamelNorms,
     SeparableTarget,
@@ -23,7 +29,6 @@ from nsdamp.ledger import (
     decay_snapshot,
     lbeta_spacetime_report,
     record_energy,
-    trapezoid_energy_records,
     write_series_csv,
 )
 from nsdamp.spectral import PhysParams, SpectralField, l2_norm, make_grid

@@ -1,7 +1,8 @@
 """The package namespace re-exports every module's public names, once each,
 no module reaches into the stepper's private names or keeps an unused
-import, one function renders the verdict line, one writes report.txt and
-one puts a time on the dt grid, and the package runs without SciPy."""
+import, no driver builds or reads a full field, one function renders the
+verdict line, one writes report.txt and one puts a time on the dt grid, and
+the package runs without SciPy."""
 
 import ast
 import importlib
@@ -40,6 +41,28 @@ def test_no_module_imports_a_private_name_of_dynamics():
                 private += [f"{path.name}: {name}" for name in names if name.startswith("_")]
     assert imported  # the walk saw the modules that build on dynamics
     assert not private
+
+
+def test_no_driver_builds_or_reads_a_full_field():
+    # the drivers start, perturb, inject and difference ball vectors: no
+    # function in experiments.py calls a cube-building or full-cube norm
+    # function, or reads a field's coefficient cube
+    banned_calls = {"expand", "l2_norm", "inject_field", "SpectralField"}
+    path = pathlib.Path(nsdamp.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for function in functions:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in banned_calls:
+                    found.append(f"{function.name}:{node.lineno}: calls {name}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("u", "coeffs"):
+                found.append(f"{function.name}:{node.lineno}: reads .{node.attr}")
+    assert len(functions) >= 10  # the walk saw the drivers
+    assert not found
 
 
 def test_no_module_keeps_an_unused_import():
