@@ -25,7 +25,7 @@ from typing import Any
 
 from .dynamics import StepperConfig
 from .inequalities import gronwall_constant
-from .spectral import _EMBED_P, ConfigError, GridSpec, PhysParams, make_grid
+from .spectral import ConfigError, GridSpec, PhysParams, make_grid
 
 __all__ = [
     "ConfigError",
@@ -46,6 +46,10 @@ _MAX_STEPS = 2.0**53
 
 #: the largest x with exp(x) finite
 _LOG_MAX = math.log(sys.float_info.max)
+
+#: the decay experiment's floor on beta: the exponent of the embedding
+#: ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in three dimensions
+_EMBED_P = 10.0 / 3.0
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ public API: a snapshot's field, SolverState.u, is expanded from the vector
 on first access, and the expansion is Hermitian by construction.
 
 A snapshot also carries the collocation sums of its speed |u|
-(SolverState.pointwise: the max, the |u|^beta sums split at |u| = 1 and the
-|u|^(10/3) mass), the decay diagnostics' pointwise part. trajectory() runs
+(SolverState.pointwise: the max and the |u|^beta sums split at |u| = 1),
+the decay diagnostics' pointwise part. trajectory() runs
 each step's first-stage kernel call before it yields the step's start
 state, so the grid values that call transforms feed the snapshot too, and
 the final state takes the kernel's inverse alone: a run transforms each
@@ -48,7 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import (_ALONE, _EMBED_P, ConfigError, GridSpec, PhysParams, SpectralField, _Ball,
+from .spectral import (_ALONE, ConfigError, GridSpec, PhysParams, SpectralField, _Ball,
                        _Crew, _magnitudes, _on_driver_thread, _speed_sq, _workers)
 
 __all__ = [
@@ -105,32 +105,25 @@ class PointwiseNorms(NamedTuple):
     linf: float  # max |u| over the grid points
     rate_e1: float  # sum of |u|^beta dV over the points with |u| <= 1
     rate_e2: float  # sum of |u|^beta dV over the points with |u| > 1
-    embed_mass: float  # sum of |u|^(10/3) dV
 
 
 def _pointwise_norms(u: np.ndarray, dv: float, beta: float) -> PointwiseNorms:
     """The PointwiseNorms of grid values u, shape (3, N, N, N).
 
     |u|^2 is formed by _speed_sq in one (N, N, N) array, then |u| in place,
-    raised to beta in place once the max and the embed mass are taken; one
-    more such array holds each square, then |u|^(10/3), and one mask
-    selects the points with |u| <= 1, then, inverted in place, the others.
-    Every value and sum is that of the expressions written whole.
+    raised to beta in place once the max is taken; one more such array
+    holds each square, and one mask selects the points with |u| <= 1, then,
+    inverted in place, the others. Every value and sum is that of the
+    expressions written whole.
     """
-    work = np.empty_like(u[0])
-    mag = _speed_sq(u, work=work)
+    mag = _speed_sq(u)
     np.sqrt(mag, out=mag)
     linf = float(mag.max(initial=0.0))
-    if beta != _EMBED_P:
-        embed_mass = dv * float(np.power(mag, _EMBED_P, out=work).sum())
-    del work
     small = mag <= 1.0
     mag **= beta
-    if beta == _EMBED_P:
-        embed_mass = dv * float(mag.sum())
     rate_e1 = dv * float(mag[small].sum())
     rate_e2 = dv * float(mag[np.logical_not(small, out=small)].sum())
-    return PointwiseNorms(linf, rate_e1, rate_e2, embed_mass)
+    return PointwiseNorms(linf, rate_e1, rate_e2)
 
 
 class SolverState:
@@ -147,7 +140,8 @@ class SolverState:
     from_vector(), the array given; for a field, the field's, gathered once
     at construction (for a field outside the state space, not the field
     itself). u, the full (3, N, N, N) field, and pointwise, the speed's
-    collocation sums (PointwiseNorms), are cached properties. A state built
+    collocation sums (PointwiseNorms: its max and its |u|^beta sums split
+    at |u| = 1), are cached properties. A state built
     from a field keeps that very object as u; any other expands its vector
     on first access (snap.u is snap.u). trajectory() supplies pointwise from
     the grid values the stepper computes anyway; any other state takes it
@@ -627,10 +621,10 @@ class _Stepper:
             )
 
     def _force(self, terms: _NLTerms, t: float) -> np.ndarray:
-        """The nonlinear right-hand side at time t from the kernel's terms, which it projects, in force."""
+        """The right-hand side at time t in force: the kernel's terms, projected here, plus forcing(t)."""
         total = _project_terms(self.ball, terms, self.force)
         if self.forcing is not None:
-            np.add(total, self.ball.gather(self.forcing(t)), out=total)
+            np.add(total, self.forcing(t), out=total)
         return total
 
     def advance(
@@ -731,7 +725,10 @@ def trajectory(
     it. Snapshots are scheduled by step index, so reruns and restarts land
     on bitwise-identical times. Hooks are called with each snapshot before it
     is yielded; its duhamel is None when forcing is active, which makes the
-    heat/f/g split meaningless. The final state is always a snapshot.
+    heat/f/g split meaningless. forcing(t) returns a ball vector (3, n_ball)
+    in the layout of grid.ball, added as it is to each stage's projected
+    right-hand side (manufactured_forcing gives one). The final state is
+    always a snapshot.
     Snapshots are exactly Hermitian, zero outside the ball and at m = 0.
     The start is a state, whose vector is taken as it is (not its time or accumulators), or
     a field, taken by its ball entries once validate() accepts it (its ValueError refuses
@@ -837,9 +834,11 @@ class SeparableTarget:
 
     a must stay positive and smooth; advection and damping then scale as
     a^2 and a^beta, so the forcing that makes u* an exact solution of the
-    truncated system is a closed-form combination of precomputed fields.
-    U must pass validate() and vanish outside the ball to 1e-13 relative;
-    no full-cube table of the grid is read. vector holds U's ball entries.
+    truncated system is a closed-form combination of four ball vectors
+    (layout of GridSpec.ball), each taken once here: vector, U's ball
+    entries, and the ball entries of U's advection, damping and viscous
+    terms. U must pass validate() and vanish outside the ball to 1e-13
+    relative; no full-cube table of the grid is read.
     """
 
     def __init__(
@@ -853,34 +852,31 @@ class SeparableTarget:
         scale, _, outside = _magnitudes(base)
         if outside > 1e-13 * max(scale, 1e-300):
             raise ValueError("target not band-limited within grid")
-        self.base = base.copy()
+        self.grid = base.grid
         self.amplitude = amplitude
         self.amplitude_rate = amplitude_rate
         self.params = params
-        self._adv = advection(base).coeffs
-        self._damp = damping(base, params.alpha, params.beta).coeffs
         ball = base.grid.ball
         self.vector = ball.gather(base.coeffs)
-        self._visc = ball.expand((params.nu * ball.k_sq) * self.vector)
+        self._adv = ball.gather(advection(base).coeffs)
+        self._damp = ball.gather(damping(base, params.alpha, params.beta).coeffs)
+        self._visc = (params.nu * ball.k_sq) * self.vector
 
     def field(self, t: float) -> SpectralField:
-        return SpectralField(self.base.grid, self.amplitude(t) * self.base.coeffs)
+        """u*(t), expanded from a(t) vector."""
+        return SpectralField(self.grid, self.grid.ball.expand(self.amplitude(t) * self.vector))
 
     def forcing(self, t: float) -> np.ndarray:
+        """The forcing at time t, a ball vector (3, n_ball)."""
         a = self.amplitude(t)
         if a <= 0.0:
             raise ValueError(f"amplitude must stay positive, got a({t}) = {a!r}")
         da = self.amplitude_rate(t)
-        return (
-            da * self.base.coeffs
-            + a * a * self._adv
-            + a**self.params.beta * self._damp
-            + a * self._visc
-        )
+        return da * self.vector + a * a * self._adv + a**self.params.beta * self._damp + a * self._visc
 
 
 def manufactured_forcing(target: SeparableTarget, params: PhysParams) -> Callable[[float], np.ndarray]:
-    """Forcing hook F(t) = d/dt u* + advection(u*) + damping(u*) + viscous(u*).
+    """Forcing hook F(t) = d/dt u* + advection(u*) + damping(u*) + viscous(u*), a ball vector.
 
     With this hook passed to run(), the target solves the forced truncated
     system exactly and the numerical error isolates the time discretization.

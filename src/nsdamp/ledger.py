@@ -13,6 +13,10 @@ layout of ``GridSpec.ball``) and its pointwise sums
 values), so a snapshot of the stepper is never expanded to its full field
 and never transformed again: weighted sums over the vector, one power
 spectrum per ``decay_snapshot``.
+
+The decay verdict is not formed here: ``experiments.decay_experiment``
+reads the accumulated ``lbeta_E1 + lbeta_E2`` totals and turns their taper
+into named checks.
 """
 
 from __future__ import annotations
@@ -25,19 +29,16 @@ import numpy as np
 
 from .certificate import Check, verdict_word
 from .dynamics import DuhamelNorms, SolverState
-from .spectral import _EMBED_P, PhysParams
 
 __all__ = [
     "EnergyRecord",
     "EnergyInequalityReport",
     "DecayDiagnostics",
-    "SpacetimeReport",
     "SeriesRecorder",
     "CSV_COLUMNS",
     "record_energy",
     "check_energy_inequality",
     "decay_snapshot",
-    "lbeta_spacetime_report",
     "write_series_csv",
 ]
 
@@ -134,9 +135,7 @@ class DecayDiagnostics:
     by the pointwise classification |u| <= 1 vs |u| > 1 on collocation
     samples (trapezoid in time at the snapshot cadence).  rate_e1 / rate_e2
     hold the instantaneous spatial integrals so the next snapshot can extend
-    the quadrature; embed_ratio is the pointwise-in-time ratio
-    ||u||_{L^{10/3}}^{10/3} / (||u||_{L^2}^{4/3} ||grad u||_{L^2}^2) whose
-    running maximum calibrates the low-amplitude majorant.
+    the quadrature.  Every field is a column of series.csv except the rates.
     """
 
     t: float
@@ -151,28 +150,21 @@ class DecayDiagnostics:
     linf: float
     rate_e1: float
     rate_e2: float
-    embed_ratio: float
 
 
 def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) -> DecayDiagnostics:
     """Fold one snapshot into the decay diagnostics.
 
     Pass accum=None to open the series (cumulative integrals start at zero).
-    The rates, linf and the embedding mass come from state.pointwise, the
-    norms from one power spectrum of state.vector. The heat/f/g norms come
-    from state.duhamel and are NaN when it is None, keeping the CSV shape
-    fixed.
+    The rates and linf come from state.pointwise, the norms from one power
+    spectrum of state.vector. The heat/f/g norms come from state.duhamel and
+    are NaN when it is None, keeping the CSV shape fixed.
     """
     grid = state.grid
     ball = grid.ball
     pointwise = state.pointwise
-    multipliers = (None, ball.k_sq, ball.hminus2, ball.low_shell, ~ball.low_shell)
-    l2_sq, gsq, hminus2_sq, w1_sq, w2_sq = (
-        grid.volume * s for s in ball.norms_sq(state.vector, multipliers)
-    )
-    l2 = math.sqrt(l2_sq)
-    denom = l2 ** (4.0 / 3.0) * gsq
-    embed_ratio = pointwise.embed_mass / denom if denom > 1e-300 else 0.0
+    hminus2_sq, w1_sq, w2_sq = (grid.volume * s for s in
+                                ball.norms_sq(state.vector, (ball.hminus2, ball.low_shell, ~ball.low_shell)))
 
     if accum is None:
         lbeta_e1, lbeta_e2 = 0.0, 0.0
@@ -200,99 +192,6 @@ def decay_snapshot(state: SolverState, accum: DecayDiagnostics | None = None) ->
         linf=pointwise.linf,
         rate_e1=pointwise.rate_e1,
         rate_e2=pointwise.rate_e2,
-        embed_ratio=embed_ratio,
-    )
-
-
-@dataclass(frozen=True)
-class SpacetimeReport:
-    """Space-time integrability of |u|^beta, split by amplitude.
-
-    majorant = embed_constant * sup_t ||u||^(4/3) * int ||grad u||^2
-             + int int |u|^(beta+1),
-    with embed_constant the empirical maximum of the per-snapshot embedding
-    ratio -- a measured calibration, not an asserted universal constant.
-    """
-
-    l1: float
-    l2: float
-    embed_constant: float
-    grad_integral: float
-    damp_integral: float
-    majorant: float
-    dominated: bool
-    peak_increment: float
-    tail_increment: float
-
-    @property
-    def total(self) -> float:
-        return self.l1 + self.l2
-
-    def describe(self) -> str:
-        return (
-            f"space-time |u|^beta mass: low-amplitude part {self.l1:.6e}, "
-            f"high-amplitude part {self.l2:.6e}; majorant {self.majorant:.6e} "
-            f"(embedding constant {self.embed_constant:.4f}) "
-            f"{'dominates' if self.dominated else 'DOES NOT dominate'}; "
-            f"tail increment {self.tail_increment:.3e} vs peak {self.peak_increment:.3e}"
-        )
-
-
-def lbeta_spacetime_report(
-    diags: Sequence[DecayDiagnostics],
-    series: Sequence[EnergyRecord],
-    params: PhysParams,
-) -> SpacetimeReport:
-    """Report the split space-time mass of |u|^beta and its energy majorant.
-
-    Requires beta >= 10/3 (below that the low-amplitude part is not
-    controlled by the energy budget) and alpha > 0 (the high-amplitude part
-    is read off the damping accumulator).  Raises when the accumulators are
-    non-finite or their increments fail to taper over the run tail; both
-    conditions mean the run left the decaying regime the bound describes.
-    """
-    if params.beta < _EMBED_P - 1e-12:
-        raise ValueError(f"space-time report requires beta >= 10/3, got beta = {params.beta!r}")
-    if params.alpha <= 0.0:
-        raise ValueError("space-time report requires alpha > 0 (damping accumulator is the majorant's second term)")
-    if len(diags) < 2 or len(series) < 2:
-        raise ValueError("need at least two snapshots to report space-time integrals")
-
-    l1 = diags[-1].lbeta_E1
-    l2 = diags[-1].lbeta_E2
-    if not (math.isfinite(l1) and math.isfinite(l2)):
-        raise ValueError(f"space-time accumulators are not finite: E1 = {l1!r}, E2 = {l2!r}")
-
-    totals = np.array([d.lbeta_E1 + d.lbeta_E2 for d in diags])
-    increments = np.diff(totals)
-    peak = float(increments.max(initial=0.0))
-    slack = 1e-9 * (peak + 1e-300)
-    if float(increments.min(initial=0.0)) < -slack:
-        raise ValueError("space-time accumulators decreased between snapshots")
-    tail = increments[-max(2, increments.size // 4):]
-    tapering = bool(np.all(np.diff(tail) <= slack)) and tail[-1] <= 0.5 * peak + slack
-    if not tapering:
-        raise ValueError(
-            f"space-time increments do not taper over the run tail "
-            f"(last {float(tail[-1]):.3e} vs peak {peak:.3e})"
-        )
-
-    embed_constant = max(d.embed_ratio for d in diags)
-    grad_integral = series[-1].cum_visc / (2.0 * params.nu)
-    damp_integral = series[-1].cum_damp / (2.0 * params.alpha)
-    sup_l2_sq = max(r.l2_sq for r in series)
-    majorant = embed_constant * sup_l2_sq ** (2.0 / 3.0) * grad_integral + damp_integral
-
-    return SpacetimeReport(
-        l1=l1,
-        l2=l2,
-        embed_constant=embed_constant,
-        grad_integral=grad_integral,
-        damp_integral=damp_integral,
-        majorant=majorant,
-        dominated=bool(l1 + l2 <= majorant * (1.0 + 1e-9) + 1e-300),
-        peak_increment=peak,
-        tail_increment=float(tail[-1]),
     )
 
 

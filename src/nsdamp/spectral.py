@@ -62,10 +62,6 @@ _BALL_TOL = 1e-12
 #: relative tolerance of validate(), the one state-space check (trajectory's start-up calls it).
 _STATE_TOL = 1e-10
 
-#: exponent of the embedding ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in
-#: three dimensions: the snapshots' pointwise mass and the decay diagnostics' floor on beta
-_EMBED_P = 10.0 / 3.0
-
 #: values per block in one slab of planes, the unit the ball's transforms stream in: three
 #: blocks' slab is at most 768 KiB, so it is still in a 1-2 MiB L2 cache when the next pass reads it
 _SLAB = 2**15

@@ -76,6 +76,15 @@ rebuilds the energy budget from the snapshots' full fields alone, by the
 trapezoid rule at the cadence: the coarse, independent cross-check of the
 stepper's accumulators.
 
+``reference_taper`` is the decay report's taper test as it stood before it
+became named checks: one rule that raises where the report refused and
+otherwise returns the check the decay driver built on it, which
+``experiments._taper_checks`` must match pass for pass.
+``cube_manufactured_forcing`` is the manufactured-solution forcing formed
+as a full (3, N, N, N) cube from four cube terms at every call, which
+``SeparableTarget.forcing``'s ball vector must reproduce bit for bit once
+gathered to the ball.
+
 ``inject_field`` embeds a field's coefficient cube in a finer grid's, mode
 for mode, which the refinement driver's injection of ball vectors must
 reproduce bit for bit. ``cube_taylor_green`` and ``cube_random_solenoidal``
@@ -88,7 +97,7 @@ import numpy as np
 import scipy.fft
 
 from nsdamp.certificate import Check
-from nsdamp.dynamics import _Kernel
+from nsdamp.dynamics import _Kernel, advection, damping
 from nsdamp.initial_conditions import _noise, _solenoidal
 from nsdamp.inequalities import (
     _INTERPOLATION_ORDERS,
@@ -663,9 +672,6 @@ def full_cube_ledger(states):
             "lbeta_E1": 0.0,
             "lbeta_E2": 0.0,
         }
-        embed_mass = dv * float((mag ** (10.0 / 3.0)).sum())
-        denom = np.sqrt(norm_sq()) ** (4.0 / 3.0) * norm_sq(k_sq)
-        row["embed_ratio"] = embed_mass / denom if denom > 1e-300 else 0.0
         if rows:
             prev = rows[-1]
             half_dt = 0.5 * (s.t - prev["t"])
@@ -673,6 +679,51 @@ def full_cube_ledger(states):
             row["lbeta_E2"] = prev["lbeta_E2"] + half_dt * (prev["rate_e2"] + row["rate_e2"])
         rows.append(row)
     return rows
+
+
+def reference_taper(totals):
+    """The taper test of the space-time accumulators' totals E1 + E2, one snapshot each, as one rule.
+
+    Raises ValueError where the decay report refused: fewer than two
+    totals, a last total that is not finite (the report read E1 and E2 of
+    the last snapshot, whose sum it is), an increment below -slack, or a
+    run tail whose increments rise by more than slack or end above
+    0.5 peak + slack, with peak the largest increment (0 at least) and
+    slack = 1e-9 (peak + 1e-300). Otherwise returns the check the decay
+    driver built: the last increment against the peak with its comparison
+    taken as held, so it passes when both are finite.
+    """
+    if totals.size < 2:
+        raise ValueError("need at least two snapshots to report space-time integrals")
+    if not np.isfinite(totals[-1]):
+        raise ValueError(f"space-time accumulators are not finite: {totals[-1]!r}")
+    increments = np.diff(totals)
+    peak = float(increments.max(initial=0.0))
+    slack = 1e-9 * (peak + 1e-300)
+    if float(increments.min(initial=0.0)) < -slack:
+        raise ValueError("space-time accumulators decreased between snapshots")
+    tail = increments[-max(2, increments.size // 4):]
+    if not (bool(np.all(np.diff(tail) <= slack)) and tail[-1] <= 0.5 * peak + slack):
+        raise ValueError("space-time increments do not taper over the run tail")
+    return Check("space-time report", float(tail[-1]), peak, True)
+
+
+def cube_manufactured_forcing(base, amplitude, amplitude_rate, params):
+    """The forcing that makes a(t) base solve the truncated system, as a (3, N, N, N) cube at each t.
+
+    base's coefficients and its advection, damping and viscous terms are
+    held as cubes, and every call combines all four whole.
+    """
+    ball = base.grid.ball
+    adv = advection(base).coeffs
+    damp = damping(base, params.alpha, params.beta).coeffs
+    visc = ball.expand((params.nu * ball.k_sq) * ball.gather(base.coeffs))
+
+    def forcing(t):
+        a, da = amplitude(t), amplitude_rate(t)
+        return da * base.coeffs + a * a * adv + a**params.beta * damp + a * visc
+
+    return forcing
 
 
 #: validate()'s relative tolerance

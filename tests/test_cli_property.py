@@ -9,6 +9,10 @@ this process:
 - exit 1 comes only with a ``FAIL`` line or a ``run failed:`` line;
 - exit 2 comes only with an ``error:`` line.
 
+Each run also draws ``NSD_THREADS`` from {unset, 1, 2, 0, -1, ``x``}; a
+value that is not a positive integer must exit 2 with an ``error:`` line.
+No draw asks for more than two threads.
+
 ``verify`` takes no config, and its product-law threshold column prints
 ``inf`` by design, so it is not drawn. The refinement driver's
 manufactured-solution study takes no config either; it is computed once and
@@ -102,11 +106,16 @@ def _config_text(mapping: dict) -> str:
                    for key, value in mapping.items() if value is not None)
 
 
-def _main(argv: list[str], study) -> tuple[int, str, str]:
-    """cli.main(argv) with the given manufactured-solution study: (exit code, stdout, stderr)."""
+def _main(argv: list[str], study, threads: str | None = None) -> tuple[int, str, str]:
+    """cli.main(argv) with the given manufactured-solution study and NSD_THREADS (None: unset):
+    (exit code, stdout, stderr)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_temporal_order_study", lambda: study)
+        if threads is None:
+            mp.delenv("NSD_THREADS", raising=False)
+        else:
+            mp.setenv("NSD_THREADS", threads)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
@@ -116,14 +125,17 @@ def _main(argv: list[str], study) -> tuple[int, str, str]:
 @given(data=st.data())
 def test_the_exit_code_agrees_with_the_printed_report(workdir, study, data):
     mapping, (command, *flags) = data.draw(invocations(str(workdir / "start.ckpt")))
+    threads = data.draw(st.sampled_from([None, "1", "2", "0", "-1", "x"]))
     out = tempfile.mkdtemp(dir=workdir)
     config = f"{out}/exp.cfg"
     with open(config, "w", encoding="utf-8") as fh:
         fh.write(_config_text(mapping))
-    code, printed, err = _main([command, config, "--out", f"{out}/o", *flags], study)
-    report = f"{command} {' '.join(flags)}\n{_config_text(mapping)}\n{printed}{err}"
+    code, printed, err = _main([command, config, "--out", f"{out}/o", *flags], study, threads)
+    report = f"NSD_THREADS={threads} {command} {' '.join(flags)}\n{_config_text(mapping)}\n{printed}{err}"
 
     assert code in (0, 1, 2), report
+    if threads in ("0", "-1", "x"):
+        assert code == 2 and err.startswith("error: "), report
     if code == 0:
         assert not NOT_FINITE.search(printed), report
         assert "FAIL" not in printed and printed.splitlines()[-2] == "verdict: pass", report
@@ -200,3 +212,21 @@ def test_a_negative_value_reaches_the_driver(workdir, study, flag_config, argv, 
                                    study)
         assert (code, err.splitlines()) == (2, [refusal]), err
 
+
+@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+@pytest.mark.parametrize("argv", [
+    ["run"], ["twin", "--delta", "1e-3"], ["continuity", "--t0", "3e-3", "--eps", "1e-3"],
+    ["decay"], ["refine", "--levels", "8,16,32"], ["verify", "--fast"],
+], ids=lambda argv: argv[0])
+def test_a_bad_thread_count_exits_2_naming_it(workdir, study, argv, threads):
+    # a config every driver accepts, so that NSD_THREADS is what each refuses
+    config = workdir / "threads.cfg"
+    config.write_text("grid.n_modes = 8\ngrid.box_length = 25.132741228718345\nphys.alpha = 1.0\n"
+                      "phys.beta = 4.0\ntime.dt = 0.001\ntime.t_end = 0.004\n"
+                      "ic.kind = taylor-green\n", encoding="utf-8")
+    command, *flags = argv
+    head = [command] if command == "verify" else [command, str(config), "--out", f"{workdir}/threads"]
+    code, printed, err = _main(head + flags, study, threads)
+    assert code == 2 and printed == "", err
+    assert err.splitlines() == [f"error: NSD_THREADS must be {'an integer' if threads == 'x' else 'positive'}, "
+                                f"got {threads!r}"]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     cube_ball_mask,
     cube_k_sq,
+    cube_manufactured_forcing,
     cubic_damping_hat,
     direct_advection,
     direct_pressure,
@@ -966,6 +967,24 @@ class TestManufactured:
         e_coarse, e_fine = err(2e-2), err(1e-2)
         order = math.log2(e_coarse / e_fine)
         assert order >= 3.7
+
+    @pytest.mark.parametrize("kind", ["taylor-green", "random"])
+    def test_the_forcing_is_the_cube_forcing_gathered_bit_for_bit(self, kind):
+        # the temporal-order study's target, and a random one with beta = 10/3;
+        # the ball vector at each time against the whole cube, gathered
+        grid = make_grid(16, TWO_PI)
+        params = PhysParams(nu=0.4, alpha=0.5, beta=5.0 if kind == "taylor-green" else 10.0 / 3.0)
+        base = (taylor_green(grid, amplitude=0.3) if kind == "taylor-green"
+                else random_solenoidal(grid, seed=11, amplitude=2.0))
+        args = (lambda t: 1.0 + 0.4 * math.sin(2.0 * t), lambda t: 0.8 * math.cos(2.0 * t), params)
+        target = SeparableTarget(base, *args)
+        forcing, cube = manufactured_forcing(target, params), cube_manufactured_forcing(base, *args)
+        for t in np.linspace(0.0, 0.5, 101):
+            got = forcing(t)
+            assert got.shape == (3, grid.ball.k_sq.size)
+            assert got.tobytes() == grid.ball.gather(cube(t)).tobytes(), t
+        assert target.vector.tobytes() == grid.ball.gather(base.coeffs).tobytes()
+        assert np.array_equal(target.field(0.25).coeffs, (1.0 + 0.4 * math.sin(0.5)) * base.coeffs)
 
     def test_band_limit_guard(self):
         grid = make_grid(8, TWO_PI)

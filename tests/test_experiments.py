@@ -15,8 +15,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import cube_random_solenoidal, cube_taylor_green, inject_field, shear_mode
+from oracles import cube_random_solenoidal, cube_taylor_green, inject_field, reference_taper, shear_mode
 from nsdamp import cli, dynamics, experiments, spectral
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.cli import main
@@ -430,7 +432,9 @@ class TestDecay:
             "both frequency bands small by the end",
             "space-time accumulators plateau",
             "5% energy threshold crossed",
-            "space-time report",
+            "space-time accumulators never decrease",
+            "space-time tail increments do not rise",
+            "space-time last increment at most half the peak",
         ]
         # the horizon is deliberately too short to decay to 5%: the
         # monotonicity checks hold, the threshold check honestly fails
@@ -452,6 +456,9 @@ class TestDecay:
         ("decay", "lbeta_E1", 8, math.nan, "space-time accumulators plateau"),
         # an inf at the final decile's start makes the increment -inf
         ("decay", "lbeta_E1", 7, math.inf, "space-time accumulators plateau"),
+        # a NaN or inf total makes the peak of the increments so, and every taper bound with it
+        ("decay", "lbeta_E2", 8, math.nan, "space-time last increment at most half the peak"),
+        ("decay", "lbeta_E2", 3, math.inf, "space-time tail increments do not rise"),
     ])
     def test_a_check_fails_on_a_value_that_is_not_finite(self, monkeypatch, series, field, index,
                                                           value, check):
@@ -471,6 +478,94 @@ class TestDecay:
         assert any(line.startswith(f"[FAIL] {check}:") for line in rep.lines()), rep.lines()
         assert any(line.startswith(f"FAIL {check}: ") for line in rep.lines()), rep.lines()
         assert not rep.passed
+
+
+#: the decay driver's taper checks, by the name its report prints
+TAPER = ("space-time accumulators never decrease", "space-time tail increments do not rise",
+         "space-time last increment at most half the peak")
+
+#: the bound on the last increment when the peak is 1
+HALF = 0.5 + 1e-9 * (1.0 + 1e-300)
+
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.7e308, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def totals_sequences(draw) -> np.ndarray:
+    """Totals E1 + E2 of 1 to 12 snapshots: any floats, flat runs, steps that may fall and hold a
+    NaN or inf, or a last increment at exactly 0.5 peak + slack or one ulp to either side."""
+    kind = draw(st.sampled_from(["any", "flat", "steps", "boundary"]))
+    if kind == "any":
+        return np.array(draw(st.lists(st.floats(-1e3, 1e3) | SPECIAL, min_size=1, max_size=12)))
+    if kind == "flat":
+        return np.full(draw(st.integers(1, 12)), draw(st.floats(0.0, 1e3) | SPECIAL))
+    if kind == "steps":
+        steps = draw(st.lists(st.floats(-1.0, 10.0) | st.just(0.0), max_size=11))
+        totals = np.cumsum([draw(st.floats(0.0, 10.0)), *steps])
+        if draw(st.booleans()):
+            totals[draw(st.integers(0, totals.size - 1))] = draw(SPECIAL)
+        return totals
+    # totals that end at exactly 0, so that the next total is the last increment, bit for bit
+    steps = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=10))
+    totals = np.cumsum([0.0, *steps])
+    totals -= totals[-1]
+    peak = float(np.diff(totals).max(initial=0.0))
+    bound = 0.5 * peak + 1e-9 * (peak + 1e-300)
+    return np.append(totals, draw(st.sampled_from([np.nextafter(bound, -np.inf), bound,
+                                                   np.nextafter(bound, np.inf)])))
+
+
+class TestTaper:
+    """The space-time accumulators' taper: three named checks of the decay driver."""
+
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(totals=totals_sequences())
+    def test_the_checks_pass_exactly_when_the_reference_taper_does(self, totals):
+        with np.errstate(invalid="ignore", over="ignore"):
+            checks = experiments._taper_checks(totals)
+            try:
+                want = reference_taper(totals).passed
+            except ValueError:
+                want = False
+        assert [c.name for c in checks] == list(TAPER)
+        assert all(c.passed for c in checks) == want
+
+    @pytest.mark.parametrize("totals, passed", [
+        ([], [False] * 3),
+        ([2.0], [False] * 3),
+        # increments 1, then exactly 0.5 + slack, pass; one ulp more fails the last check alone
+        ([-1.0, 0.0, HALF], [True] * 3),
+        ([-1.0, 0.0, np.nextafter(HALF, np.inf)], [True, True, False]),
+    ], ids=["none", "one", "at-bound", "ulp-over"])
+    def test_hand_picked_totals(self, totals, passed):
+        assert [c.passed for c in experiments._taper_checks(np.array(totals))] == passed
+
+    @pytest.mark.parametrize("increments, check", [
+        ([8.0, 4.0, 2.0, 1.0, -0.5, 0.4, 0.2, 0.1], TAPER[0]),
+        ([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.2], TAPER[1]),
+        ([1.0] * 8, TAPER[2]),
+    ], ids=["decrease", "rise", "last"])
+    def test_a_taper_past_its_bound_prints_the_check_failing(self, monkeypatch, increments, check):
+        # the run's totals replaced by ones whose increments break one condition only
+        totals = np.cumsum([0.0, *increments])
+
+        def retotalled(*args, hooks, **kwargs):
+            yield from trajectory(*args, hooks=hooks, **kwargs)
+            decay = hooks[0].decay
+            decay[:] = [replace(d, lbeta_E1=float(t), lbeta_E2=0.0)
+                        for d, t in zip(decay, totals, strict=True)]
+
+        monkeypatch.setattr(experiments, "trajectory", retotalled)
+        cfg = _cfg(**{"grid.box_length": 8.0 * np.pi, "phys.beta": 10.0 / 3.0, "time.dt": 0.05,
+                      "time.t_end": 2.0, "time.output_every": 0.25, "ic.kind": "random-solenoidal"})
+        rep = decay_experiment(cfg)
+        lines = rep.lines()
+        for name in TAPER:
+            assert any(line.startswith(f"{'[FAIL]' if name == check else '[ok]'} {name}: ")
+                       for line in lines), lines
+        failing = [name for name in TAPER if any(line.startswith(f"FAIL {name}: ") for line in lines)]
+        assert failing == [check], lines
+        assert lines[-1] == "verdict: FAIL"
 
 
 class TestMemory:

@@ -27,7 +27,6 @@ from nsdamp.ledger import (
     SeriesRecorder,
     check_energy_inequality,
     decay_snapshot,
-    lbeta_spacetime_report,
     record_energy,
     write_series_csv,
 )
@@ -198,7 +197,7 @@ class TestHooksAgainstFullCube:
             for name in ("linf", "rate_e1", "rate_e2", "lbeta_E1", "lbeta_E2"):
                 assert getattr(d, name) == ref[name], name
             assert e.l2_sq == pytest.approx(ref["l2_sq"], rel=1e-14, abs=0.0)
-            for name in ("hminus2", "w1_l2", "w2_l2", "embed_ratio"):
+            for name in ("hminus2", "w1_l2", "w2_l2"):
                 assert getattr(d, name) == pytest.approx(ref[name], rel=1e-14, abs=0.0), name
         assert len(want) == 6 and want[-1]["lbeta_E1"] > 0.0
 
@@ -245,44 +244,6 @@ class TestPointwiseFromTheStepper:
             got, want = (np.array(dataclasses.astuple(d)).tobytes() for d in (prev, row))
             assert got == want  # bit for bit, the NaN Duhamel columns of the forced run too
             assert state.pointwise == snap.pointwise
-
-
-class TestSpacetimeReport:
-    def _diags(self, t_end=2.0, beta=4.0):
-        # unit box: every mode decays at least like e^(-t), so the damping
-        # increments visibly taper within the horizon
-        grid = make_grid(8, TWO_PI)
-        u0 = random_solenoidal(grid, seed=5)
-        rec = SeriesRecorder()
-        run(
-            u0,
-            PhysParams(nu=1.0, alpha=1.0, beta=beta),
-            StepperConfig(dt=0.01),
-            t_end,
-            output_every=0.1,
-            hooks=(rec,),
-        )
-        return rec
-
-    def test_accumulators_taper_and_majorant_dominates(self):
-        rec = self._diags()
-        report = lbeta_spacetime_report(rec.decay, rec.energy, PhysParams(1.0, 1.0, 4.0))
-        assert report.dominated
-        assert report.total == report.l1 + report.l2
-        assert report.total > 0.0
-        assert "majorant" in report.describe()
-
-    def test_rejects_low_beta_and_zero_alpha(self):
-        rec = self._diags()
-        with pytest.raises(ValueError, match="beta"):
-            lbeta_spacetime_report(rec.decay, rec.energy, PhysParams(1.0, 1.0, 3.0))
-        with pytest.raises(ValueError, match="alpha"):
-            lbeta_spacetime_report(rec.decay, rec.energy, PhysParams(1.0, 0.0, 4.0))
-
-    def test_rejects_short_series(self):
-        rec = self._diags()
-        with pytest.raises(ValueError):
-            lbeta_spacetime_report(rec.decay[:1], rec.energy[:1], PhysParams(1.0, 1.0, 4.0))
 
 
 class TestCsv:

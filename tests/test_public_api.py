@@ -1,8 +1,9 @@
 """The package namespace re-exports every module's public names, once each,
 no module reaches into the stepper's private names or keeps an unused
-import, no driver builds or reads a full field, one function renders the
-verdict line, one writes report.txt and one puts a time on the dt grid, and
-the package runs without SciPy."""
+import, no driver builds or reads a full field, the stepper gathers and
+expands nothing, no check states a constant comparison, one function
+renders the verdict line, one writes report.txt and one puts a time on the
+dt grid, and the package runs without SciPy."""
 
 import ast
 import importlib
@@ -63,6 +64,38 @@ def test_no_driver_builds_or_reads_a_full_field():
                 found.append(f"{function.name}:{node.lineno}: reads .{node.attr}")
     assert len(functions) >= 10  # the walk saw the drivers
     assert not found
+
+
+def test_the_stepper_gathers_and_expands_nothing():
+    # the stepper works on ball vectors only: the forcing hook returns one,
+    # so no method of _Stepper moves between a vector and the full cube
+    path = pathlib.Path(nsdamp.__file__).parent / "dynamics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stepper = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Stepper")
+    methods = [node for node in stepper.body if isinstance(node, ast.FunctionDef)]
+    found = [f"{method.name}:{node.lineno}" for method in methods for node in ast.walk(method)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("gather", "expand")]
+    assert len(methods) >= 4  # the walk saw the stepper's methods
+    assert not found
+
+
+def test_no_check_states_a_constant_comparison():
+    # a Check whose comparison is a constant passes on any finite numbers, or
+    # never: it certifies nothing that its value and bound could show
+    checks, constant = 0, []
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) != "Check":
+                    continue
+                checks += 1
+                ok = node.args[3:4] + [k.value for k in node.keywords if k.arg == "ok"]
+                if len(ok) != 1 or isinstance(ok[0], ast.Constant):
+                    constant.append(f"{path.name}:{node.lineno}")
+    assert checks >= 15  # the walk saw the drivers' and the suites' checks
+    assert not constant
 
 
 def test_no_module_keeps_an_unused_import():
