@@ -30,17 +30,10 @@ cfg = config_from_mapping({
 
 rep = decay_experiment(cfg)
 
-for check in rep.certificate.checks:
-    print(f"[{'ok' if check.passed else 'FAIL'}] {check.name}: {check.value:.4e} "
-          f"against bound {check.bound:.4e}")
-print(f"\n5% energy threshold crossed at t = {rep.threshold_time}")
-last = rep.recorder.decay[-1]
-print(f"space-time |u|^beta mass: low-amplitude part {last.lbeta_E1:.6e}, "
-      f"high-amplitude part {last.lbeta_E2:.6e}")
-
 e = rep.recorder.energy
-print(f"\n{'t':>5} {'energy':>12} {'H^-2':>12}")
+print(f"{'t':>5} {'energy':>12} {'H^-2':>12}")
 for r, d in list(zip(e, rep.recorder.decay))[::5]:
     print(f"{r.t:5.1f} {r.l2_sq:12.6e} {d.hminus2:12.6e}")
-print(rep.certificate.verdict)
+print()
+print("\n".join(rep.lines()))
 raise SystemExit(0 if rep.passed else 1)

@@ -26,19 +26,9 @@ def main():
         "ic.kind": "taylor-green",
     })
     rep = refinement_experiment(cfg, levels=[8, 16, 32])
-
-    print("temporal study (manufactured solution):")
-    for dt, err in zip(rep.dt_ladder, rep.errors):
-        print(f"  dt = {dt:8.1e}  error = {err:.6e}")
-    print(f"  observed order {rep.observed_order:.3f} "
-          f"({'ok' if rep.temporal_ok else 'FAIL'}, want >= 3.7)")
-
-    print("spatial study (self-convergence):")
-    for n, d in zip(rep.levels[:-1], rep.diffs):
-        print(f"  |u_{n}(T) - u_{2 * n}(T)| = {d:.6e}")
-    ratios = ", ".join(f"{r:.1f}x" for r in rep.ratios)
-    print(f"  shrink per doubling: {ratios} ({'ok' if rep.spatial_ok else 'FAIL'}, want >= 4x)")
-    print(rep.certificate.verdict)
+    # the spatial study's differences and shrink factors, the temporal study's
+    # errors and orders, then one line per check and the verdict
+    print("\n".join(rep.lines()))
     return 0 if rep.passed else 1
 
 

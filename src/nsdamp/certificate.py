@@ -3,8 +3,10 @@
 A ``Check`` is one acceptance criterion, a measured value against its stated
 bound. It passes only when its comparison held and both numbers are finite,
 so no NaN or inf can make a bound hold vacuously. A ``Certificate`` passes
-when it has at least one check and every check passes; it alone renders the
-``verdict:`` line. ``write_report`` is the one writer of ``report.txt``.
+when it has at least one check and every check passes; it alone renders a
+check's outcome: one line per check, then the ``verdict:`` line.
+``_write_atomic`` is the one writer of an output file, ``write_report`` the
+one of ``report.txt``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import IO, Callable, Sequence
 
 __all__ = ["Check", "Certificate", "verdict_word", "write_report"]
 
@@ -52,10 +54,11 @@ class Certificate:
         return f"verdict: {verdict_word(self.passed)}"
 
     def lines(self) -> list[str]:
-        """The body, one line naming each check that did not pass, and the verdict."""
-        failed = [f"FAIL {c.name}: {c.value:.6g} against bound {c.bound:.6g}"
-                  for c in self.checks if not c.passed]
-        return [*self.body, *failed, self.verdict]
+        """The body, one line per check in check order, and the verdict."""
+        return [*self.body,
+                *(f"{verdict_word(c.passed)} {c.name}: {c.value:.6g} against bound {c.bound:.6g}"
+                  for c in self.checks),
+                self.verdict]
 
 
 class Certified:
@@ -71,18 +74,24 @@ class Certified:
         return self.certificate.lines()
 
 
-def write_report(out_dir: str, lines: Sequence[str]) -> None:
-    """Write lines to out_dir/report.txt through a temporary file there and os.replace.
+def _write_atomic(path, mode: str, write: Callable[[IO], None], encoding: str | None = None) -> None:
+    """Write path through a temporary file beside it and os.replace: write(fh) fills the open file.
 
-    A write that fails partway leaves the previous report and no temporary file.
+    A write that fails partway, or a refused replace, leaves the previous
+    file and no temporary file.
     """
-    path = os.path.join(out_dir, "report.txt")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+        with open(tmp, mode, encoding=encoding) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_report(out_dir: str, lines: Sequence[str]) -> None:
+    """Write lines to out_dir/report.txt, atomically."""
+    _write_atomic(os.path.join(out_dir, "report.txt"), "w",
+                  lambda fh: fh.writelines(f"{line}\n" for line in lines), "utf-8")

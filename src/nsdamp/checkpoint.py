@@ -22,6 +22,7 @@ import struct
 
 import numpy as np
 
+from .certificate import _write_atomic
 from .dynamics import SolverState
 from .spectral import GridSpec, PhysParams, SpectralField
 
@@ -36,6 +37,7 @@ class CheckpointError(RuntimeError):
 
 
 def write_checkpoint(state: SolverState, path) -> None:
+    """Write state's checkpoint to path, atomically (see certificate._write_atomic)."""
     grid = state.grid
     header = _HEADER.pack(
         grid.n_modes,
@@ -46,11 +48,13 @@ def write_checkpoint(state: SolverState, path) -> None:
         state.params.beta,
         state.t,
     )
-    payload = np.ascontiguousarray(state.u.coeffs, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header)
-        fh.write(payload)
+    payload = np.ascontiguousarray(state.u.coeffs, dtype="<c16")
+
+    def write(fh) -> None:
+        fh.write(MAGIC + header)
+        fh.write(payload.data)  # the array's own bytes: no copy of the payload
+
+    _write_atomic(path, "wb", write)
 
 
 def read_checkpoint(path) -> SolverState:

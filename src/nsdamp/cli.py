@@ -13,10 +13,12 @@ Exit codes: 0 when every check passes, 1 on any failed check (a check
 passes only on finite numbers, see nsdamp.certificate) or a run that fails
 mid-flight, 2 on malformed input (config file, flags,
 checkpoint), 3 on an internal error: any other exception, reported on one
-stderr line, so that a bug never reads as a violated bound.  Outputs land
-in <output.directory>/<subcommand>/ unless --out overrides: every
-subcommand but verify prints its report, writes it to report.txt there and
-names the directory; run adds series.csv and final.ckpt, decay series.csv.
+stderr line, so that a bug never reads as a violated bound.  Every
+subcommand prints its report the same way: a body of data, one line per
+check and the verdict line (nsdamp.certificate).  Outputs land in
+<output.directory>/<subcommand>/ unless --out overrides: every subcommand
+but verify writes its report to report.txt there and names the directory;
+run adds series.csv and final.ckpt, decay series.csv.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import sys
 from functools import partial
 
-from .certificate import Certificate, verdict_word, write_report
+from .certificate import Certificate, write_report
 from .checkpoint import CheckpointError
 from .config import load_config
 from .dynamics import BlowupError, CFLError
@@ -99,21 +101,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_table(rows) -> list[str]:
+def _verify_report(seed: int, fast: bool) -> Certificate:
+    """The oracle suites' table, one row per suite, over their checks."""
+    rows = verify_suite(seed=seed, fast=fast)
     name_w = max(len(r.name) for r in rows)
-    return [f"{'oracle':<{name_w}}  {'samples':>8}  {'worst':>12}  {'threshold':>10}  verdict"] + [
-        f"{r.name:<{name_w}}  {r.samples:>8d}  {r.worst:>12.3e}  "
-        f"{r.threshold:>10.1e}  {verdict_word(r.passed)}  ({r.note})"
+    table = [f"{'oracle':<{name_w}}  {'samples':>8}  {'worst':>12}  {'threshold':>10}"] + [
+        f"{r.name:<{name_w}}  {r.samples:>8d}  {r.worst:>12.3e}  {r.threshold:>10.1e}  ({r.note})"
         for r in rows
     ]
+    return Certificate([r.check for r in rows], table)
 
 
 def _dispatch(args) -> int:
     out = None
     if args.command == "verify":
-        rows = verify_suite(seed=args.seed, fast=args.fast)
-        # the table gives each row's verdict, so it closes on no verdict line of its own
-        passed, lines = Certificate([r.check for r in rows], ()).passed, _verify_table(rows)
+        report = _verify_report(args.seed, args.fast)
     else:
         cfg = load_config(args.config)
         out = args.out if args.out is not None else os.path.join(cfg.output_directory, args.command)
@@ -132,13 +134,13 @@ def _dispatch(args) -> int:
             report = decay_experiment(cfg, out_dir=out)
         else:
             report = refinement_experiment(cfg, args.levels)
-        passed, lines = report.passed, report.lines()
 
+    lines = report.lines()
     print("\n".join(lines))
     if out is not None:
         write_report(out, lines)
         print(f"outputs in {out}")
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -858,8 +858,11 @@ class SeparableTarget:
         self.params = params
         ball = base.grid.ball
         self.vector = ball.gather(base.coeffs)
-        self._adv = ball.gather(advection(base).coeffs)
-        self._damp = ball.gather(damping(base, params.alpha, params.beta).coeffs)
+        # one kernel call gives both terms, projected in place, the damping mean dropped
+        terms = _Kernel(self.grid, params)(self.vector)
+        _project_terms(ball, terms, np.empty_like(self.vector))
+        self._adv = terms.adv
+        self._damp = np.zeros_like(self.vector) if terms.damp is None else terms.damp.copy()
         self._visc = (params.nu * ball.k_sq) * self.vector
 
     def field(self, t: float) -> SpectralField:

@@ -22,12 +22,12 @@ into named checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .certificate import Check, verdict_word
+from .certificate import Check, _write_atomic, verdict_word
 from .dynamics import DuhamelNorms, SolverState
 
 __all__ = [
@@ -224,6 +224,8 @@ CSV_COLUMNS = (
     "g_hminus2",
     "linf",
 )
+#: the columns an EnergyRecord holds; the decay row holds the rest
+_ENERGY_COLUMNS = frozenset(f.name for f in fields(EnergyRecord))
 
 
 def write_series_csv(
@@ -231,18 +233,17 @@ def write_series_csv(
     energy: Sequence[EnergyRecord],
     decay: Sequence[DecayDiagnostics],
 ) -> None:
-    """Write one CSV row per snapshot (header mandatory, full double precision)."""
+    """Write one CSV row per snapshot (header mandatory, full double precision), atomically."""
     if len(energy) != len(decay):
         raise ValueError(f"series length mismatch: {len(energy)} energy vs {len(decay)} decay rows")
     for e, d in zip(energy, decay):
         if e.t != d.t:
             raise ValueError(f"series misaligned at t = {e.t!r} vs {d.t!r}")
-    with open(path, "w", encoding="ascii") as fh:
+
+    def write(fh) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for e, d in zip(energy, decay):
-            row = (
-                e.t, e.l2_sq, e.cum_visc, e.cum_damp, e.residual,
-                d.hminus2, d.w1_l2, d.w2_l2, d.lbeta_E1, d.lbeta_E2,
-                d.heat_l2, d.f_hminus2, d.g_hminus2, d.linf,
-            )
-            fh.write(",".join("%.17e" % v for v in row) + "\n")
+            fh.write(",".join("%.17e" % getattr(e if c in _ENERGY_COLUMNS else d, c)
+                              for c in CSV_COLUMNS) + "\n")
+
+    _write_atomic(path, "w", write, "ascii")

@@ -323,8 +323,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    # -- small arithmetic surface used by the experiments ------------------
-
     def _check_same_grid(self, other: "SpectralField") -> None:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")

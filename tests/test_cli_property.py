@@ -5,8 +5,9 @@ steps, and runs each subcommand that takes a config through ``cli.main`` in
 this process:
 
 - no run exits 3, an internal error;
-- exit 0 comes only with every printed number finite and every check ok;
-- exit 1 comes only with a ``FAIL`` line or a ``run failed:`` line;
+- exit 0 comes only with every printed number finite, at least one check
+  line and each of them ``pass``, then ``verdict: pass``;
+- exit 1 comes only with a ``FAIL`` check line or a ``run failed:`` line;
 - exit 2 comes only with an ``error:`` line.
 
 Each run also draws ``NSD_THREADS`` from {unset, 1, 2, 0, -1, ``x``}; a
@@ -20,9 +21,11 @@ handed to every refine example.
 
 A second property draws a value-taking flag and a value that begins with
 "-" or that argparse would not read as a number (negative numbers, exponent
-forms, ``nan`` and infinities) and passes it both as ``--flag value`` and
-as ``--flag=value``: the two spellings exit with the same code and print
-the same ``error:`` lines.
+forms, ``nan`` and infinities), a ``--t0`` or ``--eps`` off the dt grid, or
+a ``--levels`` list that does not double or holds fewer than three
+entries, and passes it both as ``--flag value`` and as ``--flag=value``:
+the two spellings exit with the same code and print the same ``error:``
+lines, and each keeps the exit-code contract above.
 """
 
 import contextlib
@@ -43,6 +46,8 @@ from nsdamp.spectral import PhysParams, make_grid
 
 TWO_PI = 2.0 * math.pi
 NOT_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+#: a check line as the certificate prints it
+CHECK_LINE = re.compile(r"^(pass|FAIL) .+: \S+ against bound \S+$")
 
 
 @pytest.fixture(scope="module")
@@ -133,16 +138,27 @@ def test_the_exit_code_agrees_with_the_printed_report(workdir, study, data):
     code, printed, err = _main([command, config, "--out", f"{out}/o", *flags], study, threads)
     report = f"NSD_THREADS={threads} {command} {' '.join(flags)}\n{_config_text(mapping)}\n{printed}{err}"
 
-    assert code in (0, 1, 2), report
     if threads in ("0", "-1", "x"):
-        assert code == 2 and err.startswith("error: "), report
-    if code == 0:
-        assert not NOT_FINITE.search(printed), report
-        assert "FAIL" not in printed and printed.splitlines()[-2] == "verdict: pass", report
-    elif code == 1:
-        assert re.search(r"^FAIL ", printed, re.MULTILINE) or err.startswith("run failed: "), report
-    else:
+        assert code == 2, report
+    _assert_contract(code, printed, err, report)
+    if code == 2:  # every flag is well formed: the refusal is the package's own
         assert err.startswith("error: "), report
+
+
+def _assert_contract(code: int, printed: str, err: str, report: str) -> None:
+    """The exit code agrees with the printed check lines, verdict, failed run or error."""
+    assert code in (0, 1, 2), report
+    lines = printed.splitlines()
+    verdicts = [line.split()[0] for line in lines if CHECK_LINE.match(line)]
+    if code == 0:  # the directory line names a drawn --out, which may read "nan"
+        assert not any(NOT_FINITE.search(line) for line in lines[:-1]), report
+        assert lines[-1].startswith("outputs in "), report
+        assert verdicts and set(verdicts) == {"pass"}, report
+        assert lines[-2] == "verdict: pass", report
+    elif code == 1:
+        assert "FAIL" in verdicts or err.startswith("run failed: "), report
+    else:  # the driver's own "error: " line, or argparse's "nsdamp <command>: error: " after its usage
+        assert _errors(err), report
 
 
 #: flag values argparse would not hand to a flag: negative numbers, exponent forms, nan, infinities
@@ -152,6 +168,15 @@ VALUES = (
     | st.floats(1e-6, 1e-2).map(lambda x: f"{x:e}")  # a short run at most
     | st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+inf", "-Infinity", "-0.0", "-1E+2"])
 )
+
+#: per flag, values the driver reads and may refuse: times off the dt grid of 1e-3, and level
+#: lists that do not double or hold fewer than three entries
+READ_VALUES = {
+    "--t0": st.floats(1e-4, 3e-3).map(repr),
+    "--eps": st.floats(1e-4, 2e-3).map(repr),
+    "--levels": st.lists(st.sampled_from([4, 6, 8, 12, 16, 32]), min_size=1, max_size=4)
+    .map(lambda levels: ",".join(map(str, levels))),
+}
 
 #: (subcommand, the flag drawn, the other flags it needs); the configs take 4 steps of 1e-3
 FLAGS = [
@@ -185,19 +210,25 @@ def _errors(err: str) -> list[str]:
     return [line for line in err.splitlines() if "error:" in line]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(choice=st.sampled_from(FLAGS), value=VALUES)
-def test_a_flag_value_reads_the_same_in_both_spellings(workdir, study, flag_config, choice, value):
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(choice=st.sampled_from(FLAGS), data=st.data())
+def test_a_flag_value_reads_the_same_in_both_spellings(workdir, study, flag_config, choice, data):
     command, flag, others = choice
+    if flag in READ_VALUES and data.draw(st.booleans()):
+        value = data.draw(READ_VALUES[flag])
+    else:
+        value = data.draw(VALUES)
+        value = f"{value},16,32" if flag == "--levels" else value
     out = tempfile.mkdtemp(dir=workdir)
-    if flag == "--levels":
-        value = f"{value},16,32"
     with contextlib.chdir(workdir):  # a drawn --out value is a directory name here
-        (code_a, _, err_a), (code_b, _, err_b) = (
+        (code_a, printed_a, err_a), (code_b, printed_b, err_b) = (
             _main(argv, study) for argv in _spellings(command, flag, others, value, flag_config, out))
-    assert code_a == code_b, (command, flag, value, err_a, err_b)
-    assert _errors(err_a) == _errors(err_b), (command, flag, value)
-    assert "expected one argument" not in err_a, (command, flag, value)
+    context = f"{command} {flag} {value}\n{printed_a}{err_a}"
+    assert code_a == code_b, (context, err_b)
+    assert _errors(err_a) == _errors(err_b), context
+    assert "expected one argument" not in err_a, context
+    for code, printed, err in ((code_a, printed_a, err_a), (code_b, printed_b, err_b)):
+        _assert_contract(code, printed, err, context)
 
 
 @pytest.mark.parametrize("argv, refusal", [

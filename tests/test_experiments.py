@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -475,9 +476,24 @@ class TestDecay:
         with np.errstate(invalid="ignore", over="ignore"):  # the other checks read the value too
             rep = decay_experiment(cfg)
         assert len(rep.recorder.energy) == 9
-        assert any(line.startswith(f"[FAIL] {check}:") for line in rep.lines()), rep.lines()
         assert any(line.startswith(f"FAIL {check}: ") for line in rep.lines()), rep.lines()
         assert not rep.passed
+
+    def test_accumulators_that_stay_zero_fail_the_plateau_and_the_taper(self, tmp_path, capsys):
+        # at amplitude 1e-100 the energy is 1e-200, but every |u|^beta rate
+        # underflows: the accumulators stay 0, and a zero total or peak
+        # measured no plateau and no taper, so each of the four checks fails
+        config = tmp_path / "faint.cfg"
+        config.write_text("grid.n_modes = 8\ngrid.box_length = 25.132741228718345\nphys.alpha = 1.0\n"
+                          "phys.beta = 3.3333333333333335\ntime.dt = 0.01\ntime.t_end = 0.2\n"
+                          "ic.kind = random-solenoidal\nic.amplitude = 1e-100\n", encoding="utf-8")
+        assert main(["decay", str(config), "--out", str(tmp_path / "d")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "space-time |u|^beta mass: low-amplitude part 0.000000e+00, " \
+               "high-amplitude part 0.000000e+00" in lines
+        assert "FAIL space-time accumulators plateau: nan against bound 0.01" in lines
+        for name in TAPER:
+            assert f"FAIL {name}: 0 against bound nan" in lines, lines
 
 
 #: the decay driver's taper checks, by the name its report prints
@@ -521,22 +537,30 @@ class TestTaper:
     @settings(max_examples=800, deadline=None, derandomize=True, database=None)
     @given(totals=totals_sequences())
     def test_the_checks_pass_exactly_when_the_reference_taper_does(self, totals):
+        # where the totals never grow (a peak of 0) the reference passes a flat
+        # run on bounds of 0 and 1e-309, but no taper was measured: all three fail
         with np.errstate(invalid="ignore", over="ignore"):
             checks = experiments._taper_checks(totals)
             try:
                 want = reference_taper(totals).passed
             except ValueError:
                 want = False
+            flat = totals.size > 1 and float(np.diff(totals).max(initial=0.0)) == 0.0
         assert [c.name for c in checks] == list(TAPER)
-        assert all(c.passed for c in checks) == want
+        if flat:
+            assert not any(c.passed for c in checks)
+        else:
+            assert all(c.passed for c in checks) == want
 
     @pytest.mark.parametrize("totals, passed", [
         ([], [False] * 3),
         ([2.0], [False] * 3),
+        ([0.0] * 5, [False] * 3),
+        ([0.0, 0.0, -1e-320], [False] * 3),
         # increments 1, then exactly 0.5 + slack, pass; one ulp more fails the last check alone
         ([-1.0, 0.0, HALF], [True] * 3),
         ([-1.0, 0.0, np.nextafter(HALF, np.inf)], [True, True, False]),
-    ], ids=["none", "one", "at-bound", "ulp-over"])
+    ], ids=["none", "one", "zero", "never-grew", "at-bound", "ulp-over"])
     def test_hand_picked_totals(self, totals, passed):
         assert [c.passed for c in experiments._taper_checks(np.array(totals))] == passed
 
@@ -561,8 +585,8 @@ class TestTaper:
         rep = decay_experiment(cfg)
         lines = rep.lines()
         for name in TAPER:
-            assert any(line.startswith(f"{'[FAIL]' if name == check else '[ok]'} {name}: ")
-                       for line in lines), lines
+            assert sum(line.startswith(f"{'FAIL' if name == check else 'pass'} {name}: ")
+                       for line in lines) == 1, lines
         failing = [name for name in TAPER if any(line.startswith(f"FAIL {name}: ") for line in lines)]
         assert failing == [check], lines
         assert lines[-1] == "verdict: FAIL"
@@ -896,8 +920,8 @@ class TestRefinement:
         rep = refinement_experiment(cfg, [8, 16, 32])
         assert rep.spatial_ok and not rep.temporal_ok and not rep.passed
         lines = rep.lines()
-        assert f"observed temporal order: 4.000, {value:.3f} (need >= 3.7): FAIL" in lines
-        assert f"FAIL temporal order from dt = 0.01 to 0.005: {value}" in "\n".join(lines)
+        assert "pass temporal order from dt = 0.02 to 0.01: 4 against bound 3.7" in lines
+        assert f"FAIL temporal order from dt = 0.01 to 0.005: {value} against bound 3.7" in lines
         assert lines[-1] == "verdict: FAIL"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -996,6 +1020,71 @@ class TestThreadCap:
         monkeypatch.setenv("NSD_THREADS", "1")
         capped = twin_experiment(cfg, 1e-3)
         np.testing.assert_array_equal(free.lhs, capped.lhs)
+
+
+#: a check line as the certificate prints it: a verdict word, the name, the value, the bound
+CHECK_LINE = re.compile(r"^(pass|FAIL) (.+): (\S+) against bound (\S+)$")
+
+#: a word that would state a verdict in a body line
+CLAIM = re.compile(r"\b(pass|passed|ok|FAIL|True|False)\b|\[ok\]|\[FAIL\]")
+
+
+class TestReportLayout:
+    """Every subcommand prints its body, one line per check, and the verdict, through the same path."""
+
+    DRIVERS = {"run": "run_experiment", "twin": "twin_experiment",
+               "continuity": "continuity_experiment", "decay": "decay_experiment",
+               "refine": "refinement_experiment", "verify": "_verify_report"}
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["twin", "--delta", "1e-3"], ["twin", "--delta", "0"],
+        ["continuity", "--t0", "0.05", "--eps", "0.02,0.01"], ["decay"],
+        ["refine", "--levels", "8,16,32"], ["verify", "--fast"],
+    ], ids=["run", "twin", "twin-0", "continuity", "decay", "refine", "verify"])
+    def test_each_check_prints_once_between_the_body_and_the_verdict(self, tmp_path, monkeypatch,
+                                                                     capsys, argv):
+        command, *flags = argv
+        reports = []
+
+        def keeping(driver):
+            def wrapped(*args, **kwargs):
+                reports.append(driver(*args, **kwargs))
+                return reports[-1]
+            return wrapped
+
+        name = self.DRIVERS[command]
+        monkeypatch.setattr(cli, name, keeping(getattr(cli, name)))
+        monkeypatch.setattr(experiments, "_temporal_order_study",
+                            lambda: ([2e-2, 1e-2, 5e-3], [1e-6, 6e-8, 4e-9], [4.06, 3.91]))
+        config = tmp_path / "exp.cfg"
+        # on the 8 pi box at nu = 20 the energy falls below 5% by t = 2.4, within 40 steps
+        decay = {"grid.box_length": 8.0 * np.pi, "phys.nu": 20.0, "phys.beta": 10.0 / 3.0,
+                 "time.dt": 0.05, "time.t_end": 4.0, "time.output_every": 0.1,
+                 "ic.kind": "random-solenoidal"}
+        config.write_text(canonical_text(_cfg(**(decay if command == "decay" else {"time.t_end": 0.1}))))
+        out = tmp_path / "out"
+        head = [command] if command == "verify" else [command, str(config), "--out", str(out)]
+        assert main(head + flags) == 0
+        printed = capsys.readouterr().out.splitlines()
+        (report,) = reports
+        checks = report.checks if command == "verify" else report.certificate.checks
+        lines = "\n".join(report.lines()).splitlines()  # the run's config echo is one entry
+        assert printed == lines + ([] if command == "verify" else [f"outputs in {out}"])
+        if command == "verify":
+            assert not out.exists()  # verify writes no file
+        else:
+            assert (out / "report.txt").read_text(encoding="utf-8").splitlines() == lines
+
+        body, shown, verdict = lines[: -len(checks) - 1], lines[-len(checks) - 1 : -1], lines[-1]
+        assert verdict == "verdict: pass"
+        parsed = [CHECK_LINE.match(line) for line in shown]
+        assert all(parsed), shown
+        assert [(m[1], m[2], float(m[3]), float(m[4])) for m in parsed] == [
+            ("pass", c.name, float(f"{c.value:.6g}"), float(f"{c.bound:.6g}")) for c in checks]
+        assert len({c.name for c in checks}) == len(checks)  # so each name prints once
+        assert not any(CHECK_LINE.match(line) or CLAIM.search(line) for line in body), body
+        if command == "decay":
+            assert [line for line in body if "5%" in line] == ["energy fell below 5% of initial at t = 2.4"]
 
 
 class TestCli:

@@ -2,8 +2,9 @@
 no module reaches into the stepper's private names or keeps an unused
 import, no driver builds or reads a full field, the stepper gathers and
 expands nothing, no check states a constant comparison, one function
-renders the verdict line, one writes report.txt and one puts a time on the
-dt grid, and the package runs without SciPy."""
+renders the verdict line, one writes report.txt, only the certificate
+renders a check's outcome, one function opens a file to write, one puts a
+time on the dt grid, and the package runs without SciPy."""
 
 import ast
 import importlib
@@ -173,6 +174,36 @@ def test_one_function_renders_the_verdict_line_and_one_writes_the_report():
     # a second copy of the verdict rule, or a second writer, drifts from the first
     assert _sites("verdict:") == {"certificate.Certificate.verdict"}
     assert _sites("report.txt") == {"certificate.write_report"}
+
+
+def test_only_the_certificate_renders_a_check_outcome():
+    # a driver that spells an outcome itself prints a second copy of a check
+    # line, which can drift from it or disagree with the verdict
+    sites = _sites("FAIL") | _sites("[ok]")
+    assert sites  # the walk saw the certificate's own rendering
+    assert {site.split(".")[0] for site in sites} == {"certificate"}, sites
+
+
+def _write_mode(call: ast.Call) -> bool:
+    """Whether a call to open may write: a mode that is not a constant read mode."""
+    mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not mode:
+        return False
+    return not (isinstance(mode[0], ast.Constant) and set(mode[0].value) <= set("rbt"))
+
+
+def test_one_function_opens_a_file_to_write():
+    # every output goes through a temporary file and os.replace; a second
+    # writer could leave a torn file behind
+    writers = set()
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                writers |= {f"{path.stem}.{function.name}" for node in ast.walk(function)
+                            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+                            and _write_mode(node)}
+    assert writers == {"certificate._write_atomic"}
 
 
 def test_one_function_puts_a_time_on_the_dt_grid():
