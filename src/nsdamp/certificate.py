@@ -17,7 +17,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
-__all__ = ["Check", "Certificate", "verdict_word", "write_report"]
+__all__ = ["Check", "Certificate", "write_report"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Check:
         return math.isfinite(self.value) and math.isfinite(self.bound) and bool(self.ok)
 
 
-def verdict_word(passed: bool) -> str:
+def _verdict_word(passed: bool) -> str:
     return "pass" if passed else "FAIL"
 
 
@@ -51,12 +51,12 @@ class Certificate:
 
     @property
     def verdict(self) -> str:
-        return f"verdict: {verdict_word(self.passed)}"
+        return f"verdict: {_verdict_word(self.passed)}"
 
     def lines(self) -> list[str]:
         """The body, one line per check in check order, and the verdict."""
         return [*self.body,
-                *(f"{verdict_word(c.passed)} {c.name}: {c.value:.6g} against bound {c.bound:.6g}"
+                *(f"{_verdict_word(c.passed)} {c.name}: {c.value:.6g} against bound {c.bound:.6g}"
                   for c in self.checks),
                 self.verdict]
 

@@ -119,7 +119,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     """Integrate per config; write series.csv and final.ckpt into out_dir when given.
 
     Passes when the run completes and the energy budget closes to the
-    package tolerance at every snapshot, in both directions.
+    package tolerance at every snapshot, in both directions
+    (ledger.check_energy_inequality).
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -130,11 +131,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                     output_every=cfg.output_every, hooks=(recorder,))
     energy = recorder.energy
     report = check_energy_inequality(energy, ENERGY_TOL)
-    # two-sided check: the truncated system balances exactly, so a large
-    # negative residual is as suspicious as a positive one; np.max keeps a
-    # NaN residual that max() would skip after a larger one
-    worst_abs = float(np.max(np.abs([r.residual for r in energy])))
-    scale = abs(energy[0].baseline) or 1.0
     last = energy[-1]
     body = [
         "# run",
@@ -148,12 +144,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         f"worst energy residual at t = {report.worst_t:g} "
         f"(budget {report.tol:.1e} * baseline {report.baseline:.6g})",
     ]
-    balance = Check("two-sided energy balance", worst_abs / scale, ENERGY_TOL,
-                    worst_abs <= ENERGY_TOL * scale)
     if out_dir is not None:
         write_series_csv(os.path.join(out_dir, "series.csv"), energy, recorder.decay)
         write_checkpoint(snapshots[-1], os.path.join(out_dir, "final.ckpt"))
-    return RunResult(cfg, snapshots, recorder, Certificate([report.check, balance], body))
+    return RunResult(cfg, snapshots, recorder, Certificate([report.check], body))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +163,6 @@ class TwinReport(Certified):
     lhs: np.ndarray  # |w|^2 + 2 int |grad w|^2
     rhs: np.ndarray  # 1.1 |w0|^2 exp(2 C t)
     ratio_max: float  # max |w| / (|w0| e^{C t})
-    margin_max: float  # max lhs / rhs
-    bitwise_zero: bool
     first_violation: float | None
     certificate: Certificate
 
@@ -236,15 +228,14 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
         f"initial separation |w(0)| = {w0:.6e}",
     ]
     if delta == 0.0:
-        ratio_max = margin_max = 0.0
+        ratio_max = 0.0
         first = None
         check = Check("bitwise zero difference", float(w_l2.max()), 0.0, bitwise)
     else:
         violations = lhs > rhs
         ratio_max = float((w_l2 / (w0 * np.exp(constant * tau))).max())
-        margin_max = float((lhs / rhs).max())
         first = float(times[np.argmax(violations)]) if bool(violations.any()) else None
-        check = Check("separation bound", margin_max, 1.0, not bool(violations.any()))
+        check = Check("separation bound", float((lhs / rhs).max()), 1.0, not bool(violations.any()))
         body += [
             f"samples: {times.size}",
             f"max |w(t)| / (|w(0)| e^(C t)) = {ratio_max:.6e}",
@@ -252,8 +243,7 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
         if first is not None:
             body.append(f"FIRST VIOLATION at t = {first:g}")
     return TwinReport(delta=delta, constant=constant, w0_l2=w0, times=times, lhs=lhs, rhs=rhs,
-                      ratio_max=ratio_max, margin_max=margin_max, bitwise_zero=bitwise,
-                      first_violation=first, certificate=Certificate([check], body))
+                      ratio_max=ratio_max, first_violation=first, certificate=Certificate([check], body))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +258,6 @@ class ContinuityReport(Certified):
     moduli_back: list[float]  # |u(t0-eps) - u(t0)|
     bounds: list[float]  # 1.1 * 2 (|u0|^2 - <u(eps), u0>) e^{2 C t0}
     constant: float
-    monotone: bool
-    bound_ok: bool
-    bounds_shrink: bool
     certificate: Certificate
 
 
@@ -336,10 +323,6 @@ def continuity_experiment(
         bound_checks += [Check(f"{way} shift bound at eps = {e:g}", m**2, bound, m**2 <= bound)
                          for way, m in (("forward", fwd), ("backward", back))]
 
-    monotone_checks = _falls("forward modulus", eps_sorted, moduli)
-    shrink_checks = _falls("shift bound", eps_sorted, bounds)
-    monotone, bound_ok, bounds_shrink = (all(c.passed for c in checks) for checks in
-                                         (monotone_checks, bound_checks, shrink_checks))
     body = [
         "# continuity modulus",
         "",
@@ -350,8 +333,9 @@ def continuity_experiment(
         body.append(f"{e:>10g} {m:>14.6e} {mb:>14.6e} {math.sqrt(b):>14.6e}")
     return ContinuityReport(
         t0=t0, epsilons=eps_sorted, moduli=moduli, moduli_back=moduli_back, bounds=bounds,
-        constant=constant, monotone=monotone, bound_ok=bound_ok, bounds_shrink=bounds_shrink,
-        certificate=Certificate(bound_checks + monotone_checks + shrink_checks, body))
+        constant=constant,
+        certificate=Certificate(bound_checks + _falls("forward modulus", eps_sorted, moduli)
+                                + _falls("shift bound", eps_sorted, bounds), body))
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +457,8 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
 class RefinementReport(Certified):
     levels: list[int]
     diffs: list[float]  # |u_N(T) - u_2N(T)| between adjacent levels
-    ratios: list[float]
-    spatial_ok: bool
     dt_ladder: list[float]
-    errors: list[float]
-    orders: list[float]
-    observed_order: float
-    temporal_ok: bool
+    errors: list[float]  # relative, of the manufactured solution at each dt
     certificate: Certificate
 
 
@@ -552,14 +531,10 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     ladder, errors, orders = _temporal_order_study()
     temporal = [Check(f"temporal order from dt = {a:g} to {b:g}", o, 3.7, o >= 3.7)
                 for a, b, o in zip(ladder, ladder[1:], orders)]
-    spatial_ok, temporal_ok = (all(c.passed for c in checks) for checks in (spatial, temporal))
 
     body = ["# refinement", "",
             *(f"|u_{na}(T) - u_{nb}(T)| = {d:.6e}" for na, nb, d in zip(levels, levels[1:], diffs)),
             "",
             *(f"manufactured solution, dt = {dt:g}: rel error {e:.6e}" for dt, e in zip(ladder, errors))]
-    return RefinementReport(
-        levels=list(levels), diffs=diffs, ratios=ratios, spatial_ok=spatial_ok, dt_ladder=ladder,
-        errors=errors, orders=orders, temporal_ok=temporal_ok,
-        observed_order=float(np.min(orders)),  # a NaN order, where min() would skip one
-        certificate=Certificate(spatial + temporal, body))
+    return RefinementReport(levels=list(levels), diffs=diffs, dt_ladder=ladder, errors=errors,
+                            certificate=Certificate(spatial + temporal, body))

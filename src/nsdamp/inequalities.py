@@ -9,7 +9,7 @@ roundoff in these estimates lives at the near-degenerate corners x ~ y and
 
 Each suite returns an ``OracleRow`` that carries its ``Check``: the worst
 observed gap against its floor.  ``verify_suite`` bundles the suites into one
-pass/fail table for the CLI.
+table for the CLI.
 """
 
 from __future__ import annotations
@@ -218,24 +218,27 @@ def product_law_ratio(f: SpectralField, g: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class OracleRow:
-    """One row of the verification table: worst observed gap vs its floor, and its check."""
+    """One row of the verification table: its sample count and note, and its check,
+    the worst observed value against its floor."""
 
     name: str
     samples: int
-    worst: float
-    threshold: float
     check: Check
     note: str = ""
+
+    @property
+    def worst(self) -> float:
+        return self.check.value
 
     @property
     def passed(self) -> bool:
         return self.check.passed
 
 
-def _row(name: str, samples: int, worst: float, threshold: float, ok: bool,
+def _row(name: str, samples: int, worst: float, floor: float, ok: bool,
          note: str = "") -> OracleRow:
-    """A row whose check is worst against threshold, ok the suite's comparison of the two."""
-    return OracleRow(name, samples, worst, threshold, Check(name, worst, threshold, ok), note)
+    """A row whose check is worst against floor, ok the suite's comparison of the two."""
+    return OracleRow(name, samples, Check(name, worst, floor, ok), note)
 
 
 def _require_samples(count: int, name: str) -> None:
@@ -433,11 +436,10 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
     """Spread of the product-law ratio across random pairs at fixed resolution.
 
     No universal constant is asserted -- the pass condition is only that the
-    ratio stays finite and positive: the check is the largest ratio against
-    bound 0, holding when the smallest is positive, so a NaN or inf ratio
-    makes its value not finite.  The threshold column reads inf.  The
-    observed maximum is reported so regressions in the product computation
-    are visible.  The fields are
+    ratio stays finite and positive: the check is the smallest ratio against
+    bound 0, holding when it is positive and the largest is finite, so a
+    NaN ratio makes its value not finite.  The note gives the ratio range,
+    so regressions in the product computation are visible.  The fields are
     ball vectors; only the products are transformed over the whole cube.
     """
     _require_samples(n_pairs, "n_pairs")
@@ -458,12 +460,9 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
         for v, w, fp, gp in zip(vectors[::2], vectors[1::2], samples[::2], samples[1::2]):
             den = _norm(_power(v), l2_weight, grid.volume) * _norm(_power(w), grad_weight, grid.volume)
             ratios.append(_product_ratio(fp, gp, den, weight, grid.volume))
-    arr = np.asarray(ratios)
-    worst = float(arr.max())
-    return OracleRow(
-        "product-law", n_pairs, worst, np.inf, Check("product-law", worst, 0.0, arr.min() > 0.0),
-        f"ratio range [{arr.min():.4f}, {arr.max():.4f}] (diagnostic, no asserted constant)",
-    )
+    smallest, largest = float(np.min(ratios)), float(np.max(ratios))
+    return _row("product-law", n_pairs, smallest, 0.0, smallest > 0.0 and largest < np.inf,
+                f"ratio range [{smallest:.4f}, {largest:.4f}] (diagnostic, no asserted constant)")
 
 
 def verify_suite(seed: int = 0, fast: bool = False) -> list[OracleRow]:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificate import Check, _write_atomic, verdict_word
+from .certificate import Check, _write_atomic
 from .dynamics import DuhamelNorms, SolverState
 
 __all__ = [
@@ -63,23 +63,12 @@ class EnergyRecord:
 
 @dataclass(frozen=True)
 class EnergyInequalityReport:
-    """The worst residual's check against the budget tol * |baseline|, and where it fell."""
+    """The largest |residual|'s check against the budget tol * |baseline|, and where it fell."""
 
     check: Check
     tol: float
     baseline: float
     worst_t: float
-
-    @property
-    def passed(self) -> bool:
-        return self.check.passed
-
-    def describe(self) -> str:
-        return (
-            f"energy inequality {verdict_word(self.passed)}: worst residual "
-            f"{self.check.value:.3e} at t = {self.worst_t:g} "
-            f"(budget {self.tol:.1e} * baseline {self.baseline:.6g})"
-        )
 
 
 def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> EnergyRecord:
@@ -105,22 +94,24 @@ def record_energy(state: SolverState, prev: EnergyRecord | None = None) -> Energ
 
 
 def check_energy_inequality(series: Sequence[EnergyRecord], tol: float) -> EnergyInequalityReport:
-    """Certify residual <= tol * baseline at every snapshot.
+    """Certify |residual| <= tol * |baseline| (tol when the baseline is 0) at every snapshot.
 
-    A dissipative scheme can only lose energy to the budget, so a residual
-    above the tolerance means the accounting (or the solver) is wrong.  A
-    violation is returned as a failing report naming the worst time, not
-    raised, so callers can fold many runs into one table.  The worst record
-    is the first NaN residual if there is one, where max() would skip a NaN
-    that follows a larger residual.
+    The truncated system balances exactly, so a residual of either sign
+    beyond the budget means the accounting (or the solver) is wrong; the
+    one-sided inequality residual <= budget follows.  A violation is
+    returned as a failing report naming the worst time, not raised, so
+    callers can fold many runs into one table.  The worst record is the
+    first NaN residual if there is one, where max() would skip a NaN that
+    follows a larger residual.
     """
     if not series:
         raise ValueError("empty energy series")
-    worst = series[int(np.argmax([r.residual for r in series]))]
+    worst = series[int(np.argmax(np.abs([r.residual for r in series])))]
     baseline = series[0].baseline
     budget = tol * abs(baseline) if baseline != 0.0 else tol
+    size = abs(worst.residual)
     return EnergyInequalityReport(
-        check=Check("energy inequality", worst.residual, budget, worst.residual <= budget),
+        check=Check("two-sided energy balance", size, budget, size <= budget),
         tol=tol,
         baseline=baseline,
         worst_t=worst.t,

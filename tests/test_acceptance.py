@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from oracles import direct_advection, direct_pressure, shear_mode
+from report_checks import check_named, checks_named
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.config import config_from_mapping
 from nsdamp.dynamics import StepperConfig, advection, pressure_field, run
@@ -118,11 +119,12 @@ def test_03_twin_bound():
         and rep.constant == 2.0
     )
     rep0 = twin_experiment(cfg, 0.0)
+    bitwise_zero = check_named(rep0, "bitwise zero difference").passed
     _certify(
         "twin separation bound",
-        ok and rep0.bitwise_zero,
-        f"max bound ratio {rep.margin_max:.3e} over {rep.times.size} samples, "
-        f"norm ratio {rep.ratio_max:.3f} (cap 1.05); delta = 0 bitwise zero: {rep0.bitwise_zero}",
+        ok and bitwise_zero,
+        f"max bound ratio {check_named(rep, 'separation bound').value:.3e} over {rep.times.size} "
+        f"samples, norm ratio {rep.ratio_max:.3f} (cap 1.05); delta = 0 bitwise zero: {bitwise_zero}",
     )
 
 
@@ -132,11 +134,12 @@ def test_04_continuity_modulus():
     cfg = _mapping(**{"time.dt": 2.5e-3, "time.t_end": 1.2})
     rep = continuity_experiment(cfg, [0.2, 0.1, 0.05, 0.025], t0=1.0)
     moduli = ", ".join(f"{m:.3e}" for m in rep.moduli)
+    failed = [check.name for check in rep.certificate.checks if not check.passed]
     _certify(
         "continuity modulus",
         rep.passed,
-        f"moduli [{moduli}] strictly decreasing: {rep.monotone}; "
-        f"shift bound: {rep.bound_ok}; bound shrinks: {rep.bounds_shrink}",
+        f"moduli [{moduli}]; {len(rep.certificate.checks)} checks "
+        f"{'passed' if rep.passed else 'FAILED: ' + ', '.join(failed)}",
     )
 
 
@@ -236,11 +239,12 @@ def test_08_convergence_orders():
         }
     )
     rep = refinement_experiment(cfg, [16, 32, 64])
+    orders = [c.value for c in checks_named(rep, "temporal order")]
     _certify(
         "convergence orders",
         rep.passed,
-        f"temporal order {rep.observed_order:.3f} (need 3.7); spatial shrink "
-        f"{', '.join(f'{r:.1f}x' for r in rep.ratios)} (need 4x)",
+        f"temporal order {float(np.min(orders)):.3f} (need 3.7); spatial shrink "
+        f"{', '.join(f'{c.value:.1f}x' for c in checks_named(rep, 'shrink factor'))} (need 4x)",
     )
 
 

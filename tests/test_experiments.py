@@ -19,8 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cube_random_solenoidal, cube_taylor_green, inject_field, reference_taper, shear_mode
-from nsdamp import cli, dynamics, experiments, spectral
+from oracles import (
+    cube_random_solenoidal,
+    cube_taylor_green,
+    inject_field,
+    reference_energy_checks,
+    reference_taper,
+    shear_mode,
+)
+from report_checks import check_named, checks_named
+from nsdamp import cli, dynamics, experiments, inequalities, spectral
+from nsdamp.certificate import Certificate
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
@@ -34,6 +43,7 @@ from nsdamp.experiments import (
     twin_experiment,
 )
 from nsdamp.initial_conditions import random_solenoidal, taylor_green
+from nsdamp.ledger import EnergyRecord
 from nsdamp.spectral import GridSpec, PhysParams, SpectralField, grad_norm_sq, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
@@ -245,9 +255,8 @@ class TestRunExperiment:
 
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_a_residual_that_is_not_finite_fails_both_budget_checks(self, monkeypatch, value):
-        # max() skipped a NaN residual that follows a larger finite one, in the
-        # energy inequality's worst record and in the two-sided balance alike
+    def test_a_residual_that_is_not_finite_fails_the_energy_balance(self, monkeypatch, value):
+        # max() skipped a NaN residual that follows a larger finite one
         def corrupting(*args, hooks, **kwargs):
             snapshots = run(*args, hooks=hooks, **kwargs)
             energy = hooks[0].energy
@@ -259,15 +268,40 @@ class TestRunExperiment:
         res = run_experiment(_cfg())
         assert not res.passed
         lines = res.lines()
-        for check in ("energy inequality", "two-sided energy balance"):
-            assert any(line.startswith(f"FAIL {check}: {value}") for line in lines), lines
+        bound = check_named(res, "two-sided energy balance").bound
+        assert [line for line in lines if "energy" in line and line.startswith(("pass", "FAIL"))] == [
+            f"FAIL two-sided energy balance: {value} against bound {bound:.6g}"]
         assert lines[-1] == "verdict: FAIL"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(baseline=st.one_of(st.just(0.0), st.floats(), st.floats(1e-3, 1e3)),
+           factors=st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1.0, -1.0, 0.0]),
+                                      st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()),
+                            min_size=1, max_size=8))
+    def test_the_energy_balance_passes_exactly_when_the_two_old_checks_did(self, baseline, factors):
+        # the one-sided inequality shared the balance's budget, so the balance
+        # alone gives the verdict that the two gave together
+        budget = experiments.ENERGY_TOL * abs(baseline) if baseline != 0.0 else experiments.ENERGY_TOL
+        records = [EnergyRecord(t=0.01 * (i + 1), l2_sq=1.0, cum_visc=0.0, cum_damp=0.0,
+                                residual=f * budget, baseline=baseline)
+                   for i, f in enumerate(factors)]
+
+        def replaying(*args, hooks, **kwargs):
+            hooks[0].energy.extend(records)
+            return [None] * len(records)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "run", replaying)
+            res = run_experiment(_cfg())
+        want = Certificate(reference_energy_checks(records, experiments.ENERGY_TOL), [])
+        assert [c.name for c in res.certificate.checks] == ["two-sided energy balance"]
+        assert res.passed == want.passed
 
 
 class TestTwin:
     def test_zero_delta_bitwise(self):
         rep = twin_experiment(_cfg(), 0.0)
-        assert rep.passed and rep.bitwise_zero
+        assert rep.passed and check_named(rep, "bitwise zero difference").passed
         assert rep.w0_l2 == 0.0
 
     def test_small_delta_bound_holds(self):
@@ -275,7 +309,7 @@ class TestTwin:
         assert rep.passed
         assert rep.first_violation is None
         assert rep.constant == pytest.approx(2.0)  # alpha = 1, beta = 4
-        assert 0.0 < rep.margin_max <= 1.0
+        assert 0.0 < check_named(rep, "separation bound").value <= 1.0
         assert rep.ratio_max <= 1.05
         assert rep.times.size == 11
 
@@ -350,7 +384,8 @@ class TestContinuity:
         cfg = _cfg(**{"time.dt": 2.5e-3})
         rep = continuity_experiment(cfg, [0.05, 0.025, 0.0125], t0=0.1)
         assert rep.passed
-        assert rep.monotone and rep.bound_ok and rep.bounds_shrink
+        for prefix in ("forward shift bound", "backward shift bound", "forward modulus", "shift bound"):
+            assert all(c.passed for c in checks_named(rep, prefix))
         assert rep.epsilons == [0.05, 0.025, 0.0125]
         assert all(m > 0.0 for m in rep.moduli)
 
@@ -388,7 +423,7 @@ class TestContinuity:
         monkeypatch.setattr(experiments, "trajectory", corrupting)
         cfg = _cfg(**{"time.dt": 2.5e-3})
         rep = continuity_experiment(cfg, [0.05, 0.025, 0.0125], t0=0.1)
-        assert not rep.passed and not rep.bound_ok
+        assert not rep.passed and not check_named(rep, "forward shift bound at eps = 0.025").passed
         lines = rep.lines()
         assert any(line.startswith("FAIL forward shift bound at eps = 0.025: ") for line in lines)
         assert any(line.startswith("FAIL forward modulus at eps = 0.0125 below eps = 0.025: ")
@@ -905,8 +940,8 @@ class TestRefinement:
         rep = refinement_experiment(cfg, [8, 16, 32])
         assert rep.passed
         assert len(rep.diffs) == 2
-        assert all(r >= 4.0 for r in rep.ratios)
-        assert rep.observed_order >= 3.7
+        assert all(c.value >= 4.0 for c in checks_named(rep, "shrink factor"))
+        assert min(c.value for c in checks_named(rep, "temporal order")) >= 3.7
         assert "refinement" in rep.lines()[0]
 
 
@@ -918,7 +953,7 @@ class TestRefinement:
                             lambda: (ladder, errors, [4.0, value]))
         cfg = _cfg(**{"phys.nu": 0.02, "phys.alpha": 0.5, "time.dt": 5e-3, "time.t_end": 0.02})
         rep = refinement_experiment(cfg, [8, 16, 32])
-        assert rep.spatial_ok and not rep.temporal_ok and not rep.passed
+        assert all(c.passed for c in checks_named(rep, "shrink factor")) and not rep.passed
         lines = rep.lines()
         assert "pass temporal order from dt = 0.02 to 0.01: 4 against bound 3.7" in lines
         assert f"FAIL temporal order from dt = 0.01 to 0.005: {value} against bound 3.7" in lines
@@ -942,7 +977,7 @@ class TestRefinement:
                             lambda: ([2e-2, 1e-2, 5e-3], [1e-6, 6e-8, 4e-9], [4.0, 4.0]))
         cfg = _cfg(**{"phys.nu": 0.02, "phys.alpha": 0.5, "time.dt": 5e-3, "time.t_end": 0.02})
         rep = refinement_experiment(cfg, [8, 16, 32])
-        assert not rep.spatial_ok and rep.temporal_ok and not rep.passed
+        assert all(c.passed for c in checks_named(rep, "temporal order")) and not rep.passed
         name = "shrink factor |u_8(T) - u_16(T)| / |u_16(T) - u_32(T)|"
         assert any(line.startswith(f"FAIL {name}: ") for line in rep.lines()), rep.lines()
         assert injected == [16, 32, 16, 32]
@@ -1116,6 +1151,21 @@ class TestCli:
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "monotonicity" in out and "young" in out
+        assert not [line for line in out.splitlines() if line.endswith("()")]  # a suite without a note
+
+    def test_a_zero_product_law_ratio_prints_the_check_failing_on_it(self, capsys, monkeypatch):
+        # the check reads the smallest ratio: a zero one is its value, not the largest ratio
+        ratio, calls = inequalities._product_ratio, []
+
+        def zero_once(*args):
+            calls.append(None)
+            return 0.0 if len(calls) == 3 else ratio(*args)
+
+        monkeypatch.setattr(inequalities, "_product_ratio", zero_once)
+        assert main(["verify", "--fast"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL product-law: 0 against bound 0" in lines
+        assert lines[-1] == "verdict: FAIL"
 
     def test_twin_and_out_override(self, tmp_path, cfg_file, capsys):
         override = tmp_path / "elsewhere"

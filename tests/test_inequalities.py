@@ -272,7 +272,7 @@ def test_verify_suite_seed_stability():
 
 
 def _fields(row):
-    return (row.name, row.samples, row.worst.hex(), row.threshold, row.passed, row.note)
+    return (row.name, row.samples, row.worst.hex(), row.check.bound, row.passed, row.note)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

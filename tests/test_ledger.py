@@ -12,6 +12,7 @@ from oracles import (
     shear_mode,
     trapezoid_energy_records,
 )
+from nsdamp.certificate import Check
 from nsdamp.dynamics import (
     DuhamelNorms,
     SeparableTarget,
@@ -58,8 +59,8 @@ class TestEnergyLedger:
         worst = max(abs(r.residual) for r in rec.energy)
         assert worst <= 1e-9 * baseline
         report = check_energy_inequality(rec.energy, 1e-6)
-        assert report.passed
-        assert "pass" in report.describe()
+        assert report.check == Check("two-sided energy balance", worst, 1e-6 * baseline, True)
+        assert report.check.passed
 
     def test_residual_shrinks_at_fourth_order(self):
         # halving dt must shrink the closure defect by roughly 2^4
@@ -84,9 +85,21 @@ class TestEnergyLedger:
         )
         doctored[-1] = bad
         report = check_energy_inequality(doctored, 1e-6)
-        assert not report.passed
+        assert not report.check.passed
         assert report.worst_t == bad.t
-        assert "FAIL" in report.describe()
+        assert report.check.value == 1.0
+
+    def test_a_residual_below_the_budget_fails_as_one_above_it(self):
+        # the truncated system balances exactly: energy lost beyond the budget
+        # is as wrong as energy gained, and the largest |residual| is the value
+        _, rec = _short_run(t_end=0.04)
+        doctored = list(rec.energy)
+        doctored[1] = dataclasses.replace(doctored[1], residual=-1.0)
+        doctored[2] = dataclasses.replace(doctored[2], residual=0.5)
+        report = check_energy_inequality(doctored, 1e-6)
+        assert not report.check.passed
+        assert (report.worst_t, report.check.value) == (doctored[1].t, 1.0)
+        assert report.check.bound == 1e-6 * abs(doctored[0].baseline)
 
     def test_trapezoid_rebuild_matches_accumulators(self):
         # an independent quadrature from snapshot fields alone reproduces the

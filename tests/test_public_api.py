@@ -3,14 +3,17 @@ no module reaches into the stepper's private names or keeps an unused
 import, no driver builds or reads a full field, the stepper gathers and
 expands nothing, no check states a constant comparison, one function
 renders the verdict line, one writes report.txt, only the certificate
-renders a check's outcome, one function opens a file to write, one puts a
-time on the dt grid, and the package runs without SciPy."""
+renders a check's outcome, no report field holds a verdict, one function
+opens a file to write, one puts a time on the dt grid, and the package runs
+without SciPy."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -176,12 +179,41 @@ def test_one_function_renders_the_verdict_line_and_one_writes_the_report():
     assert _sites("report.txt") == {"certificate.write_report"}
 
 
+def _readers(name: str) -> set[str]:
+    """The modules whose code reads name: as a name, an attribute or an import."""
+    found = set()
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.ImportFrom) and name in (a.name for a in node.names)):
+                found.add(path.stem)
+    return found
+
+
 def test_only_the_certificate_renders_a_check_outcome():
     # a driver that spells an outcome itself prints a second copy of a check
-    # line, which can drift from it or disagree with the verdict
+    # line, which can drift from it or disagree with the verdict; one that
+    # calls the verdict word spells the outcome in the certificate's words
     sites = _sites("FAIL") | _sites("[ok]")
     assert sites  # the walk saw the certificate's own rendering
     assert {site.split(".")[0] for site in sites} == {"certificate"}, sites
+    assert _readers("_verdict_word") | _readers("verdict_word") == {"certificate"}
+    assert "verdict_word" not in nsdamp.__all__
+
+
+def test_no_report_field_holds_a_verdict():
+    # a bool field of a report restates a check's outcome, a second copy that
+    # can drift from the check; the reports hold data and their checks
+    from nsdamp.certificate import Certified
+    from nsdamp.inequalities import OracleRow
+    from nsdamp.ledger import EnergyInequalityReport
+
+    reports = [*Certified.__subclasses__(), OracleRow, EnergyInequalityReport]
+    assert len(reports) >= 7  # the five drivers' reports among them
+    verdicts = [f"{cls.__name__}.{f.name}" for cls in reports for f in dataclasses.fields(cls)
+                if re.search(r"\bbool\b", str(f.type))]
+    assert not verdicts
 
 
 def _write_mode(call: ast.Call) -> bool:
