@@ -10,9 +10,13 @@ Layout (all little-endian):
                  (m1, m2, m3) with each axis ordered 0, 1, ..., N/2-1,
                  -N/2, ..., -1 (the FFT layout, written as-is).
 
-Write -> read is a bitwise identity.  The dissipation accumulators are not
-stored: a restarted run opens a fresh budget at the checkpoint time, which
-is exactly the restarted-system reading of the verification harness.
+The payload is SolverState.u, the expansion of the state's ball vector.
+read_checkpoint validates the field and returns the state of its ball
+entries, which expand to the payload's bytes again for every file the
+package writes: write -> read -> write is a bitwise identity.  The dissipation
+accumulators are not stored: a restarted run opens a fresh budget at the
+checkpoint time, which is exactly the restarted-system reading of the
+verification harness.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .certificate import _write_atomic
 from .dynamics import SolverState
 from .spectral import GridSpec, PhysParams, SpectralField
 
-__all__ = ["CheckpointError", "write_checkpoint", "read_checkpoint", "MAGIC"]
+__all__ = ["CheckpointError", "write_checkpoint", "read_checkpoint"]
 
-MAGIC = b"NSD1"
+_MAGIC = b"NSD1"
 _HEADER = struct.Struct("<q6d")
 
 
@@ -51,27 +55,27 @@ def write_checkpoint(state: SolverState, path) -> None:
     payload = np.ascontiguousarray(state.u.coeffs, dtype="<c16")
 
     def write(fh) -> None:
-        fh.write(MAGIC + header)
+        fh.write(_MAGIC + header)
         fh.write(payload.data)  # the array's own bytes: no copy of the payload
 
     _write_atomic(path, "wb", write)
 
 
 def read_checkpoint(path) -> SolverState:
-    """Load a state; validates magic, payload size, and field invariants."""
+    """Load a state holding the file's ball entries; validates magic, header, payload size and field."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
 
-    if len(blob) < len(MAGIC) + _HEADER.size:
+    if len(blob) < len(_MAGIC) + _HEADER.size:
         raise CheckpointError(f"truncated header: file holds {len(blob)} bytes")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"bad magic: expected {MAGIC!r}, got {blob[:4]!r}")
+    if blob[: len(_MAGIC)] != _MAGIC:
+        raise CheckpointError(f"bad magic: expected {_MAGIC!r}, got {blob[:4]!r}")
 
     n_modes, box_length, cutoff_radius, nu, alpha, beta, t = _HEADER.unpack_from(
-        blob, len(MAGIC)
+        blob, len(_MAGIC)
     )
     try:
         grid = GridSpec(n_modes=n_modes, box_length=box_length, cutoff_radius=cutoff_radius)
@@ -81,7 +85,7 @@ def read_checkpoint(path) -> SolverState:
     if not math.isfinite(t):
         raise CheckpointError(f"invalid header: t must be finite, got {t!r}")
 
-    payload = blob[len(MAGIC) + _HEADER.size :]
+    payload = blob[len(_MAGIC) + _HEADER.size :]
     expected = 3 * n_modes**3 * 16
     if len(payload) != expected:
         raise CheckpointError(
@@ -97,4 +101,4 @@ def read_checkpoint(path) -> SolverState:
         field.validate()
     except ValueError as exc:
         raise CheckpointError(f"invalid field in checkpoint: {exc}") from None
-    return SolverState(t=t, u=field, params=params)
+    return SolverState(grid, grid.ball.gather(field.coeffs), t, params)

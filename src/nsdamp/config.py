@@ -19,37 +19,26 @@ a normalized form that parses back to an equal config.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any
 
 from .dynamics import StepperConfig
-from .inequalities import gronwall_constant
 from .spectral import ConfigError, GridSpec, PhysParams, make_grid
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "IC_KINDS",
     "parse_config",
     "load_config",
     "canonical_text",
     "config_from_mapping",
-    "validate_for_experiment",
 ]
 
 
-IC_KINDS = ("taylor-green", "random-solenoidal", "checkpoint")
+_IC_KINDS = ("taylor-green", "random-solenoidal", "checkpoint")
 
 #: the most steps a run may take: every step index below 2^53 is an exact float
 _MAX_STEPS = 2.0**53
-
-#: the largest x with exp(x) finite
-_LOG_MAX = math.log(sys.float_info.max)
-
-#: the decay experiment's floor on beta: the exponent of the embedding
-#: ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in three dimensions
-_EMBED_P = 10.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -151,9 +140,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"time.t_end / time.dt = {cfg.t_end / cfg.dt:.3g} steps exceeds 2^53: past that, "
             f"the step grid's times t_start + i dt are no longer distinct"
         )
-    if cfg.ic_kind not in IC_KINDS:
+    if cfg.ic_kind not in _IC_KINDS:
         raise ConfigError(
-            f"ic.kind must be one of {', '.join(IC_KINDS)}; got {cfg.ic_kind!r}"
+            f"ic.kind must be one of {', '.join(_IC_KINDS)}; got {cfg.ic_kind!r}"
         )
     if cfg.ic_kind == "checkpoint" and not cfg.ic_path:
         raise ConfigError("ic.path is required when ic.kind = checkpoint")
@@ -203,35 +192,3 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
-
-def validate_for_experiment(cfg: ExperimentConfig, experiment: str,
-                            horizon: float | None = None) -> None:
-    """Checks that only matter for a particular experiment driver.
-
-    horizon is the longest time t over which the twin or continuity bound
-    takes its factor exp(2 C t), C the growth constant: the twin's span
-    t_end - t_start (time.t_end when not given: a run starts at t >= 0),
-    the continuity ladder's t0. A factor that overflows makes the bound
-    vacuous, so it is refused, as an infinite C is.
-    """
-    if experiment in ("twin", "continuity", "decay") and not cfg.alpha > 0.0:
-        raise ConfigError(f"{experiment} requires alpha > 0")
-    if experiment in ("twin", "continuity"):
-        if not cfg.beta > 3.0:
-            raise ConfigError("uniqueness requires beta > 3")
-        constant = gronwall_constant(cfg.alpha, cfg.beta)
-        if not math.isfinite(constant):  # any run would pass
-            raise ConfigError(f"growth constant (2/alpha)^(2/(beta-3))/2 overflows at alpha = "
-                              f"{cfg.alpha!r}, beta = {cfg.beta!r}: the {experiment} bound is vacuous")
-        if horizon is None:
-            horizon = cfg.t_end
-        if 2.0 * constant * horizon > _LOG_MAX:  # every sample past some t would pass
-            raise ConfigError(f"growth factor exp(2 C t) overflows by t = {horizon!r} at growth "
-                              f"constant C = {constant:.3e}: the {experiment} bound is vacuous")
-    if experiment == "decay":
-        if cfg.beta < _EMBED_P - 1e-12:
-            raise ConfigError("decay requires beta >= 10/3")
-        if not cfg.box_length > 2.0 * math.pi:
-            raise ConfigError(
-                "decay requires box_length > 2*pi (otherwise no modes sit below |xi| = 1)"
-            )

@@ -23,12 +23,14 @@ the rfft half-spectrum layout (shape (3, n_ball)) and moves to physical
 space with real-to-complex transforms; everything spectral works on those
 vectors only, and its transforms skip every FFT line that holds no ball
 entry. The layout, with its tables, transforms and weighted sums, belongs
-to the grid (GridSpec.ball, see spectral._Ball). trajectory() starts from
-a state's vector or a field's ball entries, and each snapshot holds the
-stepper's vector (SolverState.vector), which the ledger's hooks read. Full
-(3, N, N, N) coefficient arrays are only where a field enters or leaves the
-public API: a snapshot's field, SolverState.u, is expanded from the vector
-on first access, and the expansion is Hermitian by construction.
+to the grid (GridSpec.ball, see spectral._Ball). trajectory(), the only
+code that builds a stepper, starts from a state's vector or a field's ball
+entries, and each snapshot holds the stepper's vector (SolverState.vector),
+which the ledger's hooks read; every state, a snapshot or not, is built
+from a ball vector by SolverState's one constructor. Full (3, N, N, N)
+coefficient arrays are only where a field enters or leaves the public
+API: a state's field, SolverState.u, is expanded from the vector on first
+access, and the expansion is Hermitian by construction.
 
 A snapshot also carries the collocation sums of its speed |u|
 (SolverState.pointwise: the max and the |u|^beta sums split at |u| = 1),
@@ -62,7 +64,6 @@ __all__ = [
     "damping",
     "tendency",
     "pressure_field",
-    "step",
     "trajectory",
     "run",
     "SeparableTarget",
@@ -127,7 +128,7 @@ def _pointwise_norms(u: np.ndarray, dv: float, beta: float) -> PointwiseNorms:
 
 
 class SolverState:
-    """Solution snapshot: time, field, parameters, and the running dissipation integrals.
+    """Solution snapshot: time, ball vector, parameters, and the running dissipation integrals.
 
     cum_visc = 2 nu int_0^t ||grad u||^2 ds and
     cum_damp = 2 alpha int_0^t int |u|^(beta+1) dx ds,
@@ -135,47 +136,30 @@ class SolverState:
     the run this state belongs to. duhamel is None under forcing and for
     states that trajectory() did not produce.
 
-    Every state holds vector, its read-only ball entries (3, n_ball) in the
-    layout of grid.ball: for a snapshot, the stepper's own array; for
-    from_vector(), the array given; for a field, the field's, gathered once
-    at construction (for a field outside the state space, not the field
-    itself). u, the full (3, N, N, N) field, and pointwise, the speed's
-    collocation sums (PointwiseNorms: its max and its |u|^beta sums split
-    at |u| = 1), are cached properties. A state built
-    from a field keeps that very object as u; any other expands its vector
-    on first access (snap.u is snap.u). trajectory() supplies pointwise from
-    the grid values the stepper computes anyway; any other state takes it
-    on first access from the pruned inverse transform of its vector.
+    A state holds vector, its ball entries (3, n_ball) in the layout of
+    grid.ball, made read-only here: for a snapshot, the stepper's own
+    array. A field's state holds its entries, grid.ball.gather(u.coeffs).
+    u, the full (3, N, N, N) field, and pointwise, the speed's collocation
+    sums (PointwiseNorms: its max and its |u|^beta sums split at |u| = 1),
+    are cached properties: u expands the vector on first access (snap.u is
+    snap.u); pointwise is the one given, which trajectory() takes from the
+    grid values the stepper computes anyway, or else is taken on first
+    access from the pruned inverse transform of the vector.
     """
 
-    def __init__(self, t: float, u: SpectralField, params: PhysParams, step_count: int = 0,
-                 cum_visc: float = 0.0, cum_damp: float = 0.0, duhamel: DuhamelNorms | None = None):
-        self._hold(u.grid, u.grid.ball.gather(u.coeffs), t, params, step_count, cum_visc, cum_damp,
-                   duhamel)
-        self.u = u
-
-    @classmethod
-    def from_vector(cls, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams,
-                    step_count: int = 0, cum_visc: float = 0.0, cum_damp: float = 0.0,
-                    duhamel: DuhamelNorms | None = None,
-                    pointwise: PointwiseNorms | None = None) -> "SolverState":
-        """A state holding ball vector v (3, n_ball) of grid, made read-only; u is built on first access."""
-        state = cls.__new__(cls)
-        state._hold(grid, v, t, params, step_count, cum_visc, cum_damp, duhamel)
-        if pointwise is not None:
-            state.pointwise = pointwise
-        return state
-
-    def _hold(self, grid: GridSpec, v: np.ndarray, t: float, params: PhysParams, step_count: int,
-              cum_visc: float, cum_damp: float, duhamel: DuhamelNorms | None) -> None:
+    def __init__(self, grid: GridSpec, vector: np.ndarray, t: float, params: PhysParams,
+                 step_count: int = 0, cum_visc: float = 0.0, cum_damp: float = 0.0,
+                 duhamel: DuhamelNorms | None = None, pointwise: PointwiseNorms | None = None):
         # read-only: trajectory() steps on from a snapshot's very array after the yield
-        v.flags.writeable = False
-        self.grid, self.vector, self.t, self.params, self.step_count = grid, v, t, params, step_count
+        vector.flags.writeable = False
+        self.grid, self.vector, self.t, self.params, self.step_count = grid, vector, t, params, step_count
         self.cum_visc, self.cum_damp, self.duhamel = cum_visc, cum_damp, duhamel
+        if pointwise is not None:
+            self.pointwise = pointwise
 
     @cached_property
     def u(self) -> SpectralField:
-        """The field, (3, N, N, N) coefficients; a state not built from one expands its vector once, here."""
+        """The field, (3, N, N, N) coefficients, expanded from the vector once, here."""
         return SpectralField(self.grid, self.grid.ball.expand(self.vector))
 
     @cached_property
@@ -189,7 +173,8 @@ class SolverState:
 class StepperConfig:
     """Time-stepping knobs for the integrating-factor RK4 stepper: the step size dt.
 
-    Every step checks dt against the CFL budget 0.9 / rate (see step()).
+    Every step checks dt against the CFL budget 0.9 / max(|u|_inf R,
+    alpha |u|_inf^(beta-1), 1e-30), R the cutoff radius (_Stepper.check_cfl).
     """
 
     dt: float
@@ -628,12 +613,13 @@ class _Stepper:
         return total
 
     def advance(
-        self, v: np.ndarray, t: float, n1: _NLTerms, duhamel: _Duhamel | None = None
+        self, v: np.ndarray, t: float, n1: _NLTerms, duhamel: _Duhamel | None
     ) -> tuple[np.ndarray, float, float]:
         """One step from ball vector v at time t: (new v, visc increment, damp increment).
 
         n1 is the first stage's kernel evaluation, self.kernel(v), which the
-        caller runs (trajectory() before it yields v's snapshot).
+        caller runs (trajectory() before it yields v's snapshot); duhamel is
+        the run's split, None under forcing.
 
         Each stage is folded into the step as soon as it is evaluated: its
         force into the state's _Fold, its kernel terms into the Duhamel
@@ -687,23 +673,6 @@ class _Stepper:
             duhamel.finish()
         d_visc, d_damp = rates.finish(0.0).tolist()
         return vnew, d_visc, d_damp
-
-
-def step(state: SolverState, cfg: StepperConfig) -> SolverState:
-    """Advance one step of integrating-factor RK4.
-
-    Only the ball's half-spectrum entries of the state are read, as in
-    advection. The viscous factor is exact; truncation and projection are
-    applied inside every substage evaluation and once more to the combined
-    output. Raises CFLError when dt exceeds 0.9 / max(|u|_inf R,
-    alpha |u|_inf^(beta-1), 1e-30).
-    """
-    stepper = _Stepper(state.grid, state.params, cfg)
-    v = state.vector
-    v, d_visc, d_damp = stepper.advance(v, state.t, stepper.kernel(v))
-    return SolverState.from_vector(state.grid, v, state.t + cfg.dt, state.params,
-                                   state.step_count + 1, state.cum_visc + d_visc,
-                                   state.cum_damp + d_damp)
 
 
 def trajectory(
@@ -789,7 +758,7 @@ def trajectory(
             raise BlowupError(f"Duhamel split drifted from the state ({norms.drift:.3e} relative) "
                               f"at t = {t:g}")
         pointwise = None if kernel is None else _pointwise_norms(kernel.u, grid.cell_volume, params.beta)
-        snap = SolverState.from_vector(grid, v, t, params, i, cum_visc, cum_damp, norms, pointwise)
+        snap = SolverState(grid, v, t, params, i, cum_visc, cum_damp, norms, pointwise)
         for hook in hooks:
             hook(snap)
         return snap

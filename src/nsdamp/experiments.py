@@ -4,7 +4,9 @@ A driver takes an ``ExperimentConfig`` (plus its own knobs), runs the solver,
 checks the bound it exists to certify, and returns a report whose ``passed``
 and ``lines()`` are its ``Certificate``'s: one ``Check`` per comparison, each
 passing only on finite numbers (see ``certificate``).  Violations are
-reported, not raised; genuinely malformed inputs raise ``ConfigError``.
+reported, not raised; genuinely malformed inputs, and configs outside a
+driver's theorem, raise ``ConfigError`` before anything is integrated: each
+driver checks its own preconditions.
 The command line writes ``report.txt``; the drivers write only data.  They
 start, perturb, inject and difference ball vectors (``SolverState.vector``,
 measured by ``GridSpec.ball``'s sums) and build no full field.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .certificate import Certificate, Certified, Check
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import ConfigError, ExperimentConfig, canonical_text, validate_for_experiment
+from .config import ConfigError, ExperimentConfig, canonical_text
 from .dynamics import (
     SeparableTarget,
     SolverState,
@@ -63,6 +66,13 @@ ENERGY_TOL = 1e-6
 #: samples each twin run advances per pool job before the pair is compared
 _TWIN_BLOCK = 16
 
+#: the largest x with exp(x) finite
+_LOG_MAX = math.log(sys.float_info.max)
+
+#: the decay experiment's floor on beta: the exponent of the embedding
+#: ||u||_{L^(10/3)}^(10/3) <= C ||u||_L2^(4/3) ||grad u||_L2^2 in three dimensions
+_EMBED_P = 10.0 / 3.0
+
 
 def build_initial(cfg: ExperimentConfig) -> SolverState:
     """The start of a run per config, a state holding only its ball vector: at t = 0 for an analytic
@@ -71,7 +81,7 @@ def build_initial(cfg: ExperimentConfig) -> SolverState:
     if cfg.ic_kind != "checkpoint":
         v = (_taylor_green_vector(grid, cfg.ic_amplitude) if cfg.ic_kind == "taylor-green"
              else _random_vector(grid, cfg.ic_seed, cfg.ic_amplitude))
-        return SolverState.from_vector(grid, v, 0.0, cfg.phys())
+        return SolverState(grid, v, 0.0, cfg.phys())
 
     state = read_checkpoint(cfg.ic_path)
     for key, want, got in (
@@ -86,7 +96,17 @@ def build_initial(cfg: ExperimentConfig) -> SolverState:
             raise ConfigError(f"{key} = {want!r} does not match checkpoint value {got!r}")
     v = state.vector.copy()
     v[:, 0] = 0.0
-    return SolverState.from_vector(state.grid, v, state.t, state.params)
+    return SolverState(state.grid, v, state.t, state.params)
+
+
+def _energetic_start(cfg: ExperimentConfig, vacuous: str) -> SolverState:
+    """build_initial(cfg), refused with ConfigError when its energy ||u0||^2, as the ledger's first
+    record takes it, is 0 (an amplitude so small that its squares underflow); vacuous says what
+    would then pass."""
+    start = build_initial(cfg)
+    if start.grid.volume * start.grid.ball.norm_sq(start.vector) == 0.0:
+        raise ConfigError(f"the initial energy ||u0||^2 is 0, so {vacuous}")
+    return start
 
 
 def _injection(coarse: GridSpec, fine: GridSpec) -> np.ndarray:
@@ -120,11 +140,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
 
     Passes when the run completes and the energy budget closes to the
     package tolerance at every snapshot, in both directions
-    (ledger.check_energy_inequality).
+    (ledger.check_energy_inequality). A start of zero energy is refused
+    with ConfigError before anything is integrated, as in decay_experiment:
+    the budget would be 0 and the balance pass on a ledger that measured
+    nothing.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    start = [build_initial(cfg)]  # popped into the run: once its start-up copied it, nothing holds it
+    # popped into the run: once its start-up copied it, nothing holds it
+    start = [_energetic_start(cfg, "the energy balance would measure nothing and pass vacuously")]
     t_start = start[0].t
     recorder = SeriesRecorder()
     snapshots = run(start.pop(), cfg.phys(), cfg.stepper(), cfg.t_end, t_start=t_start,
@@ -154,6 +178,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
 # twin runs (uniqueness / stability)
 
 
+def _growth_constant(cfg: ExperimentConfig, horizon: float, name: str) -> float:
+    """The growth constant C of the uniqueness bound for the driver name, checked for its horizon.
+
+    horizon is the longest time t over which the twin or continuity bound
+    takes its factor exp(2 C t): the twin's span t_end - t_start, the
+    continuity ladder's t0. alpha > 0 and beta > 3 are required, and a C
+    or a factor that overflows is refused, since every sample would then
+    meet the bound.
+    """
+    if not cfg.alpha > 0.0:
+        raise ConfigError(f"{name} requires alpha > 0")
+    if not cfg.beta > 3.0:
+        raise ConfigError("uniqueness requires beta > 3")
+    constant = gronwall_constant(cfg.alpha, cfg.beta)
+    if not math.isfinite(constant):
+        raise ConfigError(f"growth constant (2/alpha)^(2/(beta-3))/2 overflows at alpha = "
+                          f"{cfg.alpha!r}, beta = {cfg.beta!r}: the {name} bound is vacuous")
+    if 2.0 * constant * horizon > _LOG_MAX:
+        raise ConfigError(f"growth factor exp(2 C t) overflows by t = {horizon!r} at growth "
+                          f"constant C = {constant:.3e}: the {name} bound is vacuous")
+    return constant
+
+
 @dataclass
 class TwinReport(Certified):
     delta: float
@@ -180,13 +227,13 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     delta = 0 degenerates to a determinism check: the difference must be
     bitwise zero. A delta that is negative, not finite, or so small that
     the perturbed start rounds back to u0 is refused with ConfigError
-    before anything is integrated.
+    before anything is integrated, as is a config that _growth_constant
+    refuses for the span t_end - t_start.
     """
     if not 0.0 <= delta < math.inf:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta!r}")
     start = build_initial(cfg)
-    validate_for_experiment(cfg, "twin", horizon=cfg.t_end - start.t)
-    constant = gronwall_constant(cfg.alpha, cfg.beta)
+    constant = _growth_constant(cfg, cfg.t_end - start.t, "twin")
     grid, ball, volume = start.grid, start.grid.ball, start.grid.volume
     v_twin = start.vector + _random_vector(grid, cfg.ic_seed + 1) * delta
     # |w(0)| as the comparison below takes it; both starts are zero at m = 0
@@ -197,7 +244,7 @@ def twin_experiment(cfg: ExperimentConfig, delta: float) -> TwinReport:
     params, stepper = cfg.phys(), cfg.stepper()
     runs = [
         trajectory(s, params, stepper, cfg.t_end, t_start=start.t, output_every=cfg.output_every)
-        for s in (start, SolverState.from_vector(grid, v_twin, start.t, params))
+        for s in (start, SolverState(grid, v_twin, start.t, params))
     ]
     del start, v_twin  # each run's start-up copies its vector
 
@@ -278,9 +325,10 @@ def continuity_experiment(
 
     and the forward modulus must decrease strictly along the eps ladder, as
     the bound must. Each comparison is one check; times are measured from
-    the start of the run.
+    the start of the run. A config that _growth_constant refuses for t0
+    is refused before anything is integrated.
     """
-    validate_for_experiment(cfg, "continuity", horizon=t0)
+    constant = _growth_constant(cfg, t0, "continuity")
     if not epsilons:
         raise ConfigError("need at least one epsilon")
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -305,7 +353,6 @@ def continuity_experiment(
     by_index = {s.step_count: s for s in snapshots if s.step_count in indices}
 
     # the snapshots' ball vectors, measured with the ball's Parseval weights
-    constant = gronwall_constant(cfg.alpha, cfg.beta)
     ball, volume = by_index[0].grid.ball, by_index[0].grid.volume
     v_start = by_index[0].vector
     v_t0 = by_index[i_t0].vector
@@ -389,19 +436,23 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     end, the space-time damping accumulators plateauing (final-decile
     increment at most 1% of the total; a zero total fails), the 5%-energy
     threshold being crossed within the horizon, and the accumulators'
-    increments tapering (_taper_checks). A start whose energy ||u0||^2 is
-    zero, as the ledger takes it (an amplitude so small that its squares
+    increments tapering (_taper_checks). The config must have alpha > 0,
+    beta >= 10/3 (the embedding exponent) and box_length > 2 pi, so that
+    some modes sit below |xi| = 1. A start whose energy ||u0||^2 is zero,
+    as the ledger takes it (an amplitude so small that its squares
     underflow), is refused with ConfigError before anything is integrated:
     every threshold would be 0 and every check pass. series.csv goes into
     out_dir when given.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    validate_for_experiment(cfg, "decay")
-    start = build_initial(cfg)
-    if start.grid.volume * start.grid.ball.norm_sq(start.vector) == 0.0:  # as the first record
-        raise ConfigError("the initial energy ||u0||^2 is 0, "
-                          "so every decay threshold would be 0 and pass vacuously")
+    if not cfg.alpha > 0.0:
+        raise ConfigError("decay requires alpha > 0")
+    if cfg.beta < _EMBED_P - 1e-12:
+        raise ConfigError("decay requires beta >= 10/3")
+    if not cfg.box_length > 2.0 * math.pi:
+        raise ConfigError("decay requires box_length > 2*pi (otherwise no modes sit below |xi| = 1)")
+    start = _energetic_start(cfg, "every decay threshold would be 0 and pass vacuously")
     recorder = SeriesRecorder()
     snapshots = trajectory(start, cfg.phys(), cfg.stepper(), cfg.t_end, t_start=start.t,
                            output_every=cfg.output_every, hooks=(recorder,))
@@ -481,7 +532,7 @@ def _temporal_order_study() -> tuple[list[float], list[float], list[float]]:
     forcing = manufactured_forcing(target, params)
     horizon = 0.5
     ladder = [2e-2, 1e-2, 5e-3]
-    start = SolverState.from_vector(grid, target.amplitude(0.0) * target.vector, 0.0, params)
+    start = SolverState(grid, target.amplitude(0.0) * target.vector, 0.0, params)
     exact = target.amplitude(horizon) * target.vector
 
     def _error(dt: float) -> float:
@@ -518,7 +569,7 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     starts = [start.vector]
     for grid, index in zip(grids[1:], maps):
         starts.append(_inject(starts[-1], index, grid))
-    finals = _parallel([lambda g=g, v=v: run(SolverState.from_vector(g, v, 0.0, params), params,
+    finals = _parallel([lambda g=g, v=v: run(SolverState(g, v, 0.0, params), params,
                                              stepper, cfg.t_end, output_every=cfg.t_end)[-1].vector
                         for g, v in zip(grids, starts)])
     diffs = [math.sqrt(g.volume * g.ball.norm_sq(_inject(va, index, g) - vb))

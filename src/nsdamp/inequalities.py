@@ -330,6 +330,7 @@ def gronwall_suite() -> OracleRow:
     Strictly decreasing in alpha everywhere, and strictly decreasing in beta
     wherever alpha < 2 (the base 2/alpha exceeds 1 there).  The worst margin
     is the smallest decrease between neighbours; it must stay positive.
+    The note names the direction it lies along and gives the other's.
     """
     alphas = np.linspace(0.1, 4.0, 32)
     betas = np.linspace(3.05, 8.0, 32)
@@ -337,9 +338,9 @@ def gronwall_suite() -> OracleRow:
     margin_alpha = float((grid[:-1, :] - grid[1:, :]).min())
     below_two = alphas < 2.0
     margin_beta = float((grid[below_two, :-1] - grid[below_two, 1:]).min())
-    worst = min(margin_alpha, margin_beta)
+    (worst, axis), (other, other_axis) = sorted([(margin_alpha, "alpha"), (margin_beta, "beta")])
     return _row("gronwall-monotone", grid.size, worst, 0.0, worst > 0.0,
-                f"min decrease along alpha {margin_alpha:.3e}, along beta {margin_beta:.3e}")
+                f"check value along {axis}; min decrease along {other_axis} {other:.3e}")
 
 
 class _RandomFields:

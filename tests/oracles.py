@@ -42,10 +42,10 @@ and ``cube_low_shell_mask`` are whole (N, N, N) tables built by
 are the public full-cube operators with their |xi|^2 read off those tables,
 which the package's operators must reproduce bit for bit.
 
-``hermitian_error``, ``l2_inner``, ``linf_norm``, ``remove_mean``,
-``shear_mode`` and ``zeros_like`` are small fields and field helpers that
-only the tests read; ``linf_norm`` forms |u|^2 as one whole-array
-expression of its own.
+``field_state``, ``hermitian_error``, ``l2_inner``, ``linf_norm``,
+``remove_mean``, ``shear_mode`` and ``zeros_like`` are small fields and
+field helpers that only the tests read; ``linf_norm`` forms |u|^2 as one
+whole-array expression of its own.
 
 ``kernel_fill_speed_sq``, ``pointwise_speed_sq`` and ``whole_speed_sq``
 are the three forms |u|^2 took before ``spectral._speed_sq`` became the
@@ -104,7 +104,7 @@ import numpy as np
 import scipy.fft
 
 from nsdamp.certificate import Check
-from nsdamp.dynamics import _Kernel, advection, damping
+from nsdamp.dynamics import SolverState, _Kernel, advection, damping
 from nsdamp.initial_conditions import _noise, _solenoidal
 from nsdamp.inequalities import (
     _INTERPOLATION_ORDERS,
@@ -129,6 +129,11 @@ from nsdamp.spectral import (
     make_grid,
     to_physical,
 )
+
+
+def field_state(u, t, params, **kwargs):
+    """The SolverState at time t of field u's ball entries; kwargs go to SolverState as they are."""
+    return SolverState(u.grid, u.grid.ball.gather(u.coeffs), t, params, **kwargs)
 
 
 def zeros_like(grid):

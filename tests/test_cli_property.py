@@ -38,9 +38,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import field_state
 from nsdamp import cli, experiments
 from nsdamp.checkpoint import write_checkpoint
-from nsdamp.dynamics import SolverState
 from nsdamp.initial_conditions import taylor_green
 from nsdamp.spectral import PhysParams, make_grid
 
@@ -54,8 +54,7 @@ CHECK_LINE = re.compile(r"^(pass|FAIL) .+: \S+ against bound \S+$")
 def workdir(tmp_path_factory):
     """A directory for the runs' outputs, holding a checkpoint of an N = 8 state."""
     base = tmp_path_factory.mktemp("cli-property")
-    state = SolverState(t=0.0, u=taylor_green(make_grid(8, TWO_PI)),
-                        params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+    state = field_state(taylor_green(make_grid(8, TWO_PI)), 0.0, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
     write_checkpoint(state, base / "start.ckpt")
     return base
 

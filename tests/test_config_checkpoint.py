@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import field_state
 from nsdamp.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from nsdamp.config import (
     ConfigError,
@@ -16,11 +17,10 @@ from nsdamp.config import (
     config_from_mapping,
     load_config,
     parse_config,
-    validate_for_experiment,
 )
-from nsdamp.dynamics import SolverState, StepperConfig, run
+from nsdamp.dynamics import StepperConfig, run
 from nsdamp.initial_conditions import random_solenoidal, taylor_green
-from nsdamp.spectral import PhysParams, l2_norm, make_grid
+from nsdamp.spectral import PhysParams, SpectralField, l2_norm, make_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,54 +178,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="missing required key 'phys.beta'"):
             config_from_mapping(m)
 
-    def test_experiment_gates(self):
-        cfg3 = config_from_mapping(_base_mapping(**{"phys.beta": 3.0}))
-        with pytest.raises(ConfigError, match="uniqueness requires beta > 3"):
-            validate_for_experiment(cfg3, "twin")
-        with pytest.raises(ConfigError, match="uniqueness requires beta > 3"):
-            validate_for_experiment(cfg3, "continuity")
-        with pytest.raises(ConfigError, match="decay requires beta >= 10/3"):
-            validate_for_experiment(cfg3, "decay")
-        # small box has no modes under |xi| = 1
-        cfg_small = config_from_mapping(_base_mapping(**{"phys.beta": 4.0}))
-        with pytest.raises(ConfigError, match="box_length"):
-            validate_for_experiment(cfg_small, "decay")
-        big = config_from_mapping(
-            _base_mapping(**{"grid.box_length": 8.0 * np.pi, "phys.beta": 10.0 / 3.0})
-        )
-        validate_for_experiment(big, "decay")  # no raise
-        undamped = config_from_mapping(
-            _base_mapping(**{"grid.box_length": 8.0 * np.pi, "phys.alpha": 0.0})
-        )
-        for experiment in ("twin", "continuity", "decay"):
-            with pytest.raises(ConfigError, match=f"{experiment} requires alpha > 0"):
-                validate_for_experiment(undamped, experiment)
-        # (2/alpha)^(2/(beta-3))/2 = 2^20000 / 2 overflows: a bound that any run meets
-        vacuous = config_from_mapping(_base_mapping(**{"phys.beta": 3.0001}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for experiment in ("twin", "continuity"):
-                with pytest.raises(ConfigError, match=f"growth constant .* the {experiment} bound"):
-                    validate_for_experiment(vacuous, experiment)
-        # C = 8.0e59 is finite, but exp(2 C t) overflows past t = 4.4e-58: every later
-        # sample meets the bound; the horizon defaults to time.t_end
-        steep = config_from_mapping(_base_mapping(**{"phys.beta": 3.01}))
-        for experiment in ("twin", "continuity"):
-            for horizon in (None, 0.01):
-                with pytest.raises(ConfigError, match=rf"growth factor exp\(2 C t\) overflows by "
-                                                      rf"t = .* the {experiment} bound is vacuous"):
-                    validate_for_experiment(steep, experiment, horizon)
-            validate_for_experiment(steep, experiment, horizon=1e-60)  # no raise
-        validate_for_experiment(cfg_small, "twin", horizon=100.0)  # C = 2: exp(400) is finite
-        with pytest.raises(ConfigError, match="growth factor"):
-            validate_for_experiment(cfg_small, "continuity", horizon=200.0)  # exp(800) is not
-
 
 class TestCheckpoint:
     def _state(self, seed=0, t=0.25):
         grid = make_grid(8, TWO_PI)
         u = random_solenoidal(grid, seed=seed)
-        return SolverState(t=t, u=u, params=PhysParams(nu=0.7, alpha=1.5, beta=4.0))
+        return field_state(u, t, PhysParams(nu=0.7, alpha=1.5, beta=4.0))
 
     def test_round_trip_bitwise(self, tmp_path):
         state = self._state()
@@ -241,6 +199,20 @@ class TestCheckpoint:
         path2 = tmp_path / "s2.ckpt"
         write_checkpoint(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_a_state_of_any_field_writes_a_checkpoint_that_reads_back(self, tmp_path):
+        # a field with an entry outside the ball enters a state by its ball
+        # entries alone: the file holds their expansion, which the reader
+        # accepts, and the state read back holds the same entries and no cube
+        grid = make_grid(8, TWO_PI)
+        c = random_solenoidal(grid, seed=6).coeffs.copy()
+        c[:, 3, 0, 0] = 1.0  # |m| = 3 > R = 8/3
+        state = field_state(SpectralField(grid, c), 0.0, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(state, path)
+        back = read_checkpoint(path)
+        assert back.vector.tobytes() == state.vector.tobytes() and not back.vector.flags.writeable
+        assert "u" not in vars(back)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.ckpt"
@@ -311,8 +283,8 @@ class TestCheckpoint:
         # (N/2, N/2, N/2) corner overflows; the header is refused before any
         # table squares it, so warnings turned into errors stay silent
         path = tmp_path / "s.ckpt"
-        write_checkpoint(SolverState(t=0.0, u=taylor_green(make_grid(8, TWO_PI)),
-                                     params=PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
+        write_checkpoint(field_state(taylor_green(make_grid(8, TWO_PI)), 0.0,
+                                     PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
         blob = bytearray(path.read_bytes())
         blob[12:20] = struct.pack("<d", 1e-300)  # box_length, header slot 1
         path.write_bytes(bytes(blob))

@@ -18,6 +18,7 @@ from oracles import (
     cubic_damping_hat,
     direct_advection,
     direct_pressure,
+    field_state,
     full_cube_ball_tables,
     full_forward,
     full_inverse,
@@ -45,7 +46,6 @@ from nsdamp.dynamics import (
     manufactured_forcing,
     pressure_field,
     run,
-    step,
     tendency,
     trajectory,
 )
@@ -171,7 +171,7 @@ class TestBallTransforms:
         if n & (n - 1) == 0:  # per-pass 1/N factors are exact powers of two
             assert np.array_equal(forward, full_forward(ball, blocks))
 
-    @pytest.mark.parametrize("op", ["advection", "damping", "tendency", "pressure_field", "step"])
+    @pytest.mark.parametrize("op", ["advection", "damping", "tendency", "pressure_field"])
     def test_operators_read_only_the_half_spectrum_ball_entries(self, op):
         # a non-Hermitian field with coefficients outside the ball gives the
         # bits of the Hermitian ball field built from its half-spectrum entries
@@ -183,9 +183,8 @@ class TestBallTransforms:
         apply = {
             "advection": lambda u: advection(u).coeffs,
             "damping": lambda u: damping(u, params.alpha, params.beta).coeffs,
-            "tendency": lambda u: tendency(SolverState(t=0.0, u=u, params=params)).coeffs,
+            "tendency": lambda u: tendency(field_state(u, 0.0, params)).coeffs,
             "pressure_field": lambda u: pressure_field(u, params),
-            "step": lambda u: step(SolverState(t=0.0, u=u, params=params), StepperConfig(dt=1e-3)).u.coeffs,
         }[op]
         u = SpectralField(grid, c)
         assert hermitian_error(u) > 0.1
@@ -319,13 +318,12 @@ class TestSnapshots:
         snaps = run(random_solenoidal(grid, seed=5), params, StepperConfig(dt=1e-3), 2e-3,
                     output_every=1e-3)
         # a checkpoint of a snapshot whose field was never read has the bytes
-        # of one written from a state built eagerly from the same vector
-        eager = SolverState(t=snaps[-1].t, u=SpectralField(grid, grid.ball.expand(snaps[-1].vector)),
-                            params=params)
+        # of one written from the state of that vector's expansion
+        again = field_state(SpectralField(grid, grid.ball.expand(snaps[-1].vector)), snaps[-1].t, params)
         write_checkpoint(snaps[-1], tmp_path / "lazy.ckpt")
-        write_checkpoint(eager, tmp_path / "eager.ckpt")
-        assert (tmp_path / "lazy.ckpt").read_bytes() == (tmp_path / "eager.ckpt").read_bytes()
-        for snap in snaps + [step(snaps[0], StepperConfig(dt=1e-3))]:
+        write_checkpoint(again, tmp_path / "again.ckpt")
+        assert (tmp_path / "lazy.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+        for snap in snaps + [again]:
             assert not snap.vector.flags.writeable  # trajectory() steps on from this array
             assert snap.u is snap.u
             assert np.array_equal(snap.u.coeffs, grid.ball.expand(snap.vector))
@@ -350,16 +348,19 @@ class TestSnapshots:
         assert len(snaps) == len(recorder.decay) == steps + 1
         assert len(calls) == 4 * steps + 1
 
-    def test_step_gives_the_bits_of_the_first_step_of_a_run(self):
+    def test_a_states_own_pointwise_sums_equal_the_steppers(self):
+        # snapshots 0 and 1 take the sums from their next step's stage-1 grid
+        # values, the final one from the kernel's inverse alone; a state of the
+        # same vector takes them from its own pruned inverse, when first read
         grid = make_grid(16, TWO_PI)
         params, cfg = PhysParams(nu=0.5, alpha=1.0, beta=10.0 / 3.0), StepperConfig(dt=2e-3)
-        snaps = run(random_solenoidal(grid, seed=9, amplitude=3.0), params, cfg, 2e-3, output_every=2e-3)
-        stepped = step(snaps[0], cfg)
-        assert np.array_equal(stepped.vector, snaps[1].vector)
-        assert (stepped.t, stepped.step_count, stepped.cum_visc, stepped.cum_damp) == (
-            snaps[1].t, snaps[1].step_count, snaps[1].cum_visc, snaps[1].cum_damp)
-        # the stepper's stage-1 grid values and step()'s own inverse give the same sums
-        assert stepped.pointwise == snaps[1].pointwise
+        snaps = run(random_solenoidal(grid, seed=9, amplitude=3.0), params, cfg, 4e-3, output_every=2e-3)
+        assert len(snaps) == 3
+        for snap in snaps:
+            assert "pointwise" in vars(snap)  # supplied by trajectory()
+            state = SolverState(grid, snap.vector, snap.t, params)
+            assert "pointwise" not in vars(state)
+            assert state.pointwise == snap.pointwise
 
     def test_a_cfl_failure_yields_the_snapshot_before_the_failing_step(self):
         # a forced flow that grows as exp(3 t) outruns dt = 0.05 after a few steps
@@ -378,27 +379,13 @@ class TestSnapshots:
         last = snaps[-1]
         assert last.t == (len(snaps) - 1) * 0.05  # the failing step starts at the last snapshot
         assert f"|u|_inf = {linf_norm(last.u):g}" in str(failure.value)
-        with pytest.raises(CFLError) as again:
-            step(last, cfg)
+        with pytest.raises(CFLError) as again:  # one step from the last snapshot, unforced
+            run(last, params, cfg, last.t + cfg.dt, t_start=last.t)
         assert str(again.value) == str(failure.value)
-
-    def test_state_built_from_a_field_keeps_it(self, tmp_path):
-        # a field with an entry outside the ball keeps it, into the checkpoint too
-        grid = make_grid(8, TWO_PI)
-        c = random_solenoidal(grid, seed=6).coeffs.copy()
-        c[:, 3, 0, 0] = 1.0  # |m| = 3 > R = 8/3
-        u = SpectralField(grid, c)
-        state = SolverState(t=0.0, u=u, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
-        assert state.u is u
-        assert np.array_equal(state.vector, grid.ball.gather(c))
-        assert state.vector is state.vector  # gathered once, at construction
-        assert not state.vector.flags.writeable
-        write_checkpoint(state, tmp_path / "s.ckpt")
-        assert (tmp_path / "s.ckpt").read_bytes()[-c.nbytes:] == c.astype("<c16").tobytes()
 
 
 class TestOracleStep:
-    """One IF-RK4 step of step() against one built from direct convolution sums."""
+    """One IF-RK4 step of run() against one built from direct convolution sums."""
 
     @staticmethod
     def oracle_step(u, params, dt):
@@ -430,7 +417,8 @@ class TestOracleStep:
         u = random_solenoidal(grid, seed=n, amplitude=2.0)
         dt = 1e-2
         want = self.oracle_step(u, params, dt)
-        got = step(SolverState(t=0.0, u=u, params=params), StepperConfig(dt=dt)).u.coeffs
+        state = field_state(u, 0.0, params)
+        got = run(state, params, StepperConfig(dt=dt), state.t + dt, t_start=state.t)[-1].u.coeffs
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_snapshots_are_exact_state_space_fields(self):
@@ -652,26 +640,26 @@ class TestStepping:
     def test_cfl_refusal(self):
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=11, amplitude=1e3)
-        state = SolverState(t=0.0, u=u0, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        state = field_state(u0, 0.0, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         with pytest.raises(CFLError):
-            step(state, StepperConfig(dt=0.1))
+            run(state, state.params, StepperConfig(dt=0.1), state.t + 0.1, t_start=state.t)
 
     def test_cfl_rate_that_overflows_is_refused(self):
         # |u|_inf^(beta-1) overflows a float at beta = 1000: the rate is inf, not an OverflowError
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=11, amplitude=1e3)
-        state = SolverState(t=0.0, u=u0, params=PhysParams(nu=1.0, alpha=1.0, beta=1000.0))
+        state = field_state(u0, 0.0, PhysParams(nu=1.0, alpha=1.0, beta=1000.0))
         with np.errstate(over="ignore", invalid="ignore"):  # the kernel's |u|^(beta-1) is inf too
             with pytest.raises(CFLError, match=r"alpha \|u\|_inf\^\(beta-1\) = inf"):
-                step(state, StepperConfig(dt=1e-3))
+                run(state, state.params, StepperConfig(dt=1e-3), state.t + 1e-3, t_start=state.t)
 
     def test_blowup_detection(self):
         grid = make_grid(8, TWO_PI)
         u0 = random_solenoidal(grid, seed=12)
         u0.coeffs[0, 1, 0, 0] = np.nan
-        state = SolverState(t=0.5, u=u0, params=PhysParams(nu=1.0, alpha=1.0, beta=4.0))
+        state = field_state(u0, 0.5, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         with pytest.raises(BlowupError, match=r"^non-finite field \(\|u\|_inf = nan\) at t = 0\.5$"):
-            step(state, StepperConfig(dt=1e-3))
+            run(state, state.params, StepperConfig(dt=1e-3), state.t + 1e-3, t_start=state.t)
 
     @pytest.mark.parametrize(
         "entry,value,message",
@@ -795,7 +783,7 @@ class TestTendency:
         # advection vanishes; at alpha = 0 the tendency is -nu |xi|^2 u
         grid = make_grid(8, TWO_PI)
         u = shear_mode(grid)
-        state = SolverState(t=0.0, u=u, params=PhysParams(nu=2.0, alpha=0.0, beta=2.0))
+        state = field_state(u, 0.0, PhysParams(nu=2.0, alpha=0.0, beta=2.0))
         td = tendency(state)
         want = -2.0 * u.coeffs  # |xi| = 1 for the shear mode
         assert np.abs(td.coeffs - want).max() <= 1e-13

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from oracles import (
     cube_random_solenoidal,
     cube_taylor_green,
+    field_state,
     inject_field,
     reference_energy_checks,
     reference_taper,
@@ -33,7 +35,7 @@ from nsdamp.certificate import Certificate
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
-from nsdamp.dynamics import SolverState, StepperConfig, run, trajectory
+from nsdamp.dynamics import StepperConfig, run, trajectory
 from nsdamp.experiments import (
     build_initial,
     continuity_experiment,
@@ -121,8 +123,8 @@ class TestBuildInitial:
         over = {"grid.n_modes": n, "grid.box_length": box, "ic.seed": seed}
         grid = make_grid(n, box)
         path = tmp_path / "s.ckpt"
-        write_checkpoint(SolverState(t=0.5, u=cube_random_solenoidal(grid, seed),
-                                     params=PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
+        write_checkpoint(field_state(cube_random_solenoidal(grid, seed), 0.5,
+                                     PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
         for kind, want in (("taylor-green", cube_taylor_green(grid)),
                            ("random-solenoidal", cube_random_solenoidal(grid, seed)),
                            ("checkpoint", read_checkpoint(path).u)):
@@ -136,11 +138,7 @@ class TestBuildInitial:
 
     def test_checkpoint_consistency_guard(self, tmp_path):
         grid = make_grid(8, TWO_PI)
-        state = SolverState(
-            t=0.5,
-            u=random_solenoidal(grid, seed=1),
-            params=PhysParams(nu=1.0, alpha=1.0, beta=4.0),
-        )
+        state = field_state(random_solenoidal(grid, seed=1), 0.5, PhysParams(nu=1.0, alpha=1.0, beta=4.0))
         path = tmp_path / "s.ckpt"
         write_checkpoint(state, path)
 
@@ -162,8 +160,8 @@ class TestBuildInitial:
         # read_checkpoint validates the field; the run starts from the state's
         # vector and does not validate it again
         path = tmp_path / "s.ckpt"
-        write_checkpoint(SolverState(t=0.5, u=random_solenoidal(make_grid(8, TWO_PI), seed=1),
-                                     params=PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
+        write_checkpoint(field_state(random_solenoidal(make_grid(8, TWO_PI), seed=1), 0.5,
+                                     PhysParams(nu=1.0, alpha=1.0, beta=4.0)), path)
         calls = []
         validate = SpectralField.validate
         monkeypatch.setattr(SpectralField, "validate", lambda f: calls.append(f) or validate(f))
@@ -224,6 +222,18 @@ class TestRunExperiment:
             continuity_experiment(cfg, [0.2], t0=0.5)
         with pytest.raises(ConfigError, match="decay requires alpha > 0"):
             decay_experiment(cfg)
+
+    def test_a_zero_initial_energy_is_refused_before_integrating(self, monkeypatch):
+        # at amplitude 1e-300 the squares underflow: ||u0||^2 = 0 makes the
+        # energy budget 0, and the balance passed on a ledger that measured nothing
+        def integrating(*args, **kwargs):
+            raise AssertionError("run called")
+
+        monkeypatch.setattr(experiments, "run", integrating)
+        cfg = _cfg(**{"grid.box_length": 8.0 * np.pi, "ic.amplitude": 1e-300})
+        with pytest.raises(ConfigError, match=r"^the initial energy \|\|u0\|\|\^2 is 0, so the energy "
+                                              r"balance would measure nothing and pass vacuously$"):
+            run_experiment(cfg)
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # every norm is a fixed-order reduction, so no BLAS thread count
@@ -428,6 +438,62 @@ class TestContinuity:
         assert any(line.startswith("FAIL forward shift bound at eps = 0.025: ") for line in lines)
         assert any(line.startswith("FAIL forward modulus at eps = 0.0125 below eps = 0.025: ")
                    for line in lines), lines
+
+
+class TestPreconditions:
+    """Each driver checks its own preconditions, before it integrates anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_integration(self, monkeypatch):
+        def integrating(*args, **kwargs):
+            raise AssertionError("trajectory called")
+
+        monkeypatch.setattr(experiments, "trajectory", integrating)
+
+    def test_experiment_gates(self):
+        # the uniqueness drivers by the horizon of their bound: the twin's
+        # span, time.t_end from t = 0, and the continuity ladder's t0
+        uniqueness = {
+            "twin": lambda cfg, horizon=0.2: twin_experiment(replace(cfg, t_end=horizon), 1e-3),
+            "continuity": lambda cfg, horizon=0.1: continuity_experiment(cfg, [horizon / 4], t0=horizon),
+        }
+        cfg3 = _cfg(**{"phys.beta": 3.0})
+        for call in uniqueness.values():
+            with pytest.raises(ConfigError, match="uniqueness requires beta > 3"):
+                call(cfg3)
+        with pytest.raises(ConfigError, match="decay requires beta >= 10/3"):
+            decay_experiment(cfg3)
+        # small box has no modes under |xi| = 1
+        cfg_small = _cfg(**{"phys.beta": 4.0})
+        with pytest.raises(ConfigError, match="box_length"):
+            decay_experiment(cfg_small)
+        big = _cfg(**{"grid.box_length": 8.0 * np.pi, "phys.beta": 10.0 / 3.0})
+        with pytest.raises(AssertionError, match="trajectory called"):  # past every gate
+            decay_experiment(big)
+        undamped = _cfg(**{"grid.box_length": 8.0 * np.pi, "phys.alpha": 0.0})
+        for experiment, call in {**uniqueness, "decay": decay_experiment}.items():
+            with pytest.raises(ConfigError, match=f"{experiment} requires alpha > 0"):
+                call(undamped)
+        # (2/alpha)^(2/(beta-3))/2 = 2^20000 / 2 overflows: a bound that any run meets
+        vacuous = _cfg(**{"phys.beta": 3.0001})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for experiment, call in uniqueness.items():
+                with pytest.raises(ConfigError, match=f"growth constant .* the {experiment} bound"):
+                    call(vacuous)
+        # C = 8.0e59 is finite, but exp(2 C t) overflows past t = 4.4e-58: every later
+        # sample meets the bound
+        steep = _cfg(**{"phys.beta": 3.01})
+        for experiment, call in uniqueness.items():
+            for horizon in (0.2, 0.01):
+                with pytest.raises(ConfigError, match=rf"growth factor exp\(2 C t\) overflows by "
+                                                      rf"t = .* the {experiment} bound is vacuous"):
+                    call(steep, horizon)
+            assert experiments._growth_constant(steep, 1e-60, experiment) == inequalities.gronwall_constant(1.0, 3.01)
+        with pytest.raises(AssertionError, match="trajectory called"):  # C = 2: exp(400) is finite
+            uniqueness["twin"](cfg_small, 100.0)
+        with pytest.raises(ConfigError, match="growth factor"):
+            uniqueness["continuity"](cfg_small, 200.0)  # exp(800) is not
 
 
 class TestDecay:
@@ -1146,6 +1212,19 @@ class TestCli:
         for name in ("series.csv", "final.ckpt", "report.txt"):
             assert (out_dir / name).exists()
         assert "verdict: pass" in capsys.readouterr().out
+
+    def test_a_run_from_zero_energy_is_refused(self, tmp_path, cfg_file, capsys):
+        # N = 8, L = 8 pi Taylor-Green at amplitude 1e-300: ||u0||^2 underflows to 0, and
+        # the energy balance passed, against a budget of 0, on a ledger that measured nothing
+        faint = tmp_path / "faint.cfg"
+        faint.write_text(cfg_file.read_text().replace("grid.box_length = 6.283185307179586",
+                                                      "grid.box_length = 25.132741228718345")
+                         + "ic.amplitude = 1e-300\n")
+        assert main(["run", str(faint)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the initial energy ||u0||^2 is 0, so ")
+        assert not (tmp_path / "out" / "run" / "series.csv").exists()
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast"]) == 0

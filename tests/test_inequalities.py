@@ -1,5 +1,6 @@
 """Inequality oracles: frozen hand values, degenerate corners, random suites."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -262,6 +263,14 @@ def test_verify_suite_fast_all_pass():
     for row in rows:
         assert row.passed, f"{row.name}: worst {row.worst}"
         assert row.samples > 0
+
+
+def test_the_gronwall_note_prints_only_the_other_directions_margin():
+    # the check's value is the smaller of the two margins; the note names its
+    # direction and prints the other's (the suite draws nothing: no seed)
+    row = gronwall_suite()
+    assert f"{row.check.value:.3e}" not in row.note
+    assert re.fullmatch(r"check value along alpha; min decrease along beta \d\.\d{3}e[-+]\d\d", row.note)
 
 
 def test_verify_suite_seed_stability():

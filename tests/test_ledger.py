@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     cube_low_shell_mask,
+    field_state,
     full_cube_ledger,
     hermitian_error,
     shear_mode,
@@ -16,7 +17,6 @@ from nsdamp.certificate import Check
 from nsdamp.dynamics import (
     DuhamelNorms,
     SeparableTarget,
-    SolverState,
     StepperConfig,
     manufactured_forcing,
     run,
@@ -142,8 +142,8 @@ class TestDecayDiagnostics:
         c[2, 0, -1, 0] = 0.5 * c_amp
         u = SpectralField(grid, c)
         params = PhysParams(nu=1.0, alpha=1.0, beta=beta)
-        s0 = SolverState(t=0.0, u=u, params=params)
-        s1 = SolverState(t=dt, u=u, params=params)
+        s0 = field_state(u, 0.0, params)
+        s1 = field_state(u, dt, params)
         d0 = decay_snapshot(s0)
         d1 = decay_snapshot(s1, d0)
         want = c_amp**beta * grid.box_length**3 * dt
@@ -155,9 +155,9 @@ class TestDecayDiagnostics:
         grid = make_grid(8, TWO_PI)
         u = random_solenoidal(grid, seed=1, amplitude=0.05)
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
-        s0 = SolverState(t=0.0, u=u, params=params)
+        s0 = field_state(u, 0.0, params)
         d0 = decay_snapshot(s0)
-        d1 = decay_snapshot(SolverState(t=0.1, u=u, params=params), d0)
+        d1 = decay_snapshot(field_state(u, 0.1, params), d0)
         assert d1.lbeta_E1 > 0.0
         assert d1.lbeta_E2 == 0.0
 
@@ -167,9 +167,9 @@ class TestDecayDiagnostics:
         u = random_solenoidal(grid, seed=2)  # not single-shell: sanity only
         params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
 
-        d = decay_snapshot(SolverState(t=0.0, u=shear_mode(grid), params=params))
+        d = decay_snapshot(field_state(shear_mode(grid), 0.0, params))
         assert d.hminus2 == pytest.approx(0.5 * l2_norm(shear_mode(grid)), rel=1e-12)
-        d_rand = decay_snapshot(SolverState(t=0.0, u=u, params=params))
+        d_rand = decay_snapshot(field_state(u, 0.0, params))
         assert d_rand.hminus2 < l2_norm(u)
 
     def test_duhamel_columns(self):
@@ -180,14 +180,14 @@ class TestDecayDiagnostics:
         # a state that trajectory() did not produce carries no split: NaN placeholders
         grid = make_grid(8, TWO_PI)
         u = random_solenoidal(grid, seed=3)
-        d = decay_snapshot(SolverState(t=0.0, u=u, params=PhysParams(1.0, 1.0, 4.0)))
+        d = decay_snapshot(field_state(u, 0.0, PhysParams(1.0, 1.0, 4.0)))
         assert np.isnan(d.heat_l2) and np.isnan(d.f_hminus2) and np.isnan(d.g_hminus2)
 
     def test_frequency_split_norms_partition_energy(self):
         # random_solenoidal fills |xi| <= R/2, which reaches past |xi| = 1 from N = 32
         grid = make_grid(32, 8.0 * np.pi)
         u = random_solenoidal(grid, seed=4)
-        d = decay_snapshot(SolverState(t=0.0, u=u, params=PhysParams(1.0, 1.0, 4.0)))
+        d = decay_snapshot(field_state(u, 0.0, PhysParams(1.0, 1.0, 4.0)))
         assert d.w1_l2**2 + d.w2_l2**2 == pytest.approx(l2_norm(u) ** 2, rel=1e-12)
         assert d.w1_l2 > 0.0 and d.w2_l2 > 0.0
         # on this box modes 1..3 sit strictly below |xi| = 1, mode 4 does not
@@ -227,7 +227,7 @@ class TestHooksAgainstFullCube:
 
         def fold(coeffs):
             u = SpectralField(grid, coeffs)
-            return hook(SolverState(t=0.1, u=u, params=params, cum_visc=0.5, cum_damp=0.25, duhamel=split))
+            return hook(field_state(u, 0.1, params, cum_visc=0.5, cum_damp=0.25, duhamel=split))
 
         assert hermitian_error(SpectralField(grid, c)) > 0.1
         assert fold(c) == fold(ball.expand(ball.gather(c)))
@@ -252,7 +252,7 @@ class TestPointwiseFromTheStepper:
         assert [s.step_count for s in snaps] == ([0] if case == "zero-length" else [0, 2, 4, 5])
         prev = None
         for snap, row in zip(snaps, rec.decay, strict=True):
-            state = SolverState(snap.t, snap.u, params, duhamel=snap.duhamel)
+            state = field_state(snap.u, snap.t, params, duhamel=snap.duhamel)
             prev = decay_snapshot(state, prev)
             got, want = (np.array(dataclasses.astuple(d)).tobytes() for d in (prev, row))
             assert got == want  # bit for bit, the NaN Duhamel columns of the forced run too

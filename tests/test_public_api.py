@@ -4,8 +4,9 @@ import, no driver builds or reads a full field, the stepper gathers and
 expands nothing, no check states a constant comparison, one function
 renders the verdict line, one writes report.txt, only the certificate
 renders a check's outcome, no report field holds a verdict, one function
-opens a file to write, one puts a time on the dt grid, and the package runs
-without SciPy."""
+opens a file to write, one puts a time on the dt grid, one constructor
+builds every state and one function every stepper, the config module
+needs nothing from the inequalities, and the package runs without SciPy."""
 
 import ast
 import dataclasses
@@ -242,6 +243,31 @@ def test_one_function_puts_a_time_on_the_dt_grid():
     # the span and the cadence of a trajectory and the continuity ladder's
     # times all take StepperConfig.steps, the one reader of the tolerance
     assert _sites("_GRID_ALIGN_TOL") == {"dynamics.StepperConfig.steps"}
+
+
+def test_one_way_into_a_run():
+    # one constructor builds every state, and trajectory() is the one code
+    # that builds a stepper, so every run steps by the same path
+    path = pathlib.Path(nsdamp.__file__).parent / "dynamics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    state = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SolverState")
+    decorators = [ast.unparse(d) for node in state.body if isinstance(node, ast.FunctionDef)
+                  for d in node.decorator_list]
+    assert "cached_property" in decorators  # the walk saw the state's methods
+    assert not {"classmethod", "staticmethod"} & set(decorators)
+    assert not _readers("__new__")
+    assert _sites("_Stepper") == {"dynamics.trajectory"}
+
+
+def test_config_checks_no_drivers_theorem():
+    # each driver checks its own preconditions; the config module parses and
+    # validates the text format, and needs nothing from the inequalities
+    path = pathlib.Path(nsdamp.__file__).parent / "config.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    modules = [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    assert "spectral" in modules  # the walk saw the config's imports
+    assert not [m for m in modules if m.split(".")[-1] == "inequalities"]
 
 
 def test_a_run_and_the_oracle_suites_import_no_scipy(tmp_path):
