@@ -325,8 +325,8 @@ def continuity_experiment(
 
     and the forward modulus must decrease strictly along the eps ladder, as
     the bound must. Each comparison is one check; times are measured from
-    the start of the run. A config that _growth_constant refuses for t0
-    is refused before anything is integrated.
+    the start of the run. A config that _growth_constant refuses for t0,
+    or whose start has zero energy, is refused before anything is integrated.
     """
     constant = _growth_constant(cfg, t0, "continuity")
     if not epsilons:
@@ -346,7 +346,7 @@ def continuity_experiment(
         indices.update((i_e, i_t0 - i_e, i_t0 + i_e))
     stride = math.gcd(*indices)
 
-    start = build_initial(cfg)
+    start = _energetic_start(cfg, "every shift bound would be 0 and pass vacuously")
     snapshots = trajectory(start, cfg.phys(), stepper, start.t + t0 + eps_sorted[0],
                            t_start=start.t, output_every=stride * cfg.dt)
     del start  # the start-up copies its vector
@@ -551,7 +551,8 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     Runs every level from the same coarse-grid initial field (injected into
     the finer grids) to t_end; adjacent final states are differenced on the
     finer grid.  Differences must shrink by at least 4x per doubling, and
-    the manufactured-solution order must reach 3.7.
+    the manufactured-solution order must reach 3.7.  A start of zero energy
+    is refused before anything is integrated.
     """
     if len(levels) < 3:
         raise ConfigError(f"need at least 3 levels, got {levels!r}")
@@ -561,7 +562,8 @@ def refinement_experiment(cfg: ExperimentConfig, levels: list[int]) -> Refinemen
     if cfg.ic_kind == "checkpoint":
         raise ConfigError("refinement requires an analytic initial condition")
 
-    start = build_initial(replace(cfg, n_modes=levels[0]))
+    start = _energetic_start(replace(cfg, n_modes=levels[0]),
+                             "every level difference would be 0 and measure no convergence")
     params, stepper = cfg.phys(), cfg.stepper()
     grids = [start.grid] + [make_grid(n, cfg.box_length, cfg.cutoff_fraction) for n in levels[1:]]
     # each level's start is the previous level's, injected; each map serves a start and a difference

@@ -52,6 +52,8 @@ _MAG_CAP = 100.0  # vector-component cap: keeps |x|^(beta+2) in double range
 _TS_CAP = 1e3  # cap for the a^p / b^q values in the Young sampler
 #: random fields per pruned transform in the interpolation and product-law suites
 _CHUNK = 16
+#: values per streamed draw of the samplers' pick uniforms and sign integers
+_DRAW = 2**16
 
 
 def monotonicity_gap(x, y, beta):
@@ -247,16 +249,39 @@ def _require_samples(count: int, name: str) -> None:
 
 
 def _heavy_magnitudes(rng: np.random.Generator, shape, cap: float) -> np.ndarray:
-    """Mixture of |normal| and capped inverse-uniform magnitudes."""
-    normal = np.abs(rng.standard_normal(shape))
-    inverse = 1.0 / rng.uniform(1e-8, 1.0, shape)
-    pick = rng.random(shape) < 0.5
-    return np.minimum(np.where(pick, normal, inverse), cap)
+    """Mixture of |normal| and capped inverse-uniform magnitudes.
+
+    Draws shape normals, then shape uniforms, then shape pick uniforms, the
+    picks _DRAW at a time, and forms the mixture in the normals' array. A
+    pick takes one word of rng's stream, so the values and the generator's
+    state afterwards are those of whole-array draws.
+    """
+    out = rng.standard_normal(shape)
+    np.abs(out, out=out)
+    inverse = rng.uniform(1e-8, 1.0, shape)
+    np.divide(1.0, inverse, out=inverse)
+    flat, flat_inverse = out.reshape(-1), inverse.reshape(-1)
+    for start in range(0, flat.size, _DRAW):
+        stop = min(start + _DRAW, flat.size)
+        np.copyto(flat[start:stop], flat_inverse[start:stop], where=rng.random(stop - start) >= 0.5)
+    return np.minimum(out, cap, out=out)
 
 
 def _heavy_vectors(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
-    signs = rng.integers(0, 2, size=(n, width)) * 2 - 1
-    return signs * _heavy_magnitudes(rng, (n, width), _MAG_CAP)
+    """(n, width) heavy-tailed magnitudes with random signs, the signs drawn first.
+
+    The signs are drawn _DRAW at a time and kept as int8. They are drawn as
+    int64, whose draws take 32-bit halves of the stream's words and keep the
+    spare half in the generator (an int8 draw would take other bits), so the
+    values and the stream are those of a whole-array draw.
+    """
+    signs = np.empty(n * width, dtype=np.int8)
+    for start in range(0, signs.size, _DRAW):
+        stop = min(start + _DRAW, signs.size)
+        signs[start:stop] = rng.integers(0, 2, size=stop - start) * 2 - 1
+    out = _heavy_magnitudes(rng, (n, width), _MAG_CAP)
+    out *= signs.reshape(n, width)
+    return out
 
 
 def monotonicity_suite(n_samples: int = 100_000, seed: int = 0) -> OracleRow:
@@ -469,20 +494,21 @@ def product_law_suite(n_pairs: int = 200, seed: int = 0) -> OracleRow:
 def verify_suite(seed: int = 0, fast: bool = False) -> list[OracleRow]:
     """All oracle suites in table order; fast mode trims the sample counts.
 
-    Monotonicity, Young and Gronwall run on the calling thread first; then
-    interpolation and product law run side by side as two _parallel jobs
-    (at most NSD_THREADS of them at once, and a ConfigError when it is not
-    a positive integer). The vectorized suites finish before the chunked
-    ones start, so their peak memory never adds to the chunks'. Every
-    row's bits are independent of the thread count.
+    The suites run as two _parallel jobs of about equal serial time: one
+    runs monotonicity, Young, Gronwall and interpolation in that order, the
+    other product law. So at most two suites overlap on any core count,
+    and with NSD_THREADS=1 the two jobs run one after the other (a
+    ConfigError when it is not a positive integer). Every row's bits are
+    independent of the thread count.
     """
     scale = 10 if fast else 1
-    return [
-        monotonicity_suite(100_000 // scale, seed=seed),
-        young_suite(100_000 // scale, seed=seed),
-        gronwall_suite(),
-        *_parallel([
-            lambda: interpolation_suite(1000 // scale, seed=seed),
-            lambda: product_law_suite(200 // scale, seed=seed),
-        ]),
-    ]
+    rows, product_law = _parallel([
+        lambda: [
+            monotonicity_suite(100_000 // scale, seed=seed),
+            young_suite(100_000 // scale, seed=seed),
+            gronwall_suite(),
+            interpolation_suite(1000 // scale, seed=seed),
+        ],
+        lambda: product_law_suite(200 // scale, seed=seed),
+    ])
+    return [*rows, product_law]

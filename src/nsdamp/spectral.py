@@ -116,7 +116,7 @@ def _parallel(jobs: list[Callable[[], object]]) -> list:
     included), as _Crew's workers do. The pool's threads are driver
     threads: a kernel built on one splits no slabs, so the two thread
     levels never nest. The experiments run their independent
-    integrations on it, verify_suite its two sampling suites.
+    integrations on it, verify_suite its two jobs of suites.
     """
     with ThreadPoolExecutor(max_workers=_workers(len(jobs)), initializer=_driver_thread) as pool:
         futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs]

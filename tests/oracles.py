@@ -29,6 +29,11 @@ checks state the pass rules directly, ``worst >= floor`` and, for the product
 law, the smallest ratio with every ratio finite and positive, which the
 suites' checks must match.
 
+``whole_heavy_magnitudes`` and ``whole_heavy_vectors`` are the suites'
+heavy-tailed samplers with every draw one whole array and the signs held as
+int64, which the streamed draws must reproduce bit for bit, leaving the
+generator in the same state.
+
 ``full_cube_ball_tables`` reads the cutoff ball's entries and tables off the
 full-cube wavenumber, |xi|^2 and mask tables below, which the ball's own
 construction from 1-D mode numbers must reproduce bit for bit.
@@ -108,6 +113,7 @@ from nsdamp.dynamics import SolverState, _Kernel, advection, damping
 from nsdamp.initial_conditions import _noise, _solenoidal
 from nsdamp.inequalities import (
     _INTERPOLATION_ORDERS,
+    _MAG_CAP,
     OracleRow,
     _ball_sobolev_weights,
     _interpolation_sides,
@@ -561,6 +567,20 @@ def fftn_random_band_limited(grid, rng):
     samples = rng.standard_normal(grid.shape)
     f = friedrichs_truncate(SpectralField(grid, scipy.fft.fftn(samples, axes=(1, 2, 3), norm="forward")))
     return remove_mean(f) * float(rng.uniform(0.1, 10.0))
+
+
+def whole_heavy_magnitudes(rng, shape, cap):
+    """Mixture of |normal| and capped inverse-uniform magnitudes, each draw one whole array."""
+    normal = np.abs(rng.standard_normal(shape))
+    inverse = 1.0 / rng.uniform(1e-8, 1.0, shape)
+    pick = rng.random(shape) < 0.5
+    return np.minimum(np.where(pick, normal, inverse), cap)
+
+
+def whole_heavy_vectors(rng, n, width):
+    """(n, width) heavy-tailed vectors with int64 signs drawn as one whole array."""
+    signs = rng.integers(0, 2, size=(n, width)) * 2 - 1
+    return signs * whole_heavy_magnitudes(rng, (n, width), _MAG_CAP)
 
 
 def loop_random_band_limited(grid, rng, projected):

@@ -1213,18 +1213,23 @@ class TestCli:
             assert (out_dir / name).exists()
         assert "verdict: pass" in capsys.readouterr().out
 
-    def test_a_run_from_zero_energy_is_refused(self, tmp_path, cfg_file, capsys):
-        # N = 8, L = 8 pi Taylor-Green at amplitude 1e-300: ||u0||^2 underflows to 0, and
-        # the energy balance passed, against a budget of 0, on a ledger that measured nothing
+    @pytest.mark.parametrize("command,flags", [
+        ("run", []),
+        ("continuity", ["--t0", "0.05", "--eps", "0.02,0.01"]),
+        ("refine", ["--levels", "8,16,32"]),
+    ], ids=["run", "continuity", "refine"])
+    def test_a_run_from_zero_energy_is_refused(self, tmp_path, cfg_file, capsys, command, flags):
+        # N = 8, L = 8 pi Taylor-Green at amplitude 1e-300: ||u0||^2 underflows to 0, so the
+        # energy balance, every shift bound and every level difference would measure nothing
         faint = tmp_path / "faint.cfg"
         faint.write_text(cfg_file.read_text().replace("grid.box_length = 6.283185307179586",
                                                       "grid.box_length = 25.132741228718345")
                          + "ic.amplitude = 1e-300\n")
-        assert main(["run", str(faint)]) == 2
+        assert main([command, str(faint), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: the initial energy ||u0||^2 is 0, so ")
-        assert not (tmp_path / "out" / "run" / "series.csv").exists()
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast"]) == 0
@@ -1285,10 +1290,11 @@ class TestCli:
         assert err.rstrip().endswith(") at t = 0"), err
 
     def test_a_zero_inter_level_difference_fails_refine(self, tmp_path, cfg_file, capsys):
-        # at amplitude 1e-300 every level ends in the same state: a shrink factor
+        # at amplitude 1e-150 every level ends in the same state (the nonlinear terms
+        # fall below an ulp of u), while ||u0||^2 is still positive: a shrink factor
         # over a zero difference measures nothing, though inf >= 4 would hold
         faint = tmp_path / "faint.cfg"
-        faint.write_text(cfg_file.read_text() + "ic.amplitude = 1e-300\n")
+        faint.write_text(cfg_file.read_text() + "ic.amplitude = 1e-150\n")
         assert main(["refine", str(faint), "--levels", "8,16,32"]) == 1
         out = capsys.readouterr().out
         assert "FAIL shrink factor |u_8(T) - u_16(T)| / |u_16(T) - u_32(T)|: inf" in out

@@ -1,6 +1,7 @@
 """Inequality oracles: frozen hand values, degenerate corners, random suites."""
 
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,19 @@ from oracles import (
     fftn_random_solenoidal,
     loop_interpolation_suite,
     loop_product_law_suite,
+    whole_heavy_magnitudes,
+    whole_heavy_vectors,
 )
 
 from nsdamp import inequalities, initial_conditions
 from nsdamp.inequalities import (
     _CHUNK,
+    _DRAW,
     _INTERPOLATION_ORDERS,
+    _TS_CAP,
     _ball_sobolev_weights,
+    _heavy_magnitudes,
+    _heavy_vectors,
     _interpolation_sides,
     _norm,
     _product_ratio,
@@ -179,6 +186,20 @@ def _random_band_limited(grid, rng, projected):
     return fields.take()[0]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 3, 8193, _DRAW - 1, _DRAW, _DRAW + 1, 100_000])
+def test_the_streamed_draws_equal_whole_array_draws(seed, n):
+    # chunked pick and sign draws, int8 signs and the in-place mixture give
+    # the values of whole-array draws and leave the generator where they do
+    for streamed, whole, args in [(_heavy_vectors, whole_heavy_vectors, (n, 8)),
+                                  (_heavy_magnitudes, whole_heavy_magnitudes, (n, _TS_CAP))]:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, ref = streamed(rng, *args), whole(ref_rng, *args)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64])
 def test_random_fields_equal_the_fftn_construction(n):
     # the package takes the ball's pruned forward transform of the noise; the
@@ -314,16 +335,42 @@ def test_the_suites_refuse_fewer_than_one_sample(suite, name, count):
         suite(count)
 
 
-def test_verify_suite_peaks_at_the_monotonicity_suite(monkeypatch):
-    # the vectorized suites run before the chunked ones go to the pool, so no
-    # chunk buffer adds to the monotonicity suite's 37.4 MiB peak
-    monkeypatch.setenv("NSD_THREADS", "2")
-    peaks = []
-    for call in (lambda: monotonicity_suite(100_000, seed=0), lambda: verify_suite(0, fast=False)):
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 2**20, [p / 2**20 for p in peaks]
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_monotonicity_suite_peaks_below_four_of_its_arrays():
+    # x and y are (100_000, 8) float arrays of 6.1 MiB each; the streamed
+    # draws hold two more while y is drawn, and no whole-array pick or signs
+    assert _traced_peak(lambda: monotonicity_suite(100_000, seed=0)) <= 24 * 2**20
+
+
+@pytest.mark.parametrize("threads", ["2", "8"])
+def test_verify_suite_overlaps_two_suites_at_most(monkeypatch, threads):
+    # two pool jobs: the three vectorized suites and interpolation in turn,
+    # and product law; so at most two suites overlap, and the peak is at most
+    # the two jobs' largest peaks together, within the 1 MiB the pool and the
+    # rows may add
+    monkeypatch.setenv("NSD_THREADS", threads)
+    own = _traced_peak(lambda: monotonicity_suite(100_000, seed=0)) + _traced_peak(
+        lambda: product_law_suite(200, seed=0))
+    before = set(threading.enumerate())
+    alive = []
+
+    def counted(suite):
+        def call(*args, **kwargs):
+            alive.append(len(set(threading.enumerate()) - before))
+            return suite(*args, **kwargs)
+        return call
+
+    for name in ("monotonicity_suite", "young_suite", "gronwall_suite", "interpolation_suite",
+                 "product_law_suite"):
+        monkeypatch.setattr(inequalities, name, counted(getattr(inequalities, name)))
+    peak = _traced_peak(lambda: verify_suite(0, fast=False))
+    assert len(alive) == 5 and max(alive) <= 2, alive
+    assert peak - own <= 2**20, (peak / 2**20, own / 2**20)
