@@ -5,12 +5,13 @@ bound. It passes only when its comparison held and both numbers are finite,
 so no NaN or inf can make a bound hold vacuously. A ``Certificate`` passes
 when it has at least one check and every check passes; it alone renders a
 check's outcome: one line per check, then the ``verdict:`` line.
-``_write_atomic`` is the one writer of an output file, ``write_report`` the
-one of ``report.txt``.
+``_write_atomic`` is the one writer of an output file, and the one code that
+creates its directory; ``write_report`` is the one writer of ``report.txt``.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from contextlib import suppress
@@ -77,9 +78,11 @@ class Certified:
 def _write_atomic(path, mode: str, write: Callable[[IO], None], encoding: str | None = None) -> None:
     """Write path through a temporary file beside it and os.replace: write(fh) fills the open file.
 
-    A write that fails partway, or a refused replace, leaves the previous
-    file and no temporary file.
+    It alone creates an output directory, its file's. A write that fails
+    partway, or a refused replace, leaves the previous file and no
+    temporary file.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, encoding=encoding) as fh:
@@ -89,6 +92,17 @@ def _write_atomic(path, mode: str, write: Callable[[IO], None], encoding: str | 
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _refuse_unusable_directory(path) -> None:
+    """Refuse (OSError) a path that is, or whose nearest existing ancestor is, not a writable directory."""
+    nearest = os.path.abspath(path)
+    while not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), nearest)
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), nearest)
 
 
 def write_report(out_dir: str, lines: Sequence[str]) -> None:

@@ -18,7 +18,8 @@ subcommand prints its report the same way: a body of data, one line per
 check and the verdict line (nsdamp.certificate).  Outputs land in
 <output.directory>/<subcommand>/ unless --out overrides: every subcommand
 but verify writes its report to report.txt there and names the directory;
-run adds series.csv and final.ckpt, decay series.csv.
+run adds series.csv and final.ckpt, decay series.csv.  The directory comes
+with its first file, so a refused input or a failed run creates none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import sys
 from functools import partial
 
-from .certificate import Certificate, write_report
+from .certificate import Certificate, _refuse_unusable_directory, write_report
 from .checkpoint import CheckpointError
 from .config import load_config
 from .dynamics import BlowupError, CFLError
@@ -119,7 +120,7 @@ def _dispatch(args) -> int:
         cfg = load_config(args.config)
         out = args.out if args.out is not None else os.path.join(cfg.output_directory, args.command)
         try:  # before integrating: an unusable directory is malformed input
-            os.makedirs(out, exist_ok=True)
+            _refuse_unusable_directory(out)
         except OSError as exc:
             print(f"error: cannot use output directory {out!r}: {exc}", file=sys.stderr)
             return 2

@@ -156,9 +156,7 @@ def parse_config(text: str) -> ExperimentConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line.strip()!r}")
-        key, _, value = line.partition("=")
+        key, _, value = line.partition("=")  # no "=" leaves value empty
         key = key.strip()
         value = value.strip()
         if not key or not value:

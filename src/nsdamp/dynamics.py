@@ -51,7 +51,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .spectral import (_ALONE, ConfigError, GridSpec, PhysParams, SpectralField, _Ball,
-                       _Crew, _magnitudes, _on_driver_thread, _speed_sq, _workers)
+                       _Crew, _magnitudes, _speed_sq, _workers)
 
 __all__ = [
     "SolverState",
@@ -241,20 +241,18 @@ class _Kernel:
     is transformed on its own, so slabs give the bits of whole blocks;
     |u|^2 stays a full cube so that its max and sum keep their order.
 
-    A call splits its slab loops over workers (spectral._Crew): one per
-    slab at most, and at most NSD_THREADS (unset, the CPU count), read
-    when the kernel is built, so a bad value is refused then; a kernel
-    built on a driver's pool thread (see spectral._parallel), as every
-    kernel of a driver's job is, has one. Each worker takes a contiguous
-    run of slabs, the calling thread the first: the inverse's y and z
-    passes, each slab followed by its |u|^2 fill, and per forward group
-    the products, the z and x passes and the take of the y_lines; the
-    x_lines' and the y_lines' passes split by runs of lines. The entry
-    takes, the max and sum of |u|^2 and the divergence run on the calling
-    thread, in their serial order, so every bit is that of one worker. A
-    kernel of one worker (a grid of one slab, a cap of 1, or a driver's
-    job) runs on the calling thread alone and starts no thread, so the
-    two thread levels never nest.
+    A call splits its slab loops over the kernel's crew (spectral._Crew),
+    built with the buffers and kept for the kernel's life: one worker per
+    slab, capped by spectral._workers when the kernel is built (a bad
+    NSD_THREADS is refused then; one worker inside a driver's job). Each
+    worker takes a contiguous run of slabs, the calling thread the first:
+    the inverse's y and z passes, each slab followed by its |u|^2 fill,
+    and per forward group the products, the z and x passes and the take
+    of the y_lines; the x_lines' and the y_lines' passes split by runs of
+    lines. The entry takes, the max and sum of |u|^2 and the divergence
+    run on the calling thread, in their serial order, so every bit is
+    that of one worker. A kernel of one worker runs on the calling thread
+    alone (the crew _ALONE).
 
     Every array of an evaluation lives in a buffer of the instance, the
     terms it returns included: the grid values u and |u|^2, and per worker
@@ -284,7 +282,8 @@ class _Kernel:
         # the blocks, three to a forward transform; None stands for the damping blocks
         self.groups = ([_PAIRS[:3], _PAIRS[3:]] if advect else []) + ([None] if self.damped else [])
         ball, n, n_ball = self.ball, grid.n_modes, self.ball.k_sq.size
-        self.workers = 1 if _on_driver_thread() else _workers(len(range(0, n, ball.slab)))
+        self.workers = _workers(len(range(0, n, ball.slab)))
+        self.crew = _Crew(self.workers) if self.workers > 1 else _ALONE
         self.u, self.mag_sq = np.empty((3, n, n, n)), np.empty((n, n, n))
         x_shape, y_shape = (3, n, ball.x_lines.shape[1]), (3, n, ball.y_m1.size)
         lines = np.empty(max(math.prod(x_shape), math.prod(y_shape)), dtype=np.complex128)
@@ -298,10 +297,6 @@ class _Kernel:
                       for _ in range(self.workers)]
         self.planes = [slab[: math.prod(plane_shape)].reshape(plane_shape) for slab in self.slabs]
         self.products = [np.empty((3, ball.slab, n, n)) for _ in range(self.workers)]
-
-    def _crew(self) -> _Crew:
-        """The workers of one call: self.workers, the calling thread alone when that is one."""
-        return _ALONE if self.workers == 1 else _Crew(self.workers)
 
     def _products(self, group, ys: slice, w: int) -> np.ndarray:
         """The group's three blocks on the y-planes ys, formed in worker w's product buffer.
@@ -330,8 +325,7 @@ class _Kernel:
 
     def inverse(self, v: np.ndarray) -> np.ndarray:
         """The grid values of ball vector v, _Ball.to_physical(v), in the buffer u."""
-        with self._crew() as crew:
-            return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=crew)
+        return self.ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=self.crew)
 
     def _fill(self, xs: slice, w: int) -> None:
         """|u|^2 on the x-planes xs by _speed_sq, worker w's product buffer holding each square.
@@ -343,16 +337,15 @@ class _Kernel:
 
     def __call__(self, v: np.ndarray) -> _NLTerms:
         ball, params, n = self.ball, self.params, self.grid.n_modes
-        with self._crew() as crew:
-            ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=crew,
-                             then=self._fill)
-            hats, mag_sq = self.hats, self.mag_sq
-            linf = float(np.sqrt(float(mag_sq.max())))
+        ball.to_physical(v, out=self.u, lines=self.x_lines, planes=self.planes, crew=self.crew,
+                         then=self._fill)
+        hats, mag_sq = self.hats, self.mag_sq
+        linf = float(np.sqrt(float(mag_sq.max())))
 
-            spec = [slab.reshape(3, n, ball.slab, n // 2 + 1) for slab in self.slabs]
-            for g, group in enumerate(self.groups):
-                ball.from_slabs(partial(self._products, group), 3, out=hats[3 * g : 3 * g + 3],
-                                spec=spec, lines=self.y_lines, crew=crew)
+        spec = [slab.reshape(3, n, ball.slab, n // 2 + 1) for slab in self.slabs]
+        for g, group in enumerate(self.groups):
+            ball.from_slabs(partial(self._products, group), 3, out=hats[3 * g : 3 * g + 3],
+                            spec=spec, lines=self.y_lines, crew=self.crew)
 
         adv, damp = self.adv, None
         damp_rate = 0.0

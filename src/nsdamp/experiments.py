@@ -14,11 +14,11 @@ measured by ``GridSpec.ball``'s sums) and build no full field.
 Independent jobs inside one driver (the two twin runs, refinement levels
 and the dt ladder) run on a thread pool (spectral._parallel); the FFT
 backend releases the GIL, so this scales on multicore boxes and degrades
-to serial on one core.  NSD_THREADS caps the pool, and also the slab
-workers of a kernel call outside it (see dynamics._Kernel); a kernel on a
-pool thread splits no slabs, so the two levels never nest.  Each job owns
-its state and writes nothing shared, so results are bitwise independent
-of scheduling.
+to serial on one core.  NSD_THREADS caps the pool, and also the crew of
+slab workers a kernel keeps (see dynamics._Kernel); spectral._workers
+gives every crew built inside a job one worker, so the levels never nest.
+Each job owns its state and writes nothing shared, so results are bitwise
+independent of scheduling.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .certificate import Certificate, Certified, Check
+from .certificate import Certificate, Certified, Check, _refuse_unusable_directory
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import ConfigError, ExperimentConfig, canonical_text
 from .dynamics import (
@@ -143,10 +143,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     (ledger.check_energy_inequality). A start of zero energy is refused
     with ConfigError before anything is integrated, as in decay_experiment:
     the budget would be 0 and the balance pass on a ledger that measured
-    nothing.
+    nothing, as is (OSError) an out_dir that cannot become a directory.
     """
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        _refuse_unusable_directory(out_dir)
     # popped into the run: once its start-up copied it, nothing holds it
     start = [_energetic_start(cfg, "the energy balance would measure nothing and pass vacuously")]
     t_start = start[0].t
@@ -183,10 +183,12 @@ def _growth_constant(cfg: ExperimentConfig, horizon: float, name: str) -> float:
 
     horizon is the longest time t over which the twin or continuity bound
     takes its factor exp(2 C t): the twin's span t_end - t_start, the
-    continuity ladder's t0. alpha > 0 and beta > 3 are required, and a C
-    or a factor that overflows is refused, since every sample would then
-    meet the bound.
+    continuity ladder's t0. nu = 1 (C is derived from alpha and beta
+    alone), alpha > 0 and beta > 3 are required, and a C or a factor that
+    overflows is refused, since every sample would then meet the bound.
     """
+    if cfg.nu != 1.0:
+        raise ConfigError(f"the {name} bound is derived for phys.nu = 1 only; got phys.nu = {cfg.nu!r}")
     if not cfg.alpha > 0.0:
         raise ConfigError(f"{name} requires alpha > 0")
     if not cfg.beta > 3.0:
@@ -442,10 +444,10 @@ def decay_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Decay
     as the ledger takes it (an amplitude so small that its squares
     underflow), is refused with ConfigError before anything is integrated:
     every threshold would be 0 and every check pass. series.csv goes into
-    out_dir when given.
+    out_dir when given, checked as run_experiment checks it.
     """
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        _refuse_unusable_directory(out_dir)
     if not cfg.alpha > 0.0:
         raise ConfigError("decay requires alpha > 0")
     if cfg.beta < _EMBED_P - 1e-12:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,15 +75,16 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration (config.ConfigError, raised here by _workers too)."""
 
 
-#: per-thread flags: .driver is set on the threads of a driver's job pool (_driver_thread)
-_threads = threading.local()
+#: True inside each job of a driver's pool (_parallel), set in the job's own copy of the context
+_IN_JOB = contextvars.ContextVar("nsdamp_in_job", default=False)
 
 
 def _workers(jobs: int) -> int:
     """Threads for jobs independent jobs: at most jobs, and at most NSD_THREADS (unset, the CPU count).
 
-    Both thread levels read it: a driver's pool of independent
-    integrations and a kernel's slab workers.
+    Both thread levels read it, a driver's pool of independent
+    integrations and a kernel's slab workers; inside a driver's job it is
+    1, the one rule that keeps the levels from nesting.
     """
     raw = os.environ.get("NSD_THREADS")
     if raw is None:
@@ -96,30 +96,25 @@ def _workers(jobs: int) -> int:
             raise ConfigError(f"NSD_THREADS must be an integer, got {raw!r}") from None
         if cap < 1:
             raise ConfigError(f"NSD_THREADS must be positive, got {raw!r}")
-    return max(1, min(jobs, cap))
-
-
-def _driver_thread() -> None:
-    """Mark the calling thread as a driver pool's: a kernel built on it has one worker, itself."""
-    _threads.driver = True
-
-
-def _on_driver_thread() -> bool:
-    """Whether the calling thread belongs to a driver's job pool."""
-    return getattr(_threads, "driver", False)
+    return 1 if _IN_JOB.get() else max(1, min(jobs, cap))
 
 
 def _parallel(jobs: list[Callable[[], object]]) -> list:
     """Run zero-argument callables on a driver pool of _workers(len(jobs)) threads; their results in order.
 
-    Each job runs in a copy of the caller's context (NumPy's errstate
-    included), as _Crew's workers do. The pool's threads are driver
-    threads: a kernel built on one splits no slabs, so the two thread
-    levels never nest. The experiments run their independent
-    integrations on it, verify_suite its two jobs of suites.
+    Each job runs in its own copy of the caller's context (NumPy's
+    errstate included), as _Crew's workers do, with _IN_JOB set in that
+    copy alone: _workers is 1 inside a job. Jobs go out as threads free
+    up, and the first failing job's exception in job order is raised.
+    The experiments run their independent integrations on it,
+    verify_suite its two jobs of suites.
     """
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs)), initializer=_driver_thread) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
+        futures = []
+        for job in jobs:
+            context = contextvars.copy_context()
+            context.run(_IN_JOB.set, True)
+            futures.append(pool.submit(context.run, job))
         return [f.result() for f in futures]
 
 
@@ -131,20 +126,14 @@ class _Crew:
     each in a copy of the caller's context (NumPy's errstate included).
     Worker w takes the contiguous run of slabs slabs(n, size, w) and the
     run of lines share(count, w), the first worker the first run. A crew
-    of one starts no thread and runs its one job in order. Used as a
-    context manager, it joins its threads on exit.
+    of one starts no thread and runs its one job in order. The pool's
+    threads start at the first run and hold only a weak reference to it,
+    so they end once the crew is dropped (a kernel's, with its kernel).
     """
 
     def __init__(self, size: int = 1):
         self.size = size
         self.pool = ThreadPoolExecutor(max_workers=size - 1) if size > 1 else None
-
-    def __enter__(self) -> "_Crew":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def run(self, job: Callable[[int], None]) -> None:
         if self.pool is None:

@@ -8,7 +8,7 @@ this process:
 - exit 0 comes only with every printed number finite, at least one check
   line and each of them ``pass``, then ``verdict: pass``;
 - exit 1 comes only with a ``FAIL`` check line or a ``run failed:`` line;
-- exit 2 comes only with an ``error:`` line.
+- exit 2 comes only with an ``error:`` line, and leaves no ``--out`` path.
 
 Each run also draws ``NSD_THREADS`` from {unset, 1, 2, 0, -1, ``x``}; a
 value that is not a positive integer must exit 2 with an ``error:`` line.
@@ -31,6 +31,7 @@ lines, and each keeps the exit-code contract above.
 import contextlib
 import io
 import math
+import os
 import re
 import tempfile
 
@@ -142,6 +143,7 @@ def test_the_exit_code_agrees_with_the_printed_report(workdir, study, data):
     _assert_contract(code, printed, err, report)
     if code == 2:  # every flag is well formed: the refusal is the package's own
         assert err.startswith("error: "), report
+        assert not os.path.lexists(f"{out}/o"), report  # a refused input writes nothing
 
 
 def _assert_contract(code: int, printed: str, err: str, report: str) -> None:

@@ -1,6 +1,7 @@
 """Config parsing/validation and the binary checkpoint format."""
 
 import math
+import re
 import struct
 import warnings
 
@@ -128,6 +129,11 @@ class TestParsing:
         p = tmp_path / "exp.cfg"
         p.write_text(GOOD)
         assert load_config(p) == parse_config(GOOD)
+
+    @pytest.mark.parametrize("line", ["grid.n_modes", "grid.n_modes =", "= 16", "=  # comment"])
+    def test_a_line_without_a_key_or_a_value_is_refused(self, line):
+        with pytest.raises(ConfigError, match=rf"^line 2: expected 'key = value', got {re.escape(repr(line))}$"):
+            parse_config(f"grid.n_modes = 16\n{line}\n")
 
 
 class TestValidation:
@@ -317,3 +323,8 @@ class TestCheckpoint:
         assert tail[-1].t == cont[-1].t
         diff = l2_norm(a - b) / l2_norm(a)
         assert diff <= 1e-12
+
+    def test_an_unreadable_path_raises_only_checkpoint_error(self, tmp_path):
+        for path in (tmp_path / "missing.ckpt", tmp_path):
+            with pytest.raises(CheckpointError, match=rf"^cannot read checkpoint {re.escape(repr(path))}: "):
+                read_checkpoint(path)

@@ -777,6 +777,15 @@ class TestStepping:
         )[-1]
         assert np.all(end.u.coeffs[:, 0, 0, 0] == 0.0)
 
+    def test_non_finite_dissipation_is_a_blowup(self):
+        # at nu = 1e308 the viscous rate 2 nu ||grad u||^2 overflows at the
+        # first step (the state decays at once, so nothing else fails)
+        grid = make_grid(8, TWO_PI)
+        params = PhysParams(nu=1e308, alpha=1.0, beta=4.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(BlowupError, match=r"^non-finite values at t = 0.001 \(step 1\)$"):
+                run(taylor_green(grid), params, StepperConfig(dt=1e-3), 2e-3)
+
 
 class TestTendency:
     def test_steady_shear_tendency_is_pure_decay(self):
@@ -981,3 +990,20 @@ class TestManufactured:
         bad.coeffs[0, 3, 3, 0] = 1e-6  # outside the cutoff ball
         with pytest.raises(ValueError):
             SeparableTarget(bad, lambda t: 1.0, lambda t: 0.0, params)
+
+    def test_the_target_refuses_what_it_cannot_force(self):
+        # a base with energy outside the ball, an amplitude that is not
+        # positive, and a forcing asked for other parameters than its own
+        grid = make_grid(8, TWO_PI)
+        params = PhysParams(nu=0.4, alpha=0.5, beta=5.0)
+        wide = taylor_green(grid, amplitude=0.3).coeffs.copy()
+        wide[0, 3, 3, 3] = wide[0, -3, -3, -3] = 1e-12  # |m| = 3 sqrt(3) > 8/3: below validate()'s 1e-10
+        with pytest.raises(ValueError, match="target not band-limited within grid"):
+            SeparableTarget(SpectralField(grid, wide), lambda t: 1.0, lambda t: 0.0, params)
+        target = SeparableTarget(taylor_green(grid, amplitude=0.3), lambda t: 1.0 - t,
+                                 lambda t: -1.0, params)
+        assert np.all(np.isfinite(target.forcing(0.5)))
+        with pytest.raises(ValueError, match=r"amplitude must stay positive, got a\(1.0\) = 0.0"):
+            target.forcing(1.0)
+        with pytest.raises(ValueError, match="precomputed for different physical parameters"):
+            manufactured_forcing(target, PhysParams(nu=0.4, alpha=0.5, beta=4.0))

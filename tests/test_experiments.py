@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -35,7 +36,7 @@ from nsdamp.certificate import Certificate
 from nsdamp.checkpoint import read_checkpoint, write_checkpoint
 from nsdamp.cli import main
 from nsdamp.config import ConfigError, canonical_text, config_from_mapping
-from nsdamp.dynamics import StepperConfig, run, trajectory
+from nsdamp.dynamics import SolverState, StepperConfig, run, trajectory
 from nsdamp.experiments import (
     build_initial,
     continuity_experiment,
@@ -323,6 +324,15 @@ class TestTwin:
         assert rep.ratio_max <= 1.05
         assert rep.times.size == 11
 
+    def test_a_violation_names_its_first_time(self, monkeypatch):
+        # at nu = 1 no growth constant C >= 0 is violated on this config, so a
+        # negative one stands in: the envelope shrinks while |w| does not
+        monkeypatch.setattr(experiments, "gronwall_constant", lambda alpha, beta: -5.0)
+        rep = twin_experiment(_cfg(), 1e-3)
+        lines = rep.lines()
+        assert rep.first_violation == 0.02 and "FIRST VIOLATION at t = 0.02" in lines
+        assert "FAIL separation bound: 6.41508 against bound 1" in lines and not rep.passed
+
     def test_streamed_pairs_match_two_run_lists(self):
         # 101 samples: several whole blocks and a partial last one
         cfg = _cfg(**{"time.output_every": 2e-3})
@@ -494,6 +504,12 @@ class TestPreconditions:
             uniqueness["twin"](cfg_small, 100.0)
         with pytest.raises(ConfigError, match="growth factor"):
             uniqueness["continuity"](cfg_small, 200.0)  # exp(800) is not
+        # C is derived at nu = 1 alone, so no other nu has a bound to check
+        for nu in (0.01, 0.999, 2.0):
+            for experiment, call in uniqueness.items():
+                with pytest.raises(ConfigError, match=rf"^the {experiment} bound is derived for "
+                                                      rf"phys.nu = 1 only; got phys.nu = {nu!r}$"):
+                    call(_cfg(**{"phys.nu": nu}))
 
 
 class TestDecay:
@@ -1089,9 +1105,54 @@ class TestThreadCap:
         kernel = dynamics._Kernel(grid, cfg.phys())
         kernel(grid.ball.gather(taylor_green(grid).coeffs))
         assert kernel.workers == 2 and max(seen) == alone + 1  # the probe sees a kernel's worker
+        del kernel  # its crew's idle thread ends with it
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > alone and time.monotonic() < deadline:
+            time.sleep(0.01)
         seen.clear()
         twin_experiment(cfg, 1e-3)
         assert seen and max(seen) <= alone + 2, max(seen)
+
+    def test_a_kernel_keeps_its_crew_for_its_life(self, monkeypatch):
+        # worker 1 of every call of a run's kernel is one and the same thread
+        # (the Thread objects are held, since idents are reused); it ends
+        # when the run drops its kernel
+        monkeypatch.setenv("NSD_THREADS", "2")
+        workers, crew_run = [], spectral._Crew.run
+
+        def recording(self, job):
+            def recorded(w):
+                if w == 1:
+                    workers.append(threading.current_thread())
+                job(w)
+            crew_run(self, recorded)
+
+        monkeypatch.setattr(spectral._Crew, "run", recording)
+        grid = make_grid(64, 2.0 * np.pi)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        start = SolverState(grid, grid.ball.gather(random_solenoidal(grid, seed=1).coeffs), 0.0, params)
+        before = threading.active_count()
+        run(start, params, StepperConfig(dt=1e-3), 2e-3)
+        assert len(workers) >= 8 * 8  # 8 crew runs in each of the 8 calls of two steps
+        assert len(set(workers)) == 1 and workers[0] is not threading.current_thread()
+        deadline = time.monotonic() + 1.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+
+    def test_a_driver_job_splits_nothing(self, monkeypatch):
+        # _workers is 1 inside a job of a driver's pool, so a pool nested in
+        # one runs its jobs one at a time: the first waits in vain for the
+        # second; the mark stays in the job's context
+        monkeypatch.setenv("NSD_THREADS", "2")
+
+        def waits_for_the_second(timeout):
+            met = threading.Event()
+            return spectral._parallel([lambda: met.wait(timeout), met.set])[0]
+
+        nested = lambda: (spectral._workers(2), waits_for_the_second(0.2))  # noqa: E731
+        assert spectral._parallel([nested, lambda: None])[0] == (1, False)
+        assert spectral._workers(2) == 2 and waits_for_the_second(30.0)
 
     def test_a_run_at_n64_gives_the_same_bytes_on_one_and_two_workers(self, monkeypatch, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -1230,6 +1291,55 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: the initial energy ||u0||^2 is 0, so ")
         assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+    def test_twin_at_a_viscosity_other_than_one_is_refused(self, tmp_path, capsys):
+        # the growth constant is derived at nu = 1: at nu = 0.01 the twins of
+        # this start leave its envelope by t = 0.03 (1.13712 against 1)
+        config = tmp_path / "viscous.cfg"
+        config.write_text("grid.n_modes = 16\ngrid.box_length = 6.283185307179586\nphys.nu = 0.01\n"
+                          "phys.alpha = 1.0\nphys.beta = 4.0\ntime.dt = 5e-4\ntime.t_end = 1.0\n"
+                          "time.output_every = 0.01\nic.kind = random-solenoidal\nic.seed = 3\n"
+                          "ic.amplitude = 5.0\n")
+        out = tmp_path / "twin"
+        assert main(["twin", str(config), "--delta", "1e-6", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: the twin bound is derived for phys.nu = 1 only; got phys.nu = 0.01\n")
+        assert not out.exists()
+
+    def test_an_out_that_cannot_be_a_directory_is_refused(self, tmp_path, cfg_file, capsys,
+                                                           monkeypatch):
+        # it, or its nearest existing ancestor, is a file: refused before
+        # anything is integrated, with exit 2 and nothing created
+        def integrating(*args, **kwargs):
+            raise AssertionError("integrated before checking --out")
+
+        monkeypatch.setattr(experiments, "trajectory", integrating)
+        monkeypatch.setattr(experiments, "run", integrating)
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        for out in (occupied, occupied / "a", occupied / "a" / "b"):
+            for command in (["run", str(cfg_file)], ["twin", str(cfg_file), "--delta", "0"]):
+                assert main(command + ["--out", str(out)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (f"error: cannot use output directory {str(out)!r}: "
+                                        f"[Errno 20] Not a directory: {str(occupied)!r}\n")
+        assert occupied.read_text() == "" and sorted(tmp_path.iterdir()) == [cfg_file, occupied]
+        monkeypatch.setattr(os, "access", lambda path, mode: False)  # root passes every access check
+        assert main(["run", str(cfg_file), "--out", str(tmp_path / "a" / "b")]) == 2
+        assert capsys.readouterr().err == (f"error: cannot use output directory {str(tmp_path / 'a' / 'b')!r}: "
+                                           f"[Errno 13] Permission denied: {str(tmp_path)!r}\n")
+        assert sorted(tmp_path.iterdir()) == [cfg_file, occupied]
+
+    @pytest.mark.parametrize("argv", [["continuity", "--t0", "0.05", "--eps", ","],
+                                      ["refine", "--levels", " , "]], ids=["eps", "levels"])
+    def test_an_empty_list_flag_is_refused_by_the_parser(self, cfg_file, capsys, argv):
+        # before the config is read: the drivers' own refusal never runs
+        command, *flags = argv
+        assert main([command, str(cfg_file), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: argument {flags[-2]}: empty list"), err
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast"]) == 0

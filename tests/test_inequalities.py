@@ -170,6 +170,19 @@ class TestInterpolationGap:
         with pytest.raises(ValueError):
             interpolation_gap(f)
 
+    def test_a_field_whose_l2_sum_underflows_has_no_gap(self):
+        # the L^2 sum underflows to 0 while the H^(3/5) sum does not: the
+        # right side reads 0 and the gap would be -5e-162, an artefact of the
+        # underflow; a field of zero L^2 norm has gap 0, as the zero field
+        grid = make_grid(8, 0.5)
+        c = np.zeros(grid.shape, dtype=np.complex128)
+        c[0, 1, 0, 0] = c[0, -1, 0, 0] = 2.2e-162
+        weights = [_sobolev_weight(cube_k_sq(grid), s, True) for s in _INTERPOLATION_ORDERS]
+        assert _norm(np.abs(c) ** 2, weights[0], grid.volume) == 0.0
+        assert _norm(np.abs(c) ** 2, weights[1], grid.volume) > 0.0
+        assert interpolation_gap(SpectralField(grid, c)) == 0.0
+        assert interpolation_gap(SpectralField(grid, np.zeros(grid.shape))) == 0.0
+
 
 def test_product_law_ratio_finite_and_positive():
     grid = make_grid(16, 2.0 * np.pi)
@@ -177,6 +190,15 @@ def test_product_law_ratio_finite_and_positive():
     g = random_solenoidal(grid, seed=2)
     r = product_law_ratio(f, g)
     assert np.isfinite(r) and r > 0.0
+
+
+def test_product_law_ratio_of_a_zero_field_is_refused():
+    # the ratio over ||f|| ||grad g|| = 0 would be 0/0
+    grid = make_grid(8, 2.0 * np.pi)
+    f, zero = random_solenoidal(grid, seed=1), SpectralField(grid, np.zeros(grid.shape))
+    for pair in ((f, zero), (zero, f)):
+        with pytest.raises(ValueError, match="^zero denominator: both fields must be nonzero$"):
+            product_law_ratio(*pair)
 
 
 def _random_band_limited(grid, rng, projected):

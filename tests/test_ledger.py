@@ -127,6 +127,10 @@ class TestEnergyLedger:
             later.cum_visc + later.cum_damp + l2_norm(later.u) ** 2
         )
 
+    def test_an_empty_series_is_refused(self):
+        with pytest.raises(ValueError, match="^empty energy series$"):
+            check_energy_inequality([], 1e-6)
+
 
 class TestDecayDiagnostics:
     def test_constant_magnitude_field_fills_one_bucket(self):
@@ -193,6 +197,15 @@ class TestDecayDiagnostics:
         # on this box modes 1..3 sit strictly below |xi| = 1, mode 4 does not
         assert cube_low_shell_mask(grid)[3, 0, 0]
         assert not cube_low_shell_mask(grid)[4, 0, 0]
+
+    def test_a_snapshot_that_does_not_follow_its_accumulator_is_refused(self):
+        grid = make_grid(8, TWO_PI)
+        params = PhysParams(nu=1.0, alpha=1.0, beta=4.0)
+        u = random_solenoidal(grid, seed=1, amplitude=0.5)
+        d1 = decay_snapshot(field_state(u, 0.1, params))
+        for t in (0.1, 0.05):
+            with pytest.raises(ValueError, match=rf"non-monotone time: snapshot at t = {t!r} after t = 0.1"):
+                decay_snapshot(field_state(u, t, params), d1)
 
 
 class TestHooksAgainstFullCube:
@@ -285,3 +298,10 @@ class TestCsv:
         _, rec = _short_run(t_end=0.06, every=0.02)
         with pytest.raises(ValueError):
             write_series_csv(tmp_path / "x.csv", rec.energy, rec.decay[:-1])
+
+    def test_rows_of_different_times_are_refused(self, tmp_path):
+        _, rec = _short_run(t_end=0.06, every=0.02)
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="series misaligned at t = 0.02 vs 0.04"):
+            write_series_csv(path, rec.energy, [rec.decay[0], *rec.decay[2:], rec.decay[1]])
+        assert not path.exists()

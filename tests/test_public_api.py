@@ -259,6 +259,44 @@ def test_one_way_into_a_run():
     assert _sites("_Stepper") == {"dynamics.trajectory"}
 
 
+def _calls(name: str) -> set[str]:
+    """The functions (the module, at top level) whose code calls name, as name(...) or x.name(...)."""
+    found = set()
+    for path in sorted(pathlib.Path(nsdamp.__file__).parent.glob("*.py")):
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                found.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_each_thread_level_builds_its_threads_in_one_place():
+    # one nesting rule, read in _workers: no thread-local flag states it again;
+    # a driver's pool is built by _parallel, and a kernel's crew once, with
+    # its kernel, so no kernel call builds or joins a pool
+    from nsdamp import dynamics, spectral
+
+    assert not _readers("local")
+    assert _sites("_IN_JOB") == {"spectral._workers", "spectral._parallel"}
+    assert _calls("ThreadPoolExecutor") == {"spectral._parallel", "spectral._Crew.__init__"}
+    assert {site for site in _calls("_Crew") if site.startswith("dynamics")} == {"dynamics._Kernel.__init__"}
+    assert not {"__enter__", "__exit__"} & set(vars(spectral._Crew))
+    assert not hasattr(dynamics._Kernel, "_crew")
+
+
+def test_one_function_creates_a_directory():
+    # the writer of a file creates its directory, so a refused input, which
+    # writes no file, leaves no directory behind
+    assert _calls("makedirs") == {"certificate._write_atomic"}
+    assert _calls("mkdir") == set()
+
+
 def test_config_checks_no_drivers_theorem():
     # each driver checks its own preconditions; the config module parses and
     # validates the text format, and needs nothing from the inequalities

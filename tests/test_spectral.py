@@ -1,5 +1,7 @@
 """Grid bookkeeping, transforms, projections, and norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,23 @@ class TestGridSpec:
             make_grid(16, 0.0)
         with pytest.raises(ValueError):
             make_grid(8, TWO_PI, cutoff_fraction=0.8)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_a_cutoff_radius_that_is_not_positive_and_finite_is_refused(self, radius):
+        # a NaN radius passes every comparison against the dealiasing bound
+        with pytest.raises(ValueError, match="cutoff_radius must be positive and finite"):
+            GridSpec(n_modes=8, box_length=TWO_PI, cutoff_radius=radius)
+
+    def test_a_field_holds_coefficients_of_its_grid_as_complex128(self):
+        grid = make_grid(8, TWO_PI)
+        with pytest.raises(ValueError, match=r"coefficient array has shape \(3, 8, 8\), expected"):
+            SpectralField(grid, np.zeros((3, 8, 8), dtype=np.complex128))
+        real = SpectralField(grid, np.ones(grid.shape))
+        assert real.coeffs.dtype == np.complex128 and np.array_equal(real.coeffs, np.ones(grid.shape))
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            real + SpectralField(make_grid(8, 2.0 * TWO_PI), np.ones(grid.shape))
+        with pytest.raises(ValueError, match=r"samples have shape \(8, 8, 8\), expected \(3, 8, 8, 8\)"):
+            to_spectral(np.zeros((8, 8, 8)), grid)
 
 
 class TestTransforms:
